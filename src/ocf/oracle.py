@@ -363,6 +363,46 @@ def _stability_deviations(
     return out
 
 
+def _stability_lp(
+    g: GameDef, rule: ArbitrationRule, cs: CoalitionStructure
+) -> tuple[LinearProgram, dict[tuple[int, int], int]]:
+    """Stability LP skeleton shared by every Is-Stable solver.
+
+    One non-negative variable per (coalition index, contributor) and one
+    efficiency equality per coalition.  Supported rules: conservative,
+    refined, optimistic (either clamping); the others have no linear
+    stability constraints.
+    """
+    if rule.name not in ("conservative", "refined", "optimistic", "optimistic-clamped"):
+        raise UnsupportedRuleError(
+            f"stability system is not linear for rule {rule.name!r}"
+        )
+    var_of: dict[tuple[int, int], int] = {}
+    for j, c in enumerate(cs):
+        for i in sorted(support(c)):
+            var_of[(j, i)] = len(var_of)
+    lp = LinearProgram(n_vars=len(var_of), objective=[ZERO] * len(var_of))
+    for j, c in enumerate(cs):
+        sup = sorted(support(c))
+        if not sup:
+            continue
+        lp.add_row({var_of[(j, i)]: Fraction(1) for i in sup}, "=", g.charfun.value(c))
+    return lp, var_of
+
+
+def _read_imputation(
+    cs: CoalitionStructure, var_of: dict[tuple[int, int], int], x: tuple[Fraction, ...], n: int
+) -> Imputation:
+    """The imputation held by an LP point of ``_stability_lp``'s variables."""
+    imputation = []
+    for j, c in enumerate(cs):
+        row = [ZERO] * n
+        for i in support(c):
+            row[i] = x[var_of[(j, i)]]
+        imputation.append(tuple(row))
+    return tuple(imputation)
+
+
 def brute_is_stable(
     g: GameDef,
     rule: ArbitrationRule,
@@ -376,25 +416,12 @@ def brute_is_stable(
     system to the exact LP solver.  Supported rules: conservative, refined,
     optimistic (either clamping).
     """
-    if rule.name not in ("conservative", "refined", "optimistic", "optimistic-clamped"):
-        raise UnsupportedRuleError(
-            f"stability system is not linear for rule {rule.name!r}"
-        )
+    lp, var_of = _stability_lp(g, rule, cs)
     if budget is not None and g.n > budget.max_agents:
         raise BudgetExceededError(
             f"n={g.n} exceeds budget.max_agents={budget.max_agents}"
         )
     n = g.n
-    var_of: dict[tuple[int, int], int] = {}
-    for j, c in enumerate(cs):
-        for i in sorted(support(c)):
-            var_of[(j, i)] = len(var_of)
-    lp = LinearProgram(n_vars=len(var_of), objective=[ZERO] * len(var_of))
-    for j, c in enumerate(cs):
-        sup = sorted(support(c))
-        if not sup:
-            continue
-        lp.add_row({var_of[(j, i)]: Fraction(1) for i in sup}, "=", g.charfun.value(c))
 
     clamped = isinstance(rule, OptimisticRule) and rule.clamped
     cover_cache: dict[Coalition, Fraction] = {}
@@ -480,10 +507,4 @@ def brute_is_stable(
     if sol.status != "optimal":
         return None
     assert sol.x is not None
-    imputation = []
-    for j, c in enumerate(cs):
-        x = [ZERO] * n
-        for i in support(c):
-            x[i] = sol.x[var_of[(j, i)]]
-        imputation.append(tuple(x))
-    return tuple(imputation)
+    return _read_imputation(cs, var_of, sol.x, n)

@@ -1,11 +1,11 @@
 """Pseudo-polynomial solvers for 2-OCF games on tree interaction graphs.
 
 All four problems run in time polynomial in n and the largest weight once
-coalitions are pairwise (k <= 2) and the interaction graph is a forest:
+coalitions are pairwise (k <= 2) and the interaction graph is a forest.
+OptVal and ArbVal are the width-1 case of the treewidth lane: they run the
+bag engine of :mod:`ocf.treewidth` on ``forest_decomposition``.
 
-* ``optval_tree``    - best coalition structure for a resource vector, by a
-                       leaves-to-root merge of per-agent and per-edge cover
-                       tables.
+* ``optval_tree``    - best coalition structure for a resource vector.
 * ``arbval_local``   - best deviation value of a small set S under any local
                        rule, on any interaction structure, by a DP over
                        withdrawal vectors (table size grows as W^|S|).
@@ -17,7 +17,8 @@ coalitions are pairwise (k <= 2) and the interaction graph is a forest:
                        in/out table per vertex; positive excess refutes core
                        membership and comes with the violating set.
 * ``is_stable_tree`` - cutting-plane search for a stabilizing imputation,
-                       using checkcore as the separation oracle.
+                       using checkcore as the separation oracle; the loop,
+                       ``cutting_plane``, is shared with the treewidth lane.
 
 The tree solvers require the outcome itself to be pairwise-shaped: every
 coalition in the structure is supported by a single agent or by the two ends
@@ -29,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import Callable
 
 from .arbitration import (
     Deviation,
@@ -51,8 +53,8 @@ from .core import (
     vec_leq,
 )
 from .covers import CoverTable, single_cover, single_cover_witness
-from .lp import LinearProgram, solve_lp
-from .oracle import BudgetExceededError, CoreViolation
+from .lp import solve_lp
+from .oracle import BudgetExceededError, CoreViolation, _read_imputation, _stability_lp
 
 NEG_INF = float("-inf")
 
@@ -109,6 +111,7 @@ class RootedTree:
     root: int
     vertices: tuple[int, ...]
     children: dict[int, tuple[int, ...]]
+    parent: dict[int, int | None]
 
     def postorder(self) -> list[int]:
         out: list[int] = []
@@ -125,7 +128,8 @@ class RootedTree:
 
 
 def rooted_forest(graph: InteractionGraph, vertices: set[int] | None = None) -> list[RootedTree]:
-    """Deterministic rooting: lowest index per component, children ascending."""
+    """Deterministic rooting: lowest index per component, children ascending,
+    vertices in breadth-first order (every parent before its children)."""
     verts = set(range(graph.n)) if vertices is None else set(vertices)
     adj: dict[int, set[int]] = {v: set() for v in verts}
     for a, b in graph.simple_edges():
@@ -138,6 +142,7 @@ def rooted_forest(graph: InteractionGraph, vertices: set[int] | None = None) -> 
         if start in seen:
             continue
         children: dict[int, tuple[int, ...]] = {}
+        parent: dict[int, int | None] = {start: None}
         order = [start]
         seen.add(start)
         queue = [start]
@@ -147,9 +152,12 @@ def rooted_forest(graph: InteractionGraph, vertices: set[int] | None = None) -> 
             children[v] = kids
             for u in kids:
                 seen.add(u)
+                parent[u] = v
                 order.append(u)
                 queue.append(u)
-        trees.append(RootedTree(root=start, vertices=tuple(order), children=children))
+        trees.append(
+            RootedTree(root=start, vertices=tuple(order), children=children, parent=parent)
+        )
     return trees
 
 
@@ -190,7 +198,6 @@ class PairTable:
     """v*_{i,j}(x, y): best structure over supports inside {i, j}."""
 
     def __init__(self, g: GameDef, i: int, j: int, cap_i: int, cap_j: int):
-        self.i, self.j = i, j
         atoms = []
         for c, v in g.charfun.atoms_within(frozenset((i, j))):
             atoms.append(((c[i], c[j]), v))
@@ -199,106 +206,16 @@ class PairTable:
     def value(self, x: int, y: int) -> Fraction:
         return self.table.value((x, y))
 
-    def witness(self, x: int, y: int, n: int) -> list[Coalition]:
-        out = []
-        for a in self.table.witness_atoms((x, y)):
-            c = [0] * n
-            c[self.i], c[self.j] = a
-            out.append(tuple(c))
-        return out
-
 
 # ---------------------------------------------------------------------------
 # OptVal
-
-
-class _TreeDp:
-    """Leaves-to-root merge with backpointers, parameterized by the per-agent
-    solo table so the deviation solver can swap in arbitration-aware ones."""
-
-    def __init__(self, g: GameDef, tree: RootedTree, caps: Coalition, solo):
-        self.g = g
-        self.tree = tree
-        self.caps = caps
-        self.solo = {i: solo(i) for i in tree.vertices}
-        self.pairs: dict[tuple[int, int], PairTable] = {}
-        self.steps: dict[int, list[list]] = {}
-        self.bp: dict[int, list[dict[int, tuple[int, int]]]] = {}
-        self._run()
-
-    def _pair(self, i: int, j: int) -> PairTable:
-        if (i, j) not in self.pairs:
-            self.pairs[(i, j)] = PairTable(self.g, i, j, self.caps[i], self.caps[j])
-        return self.pairs[(i, j)]
-
-    def _run(self) -> None:
-        for i in self.tree.postorder():
-            cap = self.caps[i]
-            base = [self.solo[i].value(w) for w in range(cap + 1)]
-            tables = [base]
-            bps: list[dict[int, tuple[int, int]]] = [dict()]
-            for ch in self.tree.children[i]:
-                pair = self._pair(i, ch)
-                child_final = self.steps[ch][-1]
-                cap_ch = self.caps[ch]
-                prev = tables[-1]
-                cur = []
-                bp: dict[int, tuple[int, int]] = {}
-                for w in range(cap + 1):
-                    best = None
-                    pick = None
-                    for x in range(w + 1):
-                        rest = prev[w - x]
-                        for y in range(cap_ch + 1):
-                            cand = pair.value(x, y) + rest + child_final[cap_ch - y]
-                            if best is None or cand > best:
-                                best = cand
-                                pick = (x, y)
-                    cur.append(best)
-                    bp[w] = pick
-                tables.append(cur)
-                bps.append(bp)
-            self.steps[i] = tables
-            self.bp[i] = bps
-
-    def value(self) -> Fraction:
-        return self.steps[self.tree.root][-1][self.caps[self.tree.root]]
-
-    def collect(self, sink: list[Coalition], solo_sink) -> None:
-        """Walk backpointers; pair atoms go to sink, solo splits to solo_sink."""
-        stack = [(self.tree.root, len(self.tree.children[self.tree.root]), self.caps[self.tree.root])]
-        while stack:
-            i, step, w = stack.pop()
-            if step == 0:
-                solo_sink(i, w)
-                continue
-            ch = self.tree.children[i][step - 1]
-            x, y = self.bp[i][step][w]
-            sink.extend(self._pair(i, ch).witness(x, y, self.g.n))
-            stack.append((i, step - 1, w - x))
-            stack.append((ch, len(self.tree.children[ch]), self.caps[ch] - y))
 
 
 def optval_tree(g: GameDef, c: Coalition) -> tuple[Fraction, CoalitionStructure]:
     """Best structure value for resources ``c`` on a forest, with a witness
     of weight exactly ``c`` (zero-value fillers pad idle resources)."""
     graph = require_two_ocf_tree(g)
-    g.check_coalition(c)
-    total = ZERO
-    atoms: list[Coalition] = []
-    for tree in rooted_forest(graph):
-        dp = _TreeDp(g, tree, c, solo=lambda i: SingleTable(g, i, c[i]))
-        total += dp.value()
-        dp.collect(atoms, lambda i, w, dp=dp: atoms.extend(dp.solo[i].witness(w, g.n)))
-    used = structure_weight(tuple(atoms), g.n)
-    witness = list(atoms)
-    for i in range(g.n):
-        gap = c[i] - used[i]
-        if gap > 0:
-            filler = [0] * g.n
-            filler[i] = gap
-            witness.append(tuple(filler))
-    return total, tuple(witness)
+    return optval_tw(g, forest_decomposition(graph), c)
 
 
 # ---------------------------------------------------------------------------
@@ -616,34 +533,7 @@ def arbval_tree(
         raise UnsupportedGameError(
             "deviating set induces a cycle; use arbval_local or the treewidth solver"
         )
-    if not deviators:
-        return (ZERO, Deviation(), ()) if with_witness else ZERO
-
-    caps = tuple(g.weights[i] if i in deviators else 0 for i in range(g.n))
-    vbars: dict[int, VBarTable] = {}
-    for i in deviators:
-        others = [j for j in graph.neighbors(i) if j not in deviators]
-        single = SingleTable(g, i, caps[i])
-        alpha = AlphaTable(g, o, rule, i, others)
-        vbars[i] = VBarTable(single, alpha, caps[i])
-
-    total = ZERO
-    atoms: list[Coalition] = []
-    solo_spends: list[tuple[int, int]] = []
-    dps = []
-    for tree in rooted_forest(sub, set(deviators)):
-        dp = _TreeDp(g, tree, caps, solo=lambda i: vbars[i])
-        dps.append(dp)
-        total += dp.value()
-        dp.collect(atoms, lambda i, w: solo_spends.append((i, w)))
-    if not with_witness:
-        return total
-    kept: dict[int, int] = {}
-    for i, w in solo_spends:
-        atoms.extend(vbars[i].witness(w, g.n))
-        kept.update(vbars[i].kept(w))
-    dev = _deviation_from_keeps(o, kept, deviators, g.n)
-    return total, dev, tuple(atoms)
+    return arbval_tw(g, rule, o, deviators, forest_decomposition(sub, deviators), with_witness)
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +628,7 @@ class _CoreDp:
         kt_up = None
         att_val = self.in_steps[i][-1][cap]
         att_pick = 0
-        parent = self._parent_of(i)
+        parent = self.tree.parent[i]
         if parent is not None:
             kt_up = self._keep(i, parent)
             best = NEG_INF
@@ -780,12 +670,6 @@ class _CoreDp:
                 ne_pick = (idx, "att" if cand_att >= self.out_ne.get(ch, NEG_INF) else "ne")
         self.out_ne[i] = best_ne
         self.out_bp[i] = [contrib_pick, ne_pick]
-
-    def _parent_of(self, i: int) -> int | None:
-        for v, kids in self.tree.children.items():
-            if i in kids:
-                return v
-        return None
 
     def best(self):
         r = self.tree.root
@@ -939,57 +823,67 @@ def _stability_cut(
     return coeffs, const
 
 
+def cutting_plane(
+    g: GameDef,
+    rule: LocalArbitrationRule,
+    cs: CoalitionStructure,
+    separate: Callable[[Outcome], tuple[frozenset[int], Deviation, CoalitionStructure] | None],
+    max_rounds: int,
+) -> Imputation | None:
+    """Find an imputation making the structure stable, or prove none exists.
+
+    Solves an exact LP of efficiency equalities plus the cuts found so far and
+    asks ``separate`` about the candidate: None means it is in the core,
+    otherwise ``(agents, deviation, post)`` witnesses one new linear cut that
+    the candidate violates.  There are finitely many (set, deviation, branch)
+    cuts, so the loop ends; exhausting ``max_rounds`` raises
+    ``BudgetExceededError``.
+
+    Under the unclamped optimistic rule a deviator pays any shortfall between
+    what a coalition's remainder earns and what its non-deviators were
+    promised, so the returned imputation is in the core yet may fail
+    full-endowment individual rationality.
+    """
+    lp, var_of = _stability_lp(g, rule, cs)
+    if not vec_leq(structure_weight(cs, g.n), g.weights):
+        raise ContractViolation("structure exceeds agent endowments")
+    for _ in range(max_rounds):
+        sol = solve_lp(lp)
+        if sol.status != "optimal":
+            return None
+        assert sol.x is not None
+        candidate = _read_imputation(cs, var_of, sol.x, g.n)
+        found = separate(Outcome(structure=cs, imputation=candidate))
+        if found is None:
+            return candidate
+        agents, dev, post = found
+        post_value = sum((g.charfun.value(c) for c in post), start=ZERO)
+        coeffs, const = _stability_cut(g, cs, agents, dev, post_value, rule, candidate, var_of)
+        lp.add_row(coeffs, ">=", const)
+    raise BudgetExceededError(
+        f"cutting-plane loop did not finish within max_rounds={max_rounds}"
+    )
+
+
 def is_stable_tree(
     g: GameDef,
     rule: LocalArbitrationRule,
     cs: CoalitionStructure,
     max_rounds: int = 100_000,
 ) -> Imputation | None:
-    """Find an imputation making the structure stable, or prove none exists.
-
-    Cutting-plane loop: keep an LP of efficiency equalities plus accumulated
-    stability cuts, solve exactly, and ask checkcore for a violated set at the
-    candidate point; its witness deviation yields one new linear cut.  Each
-    round adds a cut violated by the current candidate, and there are finitely
-    many (set, deviation, branch) cuts, so the loop terminates.
-    """
-    if rule.name not in ("conservative", "refined", "optimistic", "optimistic-clamped"):
-        raise UnsupportedRuleError(f"stability cuts are not linear for {rule.name!r}")
+    """Find an imputation making the structure stable, or prove none exists,
+    by ``cutting_plane`` with the forest CheckCore as separation oracle."""
     require_two_ocf_tree(g)
-    if not vec_leq(structure_weight(cs, g.n), g.weights):
-        raise ContractViolation("structure exceeds agent endowments")
-    n = g.n
-    var_of: dict[tuple[int, int], int] = {}
-    for j, c in enumerate(cs):
-        for i in sorted(support(c)):
-            var_of[(j, i)] = len(var_of)
-    lp = LinearProgram(n_vars=len(var_of), objective=[ZERO] * len(var_of))
-    for j, c in enumerate(cs):
-        sup = sorted(support(c))
-        if not sup:
-            continue
-        lp.add_row({var_of[(j, i)]: Fraction(1) for i in sup}, "=", g.charfun.value(c))
 
-    for _ in range(max_rounds):
-        sol = solve_lp(lp)
-        if sol.status != "optimal":
-            return None
-        assert sol.x is not None
-        imputation = []
-        for j, c in enumerate(cs):
-            x = [ZERO] * n
-            for i in support(c):
-                x[i] = sol.x[var_of[(j, i)]]
-            imputation.append(tuple(x))
-        candidate = tuple(imputation)
-        outcome = Outcome(structure=cs, imputation=candidate)
+    def separate(outcome: Outcome):
         violation = checkcore_tree(g, rule, outcome)
         if violation is None:
-            return candidate
-        value, dev, post = arbval_tree(g, rule, outcome, violation.agents, with_witness=True)
-        post_value = sum((g.charfun.value(c) for c in post), start=ZERO)
-        coeffs, const = _stability_cut(
-            g, cs, violation.agents, dev, post_value, rule, candidate, var_of
-        )
-        lp.add_row(coeffs, ">=", const)
-    raise RuntimeError("cutting-plane loop failed to terminate within max_rounds")
+            return None
+        _, dev, post = arbval_tree(g, rule, outcome, violation.agents, with_witness=True)
+        return violation.agents, dev, post
+
+    return cutting_plane(g, rule, cs, separate, max_rounds)
+
+
+# The bag engine builds on the tables above, so it is imported last.
+from .treewidth import arbval_tw, forest_decomposition, optval_tw  # noqa: E402

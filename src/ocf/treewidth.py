@@ -31,20 +31,23 @@ from .core import (
     CoalitionStructure,
     ContractViolation,
     GameDef,
+    Imputation,
     InteractionGraph,
     Outcome,
     support,
-    structure_weight,
 )
-from .oracle import CoreViolation
+from .oracle import CoreViolation, _pad_fillers
 from .tree import (
     NEG_INF,
     AlphaTable,
     KeepTable,
     SingleTable,
     VBarTable,
+    _deviation_from_keeps,
     check_outcome_shape,
+    cutting_plane,
     require_two_ocf_tree,
+    rooted_forest,
 )
 
 
@@ -216,6 +219,31 @@ def heuristic_decomposition(g: InteractionGraph) -> TreeDecomposition:
     return t
 
 
+def forest_decomposition(
+    graph: InteractionGraph, vertices: set[int] | None = None
+) -> TreeDecomposition:
+    """Width-1 decomposition of a forest (or of the subgraph induced by
+    ``vertices``), read off ``rooted_forest`` without any elimination order.
+
+    One bag per component root and one {parent, child} bag per edge, hung
+    under the bag that introduced the parent; the roots of later components
+    hang under the first root's bag.
+    """
+    bags: list[frozenset[int]] = []
+    edges: list[tuple[int, int]] = []
+    for tree in rooted_forest(graph, vertices):
+        intro = {tree.root: len(bags)}
+        if bags:
+            edges.append((0, len(bags)))
+        bags.append(frozenset((tree.root,)))
+        for v in tree.vertices[1:]:
+            p = tree.parent[v]
+            intro[v] = len(bags)
+            edges.append((intro[p], len(bags)))
+            bags.append(frozenset((p, v)))
+    return TreeDecomposition(bags=tuple(bags) or (frozenset(),), edges=tuple(edges), root=0)
+
+
 def restrict_decomposition(t: TreeDecomposition, vertices: set[int]) -> TreeDecomposition:
     """Intersect every bag with ``vertices``; validity is preserved."""
     return TreeDecomposition(
@@ -261,7 +289,6 @@ class _TwOptEngine:
         self.g = g
         self.t = t
         self.caps = caps
-        self.vertices = vertices
         graph = g.interaction
         assert graph is not None
         edges = [(a, b) for a, b in graph.simple_edges() if a in vertices and b in vertices]
@@ -290,7 +317,6 @@ class _TwOptEngine:
     def _bag(self, X: int) -> None:
         g = self.g
         ax = self.agents[X]
-        homed = [i for i in ax if self.home_v.get(i) == X]
         atoms: list[tuple[tuple[int, ...], Fraction]] = []
         for (a, b), hx in self.home_e.items():
             if hx != X:
@@ -418,15 +444,7 @@ def optval_tw(
     value = engine.value()
     atoms: list[Coalition] = []
     engine.collect(atoms, lambda i, w: atoms.extend(engine.solo[i].witness(w, g.n)))
-    used = structure_weight(tuple(atoms), g.n)
-    witness = list(atoms)
-    for i in range(g.n):
-        gap = c[i] - used[i]
-        if gap > 0:
-            filler = [0] * g.n
-            filler[i] = gap
-            witness.append(tuple(filler))
-    return value, tuple(witness)
+    return value, _pad_fillers(atoms, c, g.n)
 
 
 def arbval_tw(
@@ -476,8 +494,6 @@ def arbval_tw(
         kept.update(vbars[i].kept(w))
 
     engine.collect(atoms, emit)
-    from .tree import _deviation_from_keeps
-
     dev = _deviation_from_keeps(o, kept, deviators, g.n)
     return value, dev, tuple(atoms)
 
@@ -731,50 +747,16 @@ def is_stable_tw(
     cs: CoalitionStructure,
     t: TreeDecomposition,
     max_rounds: int = 100_000,
-):
-    """Experimental: the cutting-plane stability search with the bag-DP
-    separation oracle.  Same loop as the tree version, on arbitrary graphs."""
-    from .lp import LinearProgram, solve_lp
-    from .tree import _stability_cut
-
-    if rule.name not in ("conservative", "refined", "optimistic", "optimistic-clamped"):
-        raise UnsupportedRuleError(f"stability cuts are not linear for {rule.name!r}")
+) -> Imputation | None:
+    """Experimental: ``cutting_plane`` with the bag-DP CheckCore as
+    separation oracle, the tree lane's Is-Stable on arbitrary graphs."""
     _prepare(g, t)
-    if not all(a <= b for a, b in zip(structure_weight(cs, g.n), g.weights)):
-        raise ContractViolation("structure exceeds agent endowments")
-    n = g.n
-    var_of: dict[tuple[int, int], int] = {}
-    for j, c in enumerate(cs):
-        for i in sorted(support(c)):
-            var_of[(j, i)] = len(var_of)
-    lp = LinearProgram(n_vars=len(var_of), objective=[ZERO] * len(var_of))
-    for j, c in enumerate(cs):
-        sup = sorted(support(c))
-        if not sup:
-            continue
-        lp.add_row({var_of[(j, i)]: Fraction(1) for i in sup}, "=", g.charfun.value(c))
-    for _ in range(max_rounds):
-        sol = solve_lp(lp)
-        if sol.status != "optimal":
-            return None
-        assert sol.x is not None
-        imputation = []
-        for j, c in enumerate(cs):
-            x = [ZERO] * n
-            for i in support(c):
-                x[i] = sol.x[var_of[(j, i)]]
-            imputation.append(tuple(x))
-        candidate = tuple(imputation)
-        outcome = Outcome(structure=cs, imputation=candidate)
+
+    def separate(outcome: Outcome):
         violation = checkcore_tw(g, rule, outcome, t)
         if violation is None:
-            return candidate
-        value, dev, post = arbval_tw(
-            g, rule, outcome, violation.agents, t=t, with_witness=True
-        )
-        post_value = sum((g.charfun.value(c) for c in post), start=ZERO)
-        coeffs, const = _stability_cut(
-            g, cs, violation.agents, dev, post_value, rule, candidate, var_of
-        )
-        lp.add_row(coeffs, ">=", const)
-    raise RuntimeError("cutting-plane loop failed to terminate within max_rounds")
+            return None
+        _, dev, post = arbval_tw(g, rule, outcome, violation.agents, t=t, with_witness=True)
+        return violation.agents, dev, post
+
+    return cutting_plane(g, rule, cs, separate, max_rounds)

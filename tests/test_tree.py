@@ -264,9 +264,18 @@ def test_is_stable_agrees_with_brute():
             assert brute_checkcore(g, rule, o) is None
 
 
+def test_is_stable_round_budget(g1):
+    """Running out of cutting-plane rounds is a budget error, not a crash."""
+    with pytest.raises(BudgetExceededError):
+        is_stable_tree(g1, CONSERVATIVE, ((1, 1), (1, 0)), max_rounds=1)
+
+
 def test_rooted_forest_deterministic():
     graph = InteractionGraph.from_pairs(5, [(3, 1), (1, 0), (2, 4)])
     trees = rooted_forest(graph)
     assert [t.root for t in trees] == [0, 2]
     assert trees[0].children[0] == (1,)
     assert trees[0].children[1] == (3,)
+    assert trees[0].parent == {0: None, 1: 0, 3: 1}
+    assert trees[1].parent == {2: None, 4: 2}
+    assert rooted_forest(graph, {1, 3, 4})[0].parent == {1: None, 3: 1}

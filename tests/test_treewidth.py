@@ -14,12 +14,20 @@ from ocf.core import (
     structure_weight,
     validate_outcome,
 )
-from ocf.oracle import brute_arbval, brute_checkcore, brute_max_excess, superadditive_cover
-from ocf.tree import max_excess_tree, optval_tree
+from ocf.oracle import (
+    BudgetExceededError,
+    brute_arbval,
+    brute_checkcore,
+    brute_is_stable,
+    brute_max_excess,
+    superadditive_cover,
+)
+from ocf.tree import is_stable_tree, max_excess_tree, optval_tree
 from ocf.treewidth import (
     TreeDecomposition,
     arbval_tw,
     checkcore_tw,
+    forest_decomposition,
     heuristic_decomposition,
     is_stable_tw,
     max_excess_tw,
@@ -99,6 +107,33 @@ def test_heuristic_always_valid():
         graph = InteractionGraph.from_pairs(n, edges)
         t = heuristic_decomposition(graph)
         assert validate_decomposition(graph, t) == []
+
+
+def test_forest_decomposition_valid():
+    rng = random.Random(107)
+    graphs = [
+        InteractionGraph.from_pairs(1, []),
+        InteractionGraph.from_pairs(4, []),
+        InteractionGraph.from_pairs(5, [(0, 3)]),
+        InteractionGraph.from_pairs(7, [(4, 1), (1, 0), (2, 5), (5, 6)]),
+    ]
+    for _ in range(30):
+        n = rng.randint(1, 9)
+        edges = [(rng.randrange(i), i) for i in range(1, n) if rng.random() < 0.7]
+        graphs.append(InteractionGraph.from_pairs(n, edges))
+    for graph in graphs:
+        t = forest_decomposition(graph)
+        assert validate_decomposition(graph, t) == []
+        assert t.width <= 1
+        # the vertex-restricted form arbval_tree passes for a deviating set
+        S = {i for i in range(graph.n) if rng.random() < 0.5}
+        induced = InteractionGraph.from_pairs(
+            graph.n, [(a, b) for a, b in graph.simple_edges() if a in S and b in S]
+        )
+        t = forest_decomposition(induced, S)
+        assert validate_decomposition(graph, t, vertices=S) == []
+        assert t.width <= 1
+    assert len(forest_decomposition(InteractionGraph.from_pairs(4, [])).bags) == 4
 
 
 def test_optval_examples(g1):
@@ -260,4 +295,29 @@ def test_is_stable_tw_experimental():
             o = Outcome(structure=cs, imputation=imp)
             assert validate_outcome(o, g) == []
             assert brute_checkcore(g, rule, o) is None
-    assert stable + none == 12
+    # random structures are rarely stable; optimal ones reach the stable
+    # branch, where tree, treewidth and oracle must agree
+    for make in (random_graph_game, random_tree_game):
+        for _ in range(6):
+            g = make(rng, nmax=4, wmax=2)
+            td = heuristic_decomposition(g.interaction)
+            _, cs = optval_tw(g, td, g.weights)
+            for rule in RULES:
+                answers = [is_stable_tw(g, rule, cs, td), brute_is_stable(g, rule, cs)]
+                if make is random_tree_game:
+                    answers.append(is_stable_tree(g, rule, cs))
+                assert len({imp is None for imp in answers}) == 1
+                if answers[0] is None:
+                    none += 1
+                    continue
+                stable += 1
+                for imp in answers:
+                    o = Outcome(structure=cs, imputation=imp)
+                    assert brute_checkcore(g, rule, o) is None
+    assert stable > 0 and none > 0
+
+
+def test_is_stable_tw_round_budget(g1):
+    one_bag = TreeDecomposition(bags=(frozenset({0, 1}),), edges=(), root=0)
+    with pytest.raises(BudgetExceededError):
+        is_stable_tw(g1, CONSERVATIVE, ((1, 1), (1, 0)), one_bag, max_rounds=1)
