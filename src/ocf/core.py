@@ -205,19 +205,22 @@ class CharacteristicFunction:
 
     def atoms(self) -> list[tuple[Coalition, Fraction]]:
         """All positive-valued stored coalitions as full-length vectors."""
+        return self._atoms_of(sorted(self.entries))
+
+    def atoms_within(self, agents: frozenset[int]) -> list[tuple[Coalition, Fraction]]:
+        """Positive-valued stored coalitions whose support is inside ``agents``."""
+        return self._atoms_of(sorted(sup for sup in self.entries if agents.issuperset(sup)))
+
+    def _atoms_of(self, sups: list[tuple[int, ...]]) -> list[tuple[Coalition, Fraction]]:
         out = []
-        for sup, table in sorted(self.entries.items()):
-            for contrib, value in sorted(table.items()):
+        for sup in sups:
+            for contrib, value in sorted(self.entries[sup].items()):
                 if value > 0:
                     c = [0] * self.n
                     for i, w in zip(sup, contrib):
                         c[i] = w
                     out.append((tuple(c), value))
         return out
-
-    def atoms_within(self, agents: frozenset[int]) -> list[tuple[Coalition, Fraction]]:
-        """Positive-valued stored coalitions whose support is inside ``agents``."""
-        return [(c, v) for c, v in self.atoms() if support(c) <= agents]
 
 
 def make_charfun(

@@ -2,8 +2,8 @@
 
 All four problems run in time polynomial in n and the largest weight once
 coalitions are pairwise (k <= 2) and the interaction graph is a forest.
-OptVal and ArbVal are the width-1 case of the treewidth lane: they run the
-bag engine of :mod:`ocf.treewidth` on ``forest_decomposition``.
+OptVal, ArbVal and CheckCore are the width-1 case of the treewidth lane: they
+run the bag engines of :mod:`ocf.treewidth` on ``forest_decomposition``.
 
 * ``optval_tree``    - best coalition structure for a resource vector.
 * ``arbval_local``   - best deviation value of a small set S under any local
@@ -13,9 +13,10 @@ bag engine of :mod:`ocf.treewidth` on ``forest_decomposition``.
                        subgraph is acyclic: each deviator's solo table is
                        replaced by one that may also keep resources with
                        non-deviating neighbours for arbitration payoffs.
-* ``checkcore_tree`` - maximum excess over all nonempty agent subsets via an
-                       in/out table per vertex; positive excess refutes core
-                       membership and comes with the violating set.
+* ``checkcore_tree`` - maximum excess over all nonempty agent subsets via the
+                       bag CheckCore engine on ``forest_decomposition``;
+                       positive excess refutes core membership and comes with
+                       the violating set.
 * ``is_stable_tree`` - cutting-plane search for a stabilizing imputation,
                        using checkcore as the separation oracle; the loop,
                        ``cutting_plane``, is shared with the treewidth lane.
@@ -55,9 +56,6 @@ from .core import (
 from .covers import CoverTable, single_cover, single_cover_witness
 from .lp import solve_lp
 from .oracle import BudgetExceededError, CoreViolation, _read_imputation, _stability_lp
-
-NEG_INF = float("-inf")
-
 
 class UnsupportedGameError(ValueError):
     """The game shape is outside this solver's contract."""
@@ -112,19 +110,6 @@ class RootedTree:
     vertices: tuple[int, ...]
     children: dict[int, tuple[int, ...]]
     parent: dict[int, int | None]
-
-    def postorder(self) -> list[int]:
-        out: list[int] = []
-        stack = [(self.root, False)]
-        while stack:
-            v, done = stack.pop()
-            if done:
-                out.append(v)
-            else:
-                stack.append((v, True))
-                for ch in reversed(self.children[v]):
-                    stack.append((ch, False))
-        return out
 
 
 def rooted_forest(graph: InteractionGraph, vertices: set[int] | None = None) -> list[RootedTree]:
@@ -194,6 +179,7 @@ class SingleTable:
         return out
 
 
+# No solver builds PairTable; it stays because bench/tracing.py lists it.
 class PairTable:
     """v*_{i,j}(x, y): best structure over supports inside {i, j}."""
 
@@ -253,20 +239,21 @@ class KeepTable:
             pays.append(row)
             caps.append(ci)
         self.cap = sum(caps)
-        table: list[list] = [[ZERO] + [NEG_INF] * self.cap]
+        table: list[list[Fraction | None]] = [[ZERO] + [None] * self.cap]
         bp: list[list[int | None]] = []
         for row, ci in zip(pays, caps):
             prev = table[-1]
-            cur = [NEG_INF] * (self.cap + 1)
+            cur: list[Fraction | None] = [None] * (self.cap + 1)
             cbp: list[int | None] = [None] * (self.cap + 1)
             for y in range(self.cap + 1):
-                best = NEG_INF
+                best = None
                 pick = None
                 for k in range(min(y, ci) + 1):
-                    if prev[y - k] == NEG_INF:
+                    rest = prev[y - k]
+                    if rest is None:
                         continue
-                    cand = prev[y - k] + row[k]
-                    if cand > best:
+                    cand = rest + row[k]
+                    if best is None or cand > best:
                         best = cand
                         pick = k
                 cur[y] = best
@@ -277,9 +264,10 @@ class KeepTable:
         self._table = table
         self._bp = bp
 
-    def value(self, y: int):
+    def value(self, y: int) -> Fraction | None:
+        """Best payoff for keeping exactly y units; None when unreachable."""
         if y > self.cap:
-            return NEG_INF
+            return None
         return self.values[y]
 
     def keeps(self, y: int) -> dict[int, int]:
@@ -301,20 +289,21 @@ class AlphaTable:
     def __init__(self, g: GameDef, o: Outcome, rule: LocalArbitrationRule, i: int, others: list[int]):
         self.keep_tables = [KeepTable(g, o, rule, i, j) for j in others]
         self.cap = sum(t.cap for t in self.keep_tables)
-        table: list[list] = [[ZERO] + [NEG_INF] * self.cap]
+        table: list[list[Fraction | None]] = [[ZERO] + [None] * self.cap]
         bp: list[list[int | None]] = []
         for kt in self.keep_tables:
             prev = table[-1]
-            cur = [NEG_INF] * (self.cap + 1)
+            cur: list[Fraction | None] = [None] * (self.cap + 1)
             cbp: list[int | None] = [None] * (self.cap + 1)
             for y in range(self.cap + 1):
-                best = NEG_INF
+                best = None
                 pick = None
                 for k in range(min(y, kt.cap) + 1):
-                    if prev[y - k] == NEG_INF or kt.value(k) == NEG_INF:
+                    rest, kv = prev[y - k], kt.value(k)
+                    if rest is None or kv is None:
                         continue
-                    cand = prev[y - k] + kt.value(k)
-                    if cand > best:
+                    cand = rest + kv
+                    if best is None or cand > best:
                         best = cand
                         pick = k
                 cur[y] = best
@@ -324,9 +313,9 @@ class AlphaTable:
         self.values = table[-1]
         self._bp = bp
 
-    def value(self, y: int):
+    def value(self, y: int) -> Fraction | None:
         if y > self.cap:
-            return NEG_INF
+            return None
         return self.values[y]
 
     def keeps(self, y: int) -> dict[int, int]:
@@ -354,7 +343,7 @@ class VBarTable:
             pick = None
             for kept in range(min(w, alpha.cap) + 1):
                 av = alpha.value(kept)
-                if av == NEG_INF:
+                if av is None:
                     continue
                 cand = single.value(w - kept) + av
                 if best is None or cand > best:
@@ -436,7 +425,7 @@ def arbval_local(
     A: dict = {}
     for t in states:
         ok = all(x <= unused[i] for x, i in zip(t, coords))
-        A[t] = ZERO if ok else NEG_INF
+        A[t] = ZERO if ok else None
     trace: list[dict] = []
     for j in mixed:
         c = o.structure[j]
@@ -453,16 +442,16 @@ def arbval_local(
         nxt: dict = {}
         bp: dict = {}
         for t in states:
-            best = NEG_INF
+            best = None
             pick = None
             for wl, wfull, pay in opts:
                 if any(a > b for a, b in zip(wl, t)):
                     continue
                 rest = A[tuple(b - a for a, b in zip(wl, t))]
-                if rest == NEG_INF:
+                if rest is None:
                     continue
                 cand = rest + pay
-                if cand > best:
+                if best is None or cand > best:
                     best = cand
                     pick = (wl, wfull)
             nxt[t] = best
@@ -477,7 +466,7 @@ def arbval_local(
     best = None
     best_t = None
     for t in states:
-        if A[t] == NEG_INF:
+        if A[t] is None:
             continue
         have = tuple(a + b for a, b in zip(own_local, t))
         cand = (cover.value(have) if cover else ZERO) + A[t]
@@ -533,205 +522,11 @@ def arbval_tree(
         raise UnsupportedGameError(
             "deviating set induces a cycle; use arbval_local or the treewidth solver"
         )
-    return arbval_tw(g, rule, o, deviators, forest_decomposition(sub, deviators), with_witness)
+    return _arbval_bags(g, rule, o, deviators, forest_decomposition(sub, deviators), with_witness)
 
 
 # ---------------------------------------------------------------------------
 # CheckCore
-
-
-class _CoreDp:
-    """In/out tables over one interaction-tree component.
-
-    IN_i(w): best excess of any subset containing i within i's subtree, with i
-    spending w of its weight downward (solo work, pair blocks with in-children
-    and keeps with out-children); the edge toward i's parent is charged by the
-    caller.  OUT_i: best excess when i stays out, children independent; the
-    "ne" variant forces at least one member below.
-    """
-
-    def __init__(self, g: GameDef, o: Outcome, rule: LocalArbitrationRule, tree: RootedTree):
-        self.g = g
-        self.o = o
-        self.rule = rule
-        self.tree = tree
-        n = g.n
-        self.payoff = {i: o.payoff_to_agent(i) for i in tree.vertices}
-        self.keeps: dict[tuple[int, int], KeepTable] = {}
-        self.singles = {i: SingleTable(g, i, g.weights[i]) for i in tree.vertices}
-        self.pairs: dict[tuple[int, int], PairTable] = {}
-        self.in_steps: dict[int, list[list]] = {}
-        self.in_bp: dict[int, list[dict]] = {}
-        self.out_any: dict[int, Fraction] = {}
-        self.out_ne: dict = {}
-        self.out_bp: dict[int, list] = {}
-        self.att: dict[int, tuple] = {}
-        for i in tree.postorder():
-            self._vertex(i)
-
-    def _keep(self, dev: int, other: int) -> KeepTable:
-        key = (dev, other)
-        if key not in self.keeps:
-            self.keeps[key] = KeepTable(self.g, self.o, self.rule, dev, other)
-        return self.keeps[key]
-
-    def _pair(self, i: int, j: int) -> PairTable:
-        if (i, j) not in self.pairs:
-            self.pairs[(i, j)] = PairTable(
-                self.g, i, j, self.g.weights[i], self.g.weights[j]
-            )
-        return self.pairs[(i, j)]
-
-    def _vertex(self, i: int) -> None:
-        g, o = self.g, self.o
-        cap = g.weights[i]
-        base = [self.singles[i].value(w) - self.payoff[i] for w in range(cap + 1)]
-        tables = [base]
-        bps: list[dict] = [dict()]
-        for ch in self.tree.children[i]:
-            prev = tables[-1]
-            keep = self._keep(i, ch)
-            pair = self._pair(i, ch)
-            child_in = self.in_steps[ch][-1]
-            cap_ch = g.weights[ch]
-            out_child = self.out_any[ch]
-            cur = []
-            bp: dict = {}
-            for w in range(cap + 1):
-                best = NEG_INF
-                pick = None
-                for y in range(min(w, keep.cap) + 1):
-                    kv = keep.value(y)
-                    if kv == NEG_INF or prev[w - y] == NEG_INF:
-                        continue
-                    cand = prev[w - y] + kv + out_child
-                    if cand > best:
-                        best = cand
-                        pick = ("out", y)
-                for x in range(w + 1):
-                    rest = prev[w - x]
-                    if rest == NEG_INF:
-                        continue
-                    for z in range(cap_ch + 1):
-                        cand = rest + pair.value(x, z) + child_in[cap_ch - z]
-                        if cand > best:
-                            best = cand
-                            pick = ("in", x, z)
-                cur.append(best)
-                bp[w] = pick
-            tables.append(cur)
-            bps.append(bp)
-        self.in_steps[i] = tables
-        self.in_bp[i] = bps
-
-        # attach value: i joins as the top of its component under an out parent
-        kt_up = None
-        att_val = self.in_steps[i][-1][cap]
-        att_pick = 0
-        parent = self.tree.parent[i]
-        if parent is not None:
-            kt_up = self._keep(i, parent)
-            best = NEG_INF
-            pick = 0
-            for y in range(min(cap, kt_up.cap) + 1):
-                kv = kt_up.value(y)
-                inv = self.in_steps[i][-1][cap - y]
-                if kv == NEG_INF or inv == NEG_INF:
-                    continue
-                cand = inv + kv
-                if cand > best:
-                    best = cand
-                    pick = y
-            att_val = best
-            att_pick = pick
-        self.att[i] = (att_val, att_pick)
-
-        kids = self.tree.children[i]
-        contrib_any = []
-        contrib_pick = []
-        for ch in kids:
-            att_c = self.att[ch][0]
-            if att_c > self.out_any[ch]:
-                contrib_any.append(att_c)
-                contrib_pick.append("att")
-            else:
-                contrib_any.append(self.out_any[ch])
-                contrib_pick.append("out")
-        self.out_any[i] = sum(contrib_any, start=ZERO) if kids else ZERO
-        best_ne = NEG_INF
-        ne_pick = None
-        total_any = self.out_any[i]
-        for idx, ch in enumerate(kids):
-            rest = total_any - contrib_any[idx]
-            cand_att = self.att[ch][0]
-            cand = rest + max(cand_att, self.out_ne.get(ch, NEG_INF))
-            if cand > best_ne:
-                best_ne = cand
-                ne_pick = (idx, "att" if cand_att >= self.out_ne.get(ch, NEG_INF) else "ne")
-        self.out_ne[i] = best_ne
-        self.out_bp[i] = [contrib_pick, ne_pick]
-
-    def best(self):
-        r = self.tree.root
-        top_in = self.in_steps[r][-1][self.g.weights[r]]
-        return max(top_in, self.out_ne[r]), top_in >= self.out_ne[r]
-
-    def members(self) -> frozenset[int]:
-        """Deviating set achieving best(); walk the backpointers."""
-        out: set[int] = set()
-        r = self.tree.root
-        _, use_in = self.best()
-        if use_in:
-            self._walk_in(r, self.g.weights[r], out)
-        else:
-            self._walk_out(r, out, need_ne=True)
-        return frozenset(out)
-
-    def _walk_in(self, i: int, w: int, out: set[int]) -> None:
-        out.add(i)
-        kids = self.tree.children[i]
-        for step in range(len(kids), 0, -1):
-            pick = self.in_bp[i][step][w]
-            assert pick is not None
-            ch = kids[step - 1]
-            if pick[0] == "out":
-                _, y = pick
-                self._walk_out(ch, out, need_ne=False)
-                w -= y
-            else:
-                _, x, z = pick
-                self._walk_in(ch, self.g.weights[ch] - z, out)
-                w -= x
-
-    def _walk_att(self, i: int, out: set[int]) -> None:
-        _, y = self.att[i]
-        self._walk_in(i, self.g.weights[i] - y, out)
-
-    def _walk_out(self, i: int, out: set[int], need_ne: bool) -> None:
-        kids = self.tree.children[i]
-        contrib_pick, ne_pick = self.out_bp[i]
-        if not kids:
-            return
-        if need_ne:
-            assert ne_pick is not None
-            idx, kind = ne_pick
-            for k, ch in enumerate(kids):
-                if k == idx:
-                    if kind == "att":
-                        self._walk_att(ch, out)
-                    else:
-                        self._walk_out(ch, out, need_ne=True)
-                else:
-                    if contrib_pick[k] == "att":
-                        self._walk_att(ch, out)
-                    else:
-                        self._walk_out(ch, out, need_ne=False)
-        else:
-            for k, ch in enumerate(kids):
-                if contrib_pick[k] == "att":
-                    self._walk_att(ch, out)
-                else:
-                    self._walk_out(ch, out, need_ne=False)
 
 
 def max_excess_tree(
@@ -741,21 +536,7 @@ def max_excess_tree(
     if not isinstance(rule, LocalArbitrationRule):
         raise UnsupportedRuleError(f"rule {rule.name} is not local")
     graph = require_two_ocf_tree(g)
-    check_outcome_shape(g, o)
-    per_comp = []
-    for tree in rooted_forest(graph):
-        dp = _CoreDp(g, o, rule, tree)
-        value, _ = dp.best()
-        per_comp.append((value, dp))
-    positives = [(v, dp) for v, dp in per_comp if v > 0]
-    if positives:
-        total = sum((v for v, _ in positives), start=ZERO)
-        members: set[int] = set()
-        for _, dp in positives:
-            members |= dp.members()
-        return total, frozenset(members)
-    value, dp = max(per_comp, key=lambda p: p[0])
-    return value, dp.members()
+    return max_excess_tw(g, rule, o, forest_decomposition(graph))
 
 
 def checkcore_tree(
@@ -886,4 +667,9 @@ def is_stable_tree(
 
 
 # The bag engine builds on the tables above, so it is imported last.
-from .treewidth import arbval_tw, forest_decomposition, optval_tw  # noqa: E402
+from .treewidth import (  # noqa: E402
+    _arbval_bags,
+    forest_decomposition,
+    max_excess_tw,
+    optval_tw,
+)

@@ -38,7 +38,6 @@ from .core import (
 )
 from .oracle import CoreViolation, _pad_fillers
 from .tree import (
-    NEG_INF,
     AlphaTable,
     KeepTable,
     SingleTable,
@@ -474,7 +473,21 @@ def arbval_tw(
         t = heuristic_decomposition(induced)
     t = restrict_decomposition(t, set(deviators))
     _prepare(g, t, set(deviators))
+    return _arbval_bags(g, rule, o, deviators, t, with_witness)
 
+
+def _arbval_bags(
+    g: GameDef,
+    rule: LocalArbitrationRule,
+    o: Outcome,
+    deviators: frozenset[int],
+    t: TreeDecomposition,
+    with_witness: bool,
+):
+    """The bag DP behind ``arbval_tw`` and ``arbval_tree``, on arguments the
+    caller has already checked; ``t`` covers exactly the deviators."""
+    graph = g.interaction
+    assert graph is not None
     caps = tuple(g.weights[i] if i in deviators else 0 for i in range(g.n))
     vbars: dict[int, VBarTable] = {}
     for i in deviators:
@@ -575,19 +588,19 @@ class _TwCoreEngine:
                 kbp: dict = {}
                 k = pos[dev]
                 for r in box:
-                    best = NEG_INF
+                    best = None
                     pick = None
                     for y in range(min(r[k], kt.cap) + 1):
                         kv = kt.value(y)
-                        if kv == NEG_INF:
+                        if kv is None:
                             continue
                         rr = list(r)
                         rr[k] -= y
                         prior = cur[tuple(rr)]
-                        if prior == NEG_INF:
+                        if prior is None:
                             continue
                         cand = prior + kv
-                        if cand > best:
+                        if best is None or cand > best:
                             best = cand
                             pick = y
                     nxt[r] = best
@@ -608,10 +621,10 @@ class _TwCoreEngine:
                 for idx, (a, v) in enumerate(atoms):
                     if all(x <= y for x, y in zip(a, r)):
                         prior = closed[tuple(y - x for x, y in zip(a, r))]
-                        if prior == NEG_INF:
+                        if prior is None:
                             continue
                         cand = v + prior
-                        if cand > best:
+                        if best is None or cand > best:
                             best = cand
                             pick = idx
                 closed[r] = best
@@ -624,34 +637,29 @@ class _TwCoreEngine:
                 mask_y = tuple(1 if i in dset else 0 for i in sep_y)
                 dev_y = tuple(i for i in sep_y if i in dset)
                 prev = layers[-1]
+                child = self.final[Y]
                 cur2: dict = {}
                 cbp: dict = {}
                 for r in box:
-                    for flag in (False, True):
-                        best = NEG_INF
-                        pick = None
-                        for z in product(*[range(r[pos[i]] + 1) for i in dev_y]):
-                            rr = list(r)
-                            for i, zz in zip(dev_y, z):
-                                rr[pos[i]] -= zz
-                            rrt = tuple(rr)
-                            for f_prev in (False, True):
-                                pv = prev.get((rrt, f_prev), NEG_INF)
-                                if pv == NEG_INF:
+                    for z in product(*[range(r[pos[i]] + 1) for i in dev_y]):
+                        rr = list(r)
+                        for i, zz in zip(dev_y, z):
+                            rr[pos[i]] -= zz
+                        rrt = tuple(rr)
+                        for f_prev in (False, True):
+                            pv = prev.get((rrt, f_prev))
+                            if pv is None:
+                                continue
+                            for f_child in (False, True):
+                                cv = child.get((mask_y, z, f_child))
+                                if cv is None:
                                     continue
-                                for f_child in (False, True):
-                                    if (f_prev or f_child) != flag:
-                                        continue
-                                    cv = self.final[Y].get((mask_y, z, f_child), NEG_INF)
-                                    if cv == NEG_INF:
-                                        continue
-                                    cand = pv + cv
-                                    if cand > best:
-                                        best = cand
-                                        pick = (z, f_prev, f_child)
-                        if best != NEG_INF:
-                            cur2[(r, flag)] = best
-                            cbp[(r, flag)] = pick
+                                cand = pv + cv
+                                key = (r, f_prev or f_child)
+                                best = cur2.get(key)
+                                if best is None or cand > best:
+                                    cur2[key] = cand
+                                    cbp[key] = (z, f_prev, f_child)
                 layers.append(cur2)
                 child_bp.append(cbp)
             top = layers[-1]
@@ -662,19 +670,20 @@ class _TwCoreEngine:
                     q[sep_dev.index(i)] if i in sep_dev else caps[i] for i in D
                 )
                 for flag in (False, True):
-                    v = top.get((avail, flag), NEG_INF)
-                    if v == NEG_INF:
+                    v = top.get((avail, flag))
+                    if v is None:
                         continue
                     key = (sep_mask, q, flag)
-                    if v > final.get(key, NEG_INF):
+                    old = final.get(key)
+                    if old is None or v > old:
                         final[key] = v
                         bp[key] = (bits, avail, child_bp, keep_bp_tables, atom_bp)
         self.final[X] = final
         self.bp[X] = bp
 
-    def best(self) -> tuple:
-        root = self.t.root
-        return self.final[root].get(((), (), True), NEG_INF)
+    def best(self) -> Fraction | None:
+        """Maximum excess over nonempty subsets; None if no state reached."""
+        return self.final[self.t.root].get(((), (), True))
 
     def members(self) -> frozenset[int]:
         out: set[int] = set()
@@ -736,7 +745,7 @@ def max_excess_tw(
     _prepare(g, t)
     engine = _TwCoreEngine(g, o, rule, t)
     value = engine.best()
-    if value == NEG_INF:  # pragma: no cover - nonempty subsets always exist
+    if value is None:  # pragma: no cover - nonempty subsets always exist
         raise RuntimeError("bag DP produced no nonempty subset")
     return value, engine.members()
 

@@ -16,6 +16,7 @@ from ocf.core import (
     InteractionGraph,
     Outcome,
     make_charfun,
+    myerson_restrict,
     structure_value,
     structure_weight,
     validate_outcome,
@@ -29,6 +30,8 @@ from ocf.oracle import (
     superadditive_cover,
 )
 from ocf.tree import (
+    AlphaTable,
+    KeepTable,
     UnsupportedGameError,
     UnsupportedOutcomeError,
     arbval_local,
@@ -219,17 +222,58 @@ def test_checkcore_single_agent_paid_cover():
     assert checkcore_tree(g, CONSERVATIVE, o) is None
 
 
-def test_checkcore_agreement_random():
+def _split_forest(rng: random.Random, g: GameDef) -> GameDef:
+    """Drop at least one edge of a tree game and Myerson-restrict its values,
+    leaving a forest of several components."""
+    edges = g.interaction.simple_edges()
+    drop = set(rng.sample(range(len(edges)), rng.randint(1, len(edges))))
+    graph = InteractionGraph.from_pairs(g.n, [e for k, e in enumerate(edges) if k not in drop])
+    return GameDef(n=g.n, weights=g.weights, charfun=myerson_restrict(g.charfun, graph),
+                   interaction=graph)
+
+
+def _core_cases():
     rng = random.Random(61)
-    for trial in range(60):
+    for _ in range(60):
         g = random_tree_game(rng, nmax=4)
-        o = random_outcome(rng, g)
+        yield g, random_outcome(rng, g)
+    rng = random.Random(62)
+    for _ in range(40):
+        g = _split_forest(rng, random_tree_game(rng, nmax=5))
+        yield g, random_outcome(rng, g)
+
+
+def test_checkcore_agreement_random():
+    """Max excess matches the oracle on trees and on multi-component forests,
+    and the reported set achieves it."""
+    components = []
+    for trial, (g, o) in enumerate(_core_cases()):
         rule = RULES[trial % 4]
         bv, _ = brute_max_excess(g, rule, o)
         tv, ts = max_excess_tree(g, rule, o)
         assert tv == bv
+        assert brute_arbval(g, rule, o, ts)[0] - o.payoff_to_set(ts) == tv
         cc = checkcore_tree(g, rule, o)
         assert (cc is None) == (brute_checkcore(g, rule, o) is None)
+        components.append(len(g.interaction.components()))
+    assert sum(c > 1 for c in components) >= 40
+    assert max(components) >= 3
+
+
+def test_dp_tables_typed_sentinel():
+    """Unreachable states are None, never a float, in the keep/alpha tables."""
+    rng = random.Random(71)
+    for trial in range(20):
+        g = random_tree_game(rng)
+        o = random_outcome(rng, g)
+        rule = RULES[trial % 4]
+        i = rng.randrange(g.n)
+        others = g.interaction.neighbors(i)
+        tables = [KeepTable(g, o, rule, i, j) for j in others]
+        tables.append(AlphaTable(g, o, rule, i, others))
+        for table in tables:
+            assert table.value(table.cap + 1) is None
+            assert all(v is None or type(v) is Fraction for v in table.values)
 
 
 def test_is_stable_examples(g1):
