@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 Coalition = tuple[int, ...]
@@ -93,14 +94,16 @@ class InteractionGraph:
                 out.append((a, b))
         return sorted(out)
 
-    def neighbors(self, i: int) -> list[int]:
-        out = set()
+    @cached_property
+    def _adjacency(self) -> dict[int, list[int]]:
+        adj: dict[int, list[int]] = {i: [] for i in range(self.n)}
         for a, b in self.simple_edges():
-            if a == i:
-                out.add(b)
-            elif b == i:
-                out.add(a)
-        return sorted(out)
+            adj[a].append(b)
+            adj[b].append(a)
+        return {i: sorted(nbrs) for i, nbrs in adj.items()}
+
+    def neighbors(self, i: int) -> list[int]:
+        return list(self._adjacency.get(i, ()))
 
     def has_edge(self, a: int, b: int) -> bool:
         return frozenset((a, b)) in self.edges
@@ -124,10 +127,7 @@ class InteractionGraph:
         """Connected components over all n vertices, each sorted ascending."""
         seen: set[int] = set()
         comps = []
-        adj: dict[int, set[int]] = {i: set() for i in range(self.n)}
-        for a, b in self.simple_edges():
-            adj[a].add(b)
-            adj[b].add(a)
+        adj = self._adjacency
         for start in range(self.n):
             if start in seen:
                 continue
@@ -347,6 +347,11 @@ class Outcome:
     def __post_init__(self) -> None:
         if len(self.structure) != len(self.imputation):
             raise ContractViolation("imputation length must match structure length")
+
+    @cached_property
+    def supports(self) -> tuple[frozenset[int], ...]:
+        """``support`` of each coalition in the structure, computed once."""
+        return tuple(support(c) for c in self.structure)
 
     def payoff_to_agent(self, i: int) -> Fraction:
         return sum((x[i] for x in self.imputation), start=ZERO)

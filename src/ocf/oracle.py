@@ -81,6 +81,12 @@ def _check_cover_budget(g: GameDef, c: Coalition, budget: EnumerationBudget | No
         )
 
 
+def _shared(cs: list[Coalition]) -> CoalitionStructure:
+    """The same structure holding one tuple object per distinct coalition."""
+    seen: dict[Coalition, Coalition] = {}
+    return tuple(seen.setdefault(c, c) for c in cs)
+
+
 def _pad_fillers(atoms: list[Coalition], target: Coalition, n: int) -> CoalitionStructure:
     """Append one singleton filler per agent so the weight is exactly target."""
     used = structure_weight(tuple(atoms), n)
@@ -91,7 +97,7 @@ def _pad_fillers(atoms: list[Coalition], target: Coalition, n: int) -> Coalition
             filler = [0] * n
             filler[i] = gap
             out.append(tuple(filler))
-    return tuple(out)
+    return _shared(out)
 
 
 def superadditive_cover(
@@ -330,7 +336,7 @@ def brute_max_excess(
 
 def _stability_deviations(
     g: GameDef, cs: CoalitionStructure, deviators: frozenset[int], rule: ArbitrationRule
-) -> list[dict[int, Coalition]]:
+) -> Iterator[dict[int, Coalition]]:
     """Withdrawal profiles whose constraints jointly pin A* for the rule.
 
     Conservative payments never depend on the withdrawal, so only the full
@@ -357,10 +363,8 @@ def _stability_deviations(
             per.append(opts)
         else:
             per.append(_withdrawal_options(c, deviators))
-    out = []
     for combo in product(*per):
-        out.append({j: w for j, w in zip(mixed, combo) if any(w)})
-    return out
+        yield {j: w for j, w in zip(mixed, combo) if any(w)}
 
 
 def _stability_lp(
@@ -414,7 +418,10 @@ def brute_is_stable(
     Builds every efficiency equality, non-negativity bound and one linear
     stability constraint per (subset, withdrawal profile) pair, then hands the
     system to the exact LP solver.  Supported rules: conservative, refined,
-    optimistic (either clamping).
+    optimistic (either clamping).  Under the clamped optimistic rule each
+    pair takes one row per zero/linear branch of every mixed coalition, so
+    the stability rows are counted as they are built: the budget allows 2^n
+    subsets with 2^(max_agents - 2) rows each on average, 16 at the default.
     """
     lp, var_of = _stability_lp(g, rule, cs)
     if budget is not None and g.n > budget.max_agents:
@@ -430,6 +437,18 @@ def brute_is_stable(
         if avail not in cover_cache:
             cover_cache[avail], _ = superadditive_cover(g, avail, budget)
         return cover_cache[avail]
+
+    equalities = len(lp.rows)
+
+    def check_rows(pending: int) -> None:
+        if budget is None:
+            return
+        max_rows = 1 << (n + budget.max_agents - 2)
+        if len(lp.rows) - equalities + pending > max_rows:
+            raise BudgetExceededError(
+                f"stability system exceeds {max_rows} rows "
+                f"(2^(n + budget.max_agents - 2), budget.max_agents={budget.max_agents})"
+            )
 
     committed = structure_weight(cs, n)
     for S in iter_subsets(n):
@@ -485,18 +504,21 @@ def brute_is_stable(
                             new_rows.append((merged, cst + base))
                             new_rows.append((lin, cst))
                         branch_rows = new_rows
+                        check_rows(len(branch_rows))
                     else:
                         for idx, (lin, cst) in enumerate(branch_rows):
                             merged = dict(lin)
                             for v, a in term.items():
                                 merged[v] = merged.get(v, ZERO) + a
                             branch_rows[idx] = (merged, cst + base)
+                check_rows(len(branch_rows))
                 for lin, cst in branch_rows:
                     row = dict(s_coeff)
                     for v, a in lin.items():
                         row[v] = row.get(v, ZERO) - a
                     lp.add_row(row, ">=", const + cst)
                 continue
+            check_rows(len(lin_parts))
             for lin in lin_parts:
                 row = dict(s_coeff)
                 for v, a in lin.items():

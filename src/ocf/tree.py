@@ -85,8 +85,7 @@ def check_outcome_shape(g: GameDef, o: Outcome) -> None:
         raise ContractViolation("imputation length mismatch")
     if not vec_leq(structure_weight(o.structure, g.n), g.weights):
         raise ContractViolation("structure exceeds endowments")
-    for j, (c, x) in enumerate(zip(o.structure, o.imputation)):
-        sup = support(c)
+    for j, (c, x, sup) in enumerate(zip(o.structure, o.imputation, o.supports)):
         if len(sup) > 2:
             raise UnsupportedOutcomeError(
                 f"coalition {j} has {len(sup)} contributors; tree solvers need <= 2"
@@ -97,11 +96,13 @@ def check_outcome_shape(g: GameDef, o: Outcome) -> None:
                 raise UnsupportedOutcomeError(
                     f"coalition {j} spans non-edge ({a},{b})"
                 )
-        if sum(x, start=ZERO) != g.charfun.value(c):
+        # with nothing paid outside the support, its entries are the whole sum
+        outside = any(v for i, v in enumerate(x) if i not in sup)
+        paid = sum(x if outside else (x[i] for i in sup), start=ZERO)
+        if paid != g.charfun.value(c):
             raise ContractViolation(f"coalition {j} violates efficiency")
-        for i, v in enumerate(x):
-            if v < 0 or (v > 0 and i not in sup):
-                raise ContractViolation(f"coalition {j} pays outside its support")
+        if outside or any(x[i] < 0 for i in sup):
+            raise ContractViolation(f"coalition {j} pays outside its support")
 
 
 @dataclass(frozen=True)
@@ -210,7 +211,8 @@ def optval_tree(g: GameDef, c: Coalition) -> tuple[Fraction, CoalitionStructure]
 
 def _pair_coalitions(o: Outcome, i: int, j: int) -> list[int]:
     """Indices of outcome coalitions supported by exactly {i, j}."""
-    return [k for k, c in enumerate(o.structure) if support(c) == frozenset((i, j))]
+    pair = frozenset((i, j))
+    return [k for k, sup in enumerate(o.supports) if sup == pair]
 
 
 class KeepTable:
@@ -369,8 +371,7 @@ def _deviation_from_keeps(o: Outcome, kept: dict[int, int], deviators: frozenset
 
     Mixed coalitions absent from ``kept`` are fully withdrawn from."""
     withdrawals: dict[int, Coalition] = {}
-    for j, c in enumerate(o.structure):
-        sup = support(c)
+    for j, (c, sup) in enumerate(zip(o.structure, o.supports)):
         if not (sup & deviators) or sup <= deviators:
             continue
         d = [0] * n
@@ -379,7 +380,7 @@ def _deviation_from_keeps(o: Outcome, kept: dict[int, int], deviators: frozenset
         withdrawals[j] = tuple(d)
     for j, keep in kept.items():
         c = o.structure[j]
-        (i,) = support(c) & deviators
+        (i,) = o.supports[j] & deviators
         d = list(withdrawals[j])
         d[i] = c[i] - keep
         withdrawals[j] = tuple(d)

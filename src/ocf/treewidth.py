@@ -16,13 +16,20 @@ quotas, so anything an agent owns is available at its home bag and below.
 Table layout: resource vectors over a bag are flattened in mixed-radix order,
 radix caps_i + 1 per agent, agents ascending with the lowest agent as the
 least significant digit (see ``flatten_index``).  Dumps use that layout.
+
+Arithmetic: each engine call scales every value its tables read (atom values,
+solo-table rows, payoffs, keep-table rows) by one common denominator D and
+runs its (max,+) loops on Python ints, which is exact; answers are converted
+back to ``Fraction`` on the way out.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import Iterable
 
 from .arbitration import Deviation, LocalArbitrationRule, UnsupportedRuleError
 from .core import (
@@ -34,9 +41,8 @@ from .core import (
     Imputation,
     InteractionGraph,
     Outcome,
-    support,
 )
-from .oracle import CoreViolation, _pad_fillers
+from .oracle import CoreViolation, _pad_fillers, _shared
 from .tree import (
     AlphaTable,
     KeepTable,
@@ -276,12 +282,28 @@ def _homes(
     return home_v, home_e
 
 
+def _denominator(*groups: Iterable[Fraction | None]) -> int:
+    """Least common multiple of the denominators of every value; None skipped."""
+    return math.lcm(*(v.denominator for vs in groups for v in vs if v is not None))
+
+
+def _scaled(v: Fraction | None, d: int) -> int | None:
+    """``v`` times ``d`` as an int; ``d`` must be a multiple of its denominator."""
+    return None if v is None else v.numerator * (d // v.denominator)
+
+
+def _pair_atoms(g: GameDef, a: int, b: int) -> list[tuple[Coalition, Fraction]]:
+    """Stored coalitions supported by exactly the two ends of edge (a, b)."""
+    return [(c, v) for c, v in g.charfun.atoms_within(frozenset((a, b))) if c[a] and c[b]]
+
+
 class _TwOptEngine:
     """Bag-table engine behind optval_tw and arbval_tw.
 
     ``solo`` maps each vertex to its terminal table (plain single-agent cover
     for OptVal, the arbitration-aware one for ArbVal).  Tables are dicts keyed
-    by resource tuples over the bag's sorted agents.
+    by resource tuples over the bag's sorted agents; they hold values scaled
+    by ``self.scale``.
     """
 
     def __init__(self, g: GameDef, t: TreeDecomposition, caps: Coalition, vertices: set[int], solo):
@@ -295,6 +317,20 @@ class _TwOptEngine:
         self.parent, self.children, self.post = t.rooted()
         self.agents = {X: tuple(sorted(t.bags[X])) for X in range(len(t.bags))}
         self.solo = {i: solo(i) for i in vertices}
+        # pair atoms, priced at the topmost bag holding both ends of the edge
+        atoms: dict[int, list[tuple[tuple[int, ...], Fraction]]] = {
+            X: [] for X in range(len(t.bags))
+        }
+        for (a, b), hx in self.home_e.items():
+            for c, v in _pair_atoms(g, a, b):
+                atoms[hx].append((tuple(c[i] for i in self.agents[hx]), v))
+        d = _denominator(
+            (v for bag in atoms.values() for _, v in bag),
+            (v for table in self.solo.values() for v in table.values),
+        )
+        self.scale = d
+        self._atoms = {X: [(a, _scaled(v, d)) for a, v in bag] for X, bag in atoms.items()}
+        self._solo = {i: [_scaled(v, d) for v in table.values] for i, table in self.solo.items()}
         self.sep: dict[int, tuple[int, ...]] = {}
         for X in range(len(t.bags)):
             p = self.parent[X]
@@ -306,7 +342,6 @@ class _TwOptEngine:
         self.merge_bp: dict[int, list[dict]] = {}
         self.layers: dict[int, list[dict]] = {}
         self.final: dict[int, dict] = {}
-        self._atoms: dict[int, list] = {}
         for X in self.post:
             self._bag(X)
 
@@ -314,22 +349,15 @@ class _TwOptEngine:
         return product(*[range(self.caps[i] + 1) for i in agents])
 
     def _bag(self, X: int) -> None:
-        g = self.g
         ax = self.agents[X]
-        atoms: list[tuple[tuple[int, ...], Fraction]] = []
-        for (a, b), hx in self.home_e.items():
-            if hx != X:
-                continue
-            for c, v in g.charfun.atoms_within(frozenset((a, b))):
-                if len(support(c)) == 2:
-                    atoms.append((tuple(c[i] for i in ax), v))
+        atoms = self._atoms[X]
         f: dict = {}
         choice: dict = {}
         for r in self._box(ax):
-            best = ZERO
+            best = 0
             for i, ri in zip(ax, r):
                 if self.home_v.get(i) == X:
-                    best += self.solo[i].value(ri)
+                    best += self._solo[i][ri]
             pick = None
             for idx, (a, v) in enumerate(atoms):
                 if all(x <= y for x, y in zip(a, r)):
@@ -340,7 +368,6 @@ class _TwOptEngine:
             f[r] = best
             choice[r] = pick
         self.f_choice[X] = choice
-        self._atoms[X] = atoms
 
         layers = [f]
         bps: list[dict] = [dict()]
@@ -380,7 +407,7 @@ class _TwOptEngine:
         self.final[X] = final
 
     def value(self) -> Fraction:
-        return self.final[self.t.root][()]
+        return Fraction(self.final[self.t.root][()], self.scale)
 
     def collect(self, sink: list[Coalition], solo_sink) -> None:
         stack = []
@@ -508,7 +535,7 @@ def _arbval_bags(
 
     engine.collect(atoms, emit)
     dev = _deviation_from_keeps(o, kept, deviators, g.n)
-    return value, dev, tuple(atoms)
+    return value, dev, _shared(atoms)
 
 
 class _TwCoreEngine:
@@ -517,12 +544,11 @@ class _TwCoreEngine:
     State at a bag: which separator agents deviate, how much of each
     deviator's weight flows into the subtree, and whether some deviator is
     already homed at-or-below (so the empty set never reports excess 0).
+    Tables hold excesses scaled by ``self.scale``.
     """
 
     def __init__(self, g: GameDef, o: Outcome, rule: LocalArbitrationRule, t: TreeDecomposition):
         self.g = g
-        self.o = o
-        self.rule = rule
         self.t = t
         graph = g.interaction
         assert graph is not None
@@ -535,20 +561,36 @@ class _TwCoreEngine:
         for X in range(len(t.bags)):
             p = self.parent[X]
             self.sep[X] = () if p is None else tuple(sorted(t.bags[X] & t.bags[p]))
-        self.payoff = {i: o.payoff_to_agent(i) for i in range(g.n)}
-        self.singles = {i: SingleTable(g, i, g.weights[i]) for i in range(g.n)}
-        self.keeps: dict[tuple[int, int], KeepTable] = {}
+        payoff = [ZERO] * g.n
+        for x, sup in zip(o.imputation, o.supports):
+            for i in sup:
+                payoff[i] += x[i]
+        singles = [SingleTable(g, i, g.weights[i]).values for i in range(g.n)]
+        # both orientations of every edge: the subset masks use them all
+        keeps = {}
+        atoms = {}
+        for a, b in self.home_e:
+            keeps[(a, b)] = KeepTable(g, o, rule, a, b).values
+            keeps[(b, a)] = KeepTable(g, o, rule, b, a).values
+            atoms[(a, b)] = _pair_atoms(g, a, b)
+        d = _denominator(
+            payoff,
+            (v for row in singles for v in row),
+            (v for row in keeps.values() for v in row),
+            (v for row in atoms.values() for _, v in row),
+        )
+        self.scale = d
+        # solo value minus payoff, per agent and resource level
+        self.excess = [
+            [_scaled(v - p, d) for v in row] for row, p in zip(singles, payoff)
+        ]
+        self.keeps = {key: [_scaled(v, d) for v in row] for key, row in keeps.items()}
+        self.atoms = {e: [(c, _scaled(v, d)) for c, v in row] for e, row in atoms.items()}
         # final[X]: dict (sep mask tuple, q tuple, flag) -> (value, bp)
         self.final: dict[int, dict] = {}
         self.bp: dict[int, dict] = {}
         for X in self.post:
             self._bag(X)
-
-    def _keep(self, dev: int, other: int) -> KeepTable:
-        key = (dev, other)
-        if key not in self.keeps:
-            self.keeps[key] = KeepTable(self.g, self.o, self.rule, dev, other)
-        return self.keeps[key]
 
     def _bag(self, X: int) -> None:
         g = self.g
@@ -568,10 +610,10 @@ class _TwCoreEngine:
             pos = {i: k for k, i in enumerate(D)}
             base: dict = {}
             for r in box:
-                val = ZERO
+                val = 0
                 for i in homed:
                     if i in dset:
-                        val += self.singles[i].value(r[pos[i]]) - self.payoff[i]
+                        val += self.excess[i][r[pos[i]]]
                 base[r] = val
             cur = base
             keep_bp_tables = []
@@ -580,9 +622,10 @@ class _TwCoreEngine:
                 if ina == inb:
                     continue
                 dev, other = (a, b) if ina else (b, a)
-                kt = self._keep(dev, other)
-                if kt.cap == 0:
-                    keep_bp_tables.append(((a, b), dev, kt, None))
+                kt = self.keeps[(dev, other)]
+                cap = len(kt) - 1
+                if cap == 0:
+                    keep_bp_tables.append(((a, b), dev, None))
                     continue
                 nxt: dict = {}
                 kbp: dict = {}
@@ -590,8 +633,8 @@ class _TwCoreEngine:
                 for r in box:
                     best = None
                     pick = None
-                    for y in range(min(r[k], kt.cap) + 1):
-                        kv = kt.value(y)
+                    for y in range(min(r[k], cap) + 1):
+                        kv = kt[y]
                         if kv is None:
                             continue
                         rr = list(r)
@@ -606,13 +649,12 @@ class _TwCoreEngine:
                     nxt[r] = best
                     kbp[r] = pick
                 cur = nxt
-                keep_bp_tables.append(((a, b), dev, kt, kbp))
+                keep_bp_tables.append(((a, b), dev, kbp))
             atoms = []
             for (a, b) in my_edges:
                 if a in dset and b in dset:
-                    for c, v in g.charfun.atoms_within(frozenset((a, b))):
-                        if len(support(c)) == 2:
-                            atoms.append((tuple(c[i] for i in D), v))
+                    for c, v in self.atoms[(a, b)]:
+                        atoms.append((tuple(c[i] for i in D), v))
             closed: dict = {}
             atom_bp: dict = {}
             for r in box:
@@ -683,7 +725,8 @@ class _TwCoreEngine:
 
     def best(self) -> Fraction | None:
         """Maximum excess over nonempty subsets; None if no state reached."""
-        return self.final[self.t.root].get(((), (), True))
+        v = self.final[self.t.root].get(((), (), True))
+        return None if v is None else Fraction(v, self.scale)
 
     def members(self) -> frozenset[int]:
         out: set[int] = set()

@@ -12,6 +12,7 @@ from ocf.arbitration import (
     deviation_total,
 )
 from ocf.core import (
+    ContractViolation,
     GameDef,
     InteractionGraph,
     Outcome,
@@ -36,6 +37,7 @@ from ocf.tree import (
     UnsupportedOutcomeError,
     arbval_local,
     arbval_tree,
+    check_outcome_shape,
     checkcore_tree,
     is_stable_tree,
     max_excess_tree,
@@ -312,6 +314,27 @@ def test_is_stable_round_budget(g1):
     """Running out of cutting-plane rounds is a budget error, not a crash."""
     with pytest.raises(BudgetExceededError):
         is_stable_tree(g1, CONSERVATIVE, ((1, 1), (1, 0)), max_rounds=1)
+
+
+def test_check_outcome_shape_errors(g1):
+    """Efficiency is judged on the whole payoff vector before payments
+    outside the support are rejected, whichever entries carry them."""
+    F = Fraction
+    cases = [
+        (((1, 0),), ((F(1), F(0)),), None),
+        (((1, 0),), ((F(0), F(1)),), "pays outside"),
+        (((1, 0),), ((F(1), F(1)),), "efficiency"),
+        (((1, 0),), ((F(2), F(-1)),), "pays outside"),
+        (((1, 1),), ((F(5), F(-1)),), "pays outside"),
+        (((1, 1),), ((F(2), F(1)),), "efficiency"),
+    ]
+    for cs, imp, error in cases:
+        o = Outcome(structure=cs, imputation=imp)
+        if error is None:
+            check_outcome_shape(g1, o)
+        else:
+            with pytest.raises(ContractViolation, match=error):
+                check_outcome_shape(g1, o)
 
 
 def test_rooted_forest_deterministic():

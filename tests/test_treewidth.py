@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from ocf.arbitration import CONSERVATIVE, OPTIMISTIC, OPTIMISTIC_CLAMPED, REFINED, deviation_total
+from ocf.arbitration import (
+    CONSERVATIVE,
+    OPTIMISTIC,
+    OPTIMISTIC_CLAMPED,
+    REFINED,
+    LocalArbitrationRule,
+    deviation_total,
+)
 from ocf.core import (
     ContractViolation,
     GameDef,
@@ -16,13 +23,14 @@ from ocf.core import (
 )
 from ocf.oracle import (
     BudgetExceededError,
+    EnumerationBudget,
     brute_arbval,
     brute_checkcore,
     brute_is_stable,
     brute_max_excess,
     superadditive_cover,
 )
-from ocf.tree import is_stable_tree, max_excess_tree, optval_tree
+from ocf.tree import arbval_tree, is_stable_tree, max_excess_tree, optval_tree
 from ocf.treewidth import (
     TreeDecomposition,
     arbval_tw,
@@ -321,3 +329,132 @@ def test_is_stable_tw_round_budget(g1):
     one_bag = TreeDecomposition(bags=(frozenset({0, 1}),), edges=(), root=0)
     with pytest.raises(BudgetExceededError):
         is_stable_tw(g1, CONSERVATIVE, ((1, 1), (1, 0)), one_bag, max_rounds=1)
+
+
+class _ThirteenthRefined(LocalArbitrationRule):
+    """Refined payments times 20/13: a denominator no game or outcome has, on
+    payments large enough that keeping a coalition is often the best move."""
+
+    name = "refined-thirteenth"
+
+    def coalition_payoff(self, cf, c, d, xc, deviators):
+        return REFINED.coalition_payoff(cf, c, d, xc, deviators) * Fraction(20, 13)
+
+
+def _over_3_7_11(rng: random.Random, g: GameDef) -> GameDef:
+    """The same game shape with every value over 3, 7 or 11."""
+    entries = [
+        (sup, contrib, Fraction(rng.randint(1, 40), rng.choice((3, 7, 11))))
+        for sup, table in sorted(g.charfun.entries.items())
+        for contrib in sorted(table)
+    ]
+    cf = make_charfun(g.n, 2, entries)
+    return GameDef(n=g.n, weights=g.weights, charfun=cf, interaction=g.interaction)
+
+
+def _outcome_over_5_17(rng: random.Random, g: GameDef) -> Outcome:
+    """Random pairwise outcome whose pair splits add denominators 5 or 17."""
+    cs = random_structure(rng, g)
+    imp = []
+    for c in cs:
+        v = g.charfun.value(c)
+        x = [Fraction(0)] * g.n
+        sup = [i for i, w in enumerate(c) if w]
+        if sup:
+            q = rng.choice((5, 17))
+            x[sup[0]] = v * Fraction(rng.randint(0, q), q)
+            x[sup[-1]] += v - x[sup[0]]
+        imp.append(tuple(x))
+    return Outcome(structure=cs, imputation=tuple(imp))
+
+
+def _shares_equal_coalitions(cs) -> bool:
+    return len({id(c) for c in cs}) == len(set(cs))
+
+
+def test_bag_dp_scaled_denominators():
+    """The bag DPs scale by one common denominator per call: answers stay
+    exact ``Fraction``s equal to the oracle's, whatever the rule pays."""
+    rng = random.Random(107)
+    thirteenth = _ThirteenthRefined()
+    for trial in range(36):
+        forest = trial % 2 == 1
+        g = _over_3_7_11(rng, (random_tree_game if forest else random_graph_game)(rng, nmax=4))
+        td = forest_decomposition(g.interaction) if forest else heuristic_decomposition(g.interaction)
+        c = tuple(rng.randint(0, w) for w in g.weights)
+        v, cs = optval_tw(g, td, c)
+        assert type(v) is Fraction and v == superadditive_cover(g, c)[0]
+        assert structure_value(g, cs) == v and structure_weight(cs, g.n) == c
+        assert _shares_equal_coalitions(cs)
+        if forest:
+            assert optval_tree(g, c) == (v, cs)
+        o = _outcome_over_5_17(rng, g)
+        S = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
+        for rule in (RULES[trial // 2 % 4], thirteenth):
+            want = brute_arbval(g, rule, o, S)[0]
+            results = [arbval_tw(g, rule, o, S, with_witness=True)]
+            if forest:
+                results.append(arbval_tree(g, rule, o, S, with_witness=True))
+            for value, dev, post in results:
+                assert type(value) is Fraction and value == want
+                assert deviation_total(g, o, S, dev, rule, post) == value
+                assert _shares_equal_coalitions(post)
+            want = brute_max_excess(g, rule, o)[0]
+            results = [max_excess_tw(g, rule, o, td)]
+            if forest:
+                results.append(max_excess_tree(g, rule, o))
+            for excess, members in results:
+                assert type(excess) is Fraction and excess == want
+                assert brute_arbval(g, rule, o, members)[0] - o.payoff_to_set(members) == excess
+
+
+class _LpReached(Exception):
+    pass
+
+
+def _no_lp(lp):
+    raise _LpReached(len(lp.rows))
+
+
+def test_brute_is_stable_row_budget(monkeypatch):
+    """A 4-agent weight-3 clique whose clamped optimistic system has 519
+    stability rows stops at the default budget before any LP is solved; the
+    bound 2^(n + max_agents - 2) admits it from max_agents=8 on."""
+    rng = random.Random(103)
+    for _ in range(4):
+        g = random_graph_game(rng, nmax=4)
+    assert g.n == 4 and g.weights == (3, 3, 3, 3)
+    _, cs = optval_tw(g, heuristic_decomposition(g.interaction), g.weights)
+    monkeypatch.setattr("ocf.oracle.solve_lp", _no_lp)
+    with pytest.raises(BudgetExceededError, match="exceeds 256 rows"):
+        brute_is_stable(g, OPTIMISTIC_CLAMPED, cs)
+    with pytest.raises(BudgetExceededError, match="exceeds 512 rows"):
+        brute_is_stable(g, OPTIMISTIC_CLAMPED, cs, EnumerationBudget(max_agents=7))
+    with pytest.raises(_LpReached, match="524"):
+        brute_is_stable(g, OPTIMISTIC_CLAMPED, cs, EnumerationBudget(max_agents=8))
+
+
+def _pair_game(n: int, edges: list[tuple[int, int]], weight: int) -> GameDef:
+    entries = [((i,), (1,), 1) for i in range(n)] + [(sorted(e), (1, 1), 3) for e in edges]
+    return GameDef(
+        n=n,
+        weights=(weight,) * n,
+        charfun=make_charfun(n, 2, entries),
+        interaction=InteractionGraph.from_pairs(n, edges),
+    )
+
+
+def test_brute_is_stable_row_budget_admits_wide_systems(monkeypatch):
+    """Systems that are large only because the game has many agents reach
+    the LP: an 8-agent conservative path under a budget of 8 agents, and a
+    6-cycle with one pair coalition per edge under the refined rule (3^6
+    stability rows) at the default budget."""
+    monkeypatch.setattr("ocf.oracle.solve_lp", _no_lp)
+    path = _pair_game(8, [(i, i + 1) for i in range(7)], 1)
+    cs = tuple(tuple(int(k in (i, i + 1)) for k in range(8)) for i in range(0, 8, 2))
+    with pytest.raises(_LpReached, match=str(4 + 255)):
+        brute_is_stable(path, CONSERVATIVE, cs, EnumerationBudget(max_agents=8))
+    cycle = _pair_game(6, [(i, (i + 1) % 6) for i in range(6)], 2)
+    cs = tuple(tuple(int(k in (i, (i + 1) % 6)) for k in range(6)) for i in range(6))
+    with pytest.raises(_LpReached, match=str(6 + 729)):
+        brute_is_stable(cycle, REFINED, cs)
