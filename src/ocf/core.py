@@ -212,14 +212,26 @@ class CharacteristicFunction:
         return self._atoms_of(sorted(sup for sup in self.entries if agents.issuperset(sup)))
 
     def _atoms_of(self, sups: list[tuple[int, ...]]) -> list[tuple[Coalition, Fraction]]:
-        out = []
-        for sup in sups:
-            for contrib, value in sorted(self.entries[sup].items()):
-                if value > 0:
-                    c = [0] * self.n
-                    for i, w in zip(sup, contrib):
-                        c[i] = w
-                    out.append((tuple(c), value))
+        vectors = self.vectors
+        return [
+            (vectors[(sup, contrib)], value)
+            for sup in sups
+            for contrib, value in sorted(self.entries[sup].items())
+            if value > 0
+        ]
+
+    @cached_property
+    def vectors(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], Coalition]:
+        """Full-length vector of every stored entry, keyed (support,
+        contribution).  Built once, so the atoms, tables and witness
+        structures of every call on this game share one tuple per entry."""
+        out = {}
+        for sup, table in self.entries.items():
+            for contrib in table:
+                c = [0] * self.n
+                for i, w in zip(sup, contrib):
+                    c[i] = w
+                out[(sup, contrib)] = tuple(c)
         return out
 
 

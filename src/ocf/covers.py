@@ -1,23 +1,118 @@
-"""Superadditive-cover tables.
+"""The (max,+) kernel behind every dynamic-programming table, and cover tables.
 
-The cover of a resource vector is the best total value of a coalition multiset
-using at most those resources.  Because unlisted coalitions are worth zero,
-only the positive-valued stored coalitions ("atoms") ever matter, and leftover
-resources can always idle in worthless filler coalitions.  That gives the
-sparse recurrence
+Every pseudo-polynomial solver here takes a best value over resource vectors
+and adds the values of parts.  Two primitives do that work; both take tables
+keyed by resource tuples, in which ``None`` marks an unreachable state, and
+work on any ordered additive values (scaled ``int``s in the bag engines,
+``Fraction`` elsewhere):
 
-    best(r) = max(0, max over atoms a <= r of value(a) + best(r - a))
+* ``closure`` - the unbounded atom knapsack
+  ``best(r) = max(base(r), max over atoms a <= r of value(a) + best(r - a))``.
+  Used by ``CoverTable``, ``single_cover`` and the atom layers of both bag
+  engines in :mod:`ocf.treewidth`.
+* ``convolve`` - the bounded (max,+) convolution of a box table with a table
+  over some of its axes.  Used by the child merges of both bag engines, the
+  CheckCore keep layers, and ``KeepTable``, ``AlphaTable``, ``VBarTable`` and
+  the withdrawal DP of ``arbval_local`` in :mod:`ocf.tree`.
 
-which this module evaluates bottom-up over the full box of resource vectors,
-keeping one chosen atom per state so optimal multisets can be reconstructed.
+The cover of a resource vector is the best total value of a coalition
+multiset using at most those resources.  Because unlisted coalitions are worth
+zero, only the positive-valued stored coalitions ("atoms") ever matter, and
+leftover resources can always idle in worthless filler coalitions, so the
+cover is ``closure`` over a base of zeros.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from typing import Iterable
 
 from .core import ZERO, Coalition
+
+
+def closure(caps: tuple[int, ...], atoms: list[tuple[tuple[int, ...], object]], base: dict):
+    """Unbounded atom knapsack over the box below ``caps``.
+
+    ``atoms`` are nonzero (vector, value) pairs; atoms exceeding the caps are
+    unusable.  Returns ``(best, picks)``: ``picks[r]`` is the index of the
+    last atom of one optimal multiset for ``r``, or None when ``best[r]`` is
+    ``base[r]``.  Walking ``r -> r - atoms[picks[r]]`` rebuilds ``best[r]``.
+    """
+    best = dict(base)
+    picks: dict = dict.fromkeys(best)
+    for idx, (a, v) in enumerate(atoms):
+        if any(x > c for x, c in zip(a, caps)):
+            continue
+        # r runs over the states a fits into, rest = r - a alongside it; both
+        # in lexicographic order, so best(rest) already counts this atom
+        hi = product(*[range(x, c + 1) for x, c in zip(a, caps)])
+        lo = product(*[range(c - x + 1) for x, c in zip(a, caps)])
+        for r, rest in zip(hi, lo):
+            prior = best[rest]
+            if prior is None:
+                continue
+            cand = prior + v
+            cur = best[r]
+            if cur is None or cand > cur:
+                best[r] = cand
+                picks[r] = idx
+    return best, picks
+
+
+def unwind(atoms: list, picks: dict, r: tuple[int, ...]) -> tuple[list[int], tuple[int, ...]]:
+    """Walk ``closure``'s picks back from ``r``: the atom indices of one
+    optimal multiset and the state left to the base."""
+    out = []
+    while (pick := picks[r]) is not None:
+        out.append(pick)
+        r = tuple(y - x for x, y in zip(atoms[pick][0], r))
+    return out, r
+
+
+def convolve(caps: tuple[int, ...], prev: dict, axes: Iterable[int], other: dict):
+    """Bounded (max,+) convolution over the box below ``caps``.
+
+    ``out(r) = max over z <= r[axes] of prev(r - z on axes) + other(z)``,
+    where ``other`` is keyed by tuples over ``axes``; its entries beyond the
+    caps never fit.  Returns ``(out, picks)``: ``picks[r]`` is the first ``z``
+    in ``other``'s order that achieves ``out[r]``, None when nothing does.
+    """
+    axes = tuple(axes)
+    out: dict = dict.fromkeys(product(*[range(c + 1) for c in caps]))
+    picks: dict = dict.fromkeys(out)
+    for z, v in other.items():
+        if v is None:
+            continue
+        shift = [0] * len(caps)
+        for p, zz in zip(axes, z):
+            shift[p] = zz
+        if any(s > c for s, c in zip(shift, caps)):
+            continue
+        hi = product(*[range(s, c + 1) for s, c in zip(shift, caps)])
+        lo = product(*[range(c - s + 1) for s, c in zip(shift, caps)])
+        for r, rest in zip(hi, lo):
+            prior = prev[rest]
+            if prior is None:
+                continue
+            cand = prior + v
+            cur = out[r]
+            if cur is None or cand > cur:
+                out[r] = cand
+                picks[r] = z
+    return out, picks
+
+
+def lift(vectors: Iterable[tuple[int, ...]], coords: Iterable[int], n: int) -> list[Coalition]:
+    """Vectors over the agents ``coords`` as n-vectors, zero elsewhere."""
+    coords = tuple(coords)
+    out = []
+    for a in vectors:
+        full = [0] * n
+        for i, w in zip(coords, a):
+            full[i] = w
+        out.append(tuple(full))
+    return out
 
 
 class CoverTable:
@@ -31,54 +126,16 @@ class CoverTable:
     def __init__(self, atoms: list[tuple[Coalition, Fraction]], caps: Coalition):
         self.caps = tuple(caps)
         self.atoms = [(a, v) for a, v in atoms if all(x <= c for x, c in zip(a, caps))]
-        self.value_at: dict[Coalition, Fraction] = {}
-        self.choice: dict[Coalition, int | None] = {}
-        self._fill()
-
-    def _fill(self) -> None:
-        ranges = [range(c + 1) for c in self.caps]
-        # lexicographic enumeration is a linear extension of componentwise <=,
-        # so best(r - a) is always ready before best(r)
-        for state in product(*ranges):
-            best = ZERO
-            pick: int | None = None
-            for idx, (a, v) in enumerate(self.atoms):
-                ok = True
-                for x, y in zip(a, state):
-                    if x > y:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                rest = tuple(y - x for x, y in zip(a, state))
-                cand = v + self.value_at[rest]
-                if cand > best:
-                    best = cand
-                    pick = idx
-            self.value_at[state] = best
-            self.choice[state] = pick
+        base = dict.fromkeys(product(*[range(c + 1) for c in self.caps]), ZERO)
+        self.value_at, self.choice = closure(self.caps, self.atoms, base)
 
     def value(self, r: Coalition) -> Fraction:
         return self.value_at[tuple(r)]
 
     def witness_atoms(self, r: Coalition) -> list[Coalition]:
         """Atoms of one optimal multiset for ``r`` (resources may be left over)."""
-        out = []
-        state = tuple(r)
-        while True:
-            pick = self.choice[state]
-            if pick is None:
-                return out
-            a, _ = self.atoms[pick]
-            out.append(a)
-            state = tuple(y - x for x, y in zip(a, state))
-
-
-def state_count(caps: Coalition) -> int:
-    total = 1
-    for c in caps:
-        total *= c + 1
-    return total
+        picked, _ = unwind(self.atoms, self.choice, tuple(r))
+        return [self.atoms[k][0] for k in picked]
 
 
 def single_cover(
@@ -89,20 +146,9 @@ def single_cover(
     ``atoms`` are (units, value) pairs with units >= 1 and value > 0.
     Returns the value table and a chosen-atom index per state.
     """
-    values: list[Fraction] = [ZERO] * (cap + 1)
-    choice: list[int | None] = [None] * (cap + 1)
-    for w in range(1, cap + 1):
-        best = ZERO
-        pick: int | None = None
-        for idx, (units, v) in enumerate(atoms):
-            if units <= w:
-                cand = v + values[w - units]
-                if cand > best:
-                    best = cand
-                    pick = idx
-        values[w] = best
-        choice[w] = pick
-    return values, choice
+    base = {(w,): ZERO for w in range(cap + 1)}
+    best, picks = closure((cap,), [((units,), v) for units, v in atoms], base)
+    return list(best.values()), list(picks.values())
 
 
 def single_cover_witness(

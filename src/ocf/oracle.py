@@ -35,7 +35,7 @@ from .core import (
     vec_leq,
     zero_coalition,
 )
-from .covers import CoverTable
+from .covers import CoverTable, lift
 from .lp import LinearProgram, solve_lp
 
 
@@ -119,14 +119,8 @@ def superadditive_cover(
     for a, v in g.charfun.atoms_within(frozenset(sup)):
         atoms.append((tuple(a[i] for i in sup), v))
     table = CoverTable(atoms, local_caps)
-    value = table.value(local_caps)
-    picked = []
-    for a in table.witness_atoms(local_caps):
-        full = [0] * g.n
-        for i, w in zip(sup, a):
-            full[i] = w
-        picked.append(tuple(full))
-    return value, _pad_fillers(picked, c, g.n)
+    picked = lift(table.witness_atoms(local_caps), sup, g.n)
+    return table.value(local_caps), _pad_fillers(picked, c, g.n)
 
 
 def _nonzero_atoms_below(c: Coalition) -> list[Coalition]:
@@ -272,11 +266,7 @@ def brute_arbval(
     assert best is not None and best_dev is not None and best_avail is not None
     picked = []
     if table is not None:
-        for a in table.witness_atoms(tuple(best_avail[i] for i in sup)):
-            full = [0] * n
-            for i, w in zip(sup, a):
-                full[i] = w
-            picked.append(tuple(full))
+        picked = lift(table.witness_atoms(tuple(best_avail[i] for i in sup)), sup, n)
     post = _pad_fillers(picked, best_avail, n)
     return best, (best_dev, post)
 

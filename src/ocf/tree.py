@@ -53,7 +53,7 @@ from .core import (
     support,
     vec_leq,
 )
-from .covers import CoverTable, single_cover, single_cover_witness
+from .covers import CoverTable, convolve, lift, single_cover, single_cover_witness
 from .lp import solve_lp
 from .oracle import BudgetExceededError, CoreViolation, _read_imputation, _stability_lp
 
@@ -167,17 +167,14 @@ class SingleTable:
         self.agent = i
         self.atoms = _single_atoms(g, i)
         self.values, self.choice = single_cover(self.atoms, cap)
+        self._vectors = g.charfun.vectors
 
     def value(self, w: int) -> Fraction:
         return self.values[w]
 
-    def witness(self, w: int, n: int) -> list[Coalition]:
-        out = []
-        for units in single_cover_witness(self.atoms, self.choice, w):
-            c = [0] * n
-            c[self.agent] = units
-            out.append(tuple(c))
-        return out
+    def witness(self, w: int) -> list[Coalition]:
+        key = (self.agent,)
+        return [self._vectors[(key, (u,))] for u in single_cover_witness(self.atoms, self.choice, w)]
 
 
 # No solver builds PairTable; it stays because bench/tracing.py lists it.
@@ -215,6 +212,34 @@ def _pair_coalitions(o: Outcome, i: int, j: int) -> list[int]:
     return [k for k, sup in enumerate(o.supports) if sup == pair]
 
 
+def _line(values: list) -> dict:
+    """A 1-d value list as a kernel table keyed by 1-tuples."""
+    return {(k,): v for k, v in enumerate(values)}
+
+
+def _chain(rows: list[list]) -> tuple[int, list, list[dict]]:
+    """Best total over one entry per row, for every total index up to the sum
+    of the rows' lengths: (that sum, the totals, the per-row picks)."""
+    cap = sum(len(row) - 1 for row in rows)
+    table = _line([ZERO] + [None] * cap)
+    bps = []
+    for row in rows:
+        table, bp = convolve((cap,), table, (0,), _line(row))
+        bps.append(bp)
+    return cap, list(table.values()), bps
+
+
+def _chain_picks(bps: list[dict], y: int) -> list[int]:
+    """Per-row indices of one best choice for total y, in row order."""
+    out = []
+    for bp in reversed(bps):
+        (k,) = bp[(y,)]
+        out.append(k)
+        y -= k
+    assert y == 0
+    return out[::-1]
+
+
 class KeepTable:
     """Best arbitration payoff for keeping y units of one deviator on one edge.
 
@@ -228,7 +253,6 @@ class KeepTable:
         self.indices = _pair_coalitions(o, dev, other)
         n = g.n
         pays: list[list[Fraction]] = []
-        caps: list[int] = []
         for j in self.indices:
             c = o.structure[j]
             x = o.imputation[j]
@@ -239,32 +263,7 @@ class KeepTable:
                 d[dev] = ci - keep
                 row.append(rule.coalition_payoff(g.charfun, c, tuple(d), x, frozenset((dev,))))
             pays.append(row)
-            caps.append(ci)
-        self.cap = sum(caps)
-        table: list[list[Fraction | None]] = [[ZERO] + [None] * self.cap]
-        bp: list[list[int | None]] = []
-        for row, ci in zip(pays, caps):
-            prev = table[-1]
-            cur: list[Fraction | None] = [None] * (self.cap + 1)
-            cbp: list[int | None] = [None] * (self.cap + 1)
-            for y in range(self.cap + 1):
-                best = None
-                pick = None
-                for k in range(min(y, ci) + 1):
-                    rest = prev[y - k]
-                    if rest is None:
-                        continue
-                    cand = rest + row[k]
-                    if best is None or cand > best:
-                        best = cand
-                        pick = k
-                cur[y] = best
-                cbp[y] = pick
-            table.append(cur)
-            bp.append(cbp)
-        self.values = table[-1]
-        self._table = table
-        self._bp = bp
+        self.cap, self.values, self._bp = _chain(pays)
 
     def value(self, y: int) -> Fraction | None:
         """Best payoff for keeping exactly y units; None when unreachable."""
@@ -274,14 +273,7 @@ class KeepTable:
 
     def keeps(self, y: int) -> dict[int, int]:
         """Per-coalition kept units achieving value(y)."""
-        out: dict[int, int] = {}
-        for step in range(len(self.indices) - 1, -1, -1):
-            k = self._bp[step][y]
-            assert k is not None
-            out[self.indices[step]] = k
-            y -= k
-        assert y == 0
-        return out
+        return dict(zip(self.indices, _chain_picks(self._bp, y)))
 
 
 class AlphaTable:
@@ -290,30 +282,7 @@ class AlphaTable:
 
     def __init__(self, g: GameDef, o: Outcome, rule: LocalArbitrationRule, i: int, others: list[int]):
         self.keep_tables = [KeepTable(g, o, rule, i, j) for j in others]
-        self.cap = sum(t.cap for t in self.keep_tables)
-        table: list[list[Fraction | None]] = [[ZERO] + [None] * self.cap]
-        bp: list[list[int | None]] = []
-        for kt in self.keep_tables:
-            prev = table[-1]
-            cur: list[Fraction | None] = [None] * (self.cap + 1)
-            cbp: list[int | None] = [None] * (self.cap + 1)
-            for y in range(self.cap + 1):
-                best = None
-                pick = None
-                for k in range(min(y, kt.cap) + 1):
-                    rest, kv = prev[y - k], kt.value(k)
-                    if rest is None or kv is None:
-                        continue
-                    cand = rest + kv
-                    if best is None or cand > best:
-                        best = cand
-                        pick = k
-                cur[y] = best
-                cbp[y] = pick
-            table.append(cur)
-            bp.append(cbp)
-        self.values = table[-1]
-        self._bp = bp
+        self.cap, self.values, self._bp = _chain([t.values for t in self.keep_tables])
 
     def value(self, y: int) -> Fraction | None:
         if y > self.cap:
@@ -322,12 +291,8 @@ class AlphaTable:
 
     def keeps(self, y: int) -> dict[int, int]:
         out: dict[int, int] = {}
-        for step in range(len(self.keep_tables) - 1, -1, -1):
-            k = self._bp[step][y]
-            assert k is not None
-            out.update(self.keep_tables[step].keeps(k))
-            y -= k
-        assert y == 0
+        for table, k in zip(self.keep_tables, _chain_picks(self._bp, y)):
+            out.update(table.keeps(k))
         return out
 
 
@@ -338,28 +303,16 @@ class VBarTable:
     def __init__(self, single: SingleTable, alpha: AlphaTable, cap: int):
         self.single = single
         self.alpha = alpha
-        self.values = []
-        self.split: list[tuple[int, int]] = []
-        for w in range(cap + 1):
-            best = None
-            pick = None
-            for kept in range(min(w, alpha.cap) + 1):
-                av = alpha.value(kept)
-                if av is None:
-                    continue
-                cand = single.value(w - kept) + av
-                if best is None or cand > best:
-                    best = cand
-                    pick = (w - kept, kept)
-            self.values.append(best)
-            self.split.append(pick)
+        table, picks = convolve((cap,), _line(single.values), (0,), _line(alpha.values))
+        self.values = list(table.values())
+        self.split = [(w - kept, kept) for (w,), (kept,) in picks.items()]
 
     def value(self, w: int):
         return self.values[w]
 
-    def witness(self, w: int, n: int) -> list[Coalition]:
+    def witness(self, w: int) -> list[Coalition]:
         alone, _ = self.split[w]
-        return self.single.witness(alone, n)
+        return self.single.witness(alone)
 
     def kept(self, w: int) -> dict[int, int]:
         _, kept = self.split[w]
@@ -420,57 +373,36 @@ def arbval_local(
         if (support(c) & deviators) and not support(c) <= deviators
     ]
 
-    states = list(product(*[range(b + 1) for b in bound]))
     # A[t] = best arbitration payoff if exactly t is withdrawn; unused
-    # resources withdraw for free, coalition steps add rule payments
-    A: dict = {}
-    for t in states:
-        ok = all(x <= unused[i] for x, i in zip(t, coords))
-        A[t] = ZERO if ok else None
-    trace: list[dict] = []
+    # resources withdraw for free, each mixed coalition adds its rule payment
+    A = {
+        t: ZERO if all(x <= unused[i] for x, i in zip(t, coords)) else None
+        for t in product(*[range(b + 1) for b in bound])
+    }
+    trace = []
     for j in mixed:
         c = o.structure[j]
         x = o.imputation[j]
-        opts = []
         wcoords = [i for i in coords if c[i] > 0]
-        for combo in product(*[range(c[i] + 1) for i in wcoords]):
-            w = [0] * n
-            for i, amount in zip(wcoords, combo):
-                w[i] = amount
-            wl = tuple(w[i] for i in coords)
-            pay = rule.coalition_payoff(g.charfun, c, tuple(w), x, deviators)
-            opts.append((wl, tuple(w), pay))
-        nxt: dict = {}
-        bp: dict = {}
-        for t in states:
-            best = None
-            pick = None
-            for wl, wfull, pay in opts:
-                if any(a > b for a, b in zip(wl, t)):
-                    continue
-                rest = A[tuple(b - a for a, b in zip(wl, t))]
-                if rest is None:
-                    continue
-                cand = rest + pay
-                if best is None or cand > best:
-                    best = cand
-                    pick = (wl, wfull)
-            nxt[t] = best
-            bp[t] = pick
-        A = nxt
-        trace.append(bp)
+        combos = list(product(*[range(c[i] + 1) for i in wcoords]))
+        pays = {
+            z: rule.coalition_payoff(g.charfun, c, w, x, deviators)
+            for z, w in zip(combos, lift(combos, wcoords, n))
+        }
+        axes = [coords.index(i) for i in wcoords]
+        A, bp = convolve(bound, A, axes, pays)
+        trace.append((wcoords, axes, bp))
 
-    sup = coords
-    atoms = [(tuple(a[i] for i in sup), v) for a, v in g.charfun.atoms_within(deviators)]
-    cover = CoverTable(atoms, tuple(g.weights[i] for i in sup)) if sup else None
+    atoms = [(tuple(a[i] for i in coords), v) for a, v in g.charfun.atoms_within(deviators)]
+    cover = CoverTable(atoms, tuple(g.weights[i] for i in coords)) if coords else None
     own_local = tuple(own[i] for i in coords)
     best = None
     best_t = None
-    for t in states:
-        if A[t] is None:
+    for t, paid in A.items():
+        if paid is None:
             continue
         have = tuple(a + b for a, b in zip(own_local, t))
-        cand = (cover.value(have) if cover else ZERO) + A[t]
+        cand = (cover.value(have) if cover else ZERO) + paid
         if best is None or cand > best:
             best = cand
             best_t = t
@@ -479,21 +411,18 @@ def arbval_local(
         return best
     withdrawals: dict[int, Coalition] = {}
     t = best_t
-    for step in range(len(mixed) - 1, -1, -1):
-        pick = trace[step][t]
-        assert pick is not None
-        wl, wfull = pick
-        if any(wfull):
-            withdrawals[mixed[step]] = wfull
-        t = tuple(b - a for a, b in zip(wl, t))
+    for j, (wcoords, axes, bp) in zip(reversed(mixed), reversed(trace)):
+        z = bp[t]
+        assert z is not None
+        (w,) = lift([z], wcoords, n)
+        if any(w):
+            withdrawals[j] = w
+        rest = list(t)
+        for p, zz in zip(axes, z):
+            rest[p] -= zz
+        t = tuple(rest)
     have = tuple(a + b for a, b in zip(own_local, best_t))
-    picked = []
-    if cover:
-        for a in cover.witness_atoms(have):
-            full = [0] * n
-            for i, w in zip(sup, a):
-                full[i] = w
-            picked.append(tuple(full))
+    picked = lift(cover.witness_atoms(have), coords, n) if cover else []
     return best, Deviation(withdrawals=withdrawals), tuple(picked)
 
 

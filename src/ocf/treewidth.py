@@ -13,14 +13,12 @@ bag containing the agent; every edge's pair coalitions form at the topmost
 bag containing both ends.  Resources flow root-to-leaves through separator
 quotas, so anything an agent owns is available at its home bag and below.
 
-Table layout: resource vectors over a bag are flattened in mixed-radix order,
-radix caps_i + 1 per agent, agents ascending with the lowest agent as the
-least significant digit (see ``flatten_index``).  Dumps use that layout.
-
 Arithmetic: each engine call scales every value its tables read (atom values,
 solo-table rows, payoffs, keep-table rows) by one common denominator D and
-runs its (max,+) loops on Python ints, which is exact; answers are converted
-back to ``Fraction`` on the way out.
+runs the (max,+) kernel of :mod:`ocf.covers` (``closure`` for the atoms
+priced at a bag, ``convolve`` for child merges and keep layers) on Python
+ints, which is exact; answers are converted back to ``Fraction`` on the way
+out.
 """
 
 from __future__ import annotations
@@ -42,7 +40,8 @@ from .core import (
     InteractionGraph,
     Outcome,
 )
-from .oracle import CoreViolation, _pad_fillers, _shared
+from .covers import closure, convolve, unwind
+from .oracle import CoreViolation, _pad_fillers
 from .tree import (
     AlphaTable,
     KeepTable,
@@ -86,16 +85,6 @@ class TreeDecomposition:
                     queue.append(u)
         post = list(reversed(order))
         return parent, children, post
-
-
-def flatten_index(state: tuple[int, ...], dims: tuple[int, ...]) -> int:
-    """Mixed-radix index: lowest agent is the least significant digit."""
-    idx = 0
-    stride = 1
-    for digit, dim in zip(state, dims):
-        idx += digit * stride
-        stride *= dim
-    return idx
 
 
 def validate_decomposition(
@@ -258,28 +247,29 @@ def restrict_decomposition(t: TreeDecomposition, vertices: set[int]) -> TreeDeco
     )
 
 
-def _homes(
-    t: TreeDecomposition, vertices: set[int], graph_edges: list[tuple[int, int]]
-) -> tuple[dict[int, int], dict[tuple[int, int], int]]:
-    """Topmost bag per vertex and per covered edge."""
-    _, children, _ = t.rooted()
+def _layout(t: TreeDecomposition, vertices: set[int], graph_edges: Iterable[tuple[int, int]]):
+    """Bag layout shared by both engines: (children, postorder, sorted agents
+    per bag, sorted parent separator per bag, topmost bag per vertex, topmost
+    bag per edge inside ``vertices``)."""
+    parent, children, post = t.rooted()
+    agents = {X: tuple(sorted(bag)) for X, bag in enumerate(t.bags)}
+    sep = {X: () if p is None else tuple(sorted(t.bags[X] & t.bags[p])) for X, p in parent.items()}
     depth: dict[int, int] = {}
-    queue = [(t.root, 0)]
-    while queue:
-        v, d = queue.pop(0)
-        depth[v] = d
-        for u in children[v]:
-            queue.append((u, d + 1))
     home_v: dict[int, int] = {}
-    for i in vertices:
-        holding = [idx for idx, bag in enumerate(t.bags) if i in bag]
-        home_v[i] = min(holding, key=lambda idx: depth[idx])
-    home_e: dict[tuple[int, int], int] = {}
-    for a, b in graph_edges:
-        if a in vertices and b in vertices:
-            holding = [idx for idx, bag in enumerate(t.bags) if a in bag and b in bag]
-            home_e[(a, b)] = min(holding, key=lambda idx: depth[idx])
-    return home_v, home_e
+    for X in reversed(post):  # breadth-first: every bag after its parent
+        p = parent[X]
+        depth[X] = 0 if p is None else depth[p] + 1
+        for i in agents[X]:
+            if i in vertices:
+                home_v.setdefault(i, X)
+    # the bags holding an edge are the overlap of its ends' subtrees, topped
+    # by the deeper of the two ends' homes
+    home_e = {
+        (a, b): max(home_v[a], home_v[b], key=depth.__getitem__)
+        for a, b in graph_edges
+        if a in vertices and b in vertices
+    }
+    return children, post, agents, sep, home_v, home_e
 
 
 def _denominator(*groups: Iterable[Fraction | None]) -> int:
@@ -307,23 +297,24 @@ class _TwOptEngine:
     """
 
     def __init__(self, g: GameDef, t: TreeDecomposition, caps: Coalition, vertices: set[int], solo):
-        self.g = g
         self.t = t
         self.caps = caps
         graph = g.interaction
         assert graph is not None
-        edges = [(a, b) for a, b in graph.simple_edges() if a in vertices and b in vertices]
-        self.home_v, self.home_e = _homes(t, vertices, edges)
-        self.parent, self.children, self.post = t.rooted()
-        self.agents = {X: tuple(sorted(t.bags[X])) for X in range(len(t.bags))}
+        self.children, post, self.agents, self.sep, self.home_v, home_e = _layout(
+            t, vertices, graph.simple_edges()
+        )
         self.solo = {i: solo(i) for i in vertices}
         # pair atoms, priced at the topmost bag holding both ends of the edge
         atoms: dict[int, list[tuple[tuple[int, ...], Fraction]]] = {
             X: [] for X in range(len(t.bags))
         }
-        for (a, b), hx in self.home_e.items():
+        # the game's own vector of each atom, which witnesses hold
+        self._vectors: dict[int, list[Coalition]] = {X: [] for X in atoms}
+        for (a, b), hx in home_e.items():
             for c, v in _pair_atoms(g, a, b):
                 atoms[hx].append((tuple(c[i] for i in self.agents[hx]), v))
+                self._vectors[hx].append(c)
         d = _denominator(
             (v for bag in atoms.values() for _, v in bag),
             (v for table in self.solo.values() for v in table.values),
@@ -331,118 +322,54 @@ class _TwOptEngine:
         self.scale = d
         self._atoms = {X: [(a, _scaled(v, d)) for a, v in bag] for X, bag in atoms.items()}
         self._solo = {i: [_scaled(v, d) for v in table.values] for i, table in self.solo.items()}
-        self.sep: dict[int, tuple[int, ...]] = {}
-        for X in range(len(t.bags)):
-            p = self.parent[X]
-            if p is None:
-                self.sep[X] = ()
-            else:
-                self.sep[X] = tuple(sorted(t.bags[X] & t.bags[p]))
         self.f_choice: dict[int, dict] = {}
         self.merge_bp: dict[int, list[dict]] = {}
-        self.layers: dict[int, list[dict]] = {}
         self.final: dict[int, dict] = {}
-        for X in self.post:
+        for X in post:
             self._bag(X)
-
-    def _box(self, agents: tuple[int, ...]):
-        return product(*[range(self.caps[i] + 1) for i in agents])
 
     def _bag(self, X: int) -> None:
         ax = self.agents[X]
-        atoms = self._atoms[X]
-        f: dict = {}
-        choice: dict = {}
-        for r in self._box(ax):
-            best = 0
-            for i, ri in zip(ax, r):
-                if self.home_v.get(i) == X:
-                    best += self._solo[i][ri]
-            pick = None
-            for idx, (a, v) in enumerate(atoms):
-                if all(x <= y for x, y in zip(a, r)):
-                    cand = v + f[tuple(y - x for x, y in zip(a, r))]
-                    if cand > best:
-                        best = cand
-                        pick = idx
-            f[r] = best
-            choice[r] = pick
-        self.f_choice[X] = choice
-
-        layers = [f]
-        bps: list[dict] = [dict()]
+        caps = tuple(self.caps[i] for i in ax)
+        homed = [(k, self._solo[i]) for k, i in enumerate(ax) if self.home_v.get(i) == X]
+        base = {
+            r: sum(row[r[k]] for k, row in homed)
+            for r in product(*[range(c + 1) for c in caps])
+        }
+        layer, self.f_choice[X] = closure(caps, self._atoms[X], base)
+        bps = []
         for Y in self.children[X]:
-            sep_y = self.sep[Y]
-            pos = [ax.index(i) for i in sep_y]
-            prev = layers[-1]
-            child = self.final[Y]
-            cur: dict = {}
-            bp: dict = {}
-            for r in self._box(ax):
-                best = None
-                pick = None
-                for z in product(*[range(r[p] + 1) for p in pos]):
-                    rest = list(r)
-                    for p, zz in zip(pos, z):
-                        rest[p] -= zz
-                    cand = prev[tuple(rest)] + child[z]
-                    if best is None or cand > best:
-                        best = cand
-                        pick = z
-                cur[r] = best
-                bp[r] = pick
-            layers.append(cur)
+            axes = [ax.index(i) for i in self.sep[Y]]
+            layer, bp = convolve(caps, layer, axes, self.final[Y])
             bps.append(bp)
-        self.layers[X] = layers
         self.merge_bp[X] = bps
-
-        final: dict = {}
-        top = layers[-1]
         sep_x = self.sep[X]
-        for q in self._box(sep_x):
-            avail = tuple(
-                q[sep_x.index(i)] if i in sep_x else self.caps[i] for i in ax
-            )
-            final[q] = top[avail]
-        self.final[X] = final
+        self.final[X] = {
+            q: layer[tuple(q[sep_x.index(i)] if i in sep_x else self.caps[i] for i in ax)]
+            for q in product(*[range(self.caps[i] + 1) for i in sep_x])
+        }
 
     def value(self) -> Fraction:
         return Fraction(self.final[self.t.root][()], self.scale)
 
     def collect(self, sink: list[Coalition], solo_sink) -> None:
-        stack = []
         root = self.t.root
-        ax = self.agents[root]
-        avail = tuple(self.caps[i] for i in ax)
-        stack.append((root, avail))
+        stack = [(root, tuple(self.caps[i] for i in self.agents[root]))]
         while stack:
             X, state = stack.pop()
             ax = self.agents[X]
-            kids = self.children[X]
-            for step in range(len(kids), 0, -1):
-                Y = kids[step - 1]
-                z = self.merge_bp[X][step][state]
+            for Y, bp in zip(reversed(self.children[X]), reversed(self.merge_bp[X])):
+                z = bp[state]
                 sep_y = self.sep[Y]
-                ay = self.agents[Y]
-                child_avail = tuple(
-                    z[sep_y.index(i)] if i in sep_y else self.caps[i] for i in ay
+                stack.append(
+                    (Y, tuple(z[sep_y.index(i)] if i in sep_y else self.caps[i] for i in self.agents[Y]))
                 )
-                stack.append((Y, child_avail))
-                pos = [ax.index(i) for i in sep_y]
                 s = list(state)
-                for p, zz in zip(pos, z):
-                    s[p] -= zz
+                for i, zz in zip(sep_y, z):
+                    s[ax.index(i)] -= zz
                 state = tuple(s)
-            while True:
-                pick = self.f_choice[X][state]
-                if pick is None:
-                    break
-                a, _ = self._atoms[X][pick]
-                full = [0] * self.g.n
-                for i, w in zip(ax, a):
-                    full[i] = w
-                sink.append(tuple(full))
-                state = tuple(y - x for x, y in zip(a, state))
+            picked, state = unwind(self._atoms[X], self.f_choice[X], state)
+            sink.extend(self._vectors[X][k] for k in picked)
             for i, ri in zip(ax, state):
                 if self.home_v.get(i) == X:
                     solo_sink(i, ri)
@@ -469,7 +396,7 @@ def optval_tw(
     )
     value = engine.value()
     atoms: list[Coalition] = []
-    engine.collect(atoms, lambda i, w: atoms.extend(engine.solo[i].witness(w, g.n)))
+    engine.collect(atoms, lambda i, w: atoms.extend(engine.solo[i].witness(w)))
     return value, _pad_fillers(atoms, c, g.n)
 
 
@@ -530,12 +457,12 @@ def _arbval_bags(
     kept: dict[int, int] = {}
 
     def emit(i: int, w: int) -> None:
-        atoms.extend(vbars[i].witness(w, g.n))
+        atoms.extend(vbars[i].witness(w))
         kept.update(vbars[i].kept(w))
 
     engine.collect(atoms, emit)
     dev = _deviation_from_keeps(o, kept, deviators, g.n)
-    return value, dev, _shared(atoms)
+    return value, dev, tuple(atoms)
 
 
 class _TwCoreEngine:
@@ -552,15 +479,9 @@ class _TwCoreEngine:
         self.t = t
         graph = g.interaction
         assert graph is not None
-        self.vertices = set(range(g.n))
-        edges = graph.simple_edges()
-        self.home_v, self.home_e = _homes(t, self.vertices, edges)
-        self.parent, self.children, self.post = t.rooted()
-        self.agents = {X: tuple(sorted(t.bags[X])) for X in range(len(t.bags))}
-        self.sep: dict[int, tuple[int, ...]] = {}
-        for X in range(len(t.bags)):
-            p = self.parent[X]
-            self.sep[X] = () if p is None else tuple(sorted(t.bags[X] & t.bags[p]))
+        self.children, post, self.agents, self.sep, self.home_v, self.home_e = _layout(
+            t, set(range(g.n)), graph.simple_edges()
+        )
         payoff = [ZERO] * g.n
         for x, sup in zip(o.imputation, o.supports):
             for i in sup:
@@ -584,142 +505,103 @@ class _TwCoreEngine:
         self.excess = [
             [_scaled(v - p, d) for v in row] for row, p in zip(singles, payoff)
         ]
-        self.keeps = {key: [_scaled(v, d) for v in row] for key, row in keeps.items()}
+        # a keep table with no coalition to keep in leaves every state as it is
+        self.keeps = {
+            key: {(y,): _scaled(v, d) for y, v in enumerate(row)}
+            for key, row in keeps.items()
+            if len(row) > 1
+        }
         self.atoms = {e: [(c, _scaled(v, d)) for c, v in row] for e, row in atoms.items()}
-        # final[X]: dict (sep mask tuple, q tuple, flag) -> (value, bp)
+        # final[X]: dict (sep mask tuple, q tuple, flag) -> value
         self.final: dict[int, dict] = {}
         self.bp: dict[int, dict] = {}
-        for X in self.post:
+        for X in post:
             self._bag(X)
 
     def _bag(self, X: int) -> None:
-        g = self.g
         ax = self.agents[X]
         sep_x = self.sep[X]
-        caps = g.weights
+        weights = self.g.weights
         homed = [i for i in ax if self.home_v[i] == X]
         my_edges = [e for e, hx in self.home_e.items() if hx == X]
+        # each child's final table, sliced once by (separator mask, flag)
+        slices = []
+        for Y in self.children[X]:
+            by: dict = {}
+            for (mask, q, flag), v in self.final[Y].items():
+                by.setdefault((mask, flag), {})[q] = v
+            slices.append(by)
         final: dict = {}
         bp: dict = {}
         for bits in range(1 << len(ax)):
             D = tuple(i for k, i in enumerate(ax) if bits >> k & 1)
             dset = frozenset(D)
-            flag_local = any(i in homed for i in D)
-            # local value layer over the deviators' resource box
-            box = list(product(*[range(caps[i] + 1) for i in D]))
+            caps = tuple(weights[i] for i in D)
             pos = {i: k for k, i in enumerate(D)}
-            base: dict = {}
-            for r in box:
-                val = 0
-                for i in homed:
-                    if i in dset:
-                        val += self.excess[i][r[pos[i]]]
-                base[r] = val
-            cur = base
-            keep_bp_tables = []
-            for (a, b) in my_edges:
-                ina, inb = a in dset, b in dset
-                if ina == inb:
-                    continue
-                dev, other = (a, b) if ina else (b, a)
-                kt = self.keeps[(dev, other)]
-                cap = len(kt) - 1
-                if cap == 0:
-                    keep_bp_tables.append(((a, b), dev, None))
-                    continue
-                nxt: dict = {}
-                kbp: dict = {}
-                k = pos[dev]
-                for r in box:
-                    best = None
-                    pick = None
-                    for y in range(min(r[k], cap) + 1):
-                        kv = kt[y]
-                        if kv is None:
-                            continue
-                        rr = list(r)
-                        rr[k] -= y
-                        prior = cur[tuple(rr)]
-                        if prior is None:
-                            continue
-                        cand = prior + kv
-                        if best is None or cand > best:
-                            best = cand
-                            pick = y
-                    nxt[r] = best
-                    kbp[r] = pick
-                cur = nxt
-                keep_bp_tables.append(((a, b), dev, kbp))
-            atoms = []
-            for (a, b) in my_edges:
-                if a in dset and b in dset:
-                    for c, v in self.atoms[(a, b)]:
-                        atoms.append((tuple(c[i] for i in D), v))
-            closed: dict = {}
-            atom_bp: dict = {}
-            for r in box:
-                best = cur[r]
-                pick = None
-                for idx, (a, v) in enumerate(atoms):
-                    if all(x <= y for x, y in zip(a, r)):
-                        prior = closed[tuple(y - x for x, y in zip(a, r))]
-                        if prior is None:
-                            continue
-                        cand = v + prior
-                        if best is None or cand > best:
-                            best = cand
-                            pick = idx
-                closed[r] = best
-                atom_bp[r] = pick
-            # children merges with flag tracking: value by (state, flag)
-            layers: list[dict] = [{(r, flag_local): closed[r] for r in box}]
-            child_bp: list[dict] = [dict()]
-            for Y in self.children[X]:
+            # local value layer over the deviators' resource box
+            rows = [(pos[i], self.excess[i]) for i in homed if i in dset]
+            cur = {
+                r: sum(row[r[k]] for k, row in rows)
+                for r in product(*[range(c + 1) for c in caps])
+            }
+            for a, b in my_edges:
+                if (a in dset) != (b in dset):
+                    dev, other = (a, b) if a in dset else (b, a)
+                    kt = self.keeps.get((dev, other))
+                    if kt is not None:
+                        cur, _ = convolve(caps, cur, (pos[dev],), kt)
+            atoms = [
+                (tuple(c[i] for i in D), v)
+                for a, b in my_edges
+                if a in dset and b in dset
+                for c, v in self.atoms[(a, b)]
+            ]
+            cur, _ = closure(caps, atoms, cur)
+            # child merges, one table per flag; per child and flag, the
+            # (f_prev, f_child, picks) sources and the states a later one won
+            layer = {any(i in dset for i in homed): cur}
+            child_bp: list[dict] = []
+            for Y, by in zip(self.children[X], slices):
                 sep_y = self.sep[Y]
                 mask_y = tuple(1 if i in dset else 0 for i in sep_y)
-                dev_y = tuple(i for i in sep_y if i in dset)
-                prev = layers[-1]
-                child = self.final[Y]
-                cur2: dict = {}
-                cbp: dict = {}
-                for r in box:
-                    for z in product(*[range(r[pos[i]] + 1) for i in dev_y]):
-                        rr = list(r)
-                        for i, zz in zip(dev_y, z):
-                            rr[pos[i]] -= zz
-                        rrt = tuple(rr)
-                        for f_prev in (False, True):
-                            pv = prev.get((rrt, f_prev))
-                            if pv is None:
-                                continue
-                            for f_child in (False, True):
-                                cv = child.get((mask_y, z, f_child))
-                                if cv is None:
-                                    continue
-                                cand = pv + cv
-                                key = (r, f_prev or f_child)
-                                best = cur2.get(key)
-                                if best is None or cand > best:
-                                    cur2[key] = cand
-                                    cbp[key] = (z, f_prev, f_child)
-                layers.append(cur2)
-                child_bp.append(cbp)
-            top = layers[-1]
+                axes = [pos[i] for i in sep_y if i in dset]
+                merged: dict = {}
+                steps: dict = {}
+                for f_prev, prev in layer.items():
+                    for f_child in (False, True):
+                        child = by.get((mask_y, f_child))
+                        if child is None:
+                            continue
+                        out, picks = convolve(caps, prev, axes, child)
+                        flag = f_prev or f_child
+                        if flag not in merged:
+                            merged[flag] = out
+                            steps[flag] = ([(f_prev, f_child, picks)], {})
+                            continue
+                        best = merged[flag]
+                        sources, won = steps[flag]
+                        for r, v in out.items():
+                            if v is not None and (best[r] is None or v > best[r]):
+                                best[r] = v
+                                won[r] = len(sources)
+                        sources.append((f_prev, f_child, picks))
+                layer = merged
+                child_bp.append(steps)
             sep_mask = tuple(1 if i in dset else 0 for i in sep_x)
             sep_dev = tuple(i for i in sep_x if i in dset)
-            for q in product(*[range(caps[i] + 1) for i in sep_dev]):
+            for q in product(*[range(weights[i] + 1) for i in sep_dev]):
                 avail = tuple(
-                    q[sep_dev.index(i)] if i in sep_dev else caps[i] for i in D
+                    q[sep_dev.index(i)] if i in sep_dev else weights[i] for i in D
                 )
-                for flag in (False, True):
-                    v = top.get((avail, flag))
+                for flag, top in layer.items():
+                    v = top[avail]
                     if v is None:
                         continue
                     key = (sep_mask, q, flag)
                     old = final.get(key)
                     if old is None or v > old:
                         final[key] = v
-                        bp[key] = (bits, avail, child_bp, keep_bp_tables, atom_bp)
+                        bp[key] = (bits, avail, child_bp)
         self.final[X] = final
         self.bp[X] = bp
 
@@ -734,7 +616,7 @@ class _TwCoreEngine:
         return frozenset(out)
 
     def _walk(self, X: int, key, out: set[int]) -> None:
-        bits, avail, child_bp, _keeps, _abp = self.bp[X][key]
+        bits, avail, child_bp = self.bp[X][key]
         ax = self.agents[X]
         D = tuple(i for k, i in enumerate(ax) if bits >> k & 1)
         pos = {i: k for k, i in enumerate(D)}
@@ -742,18 +624,16 @@ class _TwCoreEngine:
             if self.home_v[i] == X:
                 out.add(i)
         # replay the child merges backwards to find each child's state
-        kids = self.children[X]
         _, _, flag = key
         state = avail
-        for step in range(len(kids), 0, -1):
-            Y = kids[step - 1]
-            pick = child_bp[step].get((state, flag))
-            assert pick is not None
-            z, f_prev, f_child = pick
+        for Y, steps in zip(reversed(self.children[X]), reversed(child_bp)):
+            sources, won = steps[flag]
+            f_prev, f_child, picks = sources[won.get(state, 0)]
+            z = picks[state]
+            assert z is not None
             sep_y = self.sep[Y]
-            dset = set(D)
-            mask_y = tuple(1 if i in dset else 0 for i in sep_y)
-            dev_y = tuple(i for i in sep_y if i in dset)
+            mask_y = tuple(1 if i in pos else 0 for i in sep_y)
+            dev_y = tuple(i for i in sep_y if i in pos)
             self._walk(Y, (mask_y, z, f_child), out)
             rr = list(state)
             for i, zz in zip(dev_y, z):

@@ -1,0 +1,136 @@
+"""The (max,+) kernel against brute-force maxima on small random boxes."""
+
+import random
+from fractions import Fraction
+from itertools import product
+
+from ocf.covers import closure, convolve, lift, unwind
+
+NUMBERS = {
+    "int": lambda rng: rng.randint(-5, 9),
+    "fraction": lambda rng: Fraction(rng.randint(-5, 9), rng.choice((1, 2, 3, 7))),
+}
+
+
+def _box(caps):
+    return list(product(*[range(c + 1) for c in caps]))
+
+
+def _sub(r, a):
+    return tuple(y - x for x, y in zip(a, r))
+
+
+def _fits(a, r):
+    return all(x <= y for x, y in zip(a, r))
+
+
+def _random_table(rng, keys, number, none_share):
+    return {k: None if rng.random() < none_share else number(rng) for k in keys}
+
+
+def _closure_brute(caps, atoms, base):
+    """max over atom multisets M with sum(M) <= r of base(r - sum M) + value(M)."""
+    out = {}
+    for r in _box(caps):
+        best = None
+
+        def rec(k, rest, acc):
+            nonlocal best
+            if k == len(atoms):
+                if base[rest] is not None and (best is None or base[rest] + acc > best):
+                    best = base[rest] + acc
+                return
+            a, v = atoms[k]
+            while True:
+                rec(k + 1, rest, acc)
+                if not any(a) or not _fits(a, rest):
+                    return
+                rest, acc = _sub(rest, a), acc + v
+
+        rec(0, r, 0)
+        out[r] = best
+    return out
+
+
+def test_closure_matches_brute_force():
+    rng = random.Random(5)
+    for trial in range(240):
+        kind = "int" if trial % 2 else "fraction"
+        number = NUMBERS[kind]
+        caps = tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 3)))
+        atoms = []
+        for _ in range(rng.randint(0, 4)):
+            # some atoms exceed the caps on purpose
+            a = tuple(rng.randint(0, c + 1) for c in caps)
+            if any(a):
+                atoms.append((a, number(rng)))
+        base = _random_table(rng, _box(caps), number, 0.3 if trial % 3 else 0.0)
+        best, picks = closure(caps, atoms, base)
+        assert list(best) == _box(caps) and list(picks) == _box(caps)
+        assert best == _closure_brute(caps, atoms, base)
+        for r in _box(caps):
+            if best[r] is None:
+                assert picks[r] is None
+                continue
+            # walking the picks back rebuilds the value from base and atoms
+            state, total, trail = r, 0, []
+            while picks[state] is not None:
+                trail.append(picks[state])
+                a, v = atoms[picks[state]]
+                assert _fits(a, state)
+                state, total = _sub(state, a), total + v
+            assert base[state] is not None and base[state] + total == best[r]
+            assert unwind(atoms, picks, r) == (trail, state)
+            assert type(best[r]) in (int, Fraction)
+
+
+def test_closure_with_no_atoms_is_base():
+    base = {(0,): 1, (1,): None, (2,): Fraction(5, 2)}
+    best, picks = closure((2,), [], base)
+    assert best == base and best is not base
+    assert set(picks.values()) == {None}
+
+
+def test_convolve_matches_brute_force():
+    rng = random.Random(11)
+    for trial in range(240):
+        number = NUMBERS["int" if trial % 2 else "fraction"]
+        caps = tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 3)))
+        axes = sorted(rng.sample(range(len(caps)), rng.randint(0, len(caps))))
+        none_share = 0.3 if trial % 3 else 0.0
+        prev = _random_table(rng, _box(caps), number, none_share)
+        # other's domain reaches one past the caps, so some z never fit
+        other = _random_table(rng, _box([caps[p] + 1 for p in axes]), number, none_share)
+        out, picks = convolve(caps, prev, axes, other)
+        assert list(out) == _box(caps) and list(picks) == _box(caps)
+        for r in _box(caps):
+            best, first = None, None
+            for z, v in other.items():
+                shift = [0] * len(caps)
+                for p, zz in zip(axes, z):
+                    shift[p] = zz
+                if v is None or not _fits(shift, r):
+                    continue
+                rest = _sub(r, shift)
+                if prev[rest] is None:
+                    continue
+                if best is None or prev[rest] + v > best:
+                    best, first = prev[rest] + v, z
+            assert out[r] == best and picks[r] == first
+            if first is not None:
+                rest = list(r)
+                for p, zz in zip(axes, first):
+                    rest[p] -= zz
+                assert prev[tuple(rest)] + other[first] == out[r]
+
+
+def test_convolve_over_an_empty_box_axis():
+    # caps of zero leave one state; every z but the zero vector overflows
+    out, picks = convolve((0, 2), {(0, 0): 1, (0, 1): 2, (0, 2): None}, [0], {(0,): 3, (1,): 100})
+    assert out == {(0, 0): 4, (0, 1): 5, (0, 2): None}
+    assert picks == {(0, 0): (0,), (0, 1): (0,), (0, 2): None}
+
+
+def test_lift():
+    assert lift([(1, 2), (0, 3)], [1, 3], 4) == [(0, 1, 0, 2), (0, 0, 0, 3)]
+    assert lift([], [0], 2) == []

@@ -346,3 +346,25 @@ def test_rooted_forest_deterministic():
     assert trees[0].parent == {0: None, 1: 0, 3: 1}
     assert trees[1].parent == {2: None, 4: 2}
     assert rooted_forest(graph, {1, 3, 4})[0].parent == {1: None, 3: 1}
+
+
+def test_witnesses_share_the_game_vectors():
+    """Every stored coalition in a bag-DP witness is the game's own vector
+    object, so answers kept from repeated calls hold no copies."""
+    rng = random.Random(73)
+    for trial in range(20):
+        g = random_tree_game(rng)
+        vectors = g.charfun.vectors
+        assert set(vectors) == {
+            (sup, contrib) for sup, table in g.charfun.entries.items() for contrib in table
+        }
+        canonical = {id(v) for v in vectors.values()}
+        assert all(id(c) in canonical for c, _ in g.charfun.atoms())
+        o = random_outcome(rng, g)
+        S = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
+        _, first = optval_tree(g, g.weights)
+        _, again = optval_tree(g, g.weights)
+        _, _, post = arbval_tree(g, RULES[trial % 4], o, S, with_witness=True)
+        for c in first + again + post:
+            if g.charfun.value(c) > 0:
+                assert id(c) in canonical
