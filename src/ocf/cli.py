@@ -190,6 +190,10 @@ def _structure_doc(cs) -> list:
     return [list(c) for c in cs]
 
 
+def _deviation_doc(dev) -> dict:
+    return {str(j): list(d) for j, d in dev.withdrawals.items()}
+
+
 def _load_structure(args, g: GameDef):
     doc = _load_json(args.outcome)
     return structure_from_dict(doc, g.n)
@@ -224,7 +228,7 @@ def cmd_arbval(args: argparse.Namespace) -> int:
     report = _Report(args, f"{args.lane} arbval")
     if args.lane == "oracle":
         value, (dev, post) = brute_arbval(g, _rule(args), o, S, _budget(args))
-        report.put("deviation", {str(j): list(d) for j, d in dev.withdrawals.items()})
+        report.put("deviation", _deviation_doc(dev))
         report.put("post_structure", _structure_doc(post))
     elif args.lane == "tree":
         if args.local:
@@ -257,9 +261,16 @@ def cmd_checkcore(args: argparse.Namespace) -> int:
     report.put("decision", "not-in-core")
     report.put("violating_set", sorted(violation.agents))
     report.put("excess", format_rational(violation.excess))
+    deviation = _deviation_doc(violation.deviation)
+    post = _structure_doc(violation.post)
+    report.put("deviation", deviation)
+    report.put("post_structure", post)
     report.say(
         f"not in core: set {sorted(violation.agents)} gains "
         f"{format_rational(violation.excess)} by deviating"
+    )
+    report.say(
+        f"witness: withdraw {json.dumps(deviation, sort_keys=True)}, then form {json.dumps(post)}"
     )
     report.emit()
     return EXIT_NO

@@ -34,22 +34,6 @@ def support(c: Coalition) -> frozenset[int]:
     return frozenset(i for i, w in enumerate(c) if w > 0)
 
 
-def indicator(agents: Iterable[int], n: int) -> Coalition:
-    """0/1 coalition with ones exactly on ``agents``."""
-    s = set(agents)
-    return tuple(1 if i in s else 0 for i in range(n))
-
-
-def restrict(c: Coalition, agents: Iterable[int]) -> Coalition:
-    """Zero out every coordinate outside ``agents``."""
-    s = set(agents)
-    return tuple(w if i in s else 0 for i, w in enumerate(c))
-
-
-def vec_add(a: Coalition, b: Coalition) -> Coalition:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vec_sub(a: Coalition, b: Coalition) -> Coalition:
     return tuple(x - y for x, y in zip(a, b))
 
@@ -326,15 +310,6 @@ def structure_weight(cs: CoalitionStructure, n: int) -> Coalition:
 
 def structure_value(g: GameDef, cs: CoalitionStructure) -> Fraction:
     return sum((g.charfun.value(c) for c in cs), start=ZERO)
-
-
-def check_structure(g: GameDef, cs: CoalitionStructure) -> None:
-    """Raise unless the structure is feasible for the game's endowments."""
-    for c in cs:
-        if len(c) != g.n or any(w < 0 for w in c):
-            raise ContractViolation(f"malformed coalition {c}")
-    if not vec_leq(structure_weight(cs, g.n), g.weights):
-        raise ContractViolation("structure exceeds agent endowments")
 
 
 def reduce_structure(cs: CoalitionStructure, agents: Iterable[int]) -> CoalitionStructure:

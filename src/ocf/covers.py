@@ -3,17 +3,17 @@
 Every pseudo-polynomial solver here takes a best value over resource vectors
 and adds the values of parts.  Two primitives do that work; both take tables
 keyed by resource tuples, in which ``None`` marks an unreachable state, and
-work on any ordered additive values (scaled ``int``s in the bag engines,
+work on any ordered additive values (scaled ``int``s in the bag engine,
 ``Fraction`` elsewhere):
 
 * ``closure`` - the unbounded atom knapsack
   ``best(r) = max(base(r), max over atoms a <= r of value(a) + best(r - a))``.
-  Used by ``CoverTable``, ``single_cover`` and the atom layers of both bag
-  engines in :mod:`ocf.treewidth`.
+  Used by ``CoverTable``, ``single_cover`` and the atom layers of the bag
+  engine in :mod:`ocf.treewidth`.
 * ``convolve`` - the bounded (max,+) convolution of a box table with a table
-  over some of its axes.  Used by the child merges of both bag engines, the
-  CheckCore keep layers, and ``KeepTable``, ``AlphaTable``, ``VBarTable`` and
-  the withdrawal DP of ``arbval_local`` in :mod:`ocf.tree`.
+  over some of its axes.  Used by the bag engine's child merges and keep
+  layers, and by ``KeepTable``, ``AlphaTable``, ``VBarTable`` and the
+  withdrawal DP of ``arbval_local`` in :mod:`ocf.tree`.
 
 The cover of a resource vector is the best total value of a coalition
 multiset using at most those resources.  Because unlisted coalitions are worth

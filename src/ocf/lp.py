@@ -109,6 +109,26 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
     artificials = set(art_of.values())
 
+    def pivot(leave: int, enter: int) -> list[Fraction]:
+        """Gauss-Jordan pivot on (leave, enter); returns the scaled pivot row."""
+        row = tab[leave]
+        piv = row[enter]
+        if piv != 1:
+            inv = ONE / piv
+            for j in range(ncols + 1):
+                if row[j] != 0:
+                    row[j] *= inv
+        for i in range(m):
+            if i != leave:
+                f = tab[i][enter]
+                if f != 0:
+                    other = tab[i]
+                    for j in range(ncols + 1):
+                        if row[j] != 0:
+                            other[j] -= f * row[j]
+        basis[leave] = enter
+        return row
+
     def run(cost: list[Fraction], banned: set[int]) -> str:
         # maintain the reduced-cost row; Bland: lowest-index entering column,
         # lowest-index basic variable among min-ratio rows
@@ -140,27 +160,12 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
                         leave = i
             if leave < 0:
                 return "unbounded"
-            piv = tab[leave][enter]
-            row = tab[leave]
-            if piv != 1:
-                inv = ONE / piv
-                for j in range(ncols + 1):
-                    if row[j] != 0:
-                        row[j] *= inv
-            for i in range(m):
-                if i != leave:
-                    f = tab[i][enter]
-                    if f != 0:
-                        other = tab[i]
-                        for j in range(ncols + 1):
-                            if row[j] != 0:
-                                other[j] -= f * row[j]
+            row = pivot(leave, enter)
             f = red[enter]
             if f != 0:
                 for j in range(ncols + 1):
                     if row[j] != 0:
                         red[j] -= f * row[j]
-            basis[leave] = enter
 
     if artificials:
         phase1 = [ZERO] * ncols
@@ -176,20 +181,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
             if basis[i] in artificials:
                 for j in range(ncols):
                     if j not in artificials and tab[i][j] != 0:
-                        piv = tab[i][j]
-                        row = tab[i]
-                        inv = ONE / piv
-                        for jj in range(ncols + 1):
-                            if row[jj] != 0:
-                                row[jj] *= inv
-                        for ii in range(m):
-                            if ii != i and tab[ii][j] != 0:
-                                f = tab[ii][j]
-                                other = tab[ii]
-                                for jj in range(ncols + 1):
-                                    if row[jj] != 0:
-                                        other[jj] -= f * row[jj]
-                        basis[i] = j
+                        pivot(i, j)
                         break
 
     cost2 = [ZERO] * ncols

@@ -3,7 +3,7 @@
 All four problems run in time polynomial in n and the largest weight once
 coalitions are pairwise (k <= 2) and the interaction graph is a forest.
 OptVal, ArbVal and CheckCore are the width-1 case of the treewidth lane: they
-run the bag engines of :mod:`ocf.treewidth` on ``forest_decomposition``.
+run the bag engine of :mod:`ocf.treewidth` on ``forest_decomposition``.
 
 * ``optval_tree``    - best coalition structure for a resource vector.
 * ``arbval_local``   - best deviation value of a small set S under any local
@@ -13,12 +13,14 @@ run the bag engines of :mod:`ocf.treewidth` on ``forest_decomposition``.
                        subgraph is acyclic: each deviator's solo table is
                        replaced by one that may also keep resources with
                        non-deviating neighbours for arbitration payoffs.
-* ``checkcore_tree`` - maximum excess over all nonempty agent subsets via the
-                       bag CheckCore engine on ``forest_decomposition``;
-                       positive excess refutes core membership and comes with
-                       the violating set.
+* ``checkcore_tree`` - ``checkcore_tw`` on ``forest_decomposition``: maximum
+                       excess over all nonempty agent subsets; positive
+                       excess refutes core membership and comes with the
+                       violating set, its deviation and its post-deviation
+                       structure.
 * ``is_stable_tree`` - cutting-plane search for a stabilizing imputation,
-                       using checkcore as the separation oracle; the loop,
+                       using checkcore as the separation oracle; each
+                       violation's own witness gives the next cut.  The loop,
                        ``cutting_plane``, is shared with the treewidth lane.
 
 The tree solvers require the outcome itself to be pairwise-shaped: every
@@ -472,11 +474,12 @@ def max_excess_tree(
 def checkcore_tree(
     g: GameDef, rule: LocalArbitrationRule, o: Outcome
 ) -> CoreViolation | None:
-    """None iff the outcome is stable; otherwise the worst violating set."""
-    excess, members = max_excess_tree(g, rule, o)
-    if excess <= 0:
-        return None
-    return CoreViolation(agents=members, excess=excess)
+    """None iff the outcome is stable; otherwise the worst violating set, with
+    the deviation and post-deviation structure that earn its excess."""
+    if not isinstance(rule, LocalArbitrationRule):
+        raise UnsupportedRuleError(f"rule {rule.name} is not local")
+    graph = require_two_ocf_tree(g)
+    return checkcore_tw(g, rule, o, forest_decomposition(graph))
 
 
 # ---------------------------------------------------------------------------
@@ -538,17 +541,17 @@ def cutting_plane(
     g: GameDef,
     rule: LocalArbitrationRule,
     cs: CoalitionStructure,
-    separate: Callable[[Outcome], tuple[frozenset[int], Deviation, CoalitionStructure] | None],
+    checkcore: Callable[[Outcome], CoreViolation | None],
     max_rounds: int,
 ) -> Imputation | None:
     """Find an imputation making the structure stable, or prove none exists.
 
     Solves an exact LP of efficiency equalities plus the cuts found so far and
-    asks ``separate`` about the candidate: None means it is in the core,
-    otherwise ``(agents, deviation, post)`` witnesses one new linear cut that
-    the candidate violates.  There are finitely many (set, deviation, branch)
-    cuts, so the loop ends; exhausting ``max_rounds`` raises
-    ``BudgetExceededError``.
+    asks the lane's ``checkcore`` about the candidate: None means it is in the
+    core, otherwise the violation's agents, deviation and post-deviation
+    structure witness one new linear cut that the candidate violates.  There
+    are finitely many (set, deviation, branch) cuts, so the loop ends;
+    exhausting ``max_rounds`` raises ``BudgetExceededError``.
 
     Under the unclamped optimistic rule a deviator pays any shortfall between
     what a coalition's remainder earns and what its non-deviators were
@@ -564,12 +567,14 @@ def cutting_plane(
             return None
         assert sol.x is not None
         candidate = _read_imputation(cs, var_of, sol.x, g.n)
-        found = separate(Outcome(structure=cs, imputation=candidate))
+        found = checkcore(Outcome(structure=cs, imputation=candidate))
         if found is None:
             return candidate
-        agents, dev, post = found
-        post_value = sum((g.charfun.value(c) for c in post), start=ZERO)
-        coeffs, const = _stability_cut(g, cs, agents, dev, post_value, rule, candidate, var_of)
+        assert found.deviation is not None and found.post is not None
+        post_value = sum((g.charfun.value(c) for c in found.post), start=ZERO)
+        coeffs, const = _stability_cut(
+            g, cs, found.agents, found.deviation, post_value, rule, candidate, var_of
+        )
         lp.add_row(coeffs, ">=", const)
     raise BudgetExceededError(
         f"cutting-plane loop did not finish within max_rounds={max_rounds}"
@@ -585,20 +590,13 @@ def is_stable_tree(
     """Find an imputation making the structure stable, or prove none exists,
     by ``cutting_plane`` with the forest CheckCore as separation oracle."""
     require_two_ocf_tree(g)
-
-    def separate(outcome: Outcome):
-        violation = checkcore_tree(g, rule, outcome)
-        if violation is None:
-            return None
-        _, dev, post = arbval_tree(g, rule, outcome, violation.agents, with_witness=True)
-        return violation.agents, dev, post
-
-    return cutting_plane(g, rule, cs, separate, max_rounds)
+    return cutting_plane(g, rule, cs, lambda o: checkcore_tree(g, rule, o), max_rounds)
 
 
 # The bag engine builds on the tables above, so it is imported last.
 from .treewidth import (  # noqa: E402
     _arbval_bags,
+    checkcore_tw,
     forest_decomposition,
     max_excess_tw,
     optval_tw,

@@ -7,18 +7,28 @@ separator replace the per-agent weight tables, and runtime grows with
 being width-optimal, only speed does, so decompositions may come from a file
 or from the min-fill heuristic.
 
-Charging discipline: every agent's solo work (and, for deviations, its kept
-resources with outside neighbours) is priced exactly once, at the *topmost*
-bag containing the agent; every edge's pair coalitions form at the topmost
-bag containing both ends.  Resources flow root-to-leaves through separator
-quotas, so anything an agent owns is available at its home bag and below.
+One engine, ``_BagEngine``, answers OptVal, ArbVal and CheckCore.  CheckCore
+adds one choice per bag, which of its agents deviate; OptVal and ArbVal fix
+the set to every vertex.  One walk back through the engine's tables reads
+off a witness: the members, the pair atoms picked, each member's solo
+level, and the units each member keeps with each non-member neighbour.
+CheckCore turns that walk into its violation's deviation and
+post-deviation structure, so the cutting-plane loop of Is-Stable reads its
+cuts from CheckCore without solving ArbVal again.
+
+Charging discipline: every agent's solo work is priced exactly once, at the
+*topmost* bag containing the agent; every edge's pair coalitions, and under
+CheckCore the units a member keeps on it with a non-member, are priced at
+the topmost bag containing both ends.  (ArbVal folds a deviator's keeps with
+outside neighbours into its solo row.)  Resources flow root-to-leaves
+through separator quotas, so anything an agent owns is available at its home
+bag and below.
 
 Arithmetic: each engine call scales every value its tables read (atom values,
-solo-table rows, payoffs, keep-table rows) by one common denominator D and
-runs the (max,+) kernel of :mod:`ocf.covers` (``closure`` for the atoms
-priced at a bag, ``convolve`` for child merges and keep layers) on Python
-ints, which is exact; answers are converted back to ``Fraction`` on the way
-out.
+solo rows, payoffs, keep rows) by one common denominator D and runs the
+(max,+) kernel of :mod:`ocf.covers` (``closure`` for the atoms priced at a
+bag, ``convolve`` for child merges and keep layers) on Python ints, which is
+exact; answers are converted back to ``Fraction`` on the way out.
 """
 
 from __future__ import annotations
@@ -248,9 +258,9 @@ def restrict_decomposition(t: TreeDecomposition, vertices: set[int]) -> TreeDeco
 
 
 def _layout(t: TreeDecomposition, vertices: set[int], graph_edges: Iterable[tuple[int, int]]):
-    """Bag layout shared by both engines: (children, postorder, sorted agents
-    per bag, sorted parent separator per bag, topmost bag per vertex, topmost
-    bag per edge inside ``vertices``)."""
+    """Bag layout of the engine: (children, postorder, sorted agents per bag,
+    sorted parent separator per bag, topmost bag per vertex, the edges inside
+    ``vertices`` grouped by their topmost bag)."""
     parent, children, post = t.rooted()
     agents = {X: tuple(sorted(bag)) for X, bag in enumerate(t.bags)}
     sep = {X: () if p is None else tuple(sorted(t.bags[X] & t.bags[p])) for X, p in parent.items()}
@@ -264,12 +274,11 @@ def _layout(t: TreeDecomposition, vertices: set[int], graph_edges: Iterable[tupl
                 home_v.setdefault(i, X)
     # the bags holding an edge are the overlap of its ends' subtrees, topped
     # by the deeper of the two ends' homes
-    home_e = {
-        (a, b): max(home_v[a], home_v[b], key=depth.__getitem__)
-        for a, b in graph_edges
-        if a in vertices and b in vertices
-    }
-    return children, post, agents, sep, home_v, home_e
+    edges_at: dict[int, list[tuple[int, int]]] = {X: [] for X in agents}
+    for a, b in graph_edges:
+        if a in vertices and b in vertices:
+            edges_at[max(home_v[a], home_v[b], key=depth.__getitem__)].append((a, b))
+    return children, post, agents, sep, home_v, edges_at
 
 
 def _denominator(*groups: Iterable[Fraction | None]) -> int:
@@ -287,92 +296,201 @@ def _pair_atoms(g: GameDef, a: int, b: int) -> list[tuple[Coalition, Fraction]]:
     return [(c, v) for c, v in g.charfun.atoms_within(frozenset((a, b))) if c[a] and c[b]]
 
 
-class _TwOptEngine:
-    """Bag-table engine behind optval_tw and arbval_tw.
+@dataclass
+class _Walk:
+    """One optimal state of a ``_BagEngine``, read back through its tables."""
 
-    ``solo`` maps each vertex to its terminal table (plain single-agent cover
-    for OptVal, the arbitration-aware one for ArbVal).  Tables are dicts keyed
-    by resource tuples over the bag's sorted agents; they hold values scaled
-    by ``self.scale``.
+    members: set[int]
+    atoms: list[Coalition]  # the game's own vectors of the pair atoms picked
+    solo: dict[int, int]  # resource level of each member's solo row
+    keeps: dict[tuple[int, int], int]  # units kept per (member, non-member) edge
+
+
+class _BagEngine:
+    """Bag DP behind OptVal, ArbVal and CheckCore.
+
+    A bag's tables are keyed by separator mask, then flag, then separator
+    quota q: which parent-separator agents are members of the set, whether
+    some member is homed at-or-below (so the empty set never answers
+    CheckCore), and how much of each member's resources flows into the
+    subtree.  Per choice of members D inside a bag, one box layer over D's
+    resources starts from the solo rows of the members homed there, convolves
+    in the keep rows of edges from a member to a non-member, closes over the
+    pair atoms of edges inside D, and merges each child's table on the
+    separator axes.
+
+    ``solo`` maps each vertex to its solo row: the value of each resource
+    level up to its cap.  ``keeps`` maps (member, non-member) edges to the
+    value of each number of units kept with the non-member.  With
+    ``every_subset`` each subset of a bag's agents is tried as D (CheckCore);
+    otherwise D is the whole bag and the set is every vertex (OptVal,
+    ArbVal).  Tables hold values scaled by ``self.scale``.
     """
 
-    def __init__(self, g: GameDef, t: TreeDecomposition, caps: Coalition, vertices: set[int], solo):
+    def __init__(
+        self,
+        g: GameDef,
+        t: TreeDecomposition,
+        caps: Coalition,
+        solo: dict[int, list[Fraction]],
+        keeps: dict[tuple[int, int], list[Fraction | None]],
+        every_subset: bool,
+    ):
         self.t = t
         self.caps = caps
         graph = g.interaction
         assert graph is not None
-        self.children, post, self.agents, self.sep, self.home_v, home_e = _layout(
-            t, vertices, graph.simple_edges()
+        self.children, post, self.agents, self.sep, home_v, self.edges_at = _layout(
+            t, set(solo), graph.simple_edges()
         )
-        self.solo = {i: solo(i) for i in vertices}
-        # pair atoms, priced at the topmost bag holding both ends of the edge
-        atoms: dict[int, list[tuple[tuple[int, ...], Fraction]]] = {
-            X: [] for X in range(len(t.bags))
-        }
-        # the game's own vector of each atom, which witnesses hold
-        self._vectors: dict[int, list[Coalition]] = {X: [] for X in atoms}
-        for (a, b), hx in home_e.items():
-            for c, v in _pair_atoms(g, a, b):
-                atoms[hx].append((tuple(c[i] for i in self.agents[hx]), v))
-                self._vectors[hx].append(c)
+        self.homed = {X: [i for i in ax if home_v.get(i) == X] for X, ax in self.agents.items()}
+        pairs = {e: _pair_atoms(g, *e) for edges in self.edges_at.values() for e in edges}
         d = _denominator(
-            (v for bag in atoms.values() for _, v in bag),
-            (v for table in self.solo.values() for v in table.values),
+            (v for row in solo.values() for v in row),
+            (v for row in keeps.values() for v in row),
+            (v for row in pairs.values() for _, v in row),
         )
         self.scale = d
-        self._atoms = {X: [(a, _scaled(v, d)) for a, v in bag] for X, bag in atoms.items()}
-        self._solo = {i: [_scaled(v, d) for v in table.values] for i, table in self.solo.items()}
-        self.f_choice: dict[int, dict] = {}
-        self.merge_bp: dict[int, list[dict]] = {}
+        self._solo = {i: [_scaled(v, d) for v in row] for i, row in solo.items()}
+        # a keep row with no coalition to keep in leaves every state as it is
+        self._keeps = {
+            e: {(y,): _scaled(v, d) for y, v in enumerate(row)}
+            for e, row in keeps.items()
+            if len(row) > 1
+        }
+        self._pairs = {e: [(c, _scaled(v, d)) for c, v in row] for e, row in pairs.items()}
+        # per agent: its resource levels, and the solo row of a bag it is not homed at
+        self._span = [range(c + 1) for c in caps]
+        self._zeros = [[0] * (c + 1) for c in caps]
+        self.every_subset = every_subset
         self.final: dict[int, dict] = {}
+        self.bp: dict[int, dict] = {}
         for X in post:
             self._bag(X)
 
     def _bag(self, X: int) -> None:
         ax = self.agents[X]
-        caps = tuple(self.caps[i] for i in ax)
-        homed = [(k, self._solo[i]) for k, i in enumerate(ax) if self.home_v.get(i) == X]
-        base = {
-            r: sum(row[r[k]] for k, row in homed)
-            for r in product(*[range(c + 1) for c in caps])
-        }
-        layer, self.f_choice[X] = closure(caps, self._atoms[X], base)
-        bps = []
-        for Y in self.children[X]:
-            axes = [ax.index(i) for i in self.sep[Y]]
-            layer, bp = convolve(caps, layer, axes, self.final[Y])
-            bps.append(bp)
-        self.merge_bp[X] = bps
         sep_x = self.sep[X]
-        self.final[X] = {
-            q: layer[tuple(q[sep_x.index(i)] if i in sep_x else self.caps[i] for i in ax)]
-            for q in product(*[range(self.caps[i] + 1) for i in sep_x])
-        }
+        homed = self.homed[X]
+        edges = self.edges_at[X]
+        kids = [(self.sep[Y], self.final[Y]) for Y in self.children[X]]
+        all_caps, span, solo, zeros = self.caps, self._span, self._solo, self._zeros
+        if self.every_subset:
+            subsets = [
+                tuple(i for k, i in enumerate(ax) if bits >> k & 1) for bits in range(1 << len(ax))
+            ]
+        else:
+            subsets = [ax]
+        final: dict = {}
+        bp: dict = {}
+        for D in subsets:
+            pos = dict(zip(D, range(len(D))))
+            caps = tuple(all_caps[i] for i in D)
+            box = product(*[span[i] for i in D])
+            rows = product(*[solo[i] if i in homed else zeros[i] for i in D])
+            cur = {r: sum(vs) for r, vs in zip(box, rows)}
+            keep_bp = []
+            for a, b in edges:
+                if (a in pos) != (b in pos):
+                    e = (a, b) if a in pos else (b, a)
+                    kt = self._keeps.get(e)
+                    if kt is not None:
+                        cur, picks = convolve(caps, cur, (pos[e[0]],), kt)
+                        keep_bp.append((e, picks))
+            pairs = [p for a, b in edges if a in pos and b in pos for p in self._pairs[(a, b)]]
+            atoms = [(tuple(c[i] for i in D), v) for c, v in pairs]
+            cur, atom_bp = closure(caps, atoms, cur)
+            # child merges, one table per flag; per child and flag, the
+            # (f_prev, f_child, picks) sources and the states a later one won
+            layer = {any(i in pos for i in homed): cur}
+            child_bp: list[dict] = []
+            for sep_y, by in kids:
+                mask_y = tuple(i in pos for i in sep_y)
+                axes = [pos[i] for i in sep_y if i in pos]
+                merged: dict = {}
+                steps: dict = {}
+                for f_prev, prev in layer.items():
+                    for f_child, child in by.get(mask_y, {}).items():
+                        out, picks = convolve(caps, prev, axes, child)
+                        _keep_best(merged, steps, f_prev or f_child, out, (f_prev, f_child, picks))
+                layer = merged
+                child_bp.append(steps)
+            rec = (D, pos, keep_bp, pairs, atoms, atom_bp, child_bp)
+            # project onto the parent separator: members there get quota q,
+            # the rest own their whole caps; both products run in q's order
+            qs = product(*[span[i] for i in D if i in sep_x])
+            avail = product(*[span[i] if i in sep_x else (all_caps[i],) for i in D])
+            at = list(zip(qs, avail))
+            mask = tuple(i in pos for i in sep_x)
+            tables = final.setdefault(mask, {})
+            steps = bp.setdefault(mask, {})
+            for flag, top in layer.items():
+                _keep_best(tables, steps, flag, {q: top[r] for q, r in at}, rec)
+        self.final[X] = final
+        self.bp[X] = bp
 
-    def value(self) -> Fraction:
-        return Fraction(self.final[self.t.root][()], self.scale)
+    def value(self) -> Fraction | None:
+        """Best value over sets with a member; None if no state reached."""
+        top = self.final[self.t.root].get((), {}).get(True)
+        v = None if top is None else top[()]
+        return None if v is None else Fraction(v, self.scale)
 
-    def collect(self, sink: list[Coalition], solo_sink) -> None:
-        root = self.t.root
-        stack = [(root, tuple(self.caps[i] for i in self.agents[root]))]
+    def walk(self) -> _Walk:
+        """Read one optimal state back from the root, bag by bag."""
+        out = _Walk(set(), [], {}, {})
+        stack = [(self.t.root, (), True, ())]
         while stack:
-            X, state = stack.pop()
-            ax = self.agents[X]
-            for Y, bp in zip(reversed(self.children[X]), reversed(self.merge_bp[X])):
-                z = bp[state]
+            X, mask, flag, q = stack.pop()
+            sources, won = self.bp[X][mask][flag]
+            D, pos, keep_bp, pairs, atoms, atom_bp, child_bp = sources[won.get(q, 0)]
+            sep_x = self.sep[X]
+            quota = iter(q)  # the separator members' quotas, in D's order
+            state = tuple(next(quota) if i in sep_x else self.caps[i] for i in D)
+            # replay the child merges backwards to find each child's state
+            for Y, steps in zip(reversed(self.children[X]), reversed(child_bp)):
+                merges, won_at = steps[flag]
+                f_prev, f_child, picks = merges[won_at.get(state, 0)]
+                z = picks[state]
                 sep_y = self.sep[Y]
-                stack.append(
-                    (Y, tuple(z[sep_y.index(i)] if i in sep_y else self.caps[i] for i in self.agents[Y]))
-                )
+                stack.append((Y, tuple(i in pos for i in sep_y), f_child, z))
                 s = list(state)
-                for i, zz in zip(sep_y, z):
-                    s[ax.index(i)] -= zz
+                for i, zz in zip([i for i in sep_y if i in pos], z):
+                    s[pos[i]] -= zz
                 state = tuple(s)
-            picked, state = unwind(self._atoms[X], self.f_choice[X], state)
-            sink.extend(self._vectors[X][k] for k in picked)
-            for i, ri in zip(ax, state):
-                if self.home_v.get(i) == X:
-                    solo_sink(i, ri)
+                flag = f_prev
+            picked, state = unwind(atoms, atom_bp, state)
+            out.atoms.extend(pairs[k][0] for k in picked)
+            for (i, j), picks in reversed(keep_bp):
+                (y,) = picks[state]
+                out.keeps[(i, j)] = y
+                s = list(state)
+                s[pos[i]] -= y
+                state = tuple(s)
+            for i in self.homed[X]:
+                if i in pos:
+                    out.members.add(i)
+                    out.solo[i] = state[pos[i]]
+        return out
+
+
+def _keep_best(tables: dict, steps: dict, key, table: dict, source) -> None:
+    """Pointwise max of ``table`` into ``tables[key]``; ``steps[key]`` holds
+    the sources and, per state, the index of a later source that won it."""
+    best = tables.get(key)
+    if best is None:
+        tables[key] = table
+        steps[key] = ([source], {})
+        return
+    sources, won = steps[key]
+    idx = len(sources)
+    wins = False
+    for r, v in table.items():
+        if v is not None and (best[r] is None or v > best[r]):
+            best[r] = v
+            won[r] = idx
+            wins = True
+    if wins:
+        sources.append(source)
 
 
 def _prepare(g: GameDef, t: TreeDecomposition, vertices: set[int] | None = None) -> set[int]:
@@ -391,12 +509,13 @@ def optval_tw(
     """Best structure value for resources ``c`` via the bag DP, with witness."""
     g.check_coalition(c)
     _prepare(g, t)
-    engine = _TwOptEngine(
-        g, t, c, set(range(g.n)), solo=lambda i: SingleTable(g, i, c[i])
-    )
+    singles = [SingleTable(g, i, c[i]) for i in range(g.n)]
+    engine = _BagEngine(g, t, c, {i: s.values for i, s in enumerate(singles)}, {}, every_subset=False)
     value = engine.value()
-    atoms: list[Coalition] = []
-    engine.collect(atoms, lambda i, w: atoms.extend(engine.solo[i].witness(w)))
+    walk = engine.walk()
+    atoms = walk.atoms
+    for i, w in walk.solo.items():
+        atoms.extend(singles[i].witness(w))
     return value, _pad_fillers(atoms, c, g.n)
 
 
@@ -439,7 +558,9 @@ def _arbval_bags(
     with_witness: bool,
 ):
     """The bag DP behind ``arbval_tw`` and ``arbval_tree``, on arguments the
-    caller has already checked; ``t`` covers exactly the deviators."""
+    caller has already checked; ``t`` covers exactly the deviators.  Each
+    deviator's solo row is its ``VBarTable``, which also keeps resources with
+    non-deviating neighbours."""
     graph = g.interaction
     assert graph is not None
     caps = tuple(g.weights[i] if i in deviators else 0 for i in range(g.n))
@@ -449,197 +570,55 @@ def _arbval_bags(
         vbars[i] = VBarTable(
             SingleTable(g, i, caps[i]), AlphaTable(g, o, rule, i, others), caps[i]
         )
-    engine = _TwOptEngine(g, t, caps, set(deviators), solo=lambda i: vbars[i])
+    engine = _BagEngine(g, t, caps, {i: v.values for i, v in vbars.items()}, {}, every_subset=False)
     value = engine.value()
     if not with_witness:
         return value
-    atoms: list[Coalition] = []
+    walk = engine.walk()
+    atoms = walk.atoms
     kept: dict[int, int] = {}
-
-    def emit(i: int, w: int) -> None:
+    for i, w in walk.solo.items():
         atoms.extend(vbars[i].witness(w))
         kept.update(vbars[i].kept(w))
-
-    engine.collect(atoms, emit)
     dev = _deviation_from_keeps(o, kept, deviators, g.n)
     return value, dev, tuple(atoms)
 
 
-class _TwCoreEngine:
-    """Per-bag subset-and-resources DP behind checkcore_tw.
-
-    State at a bag: which separator agents deviate, how much of each
-    deviator's weight flows into the subtree, and whether some deviator is
-    already homed at-or-below (so the empty set never reports excess 0).
-    Tables hold excesses scaled by ``self.scale``.
-    """
-
-    def __init__(self, g: GameDef, o: Outcome, rule: LocalArbitrationRule, t: TreeDecomposition):
-        self.g = g
-        self.t = t
-        graph = g.interaction
-        assert graph is not None
-        self.children, post, self.agents, self.sep, self.home_v, self.home_e = _layout(
-            t, set(range(g.n)), graph.simple_edges()
-        )
-        payoff = [ZERO] * g.n
-        for x, sup in zip(o.imputation, o.supports):
-            for i in sup:
-                payoff[i] += x[i]
-        singles = [SingleTable(g, i, g.weights[i]).values for i in range(g.n)]
-        # both orientations of every edge: the subset masks use them all
-        keeps = {}
-        atoms = {}
-        for a, b in self.home_e:
-            keeps[(a, b)] = KeepTable(g, o, rule, a, b).values
-            keeps[(b, a)] = KeepTable(g, o, rule, b, a).values
-            atoms[(a, b)] = _pair_atoms(g, a, b)
-        d = _denominator(
-            payoff,
-            (v for row in singles for v in row),
-            (v for row in keeps.values() for v in row),
-            (v for row in atoms.values() for _, v in row),
-        )
-        self.scale = d
-        # solo value minus payoff, per agent and resource level
-        self.excess = [
-            [_scaled(v - p, d) for v in row] for row, p in zip(singles, payoff)
-        ]
-        # a keep table with no coalition to keep in leaves every state as it is
-        self.keeps = {
-            key: {(y,): _scaled(v, d) for y, v in enumerate(row)}
-            for key, row in keeps.items()
-            if len(row) > 1
-        }
-        self.atoms = {e: [(c, _scaled(v, d)) for c, v in row] for e, row in atoms.items()}
-        # final[X]: dict (sep mask tuple, q tuple, flag) -> value
-        self.final: dict[int, dict] = {}
-        self.bp: dict[int, dict] = {}
-        for X in post:
-            self._bag(X)
-
-    def _bag(self, X: int) -> None:
-        ax = self.agents[X]
-        sep_x = self.sep[X]
-        weights = self.g.weights
-        homed = [i for i in ax if self.home_v[i] == X]
-        my_edges = [e for e, hx in self.home_e.items() if hx == X]
-        # each child's final table, sliced once by (separator mask, flag)
-        slices = []
-        for Y in self.children[X]:
-            by: dict = {}
-            for (mask, q, flag), v in self.final[Y].items():
-                by.setdefault((mask, flag), {})[q] = v
-            slices.append(by)
-        final: dict = {}
-        bp: dict = {}
-        for bits in range(1 << len(ax)):
-            D = tuple(i for k, i in enumerate(ax) if bits >> k & 1)
-            dset = frozenset(D)
-            caps = tuple(weights[i] for i in D)
-            pos = {i: k for k, i in enumerate(D)}
-            # local value layer over the deviators' resource box
-            rows = [(pos[i], self.excess[i]) for i in homed if i in dset]
-            cur = {
-                r: sum(row[r[k]] for k, row in rows)
-                for r in product(*[range(c + 1) for c in caps])
-            }
-            for a, b in my_edges:
-                if (a in dset) != (b in dset):
-                    dev, other = (a, b) if a in dset else (b, a)
-                    kt = self.keeps.get((dev, other))
-                    if kt is not None:
-                        cur, _ = convolve(caps, cur, (pos[dev],), kt)
-            atoms = [
-                (tuple(c[i] for i in D), v)
-                for a, b in my_edges
-                if a in dset and b in dset
-                for c, v in self.atoms[(a, b)]
-            ]
-            cur, _ = closure(caps, atoms, cur)
-            # child merges, one table per flag; per child and flag, the
-            # (f_prev, f_child, picks) sources and the states a later one won
-            layer = {any(i in dset for i in homed): cur}
-            child_bp: list[dict] = []
-            for Y, by in zip(self.children[X], slices):
-                sep_y = self.sep[Y]
-                mask_y = tuple(1 if i in dset else 0 for i in sep_y)
-                axes = [pos[i] for i in sep_y if i in dset]
-                merged: dict = {}
-                steps: dict = {}
-                for f_prev, prev in layer.items():
-                    for f_child in (False, True):
-                        child = by.get((mask_y, f_child))
-                        if child is None:
-                            continue
-                        out, picks = convolve(caps, prev, axes, child)
-                        flag = f_prev or f_child
-                        if flag not in merged:
-                            merged[flag] = out
-                            steps[flag] = ([(f_prev, f_child, picks)], {})
-                            continue
-                        best = merged[flag]
-                        sources, won = steps[flag]
-                        for r, v in out.items():
-                            if v is not None and (best[r] is None or v > best[r]):
-                                best[r] = v
-                                won[r] = len(sources)
-                        sources.append((f_prev, f_child, picks))
-                layer = merged
-                child_bp.append(steps)
-            sep_mask = tuple(1 if i in dset else 0 for i in sep_x)
-            sep_dev = tuple(i for i in sep_x if i in dset)
-            for q in product(*[range(weights[i] + 1) for i in sep_dev]):
-                avail = tuple(
-                    q[sep_dev.index(i)] if i in sep_dev else weights[i] for i in D
-                )
-                for flag, top in layer.items():
-                    v = top[avail]
-                    if v is None:
-                        continue
-                    key = (sep_mask, q, flag)
-                    old = final.get(key)
-                    if old is None or v > old:
-                        final[key] = v
-                        bp[key] = (bits, avail, child_bp)
-        self.final[X] = final
-        self.bp[X] = bp
-
-    def best(self) -> Fraction | None:
-        """Maximum excess over nonempty subsets; None if no state reached."""
-        v = self.final[self.t.root].get(((), (), True))
-        return None if v is None else Fraction(v, self.scale)
-
-    def members(self) -> frozenset[int]:
-        out: set[int] = set()
-        self._walk(self.t.root, ((), (), True), out)
-        return frozenset(out)
-
-    def _walk(self, X: int, key, out: set[int]) -> None:
-        bits, avail, child_bp = self.bp[X][key]
-        ax = self.agents[X]
-        D = tuple(i for k, i in enumerate(ax) if bits >> k & 1)
-        pos = {i: k for k, i in enumerate(D)}
-        for i in D:
-            if self.home_v[i] == X:
-                out.add(i)
-        # replay the child merges backwards to find each child's state
-        _, _, flag = key
-        state = avail
-        for Y, steps in zip(reversed(self.children[X]), reversed(child_bp)):
-            sources, won = steps[flag]
-            f_prev, f_child, picks = sources[won.get(state, 0)]
-            z = picks[state]
-            assert z is not None
-            sep_y = self.sep[Y]
-            mask_y = tuple(1 if i in pos else 0 for i in sep_y)
-            dev_y = tuple(i for i in sep_y if i in pos)
-            self._walk(Y, (mask_y, z, f_child), out)
-            rr = list(state)
-            for i, zz in zip(dev_y, z):
-                rr[pos[i]] -= zz
-            state = tuple(rr)
-            flag = f_prev
+def _excess_engine(
+    g: GameDef,
+    rule: LocalArbitrationRule,
+    o: Outcome,
+    t: TreeDecomposition,
+) -> tuple[_BagEngine, list[SingleTable], dict[tuple[int, int], KeepTable]]:
+    """The every-subset engine over excesses: an agent's solo row is its
+    single-agent cover minus its payoff, and a member keeps resources with a
+    non-member neighbour through the edge's ``KeepTable``."""
+    if not isinstance(rule, LocalArbitrationRule):
+        raise UnsupportedRuleError(f"rule {rule.name} is not local")
+    check_outcome_shape(g, o)
+    _prepare(g, t)
+    graph = g.interaction
+    assert graph is not None
+    payoff = [ZERO] * g.n
+    for x, sup in zip(o.imputation, o.supports):
+        for i in sup:
+            payoff[i] += x[i]
+    singles = [SingleTable(g, i, g.weights[i]) for i in range(g.n)]
+    keeps = {}
+    for a, b in graph.simple_edges():
+        keeps[(a, b)] = KeepTable(g, o, rule, a, b)
+        keeps[(b, a)] = KeepTable(g, o, rule, b, a)
+    engine = _BagEngine(
+        g,
+        t,
+        g.weights,
+        {i: [v - payoff[i] for v in s.values] for i, s in enumerate(singles)},
+        {e: k.values for e, k in keeps.items()},
+        every_subset=True,
+    )
+    if engine.value() is None:  # pragma: no cover - nonempty subsets always exist
+        raise RuntimeError("bag DP produced no nonempty subset")
+    return engine, singles, keeps
 
 
 def checkcore_tw(
@@ -648,11 +627,22 @@ def checkcore_tw(
     o: Outcome,
     t: TreeDecomposition,
 ) -> CoreViolation | None:
-    """None iff stable; otherwise a maximal-excess violating set."""
-    excess, members = max_excess_tw(g, rule, o, t)
+    """None iff stable; otherwise a maximal-excess violating set with the
+    deviation and post-deviation structure that earn its excess."""
+    engine, singles, keeps = _excess_engine(g, rule, o, t)
+    excess = engine.value()
     if excess <= 0:
         return None
-    return CoreViolation(agents=members, excess=excess)
+    walk = engine.walk()
+    post = walk.atoms
+    for i, w in walk.solo.items():
+        post.extend(singles[i].witness(w))
+    kept: dict[int, int] = {}
+    for e, y in walk.keeps.items():
+        kept.update(keeps[e].keeps(y))
+    members = frozenset(walk.members)
+    dev = _deviation_from_keeps(o, kept, members, g.n)
+    return CoreViolation(agents=members, excess=excess, deviation=dev, post=tuple(post))
 
 
 def max_excess_tw(
@@ -662,15 +652,8 @@ def max_excess_tw(
     t: TreeDecomposition,
 ) -> tuple[Fraction, frozenset[int]]:
     """Maximum excess over all nonempty subsets, via the bag DP."""
-    if not isinstance(rule, LocalArbitrationRule):
-        raise UnsupportedRuleError(f"rule {rule.name} is not local")
-    check_outcome_shape(g, o)
-    _prepare(g, t)
-    engine = _TwCoreEngine(g, o, rule, t)
-    value = engine.best()
-    if value is None:  # pragma: no cover - nonempty subsets always exist
-        raise RuntimeError("bag DP produced no nonempty subset")
-    return value, engine.members()
+    engine, _, _ = _excess_engine(g, rule, o, t)
+    return engine.value(), frozenset(engine.walk().members)
 
 
 def is_stable_tw(
@@ -683,12 +666,4 @@ def is_stable_tw(
     """Experimental: ``cutting_plane`` with the bag-DP CheckCore as
     separation oracle, the tree lane's Is-Stable on arbitrary graphs."""
     _prepare(g, t)
-
-    def separate(outcome: Outcome):
-        violation = checkcore_tw(g, rule, outcome, t)
-        if violation is None:
-            return None
-        _, dev, post = arbval_tw(g, rule, outcome, violation.agents, t=t, with_witness=True)
-        return violation.agents, dev, post
-
-    return cutting_plane(g, rule, cs, separate, max_rounds)
+    return cutting_plane(g, rule, cs, lambda o: checkcore_tw(g, rule, o, t), max_rounds)

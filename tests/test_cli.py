@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from ocf.arbitration import REFINED, Deviation, deviation_total
 from ocf.cli import main
 from ocf.io import dump_game, dump_outcome, load_outcome
 from ocf.core import Outcome
+from ocf.rationals import parse_rational
 from fractions import Fraction
 
 
@@ -176,3 +178,24 @@ def test_emitted_witness_reloads(files, capsys, tmp_path, g1):
     from ocf.core import structure_weight
 
     assert structure_weight(o.structure, 2) == (2, 1)
+
+
+def test_tree_checkcore_prints_witness(files, capsys, g1):
+    """A refuted outcome comes with a deviation and post structure that earn
+    the set's payoff plus the reported excess; the machine output repeats."""
+    lazy = Outcome(structure=((1, 0),), imputation=((Fraction(1), Fraction(0)),))
+    path = files["dir"] / "lazy.json"
+    dump_outcome(lazy, path)
+    args = ("tree", "checkcore", "--game", files["game"], "--outcome", str(path),
+            "--arb", "refined", "--format", "machine")
+    code, out1, _ = run(capsys, *args)
+    _, out2, _ = run(capsys, *args)
+    assert code == 1 and out1 == out2
+    doc = json.loads(out1)
+    agents = frozenset(doc["violating_set"])
+    dev = Deviation(withdrawals={int(j): tuple(d) for j, d in doc["deviation"].items()})
+    post = tuple(tuple(c) for c in doc["post_structure"])
+    gained = deviation_total(g1, lazy, agents, dev, REFINED, post) - lazy.payoff_to_set(agents)
+    assert gained == parse_rational(doc["excess"]) > 0
+    code, out, _ = run(capsys, *args[:-2])
+    assert code == 1 and "witness: withdraw" in out

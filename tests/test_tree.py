@@ -44,6 +44,7 @@ from ocf.tree import (
     optval_tree,
     rooted_forest,
 )
+import ocf.tree as tree_module
 from conftest import random_outcome, random_structure, random_tree_game
 
 RULES = (CONSERVATIVE, REFINED, OPTIMISTIC, OPTIMISTIC_CLAMPED)
@@ -257,6 +258,10 @@ def test_checkcore_agreement_random():
         assert brute_arbval(g, rule, o, ts)[0] - o.payoff_to_set(ts) == tv
         cc = checkcore_tree(g, rule, o)
         assert (cc is None) == (brute_checkcore(g, rule, o) is None)
+        if cc is not None:
+            assert cc.deviation is not None and cc.post is not None
+            total = deviation_total(g, o, cc.agents, cc.deviation, rule, cc.post)
+            assert total - o.payoff_to_set(cc.agents) == cc.excess == tv
         components.append(len(g.interaction.components()))
     assert sum(c > 1 for c in components) >= 40
     assert max(components) >= 3
@@ -308,6 +313,44 @@ def test_is_stable_agrees_with_brute():
             o = Outcome(structure=cs, imputation=t)
             assert validate_outcome(o, g) == []
             assert brute_checkcore(g, rule, o) is None
+
+
+def test_stability_cuts_hold_at_core_imputations(monkeypatch):
+    """Every cut the cutting-plane loop adds, including the clamped optimistic
+    cut with its branch frozen at the candidate, holds at the oracle's
+    stabilizing imputation: no cut ever excludes a core point.
+
+    Under the unclamped optimistic rule each cut is constant in the
+    imputation (efficiency turns the deviators' payoffs plus the shortfalls
+    they cover into coalition values), so a cut there always ends the loop
+    with "no imputation"; the oracle must agree."""
+    cuts = []
+    exact_cut = tree_module._stability_cut
+
+    def recording_cut(g, cs, deviators, dev, post_value, rule, candidate, var_of):
+        coeffs, const = exact_cut(g, cs, deviators, dev, post_value, rule, candidate, var_of)
+        cuts.append((coeffs, const, var_of))
+        return coeffs, const
+
+    monkeypatch.setattr(tree_module, "_stability_cut", recording_cut)
+    rng = random.Random(73)
+    checked = {rule.name: 0 for rule in RULES}
+    for trial in range(120):
+        g = random_tree_game(rng, nmax=3)
+        _, cs = optval_tree(g, g.weights)
+        rule = RULES[trial % 4]
+        cuts.clear()
+        found = is_stable_tree(g, rule, cs)
+        imp = brute_is_stable(g, rule, cs)
+        assert (found is None) == (imp is None)
+        if imp is None:
+            continue
+        for coeffs, const, var_of in cuts:
+            at = sum((coeffs.get(v, 0) * imp[j][i] for (j, i), v in var_of.items()), start=Fraction(0))
+            assert at >= const
+            checked[rule.name] += 1
+    assert checked.pop(OPTIMISTIC.name) == 0
+    assert all(count >= 3 for count in checked.values()), checked
 
 
 def test_is_stable_round_budget(g1):

@@ -247,9 +247,12 @@ def test_checkcore_agreement_random():
         mv, _ = max_excess_tw(g, rule, o, td)
         bv, _ = brute_max_excess(g, rule, o)
         assert mv == bv
-        assert (checkcore_tw(g, rule, o, td) is None) == (
-            brute_checkcore(g, rule, o) is None
-        )
+        cc = checkcore_tw(g, rule, o, td)
+        assert (cc is None) == (brute_checkcore(g, rule, o) is None)
+        if cc is not None:
+            assert cc.deviation is not None and cc.post is not None
+            total = deviation_total(g, o, cc.agents, cc.deviation, rule, cc.post)
+            assert total - o.payoff_to_set(cc.agents) == cc.excess == mv
 
 
 def test_checkcore_matches_tree_on_forests():
