@@ -15,6 +15,7 @@ from .arbitration import (
     OPTIMISTIC_CLAMPED,
     REFINED,
     SENSITIVE,
+    CoreViolation,
     Deviation,
     deviation_total,
     local_payoff,
@@ -22,6 +23,7 @@ from .arbitration import (
     sensitive_payoffs,
 )
 from .core import (
+    BudgetExceededError,
     CharacteristicFunction,
     Coalition,
     CoalitionStructure,
@@ -51,8 +53,6 @@ from .lbg import (
 )
 from .lp import LinearProgram, LpSolution, solve_lp
 from .oracle import (
-    BudgetExceededError,
-    CoreViolation,
     EnumerationBudget,
     brute_arbval,
     brute_checkcore,

@@ -19,7 +19,10 @@ to per-coalition payments back to S:
 
 Conservative, refined and optimistic are *local*: the payment from a coalition
 depends only on that coalition's own withdrawal, its payoff vector, S and the
-game.  Only local rules are accepted by the tree and treewidth solvers.
+game.  Only local rules are accepted by the tree and treewidth solvers.  Each
+local rule also states its payment through ``payment_terms``, as affine forms
+in the coalition's payoff entries whose maximum is the payment; the stability
+LP of :mod:`ocf.stability` reads its rows from them.
 """
 
 from __future__ import annotations
@@ -45,6 +48,10 @@ from .core import (
 )
 
 
+# One affine form of a payment: (coefficient per agent, constant).
+PaymentTerm = tuple[dict[int, int], Fraction]
+
+
 class UnsupportedRuleError(ValueError):
     """A solver was handed an arbitration rule it cannot handle."""
 
@@ -67,6 +74,16 @@ class Deviation:
 
     def is_empty(self) -> bool:
         return all(all(w == 0 for w in d) for d in self.withdrawals.values())
+
+
+@dataclass(frozen=True)
+class CoreViolation:
+    """Witness that an outcome is not in the core."""
+
+    agents: frozenset[int]
+    excess: Fraction
+    deviation: Deviation | None = None
+    post: CoalitionStructure | None = None
 
 
 def validate_deviation(o: Outcome, deviators: frozenset[int], dev: Deviation, n: int) -> None:
@@ -118,6 +135,18 @@ class LocalArbitrationRule(ArbitrationRule):
     ) -> Fraction:
         raise NotImplementedError
 
+    def payment_terms(
+        self,
+        cf: CharacteristicFunction,
+        c: Coalition,
+        d: Coalition,
+        deviators: frozenset[int],
+    ) -> tuple[PaymentTerm, ...]:
+        """The payment as affine forms (coefficient per agent, constant) in
+        the coalition's payoff entries: at any xc that is zero outside
+        support(c), ``coalition_payoff`` is the largest form's value."""
+        raise NotImplementedError
+
     def deviation_payoffs(self, game, outcome, deviators, dev):
         n = game.n
         own = set(reduce_structure_indices(outcome.structure, deviators))
@@ -136,6 +165,9 @@ class ConservativeRule(LocalArbitrationRule):
     def coalition_payoff(self, cf, c, d, xc, deviators):
         return ZERO
 
+    def payment_terms(self, cf, c, d, deviators):
+        return (({}, ZERO),)
+
 
 class RefinedRule(LocalArbitrationRule):
     name = "refined"
@@ -144,6 +176,11 @@ class RefinedRule(LocalArbitrationRule):
         if any(w != 0 for w in d):
             return ZERO
         return sum((xc[i] for i in deviators if i < len(xc)), start=ZERO)
+
+    def payment_terms(self, cf, c, d, deviators):
+        if any(d):
+            return (({}, ZERO),)
+        return (({i: 1 for i in support(c) & deviators}, ZERO),)
 
 
 class OptimisticRule(LocalArbitrationRule):
@@ -165,6 +202,10 @@ class OptimisticRule(LocalArbitrationRule):
         if self.clamped and pay < 0:
             return ZERO
         return pay
+
+    def payment_terms(self, cf, c, d, deviators):
+        linear = ({i: -1 for i in support(c) - deviators}, cf.value(vec_sub(c, d)))
+        return (linear, ({}, ZERO)) if self.clamped else (linear,)
 
 
 class SensitiveRule(ArbitrationRule):

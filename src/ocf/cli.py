@@ -26,6 +26,7 @@ from fractions import Fraction
 from . import __version__
 from .arbitration import LocalArbitrationRule, UnsupportedRuleError, rule_from_name
 from .core import (
+    BudgetExceededError,
     ContractViolation,
     GameDef,
     Outcome,
@@ -59,7 +60,6 @@ from .lbg import (
     lbg_verify_core,
 )
 from .oracle import (
-    BudgetExceededError,
     EnumerationBudget,
     brute_arbval,
     brute_checkcore,
@@ -68,8 +68,6 @@ from .oracle import (
 )
 from .rationals import RationalFormatError, format_rational, parse_rational
 from .tree import (
-    UnsupportedGameError,
-    UnsupportedOutcomeError,
     arbval_local,
     arbval_tree,
     checkcore_tree,
@@ -77,6 +75,8 @@ from .tree import (
     optval_tree,
 )
 from .treewidth import (
+    UnsupportedGameError,
+    UnsupportedOutcomeError,
     arbval_tw,
     checkcore_tw,
     heuristic_decomposition,
@@ -228,16 +228,14 @@ def cmd_arbval(args: argparse.Namespace) -> int:
     report = _Report(args, f"{args.lane} arbval")
     if args.lane == "oracle":
         value, (dev, post) = brute_arbval(g, _rule(args), o, S, _budget(args))
-        report.put("deviation", _deviation_doc(dev))
-        report.put("post_structure", _structure_doc(post))
     elif args.lane == "tree":
-        if args.local:
-            value = arbval_local(g, _local_rule(args), o, S)
-        else:
-            value = arbval_tree(g, _local_rule(args), o, S)
+        solver = arbval_local if args.local else arbval_tree
+        value, dev, post = solver(g, _local_rule(args), o, S, with_witness=True)
     else:
         t = _decomposition(args, g) if (args.decomp or args.auto) else None
-        value = arbval_tw(g, _local_rule(args), o, S, t=t)
+        value, dev, post = arbval_tw(g, _local_rule(args), o, S, t=t, with_witness=True)
+    report.put("deviation", _deviation_doc(dev))
+    report.put("post_structure", _structure_doc(post))
     code = _threshold_verdict(report, value, args)
     report.emit()
     return code

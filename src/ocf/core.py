@@ -29,6 +29,10 @@ class ContractViolation(ValueError):
     """A caller broke an operation precondition (dimension mismatch etc.)."""
 
 
+class BudgetExceededError(RuntimeError):
+    """An enumeration would exceed the configured budget."""
+
+
 def support(c: Coalition) -> frozenset[int]:
     """Agents contributing a positive amount to the coalition."""
     return frozenset(i for i, w in enumerate(c) if w > 0)
@@ -322,6 +326,16 @@ def reduce_structure_indices(cs: CoalitionStructure, agents: Iterable[int]) -> l
     """Indices into ``cs`` of the coalitions fully supported inside ``agents``."""
     s = frozenset(agents)
     return [j for j, c in enumerate(cs) if support(c) <= s]
+
+
+def mixed_indices(cs: CoalitionStructure, agents: frozenset[int]) -> list[int]:
+    """Indices into ``cs`` of the coalitions ``agents`` share with outsiders."""
+    out = []
+    for j, c in enumerate(cs):
+        sup = support(c)
+        if (sup & agents) and not sup <= agents:
+            out.append(j)
+    return out
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,9 @@ work on any ordered additive values (scaled ``int``s in the bag engine,
   engine in :mod:`ocf.treewidth`.
 * ``convolve`` - the bounded (max,+) convolution of a box table with a table
   over some of its axes.  Used by the bag engine's child merges and keep
-  layers, and by ``KeepTable``, ``AlphaTable``, ``VBarTable`` and the
-  withdrawal DP of ``arbval_local`` in :mod:`ocf.tree`.
+  layers and by its feeder tables ``KeepTable``, ``AlphaTable`` and
+  ``VBarTable`` in :mod:`ocf.treewidth`, and by the withdrawal DP of
+  ``arbval_local`` in :mod:`ocf.tree`.
 
 The cover of a resource vector is the best total value of a coalition
 multiset using at most those resources.  Because unlisted coalitions are worth

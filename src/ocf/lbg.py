@@ -23,9 +23,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator
 
-from .core import ZERO, ContractViolation
+from .core import ZERO, BudgetExceededError, ContractViolation
 from .lp import LinearProgram, solve_lp
-from .oracle import BudgetExceededError
 
 ONE = Fraction(1)
 

@@ -6,7 +6,7 @@ is deterministic.  The final basis certifies row duals; for a maximization
 with <= rows the duals are the usual non-negative shadow prices.
 
 Problem shape: maximize c.x subject to rows (a, sense, b) with sense one of
-"<=", ">=", "=", and x >= lower_bounds (zero by default).  Status is one of
+"<=", ">=", "=", and x >= 0.  Status is one of
 "optimal", "infeasible", "unbounded".
 """
 
@@ -27,7 +27,6 @@ class LinearProgram:
     n_vars: int
     objective: list[Fraction]
     rows: list[Row] = field(default_factory=list)
-    lower_bounds: list[Fraction] | None = None
 
     def add_row(self, coeffs: dict[int, Fraction], sense: str, rhs: Fraction) -> None:
         dense = [ZERO] * self.n_vars
@@ -55,15 +54,10 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         if sense not in ("<=", ">=", "="):
             raise ContractViolation(f"unknown sense {sense!r}")
 
-    shift = [Fraction(v) for v in (lp.lower_bounds or [ZERO] * n)]
-    if len(shift) != n:
-        raise ContractViolation("lower_bounds length must equal n_vars")
-    const = sum((c * s for c, s in zip(lp.objective, shift)), start=ZERO)
-
-    # standardize: x' = x - lb >= 0, all rhs >= 0 (negating rows flips duals)
+    # standardize: all rhs >= 0 (negating rows flips duals)
     std_rows: list[tuple[list[Fraction], str, Fraction, int]] = []
     for coeffs, sense, rhs in lp.rows:
-        rhs2 = Fraction(rhs) - sum((a * s for a, s in zip(coeffs, shift)), start=ZERO)
+        rhs2 = Fraction(rhs)
         coeffs2 = [Fraction(a) for a in coeffs]
         mult = 1
         if rhs2 < 0:
@@ -195,8 +189,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = tab[i][ncols]
-    value = sum((c * v for c, v in zip(lp.objective, x)), start=ZERO) + const
-    x_full = tuple(v + s for v, s in zip(x, shift))
+    value = sum((c * v for c, v in zip(lp.objective, x)), start=ZERO)
 
     # dual of row i reads off the reduced cost of its initial identity column
     y_red = [ZERO] * ncols
@@ -213,7 +206,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         duals.append(mult * y)
     return LpSolution(
         status="optimal",
-        x=x_full,
+        x=tuple(x),
         objective_value=value,
         duals=tuple(duals),
     )

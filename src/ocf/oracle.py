@@ -4,11 +4,14 @@ Everything here trades time for certainty: exhaustive enumeration of coalition
 structures, deviations and agent subsets, guarded by an explicit budget so a
 mistyped instance aborts with a count instead of running unbounded.  The
 pseudo-polynomial solvers in :mod:`ocf.tree` and :mod:`ocf.treewidth` are
-tested against these.
+tested against these.  ``brute_is_stable`` writes the whole stability LP of
+:mod:`ocf.stability`: its variables, and one row per deviating set,
+withdrawal profile and choice of the rule's payment terms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -16,19 +19,20 @@ from typing import Iterator
 
 from .arbitration import (
     ArbitrationRule,
+    CoreViolation,
     Deviation,
-    OptimisticRule,
-    UnsupportedRuleError,
     deviation_available,
 )
 from .core import (
     ZERO,
+    BudgetExceededError,
     Coalition,
     CoalitionStructure,
     ContractViolation,
     GameDef,
     Imputation,
     Outcome,
+    mixed_indices,
     reduce_structure_indices,
     structure_weight,
     support,
@@ -36,11 +40,8 @@ from .core import (
     zero_coalition,
 )
 from .covers import CoverTable, lift
-from .lp import LinearProgram, solve_lp
-
-
-class BudgetExceededError(RuntimeError):
-    """An enumeration would exceed the configured budget."""
+from .lp import solve_lp
+from .stability import read_imputation, stability_lp, stability_row
 
 
 @dataclass(frozen=True)
@@ -55,16 +56,6 @@ class EnumerationBudget:
 
 
 DEFAULT_BUDGET = EnumerationBudget()
-
-
-@dataclass(frozen=True)
-class CoreViolation:
-    """Witness that an outcome is not in the core."""
-
-    agents: frozenset[int]
-    excess: Fraction
-    deviation: Deviation | None = None
-    post: CoalitionStructure | None = None
 
 
 def _check_cover_budget(g: GameDef, c: Coalition, budget: EnumerationBudget | None) -> None:
@@ -196,15 +187,6 @@ def enumerate_structures(
     return rec(0, c, [])
 
 
-def _mixed_indices(o: Outcome, deviators: frozenset[int]) -> list[int]:
-    out = []
-    for j, c in enumerate(o.structure):
-        sup = support(c)
-        if (sup & deviators) and not sup <= deviators:
-            out.append(j)
-    return out
-
-
 def _withdrawal_options(c: Coalition, deviators: frozenset[int]) -> list[Coalition]:
     """All withdrawal vectors from one coalition, zero vector first."""
     coords = sorted(support(c) & deviators)
@@ -231,7 +213,7 @@ def brute_arbval(
     freed resources rather than enumerated, which is exact and much smaller.
     """
     n = g.n
-    mixed = _mixed_indices(o, deviators)
+    mixed = mixed_indices(o.structure, deviators)
     options = {j: _withdrawal_options(o.structure[j], deviators) for j in mixed}
     space = 1
     for opts in options.values():
@@ -277,6 +259,25 @@ def iter_subsets(n: int) -> Iterator[frozenset[int]]:
         yield frozenset(i for i in range(n) if mask >> i & 1)
 
 
+def _max_excess_scan(
+    g: GameDef, arb: ArbitrationRule, o: Outcome, budget: EnumerationBudget | None
+) -> CoreViolation:
+    """The nonempty subset of maximum excess, the first in bitmask order on
+    ties, with the deviation and post-deviation structure that earn it."""
+    if budget is not None and g.n > budget.max_agents:
+        raise BudgetExceededError(
+            f"n={g.n} exceeds budget.max_agents={budget.max_agents} (2^n subsets)"
+        )
+    best: CoreViolation | None = None
+    for S in iter_subsets(g.n):
+        value, (dev, post) = brute_arbval(g, arb, o, S, budget)
+        excess = value - o.payoff_to_set(S)
+        if best is None or excess > best.excess:
+            best = CoreViolation(agents=S, excess=excess, deviation=dev, post=post)
+    assert best is not None
+    return best
+
+
 def brute_checkcore(
     g: GameDef,
     arb: ArbitrationRule,
@@ -288,17 +289,8 @@ def brute_checkcore(
     Returns the subset with the maximum excess (first such subset in bitmask
     order on ties) together with its witness deviation.
     """
-    if budget is not None and g.n > budget.max_agents:
-        raise BudgetExceededError(
-            f"n={g.n} exceeds budget.max_agents={budget.max_agents} (2^n subsets)"
-        )
-    best: CoreViolation | None = None
-    for S in iter_subsets(g.n):
-        value, (dev, post) = brute_arbval(g, arb, o, S, budget)
-        excess = value - o.payoff_to_set(S)
-        if excess > 0 and (best is None or excess > best.excess):
-            best = CoreViolation(agents=S, excess=excess, deviation=dev, post=post)
-    return best
+    best = _max_excess_scan(g, arb, o, budget)
+    return best if best.excess > 0 else None
 
 
 def brute_max_excess(
@@ -308,20 +300,8 @@ def brute_max_excess(
     budget: EnumerationBudget | None = DEFAULT_BUDGET,
 ) -> tuple[Fraction, frozenset[int]]:
     """Maximum excess over all nonempty subsets, stable or not."""
-    if budget is not None and g.n > budget.max_agents:
-        raise BudgetExceededError(
-            f"n={g.n} exceeds budget.max_agents={budget.max_agents} (2^n subsets)"
-        )
-    best_val: Fraction | None = None
-    best_set: frozenset[int] = frozenset()
-    for S in iter_subsets(g.n):
-        value, _ = brute_arbval(g, arb, o, S, budget)
-        excess = value - o.payoff_to_set(S)
-        if best_val is None or excess > best_val:
-            best_val = excess
-            best_set = S
-    assert best_val is not None
-    return best_val, best_set
+    best = _max_excess_scan(g, arb, o, budget)
+    return best.excess, best.agents
 
 
 def _stability_deviations(
@@ -335,11 +315,7 @@ def _stability_deviations(
     coalition suffices.  Optimistic needs every withdrawal level.
     """
     n = g.n
-    mixed = [
-        j
-        for j, c in enumerate(cs)
-        if (support(c) & deviators) and not support(c) <= deviators
-    ]
+    mixed = mixed_indices(cs, deviators)
     per: list[list[Coalition]] = []
     for j in mixed:
         c = cs[j]
@@ -357,46 +333,6 @@ def _stability_deviations(
         yield {j: w for j, w in zip(mixed, combo) if any(w)}
 
 
-def _stability_lp(
-    g: GameDef, rule: ArbitrationRule, cs: CoalitionStructure
-) -> tuple[LinearProgram, dict[tuple[int, int], int]]:
-    """Stability LP skeleton shared by every Is-Stable solver.
-
-    One non-negative variable per (coalition index, contributor) and one
-    efficiency equality per coalition.  Supported rules: conservative,
-    refined, optimistic (either clamping); the others have no linear
-    stability constraints.
-    """
-    if rule.name not in ("conservative", "refined", "optimistic", "optimistic-clamped"):
-        raise UnsupportedRuleError(
-            f"stability system is not linear for rule {rule.name!r}"
-        )
-    var_of: dict[tuple[int, int], int] = {}
-    for j, c in enumerate(cs):
-        for i in sorted(support(c)):
-            var_of[(j, i)] = len(var_of)
-    lp = LinearProgram(n_vars=len(var_of), objective=[ZERO] * len(var_of))
-    for j, c in enumerate(cs):
-        sup = sorted(support(c))
-        if not sup:
-            continue
-        lp.add_row({var_of[(j, i)]: Fraction(1) for i in sup}, "=", g.charfun.value(c))
-    return lp, var_of
-
-
-def _read_imputation(
-    cs: CoalitionStructure, var_of: dict[tuple[int, int], int], x: tuple[Fraction, ...], n: int
-) -> Imputation:
-    """The imputation held by an LP point of ``_stability_lp``'s variables."""
-    imputation = []
-    for j, c in enumerate(cs):
-        row = [ZERO] * n
-        for i in support(c):
-            row[i] = x[var_of[(j, i)]]
-        imputation.append(tuple(row))
-    return tuple(imputation)
-
-
 def brute_is_stable(
     g: GameDef,
     rule: ArbitrationRule,
@@ -410,17 +346,16 @@ def brute_is_stable(
     system to the exact LP solver.  Supported rules: conservative, refined,
     optimistic (either clamping).  Under the clamped optimistic rule each
     pair takes one row per zero/linear branch of every mixed coalition, so
-    the stability rows are counted as they are built: the budget allows 2^n
-    subsets with 2^(max_agents - 2) rows each on average, 16 at the default.
+    the stability rows are counted before they are built: the budget allows
+    2^n subsets with 2^(max_agents - 2) rows each on average, 16 at the
+    default.
     """
-    lp, var_of = _stability_lp(g, rule, cs)
+    lp, var_of = stability_lp(g, rule, cs)
     if budget is not None and g.n > budget.max_agents:
         raise BudgetExceededError(
             f"n={g.n} exceeds budget.max_agents={budget.max_agents}"
         )
     n = g.n
-
-    clamped = isinstance(rule, OptimisticRule) and rule.clamped
     cover_cache: dict[Coalition, Fraction] = {}
 
     def cover_value(avail: Coalition) -> Fraction:
@@ -428,95 +363,38 @@ def brute_is_stable(
             cover_cache[avail], _ = superadditive_cover(g, avail, budget)
         return cover_cache[avail]
 
-    equalities = len(lp.rows)
-
-    def check_rows(pending: int) -> None:
-        if budget is None:
-            return
-        max_rows = 1 << (n + budget.max_agents - 2)
-        if len(lp.rows) - equalities + pending > max_rows:
-            raise BudgetExceededError(
-                f"stability system exceeds {max_rows} rows "
-                f"(2^(n + budget.max_agents - 2), budget.max_agents={budget.max_agents})"
-            )
-
+    max_rows = None if budget is None else 1 << (n + budget.max_agents - 2)
+    rows = 0
     committed = structure_weight(cs, n)
+    zero = zero_coalition(n)
     for S in iter_subsets(n):
-        own_idx = set(reduce_structure_indices(cs, S))
-        own = structure_weight(tuple(cs[j] for j in own_idx), n)
-        s_coeff: dict[int, Fraction] = {}
-        for (j, i), v in var_of.items():
-            if i in S:
-                s_coeff[v] = s_coeff.get(v, ZERO) + 1
+        own = structure_weight(tuple(cs[j] for j in reduce_structure_indices(cs, S)), n)
+        mixed = mixed_indices(cs, S)
         for withdrawals in _stability_deviations(g, cs, S, rule):
-            avail = []
-            for i in range(n):
-                if i in S:
-                    freed = sum(w[i] for w in withdrawals.values())
-                    avail.append(own[i] + (g.weights[i] - committed[i]) + freed)
-                else:
-                    avail.append(0)
-            const = cover_value(tuple(avail))
-            # linear payment terms per non-own coalition, by rule
-            lin_parts: list[dict[int, Fraction]] = [dict()]
-            if rule.name == "refined":
-                lin = dict(lin_parts[0])
-                for j, c in enumerate(cs):
-                    if j in own_idx:
-                        continue
-                    if any(withdrawals.get(j, zero_coalition(n))):
-                        continue
-                    for i in support(c) & S:
-                        v = var_of[(j, i)]
-                        lin[v] = lin.get(v, ZERO) + 1
-                lin_parts = [lin]
-            elif rule.name.startswith("optimistic"):
-                branch_rows: list[tuple[dict[int, Fraction], Fraction]] = [(dict(), ZERO)]
-                for j, c in enumerate(cs):
-                    if j in own_idx:
-                        continue
-                    if not support(c) & S:
-                        # untouched and disjoint from S: pays zero under any
-                        # efficient imputation, and efficiency rows are present
-                        continue
-                    d = withdrawals.get(j, zero_coalition(n))
-                    remainder = tuple(a - b for a, b in zip(c, d))
-                    base = g.charfun.value(remainder)
-                    term: dict[int, Fraction] = {}
-                    for i in support(c) - S:
-                        term[var_of[(j, i)]] = Fraction(-1)
-                    if clamped:
-                        new_rows = []
-                        for lin, cst in branch_rows:
-                            merged = dict(lin)
-                            for v, a in term.items():
-                                merged[v] = merged.get(v, ZERO) + a
-                            new_rows.append((merged, cst + base))
-                            new_rows.append((lin, cst))
-                        branch_rows = new_rows
-                        check_rows(len(branch_rows))
-                    else:
-                        for idx, (lin, cst) in enumerate(branch_rows):
-                            merged = dict(lin)
-                            for v, a in term.items():
-                                merged[v] = merged.get(v, ZERO) + a
-                            branch_rows[idx] = (merged, cst + base)
-                check_rows(len(branch_rows))
-                for lin, cst in branch_rows:
-                    row = dict(s_coeff)
-                    for v, a in lin.items():
-                        row[v] = row.get(v, ZERO) - a
-                    lp.add_row(row, ">=", const + cst)
-                continue
-            check_rows(len(lin_parts))
-            for lin in lin_parts:
-                row = dict(s_coeff)
-                for v, a in lin.items():
-                    row[v] = row.get(v, ZERO) - a
-                lp.add_row(row, ">=", const)
+            avail = tuple(
+                own[i] + (g.weights[i] - committed[i]) + sum(w[i] for w in withdrawals.values())
+                if i in S
+                else 0
+                for i in range(n)
+            )
+            const = cover_value(avail)
+            # one row per choice of payment term from every mixed coalition
+            terms = [
+                rule.payment_terms(g.charfun, cs[j], withdrawals.get(j, zero), S)
+                for j in mixed
+            ]
+            rows += math.prod(len(t) for t in terms)
+            if max_rows is not None and rows > max_rows:
+                raise BudgetExceededError(
+                    f"stability system exceeds {max_rows} rows "
+                    f"(2^(n + budget.max_agents - 2), budget.max_agents={budget.max_agents})"
+                )
+            for combo in product(*terms):
+                row, cst = stability_row(var_of, S, zip(mixed, combo))
+                lp.add_row(row, ">=", const + cst)
 
     sol = solve_lp(lp)
     if sol.status != "optimal":
         return None
     assert sol.x is not None
-    return _read_imputation(cs, var_of, sol.x, n)
+    return read_imputation(cs, var_of, sol.x, n)

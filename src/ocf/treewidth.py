@@ -13,8 +13,15 @@ the set to every vertex.  One walk back through the engine's tables reads
 off a witness: the members, the pair atoms picked, each member's solo
 level, and the units each member keeps with each non-member neighbour.
 CheckCore turns that walk into its violation's deviation and
-post-deviation structure, so the cutting-plane loop of Is-Stable reads its
-cuts from CheckCore without solving ArbVal again.
+post-deviation structure, so the cutting-plane loop of Is-Stable
+(``cutting_plane`` in :mod:`ocf.stability`) reads its cuts from CheckCore
+without solving ArbVal again.
+
+The feeder tables of the engine's solo and keep rows live here too:
+``SingleTable`` (an agent alone), ``KeepTable`` (a deviator keeping units
+on one edge), ``AlphaTable`` (on all its edges to non-deviators) and
+``VBarTable`` (both), as do the lane checks and ``rooted_forest``; this
+module imports nothing from :mod:`ocf.tree`.
 
 Charging discipline: every agent's solo work is priced exactly once, at the
 *topmost* bag containing the agent; every edge's pair coalitions, and under
@@ -39,7 +46,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable
 
-from .arbitration import Deviation, LocalArbitrationRule, UnsupportedRuleError
+from .arbitration import CoreViolation, Deviation, LocalArbitrationRule, UnsupportedRuleError
 from .core import (
     ZERO,
     Coalition,
@@ -49,20 +56,102 @@ from .core import (
     Imputation,
     InteractionGraph,
     Outcome,
+    structure_weight,
+    vec_leq,
 )
-from .covers import closure, convolve, unwind
-from .oracle import CoreViolation, _pad_fillers
-from .tree import (
-    AlphaTable,
-    KeepTable,
-    SingleTable,
-    VBarTable,
-    _deviation_from_keeps,
-    check_outcome_shape,
-    cutting_plane,
-    require_two_ocf_tree,
-    rooted_forest,
-)
+from .covers import closure, convolve, single_cover, single_cover_witness, unwind
+from .oracle import _pad_fillers
+from .stability import cutting_plane
+
+
+class UnsupportedGameError(ValueError):
+    """The game shape is outside this solver's contract."""
+
+
+class UnsupportedOutcomeError(ValueError):
+    """The outcome is not pairwise-shaped over the interaction graph."""
+
+
+def require_two_ocf_tree(g: GameDef, need_forest: bool = True) -> InteractionGraph:
+    if g.charfun.k > 2:
+        raise UnsupportedGameError(f"solver requires a 2-OCF game, got k={g.charfun.k}")
+    if g.interaction is None:
+        raise UnsupportedGameError("solver requires an interaction graph")
+    if need_forest and not g.interaction.is_forest():
+        raise UnsupportedGameError(
+            "interaction graph has a cycle; use the treewidth solver instead"
+        )
+    return g.interaction
+
+
+def check_outcome_shape(g: GameDef, o: Outcome) -> None:
+    """Light validity: feasible, efficient, no side payments, pairwise-shaped."""
+    if g.interaction is None:
+        raise UnsupportedGameError("solver requires an interaction graph")
+    if len(o.structure) != len(o.imputation):
+        raise ContractViolation("imputation length mismatch")
+    if not vec_leq(structure_weight(o.structure, g.n), g.weights):
+        raise ContractViolation("structure exceeds endowments")
+    for j, (c, x, sup) in enumerate(zip(o.structure, o.imputation, o.supports)):
+        if len(sup) > 2:
+            raise UnsupportedOutcomeError(
+                f"coalition {j} has {len(sup)} contributors; tree solvers need <= 2"
+            )
+        if len(sup) == 2:
+            a, b = sorted(sup)
+            if not g.interaction.has_edge(a, b):
+                raise UnsupportedOutcomeError(
+                    f"coalition {j} spans non-edge ({a},{b})"
+                )
+        # with nothing paid outside the support, its entries are the whole sum
+        outside = any(v for i, v in enumerate(x) if i not in sup)
+        paid = sum(x if outside else (x[i] for i in sup), start=ZERO)
+        if paid != g.charfun.value(c):
+            raise ContractViolation(f"coalition {j} violates efficiency")
+        if outside or any(x[i] < 0 for i in sup):
+            raise ContractViolation(f"coalition {j} pays outside its support")
+
+
+@dataclass(frozen=True)
+class RootedTree:
+    root: int
+    vertices: tuple[int, ...]
+    children: dict[int, tuple[int, ...]]
+    parent: dict[int, int | None]
+
+
+def rooted_forest(graph: InteractionGraph, vertices: set[int] | None = None) -> list[RootedTree]:
+    """Deterministic rooting: lowest index per component, children ascending,
+    vertices in breadth-first order (every parent before its children)."""
+    verts = set(range(graph.n)) if vertices is None else set(vertices)
+    adj: dict[int, set[int]] = {v: set() for v in verts}
+    for a, b in graph.simple_edges():
+        if a in verts and b in verts:
+            adj[a].add(b)
+            adj[b].add(a)
+    seen: set[int] = set()
+    trees = []
+    for start in sorted(verts):
+        if start in seen:
+            continue
+        children: dict[int, tuple[int, ...]] = {}
+        parent: dict[int, int | None] = {start: None}
+        order = [start]
+        seen.add(start)
+        queue = [start]
+        while queue:
+            v = queue.pop(0)
+            kids = tuple(u for u in sorted(adj[v]) if u not in seen)
+            children[v] = kids
+            for u in kids:
+                seen.add(u)
+                parent[u] = v
+                order.append(u)
+                queue.append(u)
+        trees.append(
+            RootedTree(root=start, vertices=tuple(order), children=children, parent=parent)
+        )
+    return trees
 
 
 @dataclass(frozen=True)
@@ -294,6 +383,166 @@ def _scaled(v: Fraction | None, d: int) -> int | None:
 def _pair_atoms(g: GameDef, a: int, b: int) -> list[tuple[Coalition, Fraction]]:
     """Stored coalitions supported by exactly the two ends of edge (a, b)."""
     return [(c, v) for c, v in g.charfun.atoms_within(frozenset((a, b))) if c[a] and c[b]]
+
+
+def _single_atoms(g: GameDef, i: int) -> list[tuple[int, Fraction]]:
+    out = []
+    table = g.charfun.entries.get((i,), {})
+    for contrib, value in sorted(table.items()):
+        if value > 0:
+            out.append((contrib[0], value))
+    return out
+
+
+class SingleTable:
+    """v*_i(w): best split of w units of one agent into its own coalitions."""
+
+    def __init__(self, g: GameDef, i: int, cap: int):
+        self.agent = i
+        self.atoms = _single_atoms(g, i)
+        self.values, self.choice = single_cover(self.atoms, cap)
+        self._vectors = g.charfun.vectors
+
+    def value(self, w: int) -> Fraction:
+        return self.values[w]
+
+    def witness(self, w: int) -> list[Coalition]:
+        key = (self.agent,)
+        return [self._vectors[(key, (u,))] for u in single_cover_witness(self.atoms, self.choice, w)]
+
+
+def _pair_coalitions(o: Outcome, i: int, j: int) -> list[int]:
+    """Indices of outcome coalitions supported by exactly {i, j}."""
+    pair = frozenset((i, j))
+    return [k for k, sup in enumerate(o.supports) if sup == pair]
+
+
+def _line(values: list) -> dict:
+    """A 1-d value list as a kernel table keyed by 1-tuples."""
+    return {(k,): v for k, v in enumerate(values)}
+
+
+def _chain(rows: list[list]) -> tuple[int, list, list[dict]]:
+    """Best total over one entry per row, for every total index up to the sum
+    of the rows' lengths: (that sum, the totals, the per-row picks)."""
+    cap = sum(len(row) - 1 for row in rows)
+    table = _line([ZERO] + [None] * cap)
+    bps = []
+    for row in rows:
+        table, bp = convolve((cap,), table, (0,), _line(row))
+        bps.append(bp)
+    return cap, list(table.values()), bps
+
+
+def _chain_picks(bps: list[dict], y: int) -> list[int]:
+    """Per-row indices of one best choice for total y, in row order."""
+    out = []
+    for bp in reversed(bps):
+        (k,) = bp[(y,)]
+        out.append(k)
+        y -= k
+    assert y == 0
+    return out[::-1]
+
+
+class KeepTable:
+    """Best arbitration payoff for keeping y units of one deviator on one edge.
+
+    Covers the outcome coalitions supported by {dev, other}; keeping k of the
+    deviator's contribution in a coalition means withdrawing the rest.
+    A knapsack across the edge's coalitions, with per-coalition backpointers.
+    """
+
+    def __init__(self, g: GameDef, o: Outcome, rule: LocalArbitrationRule, dev: int, other: int):
+        self.dev = dev
+        self.indices = _pair_coalitions(o, dev, other)
+        n = g.n
+        pays: list[list[Fraction]] = []
+        for j in self.indices:
+            c = o.structure[j]
+            x = o.imputation[j]
+            ci = c[dev]
+            row = []
+            for keep in range(ci + 1):
+                d = [0] * n
+                d[dev] = ci - keep
+                row.append(rule.coalition_payoff(g.charfun, c, tuple(d), x, frozenset((dev,))))
+            pays.append(row)
+        self.cap, self.values, self._bp = _chain(pays)
+
+    def value(self, y: int) -> Fraction | None:
+        """Best payoff for keeping exactly y units; None when unreachable."""
+        if y > self.cap:
+            return None
+        return self.values[y]
+
+    def keeps(self, y: int) -> dict[int, int]:
+        """Per-coalition kept units achieving value(y)."""
+        return dict(zip(self.indices, _chain_picks(self._bp, y)))
+
+
+class AlphaTable:
+    """Best total arbitration payoff for agent i keeping y units with the
+    given non-deviating neighbours, merged edge by edge."""
+
+    def __init__(self, g: GameDef, o: Outcome, rule: LocalArbitrationRule, i: int, others: list[int]):
+        self.keep_tables = [KeepTable(g, o, rule, i, j) for j in others]
+        self.cap, self.values, self._bp = _chain([t.values for t in self.keep_tables])
+
+    def value(self, y: int) -> Fraction | None:
+        if y > self.cap:
+            return None
+        return self.values[y]
+
+    def keeps(self, y: int) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for table, k in zip(self.keep_tables, _chain_picks(self._bp, y)):
+            out.update(table.keeps(k))
+        return out
+
+
+class VBarTable:
+    """Solo table of a deviator: split w units between working alone and
+    staying in coalitions with non-deviating neighbours."""
+
+    def __init__(self, single: SingleTable, alpha: AlphaTable, cap: int):
+        self.single = single
+        self.alpha = alpha
+        table, picks = convolve((cap,), _line(single.values), (0,), _line(alpha.values))
+        self.values = list(table.values())
+        self.split = [(w - kept, kept) for (w,), (kept,) in picks.items()]
+
+    def value(self, w: int):
+        return self.values[w]
+
+    def witness(self, w: int) -> list[Coalition]:
+        alone, _ = self.split[w]
+        return self.single.witness(alone)
+
+    def kept(self, w: int) -> dict[int, int]:
+        _, kept = self.split[w]
+        return self.alpha.keeps(kept)
+
+
+def _deviation_from_keeps(o: Outcome, kept: dict[int, int], deviators: frozenset[int], n: int) -> Deviation:
+    """Translate per-coalition kept units into withdrawal vectors.
+
+    Mixed coalitions absent from ``kept`` are fully withdrawn from."""
+    withdrawals: dict[int, Coalition] = {}
+    for j, (c, sup) in enumerate(zip(o.structure, o.supports)):
+        if not (sup & deviators) or sup <= deviators:
+            continue
+        d = [0] * n
+        for i in sup & deviators:
+            d[i] = c[i]
+        withdrawals[j] = tuple(d)
+    for j, keep in kept.items():
+        c = o.structure[j]
+        (i,) = o.supports[j] & deviators
+        d = list(withdrawals[j])
+        d[i] = c[i] - keep
+        withdrawals[j] = tuple(d)
+    return Deviation(withdrawals={j: d for j, d in withdrawals.items() if any(d)})
 
 
 @dataclass

@@ -181,3 +181,50 @@ def test_refined_zero_withdrawal_exact_share():
         for j, p in pays.items():
             share = sum((o.imputation[j][i] for i in S), start=Fraction(0))
             assert p == share
+
+
+LOCAL_RULES = (CONSERVATIVE, REFINED, OPTIMISTIC, OPTIMISTIC_CLAMPED)
+
+
+def _term_value(term, xc):
+    coeffs, const = term
+    return const + sum((a * xc[i] for i, a in coeffs.items()), start=Fraction(0))
+
+
+def test_payment_terms_max_is_coalition_payoff():
+    """The largest of a local rule's payment terms, at the coalition's payoff
+    vector, is the payment, for every withdrawal from every mixed coalition."""
+    from itertools import product
+
+    from ocf.core import mixed_indices, support
+
+    rng = random.Random(5)
+    cases = 0
+    for _ in range(120):
+        g = random_tree_game(rng, nmax=4)
+        o = random_outcome(rng, g)
+        S = frozenset(rng.sample(range(g.n), rng.randint(1, g.n - 1)))
+        for j in mixed_indices(o.structure, S):
+            c, xc = o.structure[j], o.imputation[j]
+            coords = sorted(support(c) & S)
+            for amounts in product(*(range(c[i] + 1) for i in coords)):
+                d = [0] * g.n
+                for i, w in zip(coords, amounts):
+                    d[i] = w
+                for rule in LOCAL_RULES:
+                    terms = rule.payment_terms(g.charfun, c, tuple(d), S)
+                    best = max(_term_value(t, xc) for t in terms)
+                    assert best == rule.coalition_payoff(g.charfun, c, tuple(d), xc, S)
+                    cases += 1
+    assert cases >= 200
+
+
+def test_clamped_payment_terms_tie_at_zero(g1):
+    """Withdrawing agent 0's unit from the pair leaves (0, 1), worth 2, and
+    agent 1 was promised 2: the linear branch is exactly 0, as is the clamp."""
+    S, c, d, xc = frozenset({0}), (1, 1), (1, 0), (Fraction(2), Fraction(2))
+    linear, zero = OPTIMISTIC_CLAMPED.payment_terms(g1.charfun, c, d, S)
+    assert linear == ({1: -1}, 2) and zero == ({}, 0)
+    assert _term_value(linear, xc) == _term_value(zero, xc) == 0
+    assert OPTIMISTIC_CLAMPED.coalition_payoff(g1.charfun, c, d, xc, S) == 0
+    assert OPTIMISTIC.payment_terms(g1.charfun, c, d, S) == (linear,)

@@ -199,3 +199,41 @@ def test_tree_checkcore_prints_witness(files, capsys, g1):
     assert gained == parse_rational(doc["excess"]) > 0
     code, out, _ = run(capsys, *args[:-2])
     assert code == 1 and "witness: withdraw" in out
+
+
+def test_arbval_witness_reevaluates(tmp_path, capsys):
+    """`tree arbval` (with and without --local) and `tw arbval` emit the
+    deviation and post structure that earn the reported value, and their
+    machine output repeats byte for byte."""
+    import random
+
+    from ocf.arbitration import rule_from_name
+    from conftest import random_outcome, random_tree_game
+
+    rng = random.Random(41)
+    lanes = (("tree",), ("tree", "--local"), ("tw",))
+    checked = withdrawn = 0
+    for trial in range(16):
+        g = random_tree_game(rng, nmax=4)
+        o = random_outcome(rng, g)
+        game, outcome = tmp_path / f"g{trial}.json", tmp_path / f"o{trial}.json"
+        dump_game(g, game)
+        dump_outcome(o, outcome)
+        o = load_outcome(outcome, g.n)
+        arb = ("conservative", "refined", "optimistic", "optimistic-clamped")[trial % 4]
+        agents = frozenset(rng.sample(range(g.n), rng.randint(1, g.n - 1)))
+        for lane in lanes:
+            args = (lane[0], "arbval", *lane[1:], "--game", str(game), "--outcome", str(outcome),
+                    "--set", ",".join(map(str, sorted(agents))), "--arb", arb,
+                    "--format", "machine")
+            code, out1, _ = run(capsys, *args)
+            _, out2, _ = run(capsys, *args)
+            assert code == 0 and out1 == out2
+            doc = json.loads(out1)
+            dev = Deviation(withdrawals={int(j): tuple(d) for j, d in doc["deviation"].items()})
+            post = tuple(tuple(c) for c in doc["post_structure"])
+            total = deviation_total(g, o, agents, dev, rule_from_name(arb), post)
+            assert total == parse_rational(doc["value"]), (lane, arb, agents)
+            checked += 1
+            withdrawn += bool(dev.withdrawals)
+    assert checked == 48 and withdrawn >= 6

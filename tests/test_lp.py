@@ -88,19 +88,6 @@ def test_duals_certify_weak_duality():
         assert covered >= lp.objective[j]
 
 
-def test_lower_bounds_shift():
-    lp = LinearProgram(
-        n_vars=1, objective=[F(1)], lower_bounds=[F(2)]
-    )
-    lp.add_row({0: F(1)}, "<=", F(5))
-    sol = solve_lp(lp)
-    assert sol.status == "optimal" and sol.x == (F(5),)
-    lp2 = LinearProgram(n_vars=1, objective=[F(-1)], lower_bounds=[F(2)])
-    lp2.add_row({0: F(1)}, "<=", F(5))
-    sol2 = solve_lp(lp2)
-    assert sol2.x == (F(2),)
-
-
 def test_malformed_rejected():
     lp = LinearProgram(n_vars=2, objective=[F(1)])
     with pytest.raises(ContractViolation):

@@ -31,20 +31,22 @@ from ocf.oracle import (
     superadditive_cover,
 )
 from ocf.tree import (
-    AlphaTable,
-    KeepTable,
-    UnsupportedGameError,
-    UnsupportedOutcomeError,
     arbval_local,
     arbval_tree,
-    check_outcome_shape,
     checkcore_tree,
     is_stable_tree,
     max_excess_tree,
     optval_tree,
+)
+from ocf.treewidth import (
+    AlphaTable,
+    KeepTable,
+    UnsupportedGameError,
+    UnsupportedOutcomeError,
+    check_outcome_shape,
     rooted_forest,
 )
-import ocf.tree as tree_module
+import ocf.stability as stability_module
 from conftest import random_outcome, random_structure, random_tree_game
 
 RULES = (CONSERVATIVE, REFINED, OPTIMISTIC, OPTIMISTIC_CLAMPED)
@@ -325,14 +327,14 @@ def test_stability_cuts_hold_at_core_imputations(monkeypatch):
     they cover into coalition values), so a cut there always ends the loop
     with "no imputation"; the oracle must agree."""
     cuts = []
-    exact_cut = tree_module._stability_cut
+    exact_cut = stability_module._stability_cut
 
     def recording_cut(g, cs, deviators, dev, post_value, rule, candidate, var_of):
         coeffs, const = exact_cut(g, cs, deviators, dev, post_value, rule, candidate, var_of)
         cuts.append((coeffs, const, var_of))
         return coeffs, const
 
-    monkeypatch.setattr(tree_module, "_stability_cut", recording_cut)
+    monkeypatch.setattr(stability_module, "_stability_cut", recording_cut)
     rng = random.Random(73)
     checked = {rule.name: 0 for rule in RULES}
     for trial in range(120):
