@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable
 
-from .core import ZERO, Coalition
+from .core import ZERO, CharacteristicFunction, Coalition
 
 
 def closure(caps: tuple[int, ...], atoms: list[tuple[tuple[int, ...], object]], base: dict):
@@ -137,6 +137,13 @@ class CoverTable:
         """Atoms of one optimal multiset for ``r`` (resources may be left over)."""
         picked, _ = unwind(self.atoms, self.choice, tuple(r))
         return [self.atoms[k][0] for k in picked]
+
+
+def solo_atoms(cf: CharacteristicFunction, i: int) -> list[tuple[int, Fraction]]:
+    """Agent i's positive-valued coalitions of its own, as (units, value)
+    pairs in unit order: the atoms of its ``single_cover``."""
+    table = cf.entries.get((i,), {})
+    return [(contrib[0], value) for contrib, value in sorted(table.items()) if value > 0]
 
 
 def single_cover(

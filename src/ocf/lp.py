@@ -1,13 +1,20 @@
 """Exact rational linear programming.
 
-A dense two-phase tableau simplex over :class:`fractions.Fraction` with
-Bland's anti-cycling rule, so every solve terminates and the returned vertex
-is deterministic.  The final basis certifies row duals; for a maximization
-with <= rows the duals are the usual non-negative shadow prices.
+Two solvers over :class:`fractions.Fraction` share one Gauss-Jordan
+``pivot`` on a dense tableau:
 
-Problem shape: maximize c.x subject to rows (a, sense, b) with sense one of
-"<=", ">=", "=", and x >= 0.  Status is one of
-"optimal", "infeasible", "unbounded".
+* ``solve_lp`` - a two-phase tableau simplex with Bland's anti-cycling
+  rule, so every solve terminates and the returned vertex is deterministic.
+  The final basis certifies row duals; for a maximization with <= rows the
+  duals are the usual non-negative shadow prices.  Problem shape: maximize
+  c.x subject to rows (a, sense, b) with sense one of "<=", ">=", "=", and
+  x >= 0.  Status is one of "optimal", "infeasible", "unbounded".
+* ``DualSimplex`` - feasibility of ``{x >= 0 : rows}`` kept across added
+  rows.  Each row gets its own slack, so there is no artificial column and
+  no phase 1; the objective is zero, so every basis is dual feasible and
+  each ``solve`` restores primal feasibility by dual simplex pivots from the
+  last basis (Lemke 1954).  Cutting-plane loops that add one violated row
+  per round (Kelley 1960) re-solve from where the last round stopped.
 """
 
 from __future__ import annotations
@@ -33,6 +40,29 @@ class LinearProgram:
         for j, v in coeffs.items():
             dense[j] = Fraction(v)
         self.rows.append((dense, sense, Fraction(rhs)))
+
+
+def pivot(tab: list[list[Fraction]], basis: list[int], leave: int, enter: int) -> list[Fraction]:
+    """Gauss-Jordan pivot on (leave, enter): column ``enter`` becomes a unit
+    column with its 1 in row ``leave``, whose basic variable it becomes.
+    Every entry of a row takes part, the right-hand side included, wherever
+    it sits.  Returns the scaled pivot row."""
+    row = tab[leave]
+    piv = row[enter]
+    if piv != 1:
+        inv = ONE / piv
+        for j, a in enumerate(row):
+            if a:
+                row[j] = a * inv
+    nonzero = [(j, a) for j, a in enumerate(row) if a]
+    for i, other in enumerate(tab):
+        if i != leave:
+            f = other[enter]
+            if f:
+                for j, a in nonzero:
+                    other[j] -= f * a
+    basis[leave] = enter
+    return row
 
 
 @dataclass
@@ -103,26 +133,6 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
     artificials = set(art_of.values())
 
-    def pivot(leave: int, enter: int) -> list[Fraction]:
-        """Gauss-Jordan pivot on (leave, enter); returns the scaled pivot row."""
-        row = tab[leave]
-        piv = row[enter]
-        if piv != 1:
-            inv = ONE / piv
-            for j in range(ncols + 1):
-                if row[j] != 0:
-                    row[j] *= inv
-        for i in range(m):
-            if i != leave:
-                f = tab[i][enter]
-                if f != 0:
-                    other = tab[i]
-                    for j in range(ncols + 1):
-                        if row[j] != 0:
-                            other[j] -= f * row[j]
-        basis[leave] = enter
-        return row
-
     def run(cost: list[Fraction], banned: set[int]) -> str:
         # maintain the reduced-cost row; Bland: lowest-index entering column,
         # lowest-index basic variable among min-ratio rows
@@ -154,7 +164,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
                         leave = i
             if leave < 0:
                 return "unbounded"
-            row = pivot(leave, enter)
+            row = pivot(tab, basis, leave, enter)
             f = red[enter]
             if f != 0:
                 for j in range(ncols + 1):
@@ -175,7 +185,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
             if basis[i] in artificials:
                 for j in range(ncols):
                     if j not in artificials and tab[i][j] != 0:
-                        pivot(i, j)
+                        pivot(tab, basis, i, j)
                         break
 
     cost2 = [ZERO] * ncols
@@ -210,3 +220,81 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         objective_value=value,
         duals=tuple(duals),
     )
+
+
+class DualSimplex:
+    """Feasibility of ``{x >= 0 : rows}``, kept across rows added later.
+
+    Tableau rows hold the right-hand side at column 0, then the ``n_vars``
+    variables, then one slack per row; row k starts with its slack basic.
+    A ``<=`` row a.x <= b is kept as a.x + s = b, a ``>=`` row as
+    -a.x + s = -b, and an ``=`` row as both.  ``add_row`` reduces a new row
+    against the current basis and appends it with its slack basic, so the
+    last basis stays; ``solve`` then pivots until every right-hand side is
+    non-negative.  Bland-type rule: the leaving row is the infeasible row
+    whose basic variable has the lowest column, the entering column the
+    lowest one with a negative entry in that row.  Every column ties in the
+    dual ratio test (the objective is zero), so this is Bland's rule for the
+    dual and the pivots never cycle; the vertex found is deterministic.  An
+    infeasible leaving row with no negative entry proves the system
+    infeasible: it reads sum of non-negative terms = negative.  From then
+    on ``infeasible`` is True and every ``solve`` returns None, since added
+    rows only shrink the set.
+    """
+
+    def __init__(self, n_vars: int):
+        self.n_vars = n_vars
+        self.tab: list[list[Fraction]] = []
+        self.basis: list[int] = []
+        self.infeasible = False
+
+    def add_row(self, coeffs: dict[int, Fraction], sense: str, rhs: Fraction) -> None:
+        if sense not in ("<=", ">=", "="):
+            raise ContractViolation(f"unknown sense {sense!r}")
+        if any(not 0 <= j < self.n_vars for j in coeffs):
+            raise ContractViolation("row refers to a variable outside n_vars")
+        if sense != ">=":
+            self._append(coeffs, Fraction(rhs), ONE)
+        if sense != "<=":
+            self._append(coeffs, Fraction(rhs), -ONE)
+
+    def _append(self, coeffs: dict[int, Fraction], rhs: Fraction, sign: Fraction) -> None:
+        width = 1 + self.n_vars + len(self.tab)
+        row = [ZERO] * (width + 1)
+        row[0] = sign * rhs
+        for j, a in coeffs.items():
+            row[1 + j] = sign * a
+        row[width] = ONE
+        # zero the new row in every basic column
+        for base, b in zip(self.tab, self.basis):
+            f = row[b]
+            if f:
+                for j, a in enumerate(base):
+                    if a:
+                        row[j] -= f * a
+        for base in self.tab:
+            base.append(ZERO)
+        self.tab.append(row)
+        self.basis.append(width)
+
+    def solve(self) -> tuple[Fraction, ...] | None:
+        """A point satisfying every row added so far, or None if none does."""
+        tab, basis = self.tab, self.basis
+        while not self.infeasible:
+            leave = -1
+            for i, row in enumerate(tab):
+                if row[0] < 0 and (leave < 0 or basis[i] < basis[leave]):
+                    leave = i
+            if leave < 0:
+                x = [ZERO] * self.n_vars
+                for row, b in zip(tab, basis):
+                    if b <= self.n_vars:
+                        x[b - 1] = row[0]
+                return tuple(x)
+            row = tab[leave]
+            enter = next((j for j in range(1, len(row)) if row[j] < 0), 0)
+            if enter:
+                pivot(tab, basis, leave, enter)
+            else:
+                self.infeasible = True
+        return None

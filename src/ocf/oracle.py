@@ -4,9 +4,9 @@ Everything here trades time for certainty: exhaustive enumeration of coalition
 structures, deviations and agent subsets, guarded by an explicit budget so a
 mistyped instance aborts with a count instead of running unbounded.  The
 pseudo-polynomial solvers in :mod:`ocf.tree` and :mod:`ocf.treewidth` are
-tested against these.  ``brute_is_stable`` writes the whole stability LP of
-:mod:`ocf.stability`: its variables, and one row per deviating set,
-withdrawal profile and choice of the rule's payment terms.
+tested against these.  ``brute_is_stable`` writes the whole stability
+system of :mod:`ocf.stability`: one row per deviating set, withdrawal
+profile and choice of the rule's payment terms.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ from .core import (
     zero_coalition,
 )
 from .covers import CoverTable, lift
-from .lp import solve_lp
-from .stability import read_imputation, stability_lp, stability_row
+from .stability import StabilitySystem, stability_row
 
 
 @dataclass(frozen=True)
@@ -341,16 +340,17 @@ def brute_is_stable(
 ) -> Imputation | None:
     """Solve the full stability system for the structure exactly.
 
-    Builds every efficiency equality, non-negativity bound and one linear
-    stability constraint per (subset, withdrawal profile) pair, then hands the
-    system to the exact LP solver.  Supported rules: conservative, refined,
+    Adds one linear stability constraint per (subset, withdrawal profile)
+    pair to the structure's ``StabilitySystem`` (efficiency presolved,
+    individual rationality seeded, as in the cutting-plane loop), then
+    solves it once.  Supported rules: conservative, refined,
     optimistic (either clamping).  Under the clamped optimistic rule each
     pair takes one row per zero/linear branch of every mixed coalition, so
     the stability rows are counted before they are built: the budget allows
     2^n subsets with 2^(max_agents - 2) rows each on average, 16 at the
     default.
     """
-    lp, var_of = stability_lp(g, rule, cs)
+    system = StabilitySystem(g, rule, cs)
     if budget is not None and g.n > budget.max_agents:
         raise BudgetExceededError(
             f"n={g.n} exceeds budget.max_agents={budget.max_agents}"
@@ -390,11 +390,7 @@ def brute_is_stable(
                     f"(2^(n + budget.max_agents - 2), budget.max_agents={budget.max_agents})"
                 )
             for combo in product(*terms):
-                row, cst = stability_row(var_of, S, zip(mixed, combo))
-                lp.add_row(row, ">=", const + cst)
+                row, cst = stability_row(system.var_of, S, zip(mixed, combo))
+                system.add_cut(row, const + cst)
 
-    sol = solve_lp(lp)
-    if sol.status != "optimal":
-        return None
-    assert sol.x is not None
-    return read_imputation(cs, var_of, sol.x, n)
+    return system.solve()

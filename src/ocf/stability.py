@@ -6,10 +6,25 @@ A payoff division that makes a fixed structure stable is a point of one LP
 ``>=`` row per deviating set and deviation, saying that the set's payoff
 covers its post-deviation structure's value plus what the coalitions it
 shares with outsiders pay it.  Those payments come from each local rule's
-``payment_terms``, so no row here switches on the rule.  ``brute_is_stable``
-in :mod:`ocf.oracle` writes every row up front; ``cutting_plane``, behind
-``is_stable_tree`` and ``is_stable_tw``, adds only the rows that the lane's
-CheckCore finds violated.
+``payment_terms``, so no row here switches on the rule.  ``stability_lp``
+writes that LP as stated; the tests compare the solvers' system with it.
+
+Every solver holds it as a ``StabilitySystem`` instead:
+
+* presolved - a singleton coalition's variable is fixed at its value, and a
+  larger coalition's last contributor's variable is substituted out, which
+  leaves one ``<=`` row on the others; no efficiency equality stays;
+* seeded with one individual-rationality row per agent (its payoffs add up
+  to at least its full-endowment solo value), so every imputation found is
+  individually rational under every rule;
+* grown one ``>=`` row at a time on :class:`ocf.lp.DualSimplex`, which
+  re-solves from the last basis.
+
+``brute_is_stable`` in :mod:`ocf.oracle` adds every row up front;
+``cutting_plane``, behind ``is_stable_tree`` and ``is_stable_tw``, adds only
+the rows that the lane's CheckCore finds violated.  Rows are written over
+the full variables of ``stability_lp`` and mapped into the presolved ones as
+they are added.
 """
 
 from __future__ import annotations
@@ -37,29 +52,39 @@ from .core import (
     support,
     vec_leq,
 )
-from .lp import LinearProgram, solve_lp
+from .covers import single_cover, solo_atoms
+from .lp import ONE, DualSimplex, LinearProgram
 
 VarIndex = dict[tuple[int, int], int]
+
+
+def _require_local(rule: LocalArbitrationRule) -> None:
+    if not isinstance(rule, LocalArbitrationRule):
+        raise UnsupportedRuleError(
+            f"stability system is not linear for rule {rule.name!r}"
+        )
+
+
+def _variables(cs: CoalitionStructure) -> VarIndex:
+    var_of: VarIndex = {}
+    for j, c in enumerate(cs):
+        for i in sorted(support(c)):
+            var_of[(j, i)] = len(var_of)
+    return var_of
 
 
 def stability_lp(
     g: GameDef, rule: LocalArbitrationRule, cs: CoalitionStructure
 ) -> tuple[LinearProgram, VarIndex]:
-    """Stability LP skeleton shared by every Is-Stable solver.
+    """The stability LP skeleton as stated, before any presolve.
 
     One non-negative variable per (coalition index, contributor) and one
     efficiency equality per coalition.  Supported rules: the local ones,
     whose payments are linear per branch; the others have no linear
-    stability constraints.
+    stability constraints.  ``StabilitySystem`` holds the same LP presolved.
     """
-    if not isinstance(rule, LocalArbitrationRule):
-        raise UnsupportedRuleError(
-            f"stability system is not linear for rule {rule.name!r}"
-        )
-    var_of: VarIndex = {}
-    for j, c in enumerate(cs):
-        for i in sorted(support(c)):
-            var_of[(j, i)] = len(var_of)
+    _require_local(rule)
+    var_of = _variables(cs)
     lp = LinearProgram(n_vars=len(var_of), objective=[ZERO] * len(var_of))
     for j, c in enumerate(cs):
         sup = sorted(support(c))
@@ -72,13 +97,17 @@ def stability_lp(
 def read_imputation(
     cs: CoalitionStructure, var_of: VarIndex, x: tuple[Fraction, ...], n: int
 ) -> Imputation:
-    """The imputation held by an LP point of ``stability_lp``'s variables."""
+    """The imputation held by an LP point of ``stability_lp``'s variables,
+    holding one tuple object per distinct payoff row (repeated coalitions
+    are often paid alike), so answers kept by a caller hold no copies."""
+    shared: dict[tuple[Fraction, ...], tuple[Fraction, ...]] = {}
     imputation = []
     for j, c in enumerate(cs):
         row = [ZERO] * n
         for i in support(c):
             row[i] = x[var_of[(j, i)]]
-        imputation.append(tuple(row))
+        t = tuple(row)
+        imputation.append(shared.setdefault(t, t))
     return tuple(imputation)
 
 
@@ -98,6 +127,99 @@ def stability_row(
             row[v] = row.get(v, ZERO) - a
         const += c0
     return row, const
+
+
+def ir_rows(
+    g: GameDef, cs: CoalitionStructure, var_of: VarIndex
+) -> list[tuple[dict[int, Fraction], Fraction]]:
+    """Individual rationality as ``>=`` rows (coefficients, constant): each
+    agent's payoffs add up to at least v*_i, the best it makes alone with its
+    whole weight.  Agents whose v*_i is 0 get no row; x >= 0 implies it.
+
+    A lone deviator that withdraws everything earns v*_i plus payments that
+    are non-negative under the conservative, refined and clamped optimistic
+    rules, so under those the core implies the rows and they change no
+    answer.  Under the unclamped optimistic rule a payment can be negative;
+    there the rows keep Is-Stable's imputations individually rational."""
+    rows = []
+    for i, w in enumerate(g.weights):
+        values, _ = single_cover(solo_atoms(g.charfun, i), w)
+        if values[w] > 0:
+            coeffs = {v: ONE for (j, k), v in var_of.items() if k == i}
+            rows.append((coeffs, values[w]))
+    return rows
+
+
+class StabilitySystem:
+    """The stability LP of one structure, presolved and seeded with
+    individual rationality, to which ``>=`` rows are added one at a time.
+
+    Each full variable of ``stability_lp`` is an affine form (constant,
+    {reduced variable: coefficient}) in the reduced variables of a
+    :class:`ocf.lp.DualSimplex`: a singleton coalition's variable is the
+    constant v(c); in a larger coalition every contributor but the last
+    keeps a reduced variable and the last one's is v(c) minus theirs, which
+    must stay non-negative - one ``<=`` row.  A coalition with v(c) < 0
+    makes the system infeasible.  ``cuts`` counts the rows added by
+    ``add_cut``.
+    """
+
+    def __init__(self, g: GameDef, rule: LocalArbitrationRule, cs: CoalitionStructure):
+        _require_local(rule)
+        self.cs = cs
+        self.n = g.n
+        self.var_of = _variables(cs)
+        self.cuts = 0
+        self._infeasible = False
+        self._forms: list[tuple[Fraction, dict[int, Fraction]]] = []
+        bounds = []
+        reduced = 0
+        # one form per full variable, in var_of's order
+        for c in cs:
+            sup = support(c)
+            if not sup:
+                continue
+            value = g.charfun.value(c)
+            self._infeasible = self._infeasible or value < 0
+            ks = range(reduced, reduced + len(sup) - 1)
+            reduced += len(ks)
+            self._forms.extend((ZERO, {k: ONE}) for k in ks)
+            self._forms.append((value, {k: -ONE for k in ks}))
+            if ks:
+                bounds.append(({k: ONE for k in ks}, value))
+        self._lp = DualSimplex(reduced)
+        for coeffs, value in bounds:
+            self._lp.add_row(coeffs, "<=", value)
+        for coeffs, const in ir_rows(g, cs, self.var_of):
+            self._add(coeffs, const)
+
+    def _add(self, coeffs: dict[int, Fraction], const: Fraction) -> None:
+        row: dict[int, Fraction] = {}
+        rhs = const
+        for v, a in coeffs.items():
+            c0, form = self._forms[v]
+            rhs -= a * c0
+            for k, b in form.items():
+                row[k] = row.get(k, ZERO) + a * b
+        self._lp.add_row(row, ">=", rhs)
+
+    def add_cut(self, coeffs: dict[int, Fraction], const: Fraction) -> None:
+        """Add the row sum of coeffs[v] * x_v >= const over the full variables."""
+        self.cuts += 1
+        self._add(coeffs, const)
+
+    def solve(self) -> Imputation | None:
+        """An imputation satisfying every row so far, or None if none does."""
+        y = None if self._infeasible else self._lp.solve()
+        if y is None:
+            return None
+        # one object per distinct value, as read_imputation shares rows
+        values: dict[Fraction, Fraction] = {ZERO: ZERO}
+        x = []
+        for c0, form in self._forms:
+            v = sum((b * y[k] for k, b in form.items()), start=c0)
+            x.append(values.setdefault(v, v))
+        return read_imputation(self.cs, self.var_of, tuple(x), self.n)
 
 
 def _stability_cut(
@@ -136,36 +258,29 @@ def cutting_plane(
 ) -> Imputation | None:
     """Find an imputation making the structure stable, or prove none exists.
 
-    Solves an exact LP of efficiency equalities plus the cuts found so far and
-    asks the lane's ``checkcore`` about the candidate: None means it is in the
-    core, otherwise the violation's agents, deviation and post-deviation
-    structure witness one new linear cut that the candidate violates.  There
-    are finitely many (set, deviation, branch) cuts, so the loop ends;
-    exhausting ``max_rounds`` raises ``BudgetExceededError``.
-
-    Under the unclamped optimistic rule a deviator pays any shortfall between
-    what a coalition's remainder earns and what its non-deviators were
-    promised, so the returned imputation is in the core yet may fail
-    full-endowment individual rationality.
+    Solves the ``StabilitySystem`` of the cuts found so far and asks the
+    lane's ``checkcore`` about the candidate: None means it is in the core,
+    otherwise the violation's agents, deviation and post-deviation structure
+    witness one new linear cut that the candidate violates, and the system
+    re-solves from its last basis.  There are finitely many (set, deviation,
+    branch) cuts, so the loop ends; exhausting ``max_rounds`` raises
+    ``BudgetExceededError``.
     """
-    lp, var_of = stability_lp(g, rule, cs)
+    system = StabilitySystem(g, rule, cs)
     if not vec_leq(structure_weight(cs, g.n), g.weights):
         raise ContractViolation("structure exceeds agent endowments")
     for _ in range(max_rounds):
-        sol = solve_lp(lp)
-        if sol.status != "optimal":
+        candidate = system.solve()
+        if candidate is None:
             return None
-        assert sol.x is not None
-        candidate = read_imputation(cs, var_of, sol.x, g.n)
         found = checkcore(Outcome(structure=cs, imputation=candidate))
         if found is None:
             return candidate
         assert found.deviation is not None and found.post is not None
         post_value = sum((g.charfun.value(c) for c in found.post), start=ZERO)
-        coeffs, const = _stability_cut(
-            g, cs, found.agents, found.deviation, post_value, rule, candidate, var_of
-        )
-        lp.add_row(coeffs, ">=", const)
+        system.add_cut(*_stability_cut(
+            g, cs, found.agents, found.deviation, post_value, rule, candidate, system.var_of
+        ))
     raise BudgetExceededError(
         f"cutting-plane loop did not finish within max_rounds={max_rounds}"
     )

@@ -19,10 +19,11 @@ run the bag engine of :mod:`ocf.treewidth` on ``forest_decomposition``.
                        violating set, its deviation and its post-deviation
                        structure.
 * ``is_stable_tree`` - cutting-plane search for a stabilizing imputation:
-                       ``cutting_plane`` of :mod:`ocf.stability` with
-                       ``checkcore_tw`` on ``forest_decomposition``, built
-                       once, as the separation oracle; each violation's own
-                       witness gives the next cut.
+                       ``cutting_plane`` of :mod:`ocf.stability` with the
+                       bag-DP CheckCore on ``forest_decomposition`` as the
+                       separation oracle (the decomposition and the solo
+                       tables built once); each violation's own witness
+                       gives the next cut.
 
 The tree solvers require the outcome itself to be pairwise-shaped: every
 coalition in the structure is supported by a single agent or by the two ends
@@ -55,6 +56,8 @@ from .stability import cutting_plane
 from .treewidth import (
     UnsupportedGameError,
     _arbval_bags,
+    _checkcore_bags,
+    _solo_tables,
     check_outcome_shape,
     checkcore_tw,
     forest_decomposition,
@@ -247,7 +250,9 @@ def is_stable_tree(
     max_rounds: int = 100_000,
 ) -> Imputation | None:
     """Find an imputation making the structure stable, or prove none exists,
-    by ``cutting_plane`` with ``checkcore_tw`` on the forest decomposition,
-    which is built once for every round."""
+    by ``cutting_plane`` with the bag-DP CheckCore on the forest
+    decomposition, which is valid by construction; it and the agents' solo
+    tables are built once for every round."""
     t = forest_decomposition(require_two_ocf_tree(g))
-    return cutting_plane(g, rule, cs, lambda o: checkcore_tw(g, rule, o, t), max_rounds)
+    singles = _solo_tables(g)
+    return cutting_plane(g, rule, cs, lambda o: _checkcore_bags(g, rule, o, t, singles), max_rounds)

@@ -59,7 +59,7 @@ from .core import (
     structure_weight,
     vec_leq,
 )
-from .covers import closure, convolve, single_cover, single_cover_witness, unwind
+from .covers import closure, convolve, single_cover, single_cover_witness, solo_atoms, unwind
 from .oracle import _pad_fillers
 from .stability import cutting_plane
 
@@ -385,21 +385,12 @@ def _pair_atoms(g: GameDef, a: int, b: int) -> list[tuple[Coalition, Fraction]]:
     return [(c, v) for c, v in g.charfun.atoms_within(frozenset((a, b))) if c[a] and c[b]]
 
 
-def _single_atoms(g: GameDef, i: int) -> list[tuple[int, Fraction]]:
-    out = []
-    table = g.charfun.entries.get((i,), {})
-    for contrib, value in sorted(table.items()):
-        if value > 0:
-            out.append((contrib[0], value))
-    return out
-
-
 class SingleTable:
     """v*_i(w): best split of w units of one agent into its own coalitions."""
 
     def __init__(self, g: GameDef, i: int, cap: int):
         self.agent = i
-        self.atoms = _single_atoms(g, i)
+        self.atoms = solo_atoms(g.charfun, i)
         self.values, self.choice = single_cover(self.atoms, cap)
         self._vectors = g.charfun.vectors
 
@@ -742,6 +733,11 @@ def _keep_best(tables: dict, steps: dict, key, table: dict, source) -> None:
         sources.append(source)
 
 
+def _require_local(rule: LocalArbitrationRule) -> None:
+    if not isinstance(rule, LocalArbitrationRule):
+        raise UnsupportedRuleError(f"rule {rule.name} is not local")
+
+
 def _prepare(g: GameDef, t: TreeDecomposition, vertices: set[int] | None = None) -> set[int]:
     require_two_ocf_tree(g, need_forest=False)
     verts = set(range(g.n)) if vertices is None else set(vertices)
@@ -782,8 +778,7 @@ def arbval_tw(
     extra agents are restricted down to S first.  When omitted, the min-fill
     heuristic runs on the induced subgraph.
     """
-    if not isinstance(rule, LocalArbitrationRule):
-        raise UnsupportedRuleError(f"rule {rule.name} is not local")
+    _require_local(rule)
     graph = require_two_ocf_tree(g, need_forest=False)
     check_outcome_shape(g, o)
     if not deviators:
@@ -833,26 +828,31 @@ def _arbval_bags(
     return value, dev, tuple(atoms)
 
 
+def _solo_tables(g: GameDef) -> list[SingleTable]:
+    """Every agent's ``SingleTable`` over its whole weight; none depends on
+    an outcome, so a cutting-plane loop builds them once."""
+    return [SingleTable(g, i, g.weights[i]) for i in range(g.n)]
+
+
 def _excess_engine(
     g: GameDef,
     rule: LocalArbitrationRule,
     o: Outcome,
     t: TreeDecomposition,
-) -> tuple[_BagEngine, list[SingleTable], dict[tuple[int, int], KeepTable]]:
+    singles: list[SingleTable],
+) -> tuple[_BagEngine, dict[tuple[int, int], KeepTable]]:
     """The every-subset engine over excesses: an agent's solo row is its
     single-agent cover minus its payoff, and a member keeps resources with a
-    non-member neighbour through the edge's ``KeepTable``."""
-    if not isinstance(rule, LocalArbitrationRule):
-        raise UnsupportedRuleError(f"rule {rule.name} is not local")
+    non-member neighbour through the edge's ``KeepTable``.  The caller has
+    checked the rule and the decomposition; the outcome's shape is checked
+    here."""
     check_outcome_shape(g, o)
-    _prepare(g, t)
     graph = g.interaction
     assert graph is not None
     payoff = [ZERO] * g.n
     for x, sup in zip(o.imputation, o.supports):
         for i in sup:
             payoff[i] += x[i]
-    singles = [SingleTable(g, i, g.weights[i]) for i in range(g.n)]
     keeps = {}
     for a, b in graph.simple_edges():
         keeps[(a, b)] = KeepTable(g, o, rule, a, b)
@@ -867,18 +867,19 @@ def _excess_engine(
     )
     if engine.value() is None:  # pragma: no cover - nonempty subsets always exist
         raise RuntimeError("bag DP produced no nonempty subset")
-    return engine, singles, keeps
+    return engine, keeps
 
 
-def checkcore_tw(
+def _checkcore_bags(
     g: GameDef,
     rule: LocalArbitrationRule,
     o: Outcome,
     t: TreeDecomposition,
+    singles: list[SingleTable],
 ) -> CoreViolation | None:
-    """None iff stable; otherwise a maximal-excess violating set with the
-    deviation and post-deviation structure that earn its excess."""
-    engine, singles, keeps = _excess_engine(g, rule, o, t)
+    """``checkcore_tw`` on a checked rule and decomposition, with the
+    agents' prebuilt ``_solo_tables``: the separation step of Is-Stable."""
+    engine, keeps = _excess_engine(g, rule, o, t, singles)
     excess = engine.value()
     if excess <= 0:
         return None
@@ -894,6 +895,19 @@ def checkcore_tw(
     return CoreViolation(agents=members, excess=excess, deviation=dev, post=tuple(post))
 
 
+def checkcore_tw(
+    g: GameDef,
+    rule: LocalArbitrationRule,
+    o: Outcome,
+    t: TreeDecomposition,
+) -> CoreViolation | None:
+    """None iff stable; otherwise a maximal-excess violating set with the
+    deviation and post-deviation structure that earn its excess."""
+    _require_local(rule)
+    _prepare(g, t)
+    return _checkcore_bags(g, rule, o, t, _solo_tables(g))
+
+
 def max_excess_tw(
     g: GameDef,
     rule: LocalArbitrationRule,
@@ -901,7 +915,9 @@ def max_excess_tw(
     t: TreeDecomposition,
 ) -> tuple[Fraction, frozenset[int]]:
     """Maximum excess over all nonempty subsets, via the bag DP."""
-    engine, _, _ = _excess_engine(g, rule, o, t)
+    _require_local(rule)
+    _prepare(g, t)
+    engine, _ = _excess_engine(g, rule, o, t, _solo_tables(g))
     return engine.value(), frozenset(engine.walk().members)
 
 
@@ -913,6 +929,9 @@ def is_stable_tw(
     max_rounds: int = 100_000,
 ) -> Imputation | None:
     """Experimental: ``cutting_plane`` with the bag-DP CheckCore as
-    separation oracle, the tree lane's Is-Stable on arbitrary graphs."""
+    separation oracle, the tree lane's Is-Stable on arbitrary graphs.  The
+    decomposition is checked and the agents' solo tables are built once, not
+    every round."""
     _prepare(g, t)
-    return cutting_plane(g, rule, cs, lambda o: checkcore_tw(g, rule, o, t), max_rounds)
+    singles = _solo_tables(g)
+    return cutting_plane(g, rule, cs, lambda o: _checkcore_bags(g, rule, o, t, singles), max_rounds)

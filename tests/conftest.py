@@ -61,6 +61,21 @@ def big_budget() -> EnumerationBudget:
     return EnumerationBudget(max_agents=16, max_weight=6, max_structures=10**7)
 
 
+def fan3_game() -> tuple[GameDef, tuple[tuple[int, ...], ...]]:
+    """Agent 0 between agents 1 and 2, one unit each: the pair {0, 1} makes
+    1 and the pair {0, 2} makes 4.  The structure holds {0, 2} and agent 1
+    alone.  A split of the 4 that pays agent 0 nothing lets {0, 1} deviate,
+    so Is-Stable needs a cut on a two-agent set."""
+    cf = make_charfun(3, 2, [((0, 1), (1, 1), Fraction(1)), ((0, 2), (1, 1), Fraction(4))])
+    g = GameDef(
+        n=3,
+        weights=(1, 1, 1),
+        charfun=cf,
+        interaction=InteractionGraph.from_pairs(3, [(0, 1), (0, 2)]),
+    )
+    return g, ((1, 0, 1), (0, 1, 0))
+
+
 def random_tree_game(rng: random.Random, nmax: int = 5, wmax: int = 3, vmax: int = 10) -> GameDef:
     """Random 2-OCF game over a random tree, sparse value table."""
     n = rng.randint(2, nmax)

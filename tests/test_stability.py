@@ -1,0 +1,230 @@
+"""The incremental stability system: ``lp.DualSimplex`` against the two-phase
+``solve_lp``, the presolve of ``StabilitySystem``, and Is-Stable on the
+refined path game whose LPs used to take minutes."""
+
+import random
+import time
+from fractions import Fraction
+
+from ocf.arbitration import CONSERVATIVE, REFINED
+from ocf.core import GameDef, InteractionGraph, Outcome, make_charfun
+from ocf.lp import DualSimplex, LinearProgram, pivot, solve_lp
+from ocf.oracle import brute_is_stable
+from ocf.stability import StabilitySystem, ir_rows, stability_lp
+from ocf.tree import checkcore_tree, is_stable_tree, optval_tree
+from ocf.treewidth import checkcore_tw, heuristic_decomposition, is_stable_tw
+from conftest import random_structure, random_tree_game
+
+F = Fraction
+
+
+def _random_system(rng: random.Random):
+    n = rng.randint(1, 4)
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        coeffs = {j: F(rng.randint(-3, 3)) for j in range(n) if rng.random() < 0.7}
+        rows.append((coeffs, rng.choice(("<=", ">=", "=")), F(rng.randint(-4, 6), rng.choice((1, 2)))))
+    return n, rows
+
+
+def _holds(x, coeffs, sense, rhs) -> bool:
+    lhs = sum((a * x[j] for j, a in coeffs.items()), start=F(0))
+    return {"<=": lhs <= rhs, ">=": lhs >= rhs, "=": lhs == rhs}[sense]
+
+
+def _cold(n, rows) -> str:
+    lp = LinearProgram(n_vars=n, objective=[F(0)] * n)
+    for row in rows:
+        lp.add_row(*row)
+    return solve_lp(lp).status
+
+
+def test_dual_simplex_matches_solve_lp():
+    """On seeded random systems of =, <= and >= rows the dual simplex and
+    the two-phase simplex agree on feasibility; a point found satisfies
+    every row exactly; rows added one at a time, with a solve after each,
+    end where the cold solve does; and the vertex is the same on a rerun."""
+    rng = random.Random(83)
+    outcomes = {"optimal": 0, "infeasible": 0}
+    for _ in range(300):
+        n, rows = _random_system(rng)
+        status = _cold(n, rows)
+        outcomes[status] += 1
+        system = DualSimplex(n)
+        for row in rows:
+            system.add_row(*row)
+        x = system.solve()
+        assert (x is None) == (status == "infeasible")
+        if x is not None:
+            assert all(type(v) is F and v >= 0 for v in x)
+            assert all(_holds(x, *row) for row in rows)
+        grown = DualSimplex(n)
+        for k, row in enumerate(rows):
+            grown.add_row(*row)
+            y = grown.solve()
+            assert (y is None) == (_cold(n, rows[: k + 1]) == "infeasible")
+            if y is not None:
+                assert all(_holds(y, *r) for r in rows[: k + 1])
+        again = DualSimplex(n)
+        for row in rows:
+            again.add_row(*row)
+        assert again.solve() == x
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def _beale_rows():
+    """Beale's cycling example (max 3/4 u4 - 20 u5 + 1/2 u6 - 6 u7 over the
+    cone of its two degenerate rows) read as the dual feasibility system
+    {y >= 0 : M^T y >= c}.  The cone is unbounded, so no y exists."""
+    M = [[F(1, 4), F(-8), F(-1), F(9)], [F(1, 2), F(-12), F(-1, 2), F(3)]]
+    c = [F(3, 4), F(-20), F(1, 2), F(-6)]
+    return [({k: M[k][j] for k in range(2)}, ">=", c[j]) for j in range(4)]
+
+
+def test_dual_simplex_bland_rule_prevents_cycling():
+    """With a zero objective every dual pivot is degenerate.  Letting the
+    most infeasible row leave revisits the first basis after six pivots on
+    Beale's system, transposed; the lowest-index rule proves it infeasible."""
+    trap = DualSimplex(2)
+    for row in _beale_rows():
+        trap.add_row(*row)
+    tab, basis = trap.tab, trap.basis
+    start = sorted(basis)
+    for _ in range(6):
+        leave = min((i for i, r in enumerate(tab) if r[0] < 0), key=lambda i: (tab[i][0], basis[i]))
+        enter = next(j for j in range(1, len(tab[leave])) if tab[leave][j] < 0)
+        pivot(tab, basis, leave, enter)
+    assert sorted(basis) == start
+    system = DualSimplex(2)
+    for row in _beale_rows():
+        system.add_row(*row)
+    assert system.solve() is None
+    assert _cold(2, _beale_rows()) == "infeasible"
+
+
+def _g1() -> GameDef:
+    cf = make_charfun(
+        2,
+        2,
+        [((0,), (1,), F(1)), ((0,), (2,), F(3)), ((1,), (1,), F(2)), ((0, 1), (1, 1), F(4))],
+    )
+    return GameDef(n=2, weights=(2, 1), charfun=cf, interaction=InteractionGraph.from_pairs(2, [(0, 1)]))
+
+
+def test_presolve_singleton_and_empty_coalitions():
+    """Singleton coalitions fix their variable at v(c), so a structure of
+    singletons leaves no variable at all; a coalition with empty support
+    gets no variable and an all-zero payoff vector."""
+    g = _g1()
+    singles = ((2, 0), (0, 1))
+    want = ((F(3), F(0)), (F(0), F(2)))
+    assert is_stable_tree(g, CONSERVATIVE, singles) == want
+    assert brute_is_stable(g, CONSERVATIVE, singles) == want
+    mixed = ((1, 1), (1, 0))
+    padded = ((1, 1), (0, 0), (1, 0))
+    for rule in (CONSERVATIVE, REFINED):
+        plain = is_stable_tree(g, rule, mixed)
+        assert plain is not None
+        for solve in (is_stable_tree, brute_is_stable):
+            imp = solve(g, rule, padded)
+            assert imp == (plain[0], (F(0), F(0)), plain[1])
+
+
+def test_presolve_negative_value_is_infeasible():
+    """Loaded games reject negative values; the system still answers None
+    for a coalition worth less than 0, pair or singleton, and keeps that
+    answer as rows are added.  Neither game has a solo value, so no
+    individual-rationality row is what rules the point out."""
+    for sup, contrib, cs in (((0, 1), (1, 1), ((1, 1),)), ((0,), (1,), ((1, 0), (0, 1)))):
+        cf = make_charfun(2, 2, [(sup, contrib, F(1))])
+        g = GameDef(n=2, weights=(1, 1), charfun=cf, interaction=InteractionGraph.from_pairs(2, [(0, 1)]))
+        assert StabilitySystem(g, CONSERVATIVE, cs).solve() is not None
+        cf.entries[sup][contrib] = F(-1)
+        system = StabilitySystem(g, CONSERVATIVE, cs)
+        assert system.solve() is None
+        system.add_cut({}, F(0))
+        assert system.solve() is None
+
+
+def test_presolve_idle_agent_with_solo_value():
+    """An agent in no coalition is paid nothing; its individual-rationality
+    row then reads 0 >= v*_i, so a positive solo value means None on every
+    lane, and a zero one does not."""
+    g = _g1()
+    for solve in (is_stable_tree, brute_is_stable):
+        assert solve(g, CONSERVATIVE, ((2, 0),)) is None
+    cf = make_charfun(2, 2, [((0,), (1,), F(1)), ((0, 1), (1, 1), F(1))])
+    g = GameDef(n=2, weights=(1, 1), charfun=cf, interaction=InteractionGraph.from_pairs(2, [(0, 1)]))
+    for solve in (is_stable_tree, brute_is_stable):
+        assert solve(g, CONSERVATIVE, ((1, 0),)) == ((F(1), F(0)),)
+
+
+def test_presolve_matches_the_full_lp():
+    """The presolved system answers as the unpresolved ``stability_lp`` with
+    the same individual-rationality rows and cuts does, and its imputation
+    satisfies every row of that LP exactly, efficiency included."""
+    rng = random.Random(89)
+    outcomes = {"optimal": 0, "infeasible": 0}
+    for trial in range(200):
+        g = random_tree_game(rng, nmax=4)
+        cs = random_structure(rng, g) if trial % 2 else optval_tree(g, g.weights)[1]
+        lp, var_of = stability_lp(g, CONSERVATIVE, cs)
+        system = StabilitySystem(g, CONSERVATIVE, cs)
+        rows = ir_rows(g, cs, var_of)
+        for _ in range(rng.randint(0, 4)):
+            coeffs = {v: F(rng.randint(-2, 2)) for v in var_of.values() if rng.random() < 0.5}
+            const = F(rng.randint(-8, 4))
+            system.add_cut(coeffs, const)
+            rows.append((coeffs, const))
+        for coeffs, const in rows:
+            lp.add_row(coeffs, ">=", const)
+        status = solve_lp(lp).status
+        outcomes[status] += 1
+        imp = system.solve()
+        assert (imp is None) == (status == "infeasible")
+        if imp is not None:
+            x = [F(0)] * lp.n_vars
+            for (j, i), v in var_of.items():
+                x[v] = imp[j][i]
+            for dense, sense, rhs in lp.rows:
+                assert _holds(x, dict(enumerate(dense)), sense, rhs)
+            assert min(x, default=F(0)) >= 0
+    assert min(outcomes.values()) >= 40, outcomes
+
+
+def _refined_path(n: int, w: int) -> GameDef:
+    """A criterion-9-style path: six pair entries per edge and three solo
+    entries per agent, drawn from ``random.Random(7)``."""
+    rng = random.Random(7)
+    edges = [(i, i + 1) for i in range(n - 1)]
+    entries = {}
+    for a, b in edges:
+        for _ in range(6):
+            entries[((a, b), (rng.randint(1, w), rng.randint(1, w)))] = F(rng.randint(1, 100))
+    for i in range(n):
+        for _ in range(3):
+            entries[((i,), (rng.randint(1, w),))] = F(rng.randint(1, 40))
+    cf = make_charfun(n, 2, [(s, c, v) for (s, c), v in entries.items()])
+    return GameDef(n=n, weights=(w,) * n, charfun=cf, interaction=InteractionGraph.from_pairs(n, edges))
+
+
+def test_refined_path_is_stable():
+    """Refined Is-Stable on the n=10, W=4 path from its optimal structure:
+    the tree and treewidth lanes agree, each imputation passes the other
+    lane's CheckCore, and equal payoff rows share one tuple.  Solving its LPs from scratch each round took about
+    20 s; the budget here is 10 s."""
+    g = _refined_path(10, 4)
+    _, cs = optval_tree(g, g.weights)
+    td = heuristic_decomposition(g.interaction)
+    started = time.perf_counter()
+    tree_imp = is_stable_tree(g, REFINED, cs)
+    tw_imp = is_stable_tw(g, REFINED, cs, td)
+    elapsed = time.perf_counter() - started
+    assert tree_imp is not None and tw_imp is not None
+    # the structure repeats coalitions, and equal payoff rows are one object
+    assert len(set(tree_imp)) < len(tree_imp)
+    for imp in (tree_imp, tw_imp):
+        assert len({id(row) for row in imp}) == len(set(imp))
+    assert checkcore_tw(g, REFINED, Outcome(structure=cs, imputation=tree_imp), td) is None
+    assert checkcore_tree(g, REFINED, Outcome(structure=cs, imputation=tw_imp)) is None
+    assert elapsed < 10, f"took {elapsed:.1f}s, budget is 10s"

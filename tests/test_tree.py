@@ -24,6 +24,7 @@ from ocf.core import (
 )
 from ocf.oracle import (
     BudgetExceededError,
+    EnumerationBudget,
     brute_arbval,
     brute_checkcore,
     brute_is_stable,
@@ -44,12 +45,17 @@ from ocf.treewidth import (
     UnsupportedGameError,
     UnsupportedOutcomeError,
     check_outcome_shape,
+    heuristic_decomposition,
+    is_stable_tw,
+    optval_tw,
     rooted_forest,
 )
 import ocf.stability as stability_module
-from conftest import random_outcome, random_structure, random_tree_game
+from conftest import fan3_game, random_graph_game, random_outcome, random_structure, random_tree_game
 
 RULES = (CONSERVATIVE, REFINED, OPTIMISTIC, OPTIMISTIC_CLAMPED)
+# room for the clamped optimistic stability system of random structures
+WIDE_ORACLE = EnumerationBudget(max_agents=8)
 
 
 def path3_game():
@@ -320,30 +326,49 @@ def test_is_stable_agrees_with_brute():
 def test_stability_cuts_hold_at_core_imputations(monkeypatch):
     """Every cut the cutting-plane loop adds, including the clamped optimistic
     cut with its branch frozen at the candidate, holds at the oracle's
-    stabilizing imputation: no cut ever excludes a core point.
+    stabilizing imputation: no cut ever excludes a core point.  So does every
+    individual-rationality row either lane seeds its system with.
 
     Under the unclamped optimistic rule each cut is constant in the
     imputation (efficiency turns the deviators' payoffs plus the shortfalls
     they cover into coalition values), so a cut there always ends the loop
     with "no imputation"; the oracle must agree."""
     cuts = []
+    seeds = []
     exact_cut = stability_module._stability_cut
+    exact_ir_rows = stability_module.ir_rows
 
     def recording_cut(g, cs, deviators, dev, post_value, rule, candidate, var_of):
         coeffs, const = exact_cut(g, cs, deviators, dev, post_value, rule, candidate, var_of)
         cuts.append((coeffs, const, var_of))
         return coeffs, const
 
+    def recording_ir_rows(g, cs, var_of):
+        rows = exact_ir_rows(g, cs, var_of)
+        seeds.extend((coeffs, const, var_of) for coeffs, const in rows)
+        return rows
+
     monkeypatch.setattr(stability_module, "_stability_cut", recording_cut)
+    monkeypatch.setattr(stability_module, "ir_rows", recording_ir_rows)
     rng = random.Random(73)
-    checked = {rule.name: 0 for rule in RULES}
+    cases = []
     for trial in range(120):
         g = random_tree_game(rng, nmax=3)
-        _, cs = optval_tree(g, g.weights)
-        rule = RULES[trial % 4]
+        cases.append((g, RULES[trial % 4], optval_tree(g, g.weights)[1]))
+    # the IR rows settle most of those in one round; four-agent trees, and
+    # random structures next to the optimal ones, take more cuts
+    rng = random.Random(74)
+    for trial in range(120):
+        g = random_tree_game(rng, nmax=4)
+        for cs in (optval_tree(g, g.weights)[1], random_structure(rng, g)):
+            cases.append((g, RULES[trial % 4], cs))
+    checked = {rule.name: 0 for rule in RULES}
+    seeded = 0
+    for g, rule, cs in cases:
         cuts.clear()
+        seeds.clear()
         found = is_stable_tree(g, rule, cs)
-        imp = brute_is_stable(g, rule, cs)
+        imp = brute_is_stable(g, rule, cs, WIDE_ORACLE)
         assert (found is None) == (imp is None)
         if imp is None:
             continue
@@ -351,14 +376,68 @@ def test_stability_cuts_hold_at_core_imputations(monkeypatch):
             at = sum((coeffs.get(v, 0) * imp[j][i] for (j, i), v in var_of.items()), start=Fraction(0))
             assert at >= const
             checked[rule.name] += 1
+        for coeffs, const, var_of in seeds:
+            at = sum((coeffs.get(v, 0) * imp[j][i] for (j, i), v in var_of.items()), start=Fraction(0))
+            assert at >= const
+            seeded += 1
     assert checked.pop(OPTIMISTIC.name) == 0
     assert all(count >= 3 for count in checked.values()), checked
+    assert seeded > 0
 
 
-def test_is_stable_round_budget(g1):
-    """Running out of cutting-plane rounds is a budget error, not a crash."""
+def test_is_stable_round_budget():
+    """Running out of cutting-plane rounds is a budget error, not a crash.
+    The first candidate of the fan game pays agent 0 nothing, and the pair
+    {0, 1} deviates; the one cut that fixes it needs a second round."""
+    g, cs = fan3_game()
     with pytest.raises(BudgetExceededError):
-        is_stable_tree(g1, CONSERVATIVE, ((1, 1), (1, 0)), max_rounds=1)
+        is_stable_tree(g, CONSERVATIVE, cs, max_rounds=1)
+    imp = is_stable_tree(g, CONSERVATIVE, cs, max_rounds=2)
+    assert imp == ((Fraction(1), Fraction(0), Fraction(3)), (Fraction(0),) * 3)
+    assert brute_checkcore(g, CONSERVATIVE, Outcome(structure=cs, imputation=imp)) is None
+
+
+def test_is_stable_imputations_are_individually_rational():
+    """Is-Stable's imputations pass every outcome invariant, full-endowment
+    individual rationality included, under all four linear rules and on
+    every lane, and the lanes agree on "no imputation".  The first game is
+    one where the unclamped optimistic core holds a point paying agent 0
+    nothing though it makes 3 alone; the IR rows the stability system is
+    seeded with keep such points out."""
+    F = Fraction
+    cf = make_charfun(2, 2, [
+        ((0,), (3,), F(3)),
+        ((0, 1), (1, 2), F(3)),
+        ((0, 1), (2, 2), F(2)),
+        ((0, 1), (3, 1), F(1)),
+        ((0, 1), (3, 2), F(9)),
+    ])
+    g = GameDef(n=2, weights=(3, 2), charfun=cf, interaction=InteractionGraph.from_pairs(2, [(0, 1)]))
+    assert brute_checkcore(g, OPTIMISTIC, Outcome(structure=((3, 2),), imputation=((F(0), F(9)),))) is None
+    cases = [(g, ((3, 2),))]
+    rng = random.Random(79)
+    for trial in range(120):
+        g = (random_tree_game if trial % 2 else random_graph_game)(rng, nmax=4, wmax=2)
+        td = heuristic_decomposition(g.interaction)
+        cs = optval_tw(g, td, g.weights)[1] if trial % 3 else random_structure(rng, g)
+        cases.append((g, cs))
+    stable = none = 0
+    for g, cs in cases:
+        td = heuristic_decomposition(g.interaction)
+        for rule in RULES:
+            answers = [is_stable_tw(g, rule, cs, td), brute_is_stable(g, rule, cs, WIDE_ORACLE)]
+            if g.interaction.is_forest():
+                answers.append(is_stable_tree(g, rule, cs))
+            assert len({imp is None for imp in answers}) == 1
+            if answers[0] is None:
+                none += 1
+                continue
+            stable += 1
+            for imp in answers:
+                o = Outcome(structure=cs, imputation=imp)
+                assert validate_outcome(o, g) == []
+                assert brute_checkcore(g, rule, o) is None
+    assert stable > 100 and none > 100, (stable, none)
 
 
 def test_check_outcome_shape_errors(g1):

@@ -30,6 +30,7 @@ from ocf.oracle import (
     brute_max_excess,
     superadditive_cover,
 )
+from ocf.stability import StabilitySystem
 from ocf.tree import arbval_tree, is_stable_tree, max_excess_tree, optval_tree
 from ocf.treewidth import (
     TreeDecomposition,
@@ -43,7 +44,7 @@ from ocf.treewidth import (
     restrict_decomposition,
     validate_decomposition,
 )
-from conftest import random_graph_game, random_outcome, random_structure, random_tree_game
+from conftest import fan3_game, random_graph_game, random_outcome, random_structure, random_tree_game
 
 RULES = (CONSERVATIVE, REFINED, OPTIMISTIC, OPTIMISTIC_CLAMPED)
 
@@ -328,10 +329,16 @@ def test_is_stable_tw_experimental():
     assert stable > 0 and none > 0
 
 
-def test_is_stable_tw_round_budget(g1):
-    one_bag = TreeDecomposition(bags=(frozenset({0, 1}),), edges=(), root=0)
+def test_is_stable_tw_round_budget():
+    """The fan game's first candidate is cut by the pair {0, 1}, so one
+    round runs out and two answer."""
+    g, cs = fan3_game()
+    one_bag = TreeDecomposition(bags=(frozenset({0, 1, 2}),), edges=(), root=0)
     with pytest.raises(BudgetExceededError):
-        is_stable_tw(g1, CONSERVATIVE, ((1, 1), (1, 0)), one_bag, max_rounds=1)
+        is_stable_tw(g, CONSERVATIVE, cs, one_bag, max_rounds=1)
+    imp = is_stable_tw(g, CONSERVATIVE, cs, one_bag, max_rounds=2)
+    assert imp is not None
+    assert brute_checkcore(g, CONSERVATIVE, Outcome(structure=cs, imputation=imp)) is None
 
 
 class _ThirteenthRefined(LocalArbitrationRule):
@@ -411,29 +418,29 @@ def test_bag_dp_scaled_denominators():
                 assert brute_arbval(g, rule, o, members)[0] - o.payoff_to_set(members) == excess
 
 
-class _LpReached(Exception):
+class _SolveReached(Exception):
     pass
 
 
-def _no_lp(lp):
-    raise _LpReached(len(lp.rows))
+def _no_solve(system):
+    raise _SolveReached(system.cuts)
 
 
 def test_brute_is_stable_row_budget(monkeypatch):
     """A 4-agent weight-3 clique whose clamped optimistic system has 519
-    stability rows stops at the default budget before any LP is solved; the
+    stability rows stops at the default budget before its system is solved; the
     bound 2^(n + max_agents - 2) admits it from max_agents=8 on."""
     rng = random.Random(103)
     for _ in range(4):
         g = random_graph_game(rng, nmax=4)
     assert g.n == 4 and g.weights == (3, 3, 3, 3)
     _, cs = optval_tw(g, heuristic_decomposition(g.interaction), g.weights)
-    monkeypatch.setattr("ocf.oracle.solve_lp", _no_lp)
+    monkeypatch.setattr(StabilitySystem, "solve", _no_solve)
     with pytest.raises(BudgetExceededError, match="exceeds 256 rows"):
         brute_is_stable(g, OPTIMISTIC_CLAMPED, cs)
     with pytest.raises(BudgetExceededError, match="exceeds 512 rows"):
         brute_is_stable(g, OPTIMISTIC_CLAMPED, cs, EnumerationBudget(max_agents=7))
-    with pytest.raises(_LpReached, match="524"):
+    with pytest.raises(_SolveReached, match="^519$"):
         brute_is_stable(g, OPTIMISTIC_CLAMPED, cs, EnumerationBudget(max_agents=8))
 
 
@@ -449,15 +456,15 @@ def _pair_game(n: int, edges: list[tuple[int, int]], weight: int) -> GameDef:
 
 def test_brute_is_stable_row_budget_admits_wide_systems(monkeypatch):
     """Systems that are large only because the game has many agents reach
-    the LP: an 8-agent conservative path under a budget of 8 agents, and a
+    the solve: an 8-agent conservative path under a budget of 8 agents, and a
     6-cycle with one pair coalition per edge under the refined rule (3^6
     stability rows) at the default budget."""
-    monkeypatch.setattr("ocf.oracle.solve_lp", _no_lp)
+    monkeypatch.setattr(StabilitySystem, "solve", _no_solve)
     path = _pair_game(8, [(i, i + 1) for i in range(7)], 1)
     cs = tuple(tuple(int(k in (i, i + 1)) for k in range(8)) for i in range(0, 8, 2))
-    with pytest.raises(_LpReached, match=str(4 + 255)):
+    with pytest.raises(_SolveReached, match="^255$"):
         brute_is_stable(path, CONSERVATIVE, cs, EnumerationBudget(max_agents=8))
     cycle = _pair_game(6, [(i, (i + 1) % 6) for i in range(6)], 2)
     cs = tuple(tuple(int(k in (i, (i + 1) % 6)) for k in range(6)) for i in range(6))
-    with pytest.raises(_LpReached, match=str(6 + 729)):
+    with pytest.raises(_SolveReached, match="^729$"):
         brute_is_stable(cycle, REFINED, cs)
