@@ -253,6 +253,14 @@ def rule_from_name(name: str) -> ArbitrationRule:
         raise UnsupportedRuleError(f"unknown arbitration rule {name!r}") from None
 
 
+def require_local(rule: ArbitrationRule) -> None:
+    """Raise ``UnsupportedRuleError`` unless ``rule`` is local: the DP lanes,
+    the local withdrawal DP and the stability system need a payment that
+    depends on one coalition at a time."""
+    if not isinstance(rule, LocalArbitrationRule):
+        raise UnsupportedRuleError(f"this solver needs a local rule, not {rule.name!r}")
+
+
 def local_payoff(
     rule: LocalArbitrationRule,
     c: Coalition,
@@ -262,8 +270,7 @@ def local_payoff(
     cf: CharacteristicFunction,
 ) -> Fraction:
     """Single-coalition payment under a local rule, with precondition checks."""
-    if not isinstance(rule, LocalArbitrationRule):
-        raise UnsupportedRuleError(f"rule {rule.name} is not local")
+    require_local(rule)
     if not vec_leq(d, c):
         raise ContractViolation("withdrawal exceeds the coalition")
     if not support(d) <= deviators:

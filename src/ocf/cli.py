@@ -24,7 +24,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .arbitration import LocalArbitrationRule, UnsupportedRuleError, rule_from_name
+from .arbitration import LocalArbitrationRule, UnsupportedRuleError, require_local, rule_from_name
 from .core import (
     BudgetExceededError,
     ContractViolation,
@@ -158,8 +158,7 @@ def _rule(args: argparse.Namespace):
 
 def _local_rule(args: argparse.Namespace) -> LocalArbitrationRule:
     rule = rule_from_name(args.arb)
-    if not isinstance(rule, LocalArbitrationRule):
-        raise UnsupportedRuleError(f"this solver needs a local rule, not {rule.name!r}")
+    require_local(rule)
     return rule
 
 

@@ -1,20 +1,21 @@
 """Exact rational linear programming.
 
-Two solvers over :class:`fractions.Fraction` share one Gauss-Jordan
-``pivot`` on a dense tableau:
+One dense tableau over :class:`fractions.Fraction` serves both LPs, and one
+Gauss-Jordan ``pivot`` changes it:
 
-* ``solve_lp`` - a two-phase tableau simplex with Bland's anti-cycling
-  rule, so every solve terminates and the returned vertex is deterministic.
-  The final basis certifies row duals; for a maximization with <= rows the
-  duals are the usual non-negative shadow prices.  Problem shape: maximize
-  c.x subject to rows (a, sense, b) with sense one of "<=", ">=", "=", and
-  x >= 0.  Status is one of "optimal", "infeasible", "unbounded".
 * ``DualSimplex`` - feasibility of ``{x >= 0 : rows}`` kept across added
-  rows.  Each row gets its own slack, so there is no artificial column and
-  no phase 1; the objective is zero, so every basis is dual feasible and
-  each ``solve`` restores primal feasibility by dual simplex pivots from the
-  last basis (Lemke 1954).  Cutting-plane loops that add one violated row
-  per round (Kelley 1960) re-solve from where the last round stopped.
+  rows.  Each row gets its own slack, so there is no artificial column; the
+  objective is zero, so every basis is dual feasible and each ``solve``
+  restores primal feasibility by dual simplex pivots from the last basis
+  (Lemke 1954).  Cutting-plane loops that add one violated row per round
+  (Kelley 1960) re-solve from where the last round stopped.
+* ``solve_lp`` - maximize c.x subject to rows (a, sense, b) with sense one
+  of "<=", ">=", "=", and x >= 0.  Phase 1 is a ``DualSimplex`` solve of
+  the rows; phase 2 runs primal simplex pivots on the objective from that
+  basis.  Both phases follow Bland-type rules, so every solve terminates
+  and the returned vertex is deterministic.  The final basis certifies row
+  duals; for a maximization with <= rows they are the usual non-negative
+  shadow prices.  Status is one of "optimal", "infeasible", "unbounded".
 """
 
 from __future__ import annotations
@@ -74,156 +75,73 @@ class LpSolution:
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve exactly; duals are reported against the rows as given."""
+    """Solve exactly; duals are reported against the rows as given.
+
+    Phase 1 loads the rows into a :class:`DualSimplex` and makes them
+    feasible by its dual pivots.  Phase 2 runs primal pivots on the
+    objective from that basis under Bland's rule: the lowest column with a
+    positive reduced cost enters, and among the min-ratio rows the one whose
+    basic variable has the lowest column leaves.  Tableau row k's dual is
+    minus the reduced cost of its slack; a ``>=`` row reports it negated
+    and an ``=`` row its ``<=`` half's minus its ``>=`` half's, so that
+    A^T y >= c and y.b is the optimum."""
     n = lp.n_vars
     if len(lp.objective) != n:
         raise ContractViolation("objective length must equal n_vars")
-    for coeffs, sense, _ in lp.rows:
+    system = DualSimplex(n)
+    for coeffs, sense, rhs in lp.rows:
         if len(coeffs) != n:
             raise ContractViolation("row width must equal n_vars")
-        if sense not in ("<=", ">=", "="):
-            raise ContractViolation(f"unknown sense {sense!r}")
+        system.add_row({j: Fraction(a) for j, a in enumerate(coeffs) if a}, sense, rhs)
+    if system.solve() is None:
+        return LpSolution(status="infeasible")
 
-    # standardize: all rhs >= 0 (negating rows flips duals)
-    std_rows: list[tuple[list[Fraction], str, Fraction, int]] = []
-    for coeffs, sense, rhs in lp.rows:
-        rhs2 = Fraction(rhs)
-        coeffs2 = [Fraction(a) for a in coeffs]
-        mult = 1
-        if rhs2 < 0:
-            coeffs2 = [-a for a in coeffs2]
-            rhs2 = -rhs2
-            sense = {"<=": ">=", ">=": "<=", "=": "="}[sense]
-            mult = -1
-        std_rows.append((coeffs2, sense, rhs2, mult))
+    tab, basis = system.tab, system.basis
+    width = len(tab[0]) if tab else 1 + n
+    red = [ZERO] + [Fraction(c) for c in lp.objective] + [ZERO] * (width - 1 - n)
+    for row, b in zip(tab, basis):
+        f = red[b]
+        if f:
+            for j, a in enumerate(row):
+                if a:
+                    red[j] -= f * a
+    while True:
+        enter = next((j for j in range(1, width) if red[j] > 0), 0)
+        if not enter:
+            break
+        leave, best = -1, ZERO
+        for i, row in enumerate(tab):
+            a = row[enter]
+            if a > 0:
+                ratio = row[0] / a
+                if leave < 0 or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    leave, best = i, ratio
+        if leave < 0:
+            return LpSolution(status="unbounded")
+        f = red[enter]
+        for j, a in enumerate(pivot(tab, basis, leave, enter)):
+            if a:
+                red[j] -= f * a
 
-    m = len(std_rows)
-    slack_of: dict[int, int] = {}
-    art_of: dict[int, int] = {}
-    ncols = n
-    for i, (_, sense, _, _) in enumerate(std_rows):
-        if sense == "<=":
-            slack_of[i] = ncols
-            ncols += 1
-        elif sense == ">=":
-            slack_of[i] = ncols  # surplus, coefficient -1
-            ncols += 1
-            art_of[i] = ncols
-            ncols += 1
-        else:
-            art_of[i] = ncols
-            ncols += 1
-
-    tab = [[ZERO] * (ncols + 1) for _ in range(m)]
-    basis = [0] * m
-    for i, (coeffs, sense, rhs, _) in enumerate(std_rows):
-        for j, a in enumerate(coeffs):
-            tab[i][j] = a
-        tab[i][ncols] = rhs
-        if sense == "<=":
-            tab[i][slack_of[i]] = ONE
-            basis[i] = slack_of[i]
-        elif sense == ">=":
-            tab[i][slack_of[i]] = -ONE
-            tab[i][art_of[i]] = ONE
-            basis[i] = art_of[i]
-        else:
-            tab[i][art_of[i]] = ONE
-            basis[i] = art_of[i]
-
-    artificials = set(art_of.values())
-
-    def run(cost: list[Fraction], banned: set[int]) -> str:
-        # maintain the reduced-cost row; Bland: lowest-index entering column,
-        # lowest-index basic variable among min-ratio rows
-        red = list(cost) + [ZERO]
-        for i in range(m):
-            cb = cost[basis[i]]
-            if cb != 0:
-                for j in range(ncols + 1):
-                    if tab[i][j] != 0:
-                        red[j] -= cb * tab[i][j]
-        while True:
-            enter = -1
-            for j in range(ncols):
-                if j not in banned and red[j] > 0:
-                    enter = j
-                    break
-            if enter < 0:
-                return "optimal"
-            leave = -1
-            best_ratio: Fraction | None = None
-            for i in range(m):
-                a = tab[i][enter]
-                if a > 0:
-                    ratio = tab[i][ncols] / a
-                    if best_ratio is None or ratio < best_ratio or (
-                        ratio == best_ratio and basis[i] < basis[leave]
-                    ):
-                        best_ratio = ratio
-                        leave = i
-            if leave < 0:
-                return "unbounded"
-            row = pivot(tab, basis, leave, enter)
-            f = red[enter]
-            if f != 0:
-                for j in range(ncols + 1):
-                    if row[j] != 0:
-                        red[j] -= f * row[j]
-
-    if artificials:
-        phase1 = [ZERO] * ncols
-        for j in artificials:
-            phase1[j] = -ONE
-        # artificials may leave the basis but never re-enter
-        run(phase1, banned=artificials)
-        infeas = sum((tab[i][ncols] for i in range(m) if basis[i] in artificials), start=ZERO)
-        if infeas > 0:
-            return LpSolution(status="infeasible")
-        # degenerate artificials: pivot them out where a real column is usable
-        for i in range(m):
-            if basis[i] in artificials:
-                for j in range(ncols):
-                    if j not in artificials and tab[i][j] != 0:
-                        pivot(tab, basis, i, j)
-                        break
-
-    cost2 = [ZERO] * ncols
-    for j in range(n):
-        cost2[j] = Fraction(lp.objective[j])
-    status = run(cost2, banned=artificials)
-    if status == "unbounded":
-        return LpSolution(status="unbounded")
-
-    x = [ZERO] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = tab[i][ncols]
+    x = system.point()
     value = sum((c * v for c, v in zip(lp.objective, x)), start=ZERO)
-
-    # dual of row i reads off the reduced cost of its initial identity column
-    y_red = [ZERO] * ncols
-    for i in range(m):
-        cb = cost2[basis[i]]
-        if cb != 0:
-            for j in range(ncols):
-                if tab[i][j] != 0:
-                    y_red[j] += cb * tab[i][j]
     duals = []
-    for i, (_, sense, _, mult) in enumerate(std_rows):
-        col = art_of[i] if i in art_of else slack_of[i]
-        y = y_red[col]
-        duals.append(mult * y)
-    return LpSolution(
-        status="optimal",
-        x=tuple(x),
-        objective_value=value,
-        duals=tuple(duals),
-    )
+    slack = 1 + n
+    for _, sense, _ in lp.rows:
+        y = ZERO
+        if sense != ">=":
+            y -= red[slack]
+            slack += 1
+        if sense != "<=":
+            y += red[slack]
+            slack += 1
+        duals.append(y)
+    return LpSolution(status="optimal", x=x, objective_value=value, duals=tuple(duals))
 
 
 class DualSimplex:
-    """Feasibility of ``{x >= 0 : rows}``, kept across rows added later.
+    """Feasibility of ``{x >= 0 : rows}``, kept across rows added later;
+    also the tableau on which ``solve_lp`` runs both of its phases.
 
     Tableau rows hold the right-hand side at column 0, then the ``n_vars``
     variables, then one slack per row; row k starts with its slack basic.
@@ -286,11 +204,7 @@ class DualSimplex:
                 if row[0] < 0 and (leave < 0 or basis[i] < basis[leave]):
                     leave = i
             if leave < 0:
-                x = [ZERO] * self.n_vars
-                for row, b in zip(tab, basis):
-                    if b <= self.n_vars:
-                        x[b - 1] = row[0]
-                return tuple(x)
+                return self.point()
             row = tab[leave]
             enter = next((j for j in range(1, len(row)) if row[j] < 0), 0)
             if enter:
@@ -298,3 +212,12 @@ class DualSimplex:
             else:
                 self.infeasible = True
         return None
+
+    def point(self) -> tuple[Fraction, ...]:
+        """The current basis's vertex: each basic variable at its row's
+        right-hand side, every other variable at 0."""
+        x = [ZERO] * self.n_vars
+        for row, b in zip(self.tab, self.basis):
+            if b <= self.n_vars:
+                x[b - 1] = row[0]
+        return tuple(x)

@@ -37,7 +37,7 @@ from .arbitration import (
     Deviation,
     LocalArbitrationRule,
     PaymentTerm,
-    UnsupportedRuleError,
+    require_local,
 )
 from .core import (
     ZERO,
@@ -58,13 +58,6 @@ from .lp import ONE, DualSimplex, LinearProgram
 VarIndex = dict[tuple[int, int], int]
 
 
-def _require_local(rule: LocalArbitrationRule) -> None:
-    if not isinstance(rule, LocalArbitrationRule):
-        raise UnsupportedRuleError(
-            f"stability system is not linear for rule {rule.name!r}"
-        )
-
-
 def _variables(cs: CoalitionStructure) -> VarIndex:
     var_of: VarIndex = {}
     for j, c in enumerate(cs):
@@ -83,7 +76,7 @@ def stability_lp(
     whose payments are linear per branch; the others have no linear
     stability constraints.  ``StabilitySystem`` holds the same LP presolved.
     """
-    _require_local(rule)
+    require_local(rule)
     var_of = _variables(cs)
     lp = LinearProgram(n_vars=len(var_of), objective=[ZERO] * len(var_of))
     for j, c in enumerate(cs):
@@ -165,7 +158,7 @@ class StabilitySystem:
     """
 
     def __init__(self, g: GameDef, rule: LocalArbitrationRule, cs: CoalitionStructure):
-        _require_local(rule)
+        require_local(rule)
         self.cs = cs
         self.n = g.n
         self.var_of = _variables(cs)

@@ -37,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .arbitration import CoreViolation, Deviation, LocalArbitrationRule, UnsupportedRuleError
+from .arbitration import CoreViolation, Deviation, LocalArbitrationRule, require_local
 from .core import (
     ZERO,
     BudgetExceededError,
@@ -117,8 +117,7 @@ def arbval_local(
     of resources withdrawn so far, so the table has (W+1)^|S| entries; the set
     size is capped to keep that in check.
     """
-    if not isinstance(rule, LocalArbitrationRule):
-        raise UnsupportedRuleError(f"rule {rule.name} is not local")
+    require_local(rule)
     if len(deviators) > max_set_size:
         raise BudgetExceededError(
             f"|S|={len(deviators)} exceeds the local-DP cap {max_set_size}"
@@ -197,8 +196,7 @@ def arbval_tree(
     Falls back to ``arbval_local`` when S induces a cycle but is small enough;
     no cap on |S| otherwise.
     """
-    if not isinstance(rule, LocalArbitrationRule):
-        raise UnsupportedRuleError(f"rule {rule.name} is not local")
+    require_local(rule)
     graph = require_two_ocf_tree(g, need_forest=False)
     check_outcome_shape(g, o)
     sub_edges = [
@@ -222,8 +220,7 @@ def max_excess_tree(
     g: GameDef, rule: LocalArbitrationRule, o: Outcome
 ) -> tuple[Fraction, frozenset[int]]:
     """Maximum excess over all nonempty subsets (and an achieving set)."""
-    if not isinstance(rule, LocalArbitrationRule):
-        raise UnsupportedRuleError(f"rule {rule.name} is not local")
+    require_local(rule)
     graph = require_two_ocf_tree(g)
     return max_excess_tw(g, rule, o, forest_decomposition(graph))
 
@@ -233,8 +230,7 @@ def checkcore_tree(
 ) -> CoreViolation | None:
     """None iff the outcome is stable; otherwise the worst violating set, with
     the deviation and post-deviation structure that earn its excess."""
-    if not isinstance(rule, LocalArbitrationRule):
-        raise UnsupportedRuleError(f"rule {rule.name} is not local")
+    require_local(rule)
     graph = require_two_ocf_tree(g)
     return checkcore_tw(g, rule, o, forest_decomposition(graph))
 

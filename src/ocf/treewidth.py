@@ -46,7 +46,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable
 
-from .arbitration import CoreViolation, Deviation, LocalArbitrationRule, UnsupportedRuleError
+from .arbitration import CoreViolation, Deviation, LocalArbitrationRule, require_local
 from .core import (
     ZERO,
     Coalition,
@@ -733,11 +733,6 @@ def _keep_best(tables: dict, steps: dict, key, table: dict, source) -> None:
         sources.append(source)
 
 
-def _require_local(rule: LocalArbitrationRule) -> None:
-    if not isinstance(rule, LocalArbitrationRule):
-        raise UnsupportedRuleError(f"rule {rule.name} is not local")
-
-
 def _prepare(g: GameDef, t: TreeDecomposition, vertices: set[int] | None = None) -> set[int]:
     require_two_ocf_tree(g, need_forest=False)
     verts = set(range(g.n)) if vertices is None else set(vertices)
@@ -778,7 +773,7 @@ def arbval_tw(
     extra agents are restricted down to S first.  When omitted, the min-fill
     heuristic runs on the induced subgraph.
     """
-    _require_local(rule)
+    require_local(rule)
     graph = require_two_ocf_tree(g, need_forest=False)
     check_outcome_shape(g, o)
     if not deviators:
@@ -903,7 +898,7 @@ def checkcore_tw(
 ) -> CoreViolation | None:
     """None iff stable; otherwise a maximal-excess violating set with the
     deviation and post-deviation structure that earn its excess."""
-    _require_local(rule)
+    require_local(rule)
     _prepare(g, t)
     return _checkcore_bags(g, rule, o, t, _solo_tables(g))
 
@@ -915,7 +910,7 @@ def max_excess_tw(
     t: TreeDecomposition,
 ) -> tuple[Fraction, frozenset[int]]:
     """Maximum excess over all nonempty subsets, via the bag DP."""
-    _require_local(rule)
+    require_local(rule)
     _prepare(g, t)
     engine, _ = _excess_engine(g, rule, o, t, _solo_tables(g))
     return engine.value(), frozenset(engine.walk().members)

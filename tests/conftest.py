@@ -1,4 +1,5 @@
-"""Shared fixtures: the hand-built G1/O1/L1 instances and random generators.
+"""Shared fixtures: the hand-built G1/O1/L1 instances, random generators and
+a brute-force feasibility check for small linear systems.
 
 G1 is the two-agent game used throughout the docs: weights (2, 1), agent 0
 makes 1 from one unit alone or 3 from both, agent 1 makes 2 alone, and the
@@ -9,6 +10,7 @@ price 3 and a solo task for agent 0 at price 1.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -174,3 +176,54 @@ def random_lbg_instance(rng: random.Random, nmax: int = 5, tmax: int = 8) -> Lbg
         seen.add(agents)
         tasks.append((agents, Fraction(rng.randint(0, 8), rng.choice([1, 2, 4]))))
     return make_lbg_instance(n, weights, tasks)
+
+
+LinearRow = tuple[dict[int, Fraction], str, Fraction]
+
+
+def row_holds(x, coeffs: dict[int, Fraction], sense: str, rhs: Fraction) -> bool:
+    lhs = sum((a * x[j] for j, a in coeffs.items()), start=Fraction(0))
+    return {"<=": lhs <= rhs, ">=": lhs >= rhs, "=": lhs == rhs}[sense]
+
+
+def _solve_square(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+    """The unique solution of mat.x = rhs by Gauss-Jordan elimination, or
+    None when mat is singular."""
+    n = len(mat)
+    aug = [row + [b] for row, b in zip(mat, rhs)]
+    for col in range(n):
+        p = next((r for r in range(col, n) if aug[r][col]), None)
+        if p is None:
+            return None
+        aug[col], aug[p] = aug[p], aug[col]
+        inv = Fraction(1) / aug[col][col]
+        top = aug[col] = [a * inv for a in aug[col]]
+        for r in range(n):
+            f = aug[r][col]
+            if r != col and f:
+                aug[r] = [a - f * b if b else a for a, b in zip(aug[r], top)]
+    return [row[n] for row in aug]
+
+
+def feasible_vertex(n: int, rows: list[LinearRow]) -> list[Fraction] | None:
+    """A vertex of {x >= 0 : rows}, or None when that set is empty.
+
+    A vertex makes n independent constraints tight: r of the rows and the
+    bounds of all but r variables, which are 0.  This tries every such
+    choice and solves the r x r system left.  The set lies in the
+    non-negative orthant, so it has no line and is non-empty exactly when
+    it has a vertex.  Meant as a reference that shares no code with
+    ``ocf.lp``, for n and the row count up to about 6."""
+    for r in range(min(n, len(rows)) + 1):
+        for tight in itertools.combinations(rows, r):
+            rhs = [b for _, _, b in tight]
+            for basic in itertools.combinations(range(n), r):
+                values = _solve_square([[c.get(j, Fraction(0)) for j in basic] for c, _, _ in tight], rhs)
+                if values is None:
+                    continue
+                x = [Fraction(0)] * n
+                for j, v in zip(basic, values):
+                    x[j] = v
+                if min(x) >= 0 and all(row_holds(x, *row) for row in rows):
+                    return x
+    return None

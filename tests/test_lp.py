@@ -1,9 +1,12 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from ocf.core import ContractViolation
 from ocf.lp import LinearProgram, solve_lp
+from conftest import feasible_vertex, row_holds
 
 F = Fraction
 
@@ -108,3 +111,66 @@ def test_degenerate_is_deterministic():
         lp_rows.append(solve_lp(lp))
     assert lp_rows[0].x == lp_rows[1].x == lp_rows[2].x
     assert all(s.objective_value == 1 for s in lp_rows)
+
+
+def _random_lp(rng: random.Random):
+    n = rng.randint(1, 4)
+    objective = [F(rng.randint(-5, 3), rng.choice((1, 2))) for _ in range(n)]
+    rows = []
+    for _ in range(rng.randint(1, 4)):
+        coeffs = {j: F(rng.randint(-2, 4), rng.choice((1, 1, 3))) for j in range(n) if rng.random() < 0.7}
+        sense = rng.choice(("<=", "<=", ">=", ">=", "="))
+        rows.append((coeffs, sense, F(rng.randint(-3, 8), rng.choice((1, 2)))))
+    return n, objective, rows
+
+
+def _dual_rows(n, objective, rows):
+    """The dual feasibility system A^T y >= c, y >= 0 on <= rows, y <= 0 on
+    >= rows, y free on = rows, over non-negative variables: y = u on a <=
+    row, y = -u on a >= row and y = u - v on an = row."""
+    columns = []
+    for coeffs, sense, _ in rows:
+        if sense != ">=":
+            columns.append(coeffs)
+        if sense != "<=":
+            columns.append({j: -a for j, a in coeffs.items()})
+    dual = [
+        ({k: col[j] for k, col in enumerate(columns) if j in col}, ">=", objective[j])
+        for j in range(n)
+    ]
+    return len(columns), dual
+
+
+def test_random_lps_certify_themselves():
+    """Seeded random LPs of all three senses, each answer checked by its own
+    certificate: an optimum by a feasible x and duals of the right sign with
+    A^T y >= c and y.b equal to the value; "infeasible" by finding no vertex
+    of the rows; "unbounded" by a vertex of the rows and none of the dual
+    system, both by enumerating tight constraints."""
+    rng = random.Random(97)
+    outcomes = Counter()
+    for _ in range(600):
+        n, objective, rows = _random_lp(rng)
+        lp = LinearProgram(n_vars=n, objective=objective)
+        for row in rows:
+            lp.add_row(*row)
+        sol = solve_lp(lp)
+        outcomes[sol.status] += 1
+        if sol.status == "optimal":
+            x, y = sol.x, sol.duals
+            assert x is not None and y is not None and len(y) == len(rows)
+            assert min(x) >= 0 and all(row_holds(x, *row) for row in rows)
+            assert sol.objective_value == sum(c * v for c, v in zip(objective, x))
+            for yi, (_, sense, _) in zip(y, rows):
+                assert {"<=": yi >= 0, ">=": yi <= 0, "=": True}[sense]
+            for j in range(n):
+                covered = sum(yi * coeffs.get(j, 0) for yi, (coeffs, _, _) in zip(y, rows))
+                assert covered >= objective[j]
+            assert sum(yi * rhs for yi, (_, _, rhs) in zip(y, rows)) == sol.objective_value
+        elif sol.status == "infeasible":
+            assert feasible_vertex(n, rows) is None
+        else:
+            assert sol.status == "unbounded"
+            assert feasible_vertex(n, rows) is not None
+            assert feasible_vertex(*_dual_rows(n, objective, rows)) is None
+    assert min(outcomes.values()) >= 100, outcomes

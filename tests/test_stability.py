@@ -1,6 +1,7 @@
-"""The incremental stability system: ``lp.DualSimplex`` against the two-phase
-``solve_lp``, the presolve of ``StabilitySystem``, and Is-Stable on the
-refined path game whose LPs used to take minutes."""
+"""The incremental stability system: ``lp.DualSimplex`` against a brute-force
+vertex enumeration that shares no code with ``ocf.lp`` (the same tableau
+also runs both phases of ``solve_lp``), the presolve of ``StabilitySystem``,
+and Is-Stable on the refined path game whose LPs used to take minutes."""
 
 import random
 import time
@@ -8,12 +9,12 @@ from fractions import Fraction
 
 from ocf.arbitration import CONSERVATIVE, REFINED
 from ocf.core import GameDef, InteractionGraph, Outcome, make_charfun
-from ocf.lp import DualSimplex, LinearProgram, pivot, solve_lp
+from ocf.lp import DualSimplex, pivot, solve_lp
 from ocf.oracle import brute_is_stable
 from ocf.stability import StabilitySystem, ir_rows, stability_lp
 from ocf.tree import checkcore_tree, is_stable_tree, optval_tree
 from ocf.treewidth import checkcore_tw, heuristic_decomposition, is_stable_tw
-from conftest import random_structure, random_tree_game
+from conftest import feasible_vertex, random_structure, random_tree_game, row_holds
 
 F = Fraction
 
@@ -27,44 +28,33 @@ def _random_system(rng: random.Random):
     return n, rows
 
 
-def _holds(x, coeffs, sense, rhs) -> bool:
-    lhs = sum((a * x[j] for j, a in coeffs.items()), start=F(0))
-    return {"<=": lhs <= rhs, ">=": lhs >= rhs, "=": lhs == rhs}[sense]
-
-
-def _cold(n, rows) -> str:
-    lp = LinearProgram(n_vars=n, objective=[F(0)] * n)
-    for row in rows:
-        lp.add_row(*row)
-    return solve_lp(lp).status
-
-
-def test_dual_simplex_matches_solve_lp():
+def test_dual_simplex_matches_vertex_enumeration():
     """On seeded random systems of =, <= and >= rows the dual simplex and
-    the two-phase simplex agree on feasibility; a point found satisfies
-    every row exactly; rows added one at a time, with a solve after each,
-    end where the cold solve does; and the vertex is the same on a rerun."""
+    vertex enumeration agree on feasibility; a point found satisfies every
+    row exactly; rows added one at a time, with a solve after each, end
+    where enumeration on those rows does; and the vertex is the same on a
+    rerun."""
     rng = random.Random(83)
-    outcomes = {"optimal": 0, "infeasible": 0}
+    outcomes = {"feasible": 0, "infeasible": 0}
     for _ in range(300):
         n, rows = _random_system(rng)
-        status = _cold(n, rows)
-        outcomes[status] += 1
+        feasible = feasible_vertex(n, rows) is not None
+        outcomes["feasible" if feasible else "infeasible"] += 1
         system = DualSimplex(n)
         for row in rows:
             system.add_row(*row)
         x = system.solve()
-        assert (x is None) == (status == "infeasible")
+        assert (x is None) == (not feasible)
         if x is not None:
             assert all(type(v) is F and v >= 0 for v in x)
-            assert all(_holds(x, *row) for row in rows)
+            assert all(row_holds(x, *row) for row in rows)
         grown = DualSimplex(n)
         for k, row in enumerate(rows):
             grown.add_row(*row)
             y = grown.solve()
-            assert (y is None) == (_cold(n, rows[: k + 1]) == "infeasible")
+            assert (y is None) == (feasible_vertex(n, rows[: k + 1]) is None)
             if y is not None:
-                assert all(_holds(y, *r) for r in rows[: k + 1])
+                assert all(row_holds(y, *r) for r in rows[: k + 1])
         again = DualSimplex(n)
         for row in rows:
             again.add_row(*row)
@@ -99,7 +89,7 @@ def test_dual_simplex_bland_rule_prevents_cycling():
     for row in _beale_rows():
         system.add_row(*row)
     assert system.solve() is None
-    assert _cold(2, _beale_rows()) == "infeasible"
+    assert feasible_vertex(2, _beale_rows()) is None
 
 
 def _g1() -> GameDef:
@@ -187,7 +177,7 @@ def test_presolve_matches_the_full_lp():
             for (j, i), v in var_of.items():
                 x[v] = imp[j][i]
             for dense, sense, rhs in lp.rows:
-                assert _holds(x, dict(enumerate(dense)), sense, rhs)
+                assert row_holds(x, dict(enumerate(dense)), sense, rhs)
             assert min(x, default=F(0)) >= 0
     assert min(outcomes.values()) >= 40, outcomes
 

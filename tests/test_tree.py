@@ -44,9 +44,12 @@ from ocf.treewidth import (
     KeepTable,
     UnsupportedGameError,
     UnsupportedOutcomeError,
+    arbval_tw,
     check_outcome_shape,
+    checkcore_tw,
     heuristic_decomposition,
     is_stable_tw,
+    max_excess_tw,
     optval_tw,
     rooted_forest,
 )
@@ -173,6 +176,27 @@ def test_arbval_rejects_sensitive(g1, o1):
         arbval_local(g1, SENSITIVE, o1, frozenset({0}))
     with pytest.raises(UnsupportedRuleError):
         arbval_tree(g1, SENSITIVE, o1, frozenset({0}))
+
+
+def test_every_local_lane_rejects_sensitive(g1, o1):
+    """Every lane that needs a local rule says so in one message."""
+    from ocf.arbitration import UnsupportedRuleError
+
+    td = heuristic_decomposition(g1.interaction)
+    cs = o1.structure
+    for call in (
+        lambda: max_excess_tree(g1, SENSITIVE, o1),
+        lambda: checkcore_tree(g1, SENSITIVE, o1),
+        lambda: is_stable_tree(g1, SENSITIVE, cs),
+        lambda: arbval_tw(g1, SENSITIVE, o1, frozenset({0})),
+        lambda: checkcore_tw(g1, SENSITIVE, o1, td),
+        lambda: max_excess_tw(g1, SENSITIVE, o1, td),
+        lambda: is_stable_tw(g1, SENSITIVE, cs, td),
+        lambda: stability_module.stability_lp(g1, SENSITIVE, cs),
+        lambda: stability_module.StabilitySystem(g1, SENSITIVE, cs),
+    ):
+        with pytest.raises(UnsupportedRuleError, match="needs a local rule"):
+            call()
 
 
 def test_arbval_rejects_wide_outcomes():
