@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import le, sub
 from typing import Iterable, Sequence
 
 Coalition = tuple[int, ...]
@@ -39,11 +40,11 @@ def support(c: Coalition) -> frozenset[int]:
 
 
 def vec_sub(a: Coalition, b: Coalition) -> Coalition:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def vec_leq(a: Coalition, b: Coalition) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def zero_coalition(n: int) -> Coalition:
@@ -180,16 +181,13 @@ class CharacteristicFunction:
 
     def value(self, c: Coalition) -> Fraction:
         """Evaluate the coalition; 0 for unlisted or oversized supports."""
-        if len(c) != self.n:
-            raise ContractViolation(f"coalition has length {len(c)}, expected {self.n}")
-        sup = tuple(i for i, w in enumerate(c) if w > 0)
-        if len(sup) > self.k:
+        key = self._entry_of.get(c)
+        if key is None:
+            if len(c) != self.n:
+                raise ContractViolation(f"coalition has length {len(c)}, expected {self.n}")
             return ZERO
-        table = self.entries.get(sup)
-        if table is None:
-            return ZERO
-        contrib = tuple(c[i] for i in sup)
-        return table.get(contrib, ZERO)
+        sup, contrib = key
+        return self.entries[sup][contrib]
 
     def atoms(self) -> list[tuple[Coalition, Fraction]]:
         """All positive-valued stored coalitions as full-length vectors."""
@@ -221,6 +219,12 @@ class CharacteristicFunction:
                     c[i] = w
                 out[(sup, contrib)] = tuple(c)
         return out
+
+    @cached_property
+    def _entry_of(self) -> dict[Coalition, tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The (support, contribution) key of every stored vector.  ``value``
+        reads the value itself from ``entries``, so it sees later edits."""
+        return {c: key for key, c in self.vectors.items()}
 
 
 def make_charfun(
@@ -279,6 +283,21 @@ class GameDef:
     @property
     def w_max(self) -> int:
         return max(self.weights)
+
+    @cached_property
+    def _solo_vectors(self) -> dict[tuple[int, int], Coalition]:
+        """The vector of ``w`` units of agent ``i`` alone, keyed ``(i, w)``,
+        for every ``w`` up to the agent's weight; a stored entry's vector is
+        reused.  The fillers that pad witnesses share these tuples."""
+        stored = self.charfun.vectors
+        out = {}
+        for i, weight in enumerate(self.weights):
+            for w in range(1, weight + 1):
+                vec = stored.get(((i,), (w,)))
+                if vec is None:
+                    vec = tuple(w if j == i else 0 for j in range(self.n))
+                out[(i, w)] = vec
+        return out
 
     def check_coalition(self, c: Coalition) -> None:
         if len(c) != self.n:

@@ -3,8 +3,8 @@
 Every pseudo-polynomial solver here takes a best value over resource vectors
 and adds the values of parts.  Two primitives do that work; both take tables
 keyed by resource tuples, in which ``None`` marks an unreachable state, and
-work on any ordered additive values (scaled ``int``s in the bag engine,
-``Fraction`` elsewhere):
+work on any ordered additive values (scaled ``int``s in the bag engine and
+``CoverTable``, ``Fraction`` elsewhere):
 
 * ``closure`` - the unbounded atom knapsack
   ``best(r) = max(base(r), max over atoms a <= r of value(a) + best(r - a))``.
@@ -20,11 +20,16 @@ The cover of a resource vector is the best total value of a coalition
 multiset using at most those resources.  Because unlisted coalitions are worth
 zero, only the positive-valued stored coalitions ("atoms") ever matter, and
 leftover resources can always idle in worthless filler coalitions, so the
-cover is ``closure`` over a base of zeros.
+cover is ``closure`` over a base of zeros.  ``CoverTable`` runs it on
+``int``s: the atom values are scaled once by the lcm of their denominators
+(``_denominator``, shared with the bag engine) and each lookup divides back
+into a ``Fraction``.  Scaling by a positive constant keeps every comparison,
+so values and picks are those of the ``Fraction`` table.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
 from typing import Iterable
@@ -104,6 +109,16 @@ def convolve(caps: tuple[int, ...], prev: dict, axes: Iterable[int], other: dict
     return out, picks
 
 
+def _denominator(*groups: Iterable[Fraction | None]) -> int:
+    """Least common multiple of the denominators of every value; None skipped."""
+    return math.lcm(*(v.denominator for vs in groups for v in vs if v is not None))
+
+
+def _scaled(v: Fraction | None, d: int) -> int | None:
+    """``v`` times ``d`` as an int; ``d`` must be a multiple of its denominator."""
+    return None if v is None else v.numerator * (d // v.denominator)
+
+
 def lift(vectors: Iterable[tuple[int, ...]], coords: Iterable[int], n: int) -> list[Coalition]:
     """Vectors over the agents ``coords`` as n-vectors, zero elsewhere."""
     coords = tuple(coords)
@@ -122,16 +137,20 @@ class CoverTable:
     ``atoms`` are (vector, value) pairs in the same (local) coordinate system
     as ``caps``; atoms exceeding the caps are unusable and dropped.  State
     count is prod(caps_i + 1); the caller is responsible for budget checks.
+    The table runs on ``int``s: every atom value is scaled once by ``scale``,
+    the lcm of their denominators, and ``value`` divides it back out.
     """
 
     def __init__(self, atoms: list[tuple[Coalition, Fraction]], caps: Coalition):
         self.caps = tuple(caps)
         self.atoms = [(a, v) for a, v in atoms if all(x <= c for x, c in zip(a, caps))]
-        base = dict.fromkeys(product(*[range(c + 1) for c in self.caps]), ZERO)
-        self.value_at, self.choice = closure(self.caps, self.atoms, base)
+        self.scale = _denominator(v for _, v in self.atoms)
+        scaled = [(a, _scaled(v, self.scale)) for a, v in self.atoms]
+        base = dict.fromkeys(product(*[range(c + 1) for c in self.caps]), 0)
+        self.value_at, self.choice = closure(self.caps, scaled, base)
 
     def value(self, r: Coalition) -> Fraction:
-        return self.value_at[tuple(r)]
+        return Fraction(self.value_at[tuple(r)], self.scale)
 
     def witness_atoms(self, r: Coalition) -> list[Coalition]:
         """Atoms of one optimal multiset for ``r`` (resources may be left over)."""

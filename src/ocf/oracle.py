@@ -7,6 +7,17 @@ pseudo-polynomial solvers in :mod:`ocf.tree` and :mod:`ocf.treewidth` are
 tested against these.  ``brute_is_stable`` writes the whole stability
 system of :mod:`ocf.stability`: one row per deviating set, withdrawal
 profile and choice of the rule's payment terms.
+
+Exhaustive does not mean rebuilt: each call builds one cover table.
+``brute_max_excess``/``brute_checkcore`` and ``brute_is_stable`` look up
+every deviating set's freed resources in one table over the game's weights
+(clipped to ``budget.max_weight`` for Is-Stable, whose freed vectors pass
+the cover budget first); a vector zero outside S is reached only by atoms
+inside S, met in the same order as in S's own table, so values and
+witnesses are those of a table per set.  ``count_structures`` is a counting
+table over the box below ``c``, and ``enumerate_structures`` hands each
+level the atoms still fitting, filtered from its own list, so the canonical
+yield order is unchanged.
 """
 
 from __future__ import annotations
@@ -37,9 +48,10 @@ from .core import (
     structure_weight,
     support,
     vec_leq,
+    vec_sub,
     zero_coalition,
 )
-from .covers import CoverTable, lift
+from .covers import CoverTable
 from .stability import StabilitySystem, stability_row
 
 
@@ -71,23 +83,19 @@ def _check_cover_budget(g: GameDef, c: Coalition, budget: EnumerationBudget | No
         )
 
 
-def _shared(cs: list[Coalition]) -> CoalitionStructure:
-    """The same structure holding one tuple object per distinct coalition."""
-    seen: dict[Coalition, Coalition] = {}
-    return tuple(seen.setdefault(c, c) for c in cs)
+def _pad_fillers(g: GameDef, atoms: list[Coalition], target: Coalition) -> CoalitionStructure:
+    """Append one singleton filler per agent so the weight is exactly target.
 
-
-def _pad_fillers(atoms: list[Coalition], target: Coalition, n: int) -> CoalitionStructure:
-    """Append one singleton filler per agent so the weight is exactly target."""
-    used = structure_weight(tuple(atoms), n)
+    Witness atoms are the game's own vectors and the fillers come from
+    ``GameDef._solo_vectors``, so every structure shares its tuples with the
+    game."""
+    used = structure_weight(tuple(atoms), g.n)
     out = list(atoms)
-    for i in range(n):
+    for i in range(g.n):
         gap = target[i] - used[i]
         if gap > 0:
-            filler = [0] * n
-            filler[i] = gap
-            out.append(tuple(filler))
-    return _shared(out)
+            out.append(g._solo_vectors[(i, gap)])
+    return tuple(out)
 
 
 def superadditive_cover(
@@ -95,22 +103,15 @@ def superadditive_cover(
 ) -> tuple[Fraction, CoalitionStructure]:
     """Best value achievable from resources ``c``, with an achieving structure.
 
-    Memoized recurrence over the stored positive-valued coalitions; the
-    witness weighs exactly ``c`` (zero-value fillers pad the leftovers).
+    One cover table over the stored positive-valued coalitions inside the
+    support of ``c``; the witness weighs exactly ``c`` (zero-value fillers
+    pad the leftovers).
     Pass ``budget=None`` to lift the default desk-scale guard.
     """
     g.check_coalition(c)
     _check_cover_budget(g, c, budget)
-    sup = sorted(support(c))
-    if not sup:
-        return ZERO, ()
-    local_caps = tuple(c[i] for i in sup)
-    atoms = []
-    for a, v in g.charfun.atoms_within(frozenset(sup)):
-        atoms.append((tuple(a[i] for i in sup), v))
-    table = CoverTable(atoms, local_caps)
-    picked = lift(table.witness_atoms(local_caps), sup, g.n)
-    return table.value(local_caps), _pad_fillers(picked, c, g.n)
+    table = CoverTable(g.charfun.atoms_within(support(c)), c)
+    return table.value(c), _pad_fillers(g, table.witness_atoms(c), c)
 
 
 def _nonzero_atoms_below(c: Coalition) -> list[Coalition]:
@@ -122,36 +123,23 @@ def _nonzero_atoms_below(c: Coalition) -> list[Coalition]:
 def count_structures(
     g: GameDef, c: Coalition, cap: int | None = None
 ) -> int:
-    """Number of coalition multisets with sum <= c, saturating at cap + 1."""
+    """Number of coalition multisets with sum <= c, saturating at cap + 1.
+
+    The (+) analogue of ``covers.closure`` over the box below ``c``: with
+    ``ways`` one everywhere (the empty multiset), adding each atom ``a`` in
+    turn by ``ways[r] += ways[r - a]`` in lexicographic order leaves
+    ``ways[r]`` the number of multisets of the atoms so far with sum <= r.
+    """
     g.check_coalition(c)
-    atoms = _nonzero_atoms_below(c)
     limit = None if cap is None else cap + 1
-    memo: dict[tuple[int, Coalition], int] = {}
-
-    def count(idx: int, rem: Coalition) -> int:
-        if idx == len(atoms):
-            return 1
-        key = (idx, rem)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        total = count(idx + 1, rem)
-        a = atoms[idx]
-        if (limit is None or total <= limit) and vec_leq(a, rem):
-            total += count(idx, tuple(r - x for r, x in zip(rem, a)))
-        if limit is not None and total > limit:
-            total = limit
-        memo[key] = total
-        return total
-
-    import sys
-
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, len(atoms) + 1000))
-    try:
-        return count(0, c)
-    finally:
-        sys.setrecursionlimit(old)
+    ways = dict.fromkeys(product(*[range(w + 1) for w in c]), 1)
+    for a in _nonzero_atoms_below(c):
+        hi = product(*[range(x, w + 1) for x, w in zip(a, c)])
+        lo = product(*[range(w - x + 1) for x, w in zip(a, c)])
+        for r, rest in zip(hi, lo):
+            total = ways[r] + ways[rest]
+            ways[r] = total if limit is None or total < limit else limit
+    return ways[tuple(c)]
 
 
 def enumerate_structures(
@@ -172,18 +160,17 @@ def enumerate_structures(
                 f"structure count exceeds budget.max_structures="
                 f"{budget.max_structures} (count is at least {total})"
             )
-    atoms = _nonzero_atoms_below(c)
 
-    def rec(start: int, rem: Coalition, acc: list[Coalition]) -> Iterator[CoalitionStructure]:
+    def rec(fits: list[Coalition], rem: Coalition, acc: list[Coalition]) -> Iterator[CoalitionStructure]:
+        # fits: the atoms from the last one taken on that fit into rem
         yield tuple(acc)
-        for idx in range(start, len(atoms)):
-            a = atoms[idx]
-            if vec_leq(a, rem):
-                acc.append(a)
-                yield from rec(idx, tuple(r - x for r, x in zip(rem, a)), acc)
-                acc.pop()
+        for k, a in enumerate(fits):
+            rest = vec_sub(rem, a)
+            acc.append(a)
+            yield from rec([b for b in fits[k:] if vec_leq(b, rest)], rest, acc)
+            acc.pop()
 
-    return rec(0, c, [])
+    return rec(_nonzero_atoms_below(c), tuple(c), [])
 
 
 def _withdrawal_options(c: Coalition, deviators: frozenset[int]) -> list[Coalition]:
@@ -211,7 +198,21 @@ def brute_arbval(
     Post-deviation structures are optimized by the superadditive cover of the
     freed resources rather than enumerated, which is exact and much smaller.
     """
-    n = g.n
+    caps = tuple(w if i in deviators else 0 for i, w in enumerate(g.weights))
+    table = CoverTable(g.charfun.atoms_within(deviators), caps)
+    return _arbval_on(g, arb, o, deviators, budget, table)
+
+
+def _arbval_on(
+    g: GameDef,
+    arb: ArbitrationRule,
+    o: Outcome,
+    deviators: frozenset[int],
+    budget: EnumerationBudget | None,
+    table: CoverTable,
+) -> tuple[Fraction, tuple[Deviation, CoalitionStructure]]:
+    """``brute_arbval`` reading the cover of the freed resources, which are
+    zero outside ``deviators``, from ``table``."""
     mixed = mixed_indices(o.structure, deviators)
     options = {j: _withdrawal_options(o.structure[j], deviators) for j in mixed}
     space = 1
@@ -221,12 +222,6 @@ def brute_arbval(
         raise BudgetExceededError(
             f"deviation space {space} exceeds budget.max_structures={budget.max_structures}"
         )
-    caps = tuple(g.weights[i] if i in deviators else 0 for i in range(n))
-    sup = sorted(support(caps))
-    atoms = [
-        (tuple(a[i] for i in sup), v) for a, v in g.charfun.atoms_within(deviators)
-    ]
-    table = CoverTable(atoms, tuple(caps[i] for i in sup)) if sup else None
 
     best: Fraction | None = None
     best_dev: Deviation | None = None
@@ -234,10 +229,7 @@ def brute_arbval(
     for combo in product(*[options[j] for j in mixed]):
         dev = Deviation(withdrawals={j: w for j, w in zip(mixed, combo) if any(w)})
         avail = deviation_available(g, o, deviators, dev)
-        if table is not None:
-            new_value = table.value(tuple(avail[i] for i in sup))
-        else:
-            new_value = ZERO
+        new_value = table.value(avail)
         payments = arb.deviation_payoffs(g, o, deviators, dev)
         total = new_value + sum(payments.values(), start=ZERO)
         if best is None or total > best:
@@ -245,10 +237,7 @@ def brute_arbval(
             best_dev = dev
             best_avail = avail
     assert best is not None and best_dev is not None and best_avail is not None
-    picked = []
-    if table is not None:
-        picked = lift(table.witness_atoms(tuple(best_avail[i] for i in sup)), sup, n)
-    post = _pad_fillers(picked, best_avail, n)
+    post = _pad_fillers(g, table.witness_atoms(best_avail), best_avail)
     return best, (best_dev, post)
 
 
@@ -267,10 +256,15 @@ def _max_excess_scan(
         raise BudgetExceededError(
             f"n={g.n} exceeds budget.max_agents={budget.max_agents} (2^n subsets)"
         )
+    # a state zero outside S is reached only by atoms inside S, met in the
+    # same relative order, so one table over all agents answers every S
+    # exactly as S's own table would, picks included
+    table = CoverTable(g.charfun.atoms(), g.weights)
+    paid = [o.payoff_to_agent(i) for i in range(g.n)]
     best: CoreViolation | None = None
     for S in iter_subsets(g.n):
-        value, (dev, post) = brute_arbval(g, arb, o, S, budget)
-        excess = value - o.payoff_to_set(S)
+        value, (dev, post) = _arbval_on(g, arb, o, S, budget, table)
+        excess = value - sum((paid[i] for i in S), start=ZERO)
         if best is None or excess > best.excess:
             best = CoreViolation(agents=S, excess=excess, deviation=dev, post=post)
     assert best is not None
@@ -356,11 +350,17 @@ def brute_is_stable(
             f"n={g.n} exceeds budget.max_agents={budget.max_agents}"
         )
     n = g.n
+    # every freed vector passes superadditive_cover's checks before its
+    # lookup, so no lookup leaves the clipped box
+    caps = g.weights if budget is None else tuple(min(w, budget.max_weight) for w in g.weights)
+    table = CoverTable(g.charfun.atoms(), caps)
     cover_cache: dict[Coalition, Fraction] = {}
 
     def cover_value(avail: Coalition) -> Fraction:
         if avail not in cover_cache:
-            cover_cache[avail], _ = superadditive_cover(g, avail, budget)
+            g.check_coalition(avail)
+            _check_cover_budget(g, avail, budget)
+            cover_cache[avail] = table.value(avail)
         return cover_cache[avail]
 
     max_rows = None if budget is None else 1 << (n + budget.max_agents - 2)

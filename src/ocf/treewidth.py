@@ -40,7 +40,6 @@ exact; answers are converted back to ``Fraction`` on the way out.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -59,7 +58,16 @@ from .core import (
     structure_weight,
     vec_leq,
 )
-from .covers import closure, convolve, single_cover, single_cover_witness, solo_atoms, unwind
+from .covers import (
+    _denominator,
+    _scaled,
+    closure,
+    convolve,
+    single_cover,
+    single_cover_witness,
+    solo_atoms,
+    unwind,
+)
 from .oracle import _pad_fillers
 from .stability import cutting_plane
 
@@ -368,16 +376,6 @@ def _layout(t: TreeDecomposition, vertices: set[int], graph_edges: Iterable[tupl
         if a in vertices and b in vertices:
             edges_at[max(home_v[a], home_v[b], key=depth.__getitem__)].append((a, b))
     return children, post, agents, sep, home_v, edges_at
-
-
-def _denominator(*groups: Iterable[Fraction | None]) -> int:
-    """Least common multiple of the denominators of every value; None skipped."""
-    return math.lcm(*(v.denominator for vs in groups for v in vs if v is not None))
-
-
-def _scaled(v: Fraction | None, d: int) -> int | None:
-    """``v`` times ``d`` as an int; ``d`` must be a multiple of its denominator."""
-    return None if v is None else v.numerator * (d // v.denominator)
 
 
 def _pair_atoms(g: GameDef, a: int, b: int) -> list[tuple[Coalition, Fraction]]:
@@ -756,7 +754,7 @@ def optval_tw(
     atoms = walk.atoms
     for i, w in walk.solo.items():
         atoms.extend(singles[i].witness(w))
-    return value, _pad_fillers(atoms, c, g.n)
+    return value, _pad_fillers(g, atoms, c)
 
 
 def arbval_tw(

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocf.arbitration import CONSERVATIVE, REFINED, SENSITIVE
+from ocf.arbitration import CONSERVATIVE, OPTIMISTIC, OPTIMISTIC_CLAMPED, REFINED, SENSITIVE
 from ocf.core import (
     GameDef,
     Outcome,
@@ -21,10 +22,22 @@ from ocf.oracle import (
     brute_checkcore,
     brute_is_stable,
     count_structures,
+    brute_max_excess,
     enumerate_structures,
+    iter_subsets,
     superadditive_cover,
 )
-from conftest import random_outcome, random_tree_game
+from ocf.covers import CoverTable
+from conftest import random_graph_game, random_outcome, random_tree_game
+
+RULES5 = (CONSERVATIVE, REFINED, OPTIMISTIC, OPTIMISTIC_CLAMPED, SENSITIVE)
+
+
+def _seeded_games(seed, count, **kw):
+    """Tree and graph games in turn, from one seeded generator."""
+    rng = random.Random(seed)
+    for t in range(count):
+        yield rng, (random_tree_game if t % 2 else random_graph_game)(rng, **kw)
 
 
 def test_cover_examples(g1):
@@ -58,6 +71,56 @@ def test_enumerate_single_agent():
     got = list(enumerate_structures(g, (2,)))
     assert set(got) == {(), ((1,),), ((2,),), ((1,), (1,))}
     assert count_structures(g, (2,)) == 4
+
+
+def test_enumerate_canonical_order(g1):
+    """Lexicographic multisets of lexicographically ordered atoms, the empty
+    structure first: the order is fixed, not only the set."""
+    assert list(enumerate_structures(g1, (2, 1))) == [
+        (),
+        ((0, 1),),
+        ((0, 1), (1, 0)),
+        ((0, 1), (1, 0), (1, 0)),
+        ((0, 1), (2, 0)),
+        ((1, 0),),
+        ((1, 0), (1, 0)),
+        ((1, 0), (1, 1)),
+        ((1, 1),),
+        ((2, 0),),
+        ((2, 1),),
+    ]
+
+
+def test_count_matches_enumeration():
+    """The count table against the enumeration it budgets, below, at and
+    above the exact count."""
+    for rng, g in _seeded_games(17, 40, nmax=4):
+        c = g.weights if rng.random() < 0.3 else tuple(rng.randint(0, w) for w in g.weights)
+        if count_structures(g, c, cap=3000) > 3000:
+            continue
+        total = len(list(enumerate_structures(g, c, None)))
+        for cap in (None, 0, 1, 2, 5, total - 1, total, total + 1):
+            want = total if cap is None else min(total, cap + 1)
+            assert count_structures(g, c, cap) == want, (c, cap)
+
+
+def test_cover_table_scales_fractions():
+    """Values with denominators 3, 7 and 11 come back as exact Fractions
+    equal to the best enumerated structure, and the witness earns them."""
+    for rng, g in _seeded_games(19, 12, nmax=4, wmax=2):
+        entries = [
+            (sup, contrib, Fraction(rng.randint(1, 40), rng.choice((3, 7, 11))))
+            for sup, table in g.charfun.entries.items()
+            for contrib in table
+        ]
+        g = GameDef(n=g.n, weights=g.weights, charfun=make_charfun(g.n, 2, entries), interaction=g.interaction)
+        table = CoverTable(g.charfun.atoms(), g.weights)
+        for _ in range(4):
+            c = tuple(rng.randint(0, w) for w in g.weights)
+            best = max(structure_value(g, cs) for cs in enumerate_structures(g, c, None))
+            assert isinstance(table.value(c), Fraction) and table.value(c) == best
+            assert structure_value(g, tuple(table.witness_atoms(c))) == best
+            assert superadditive_cover(g, c, None)[0] == best
 
 
 def test_enumerate_budget_guard(g1):
@@ -184,3 +247,43 @@ def test_brute_is_stable_rejects_sensitive(g1):
 def test_checkcore_budget(g1, o1):
     with pytest.raises(BudgetExceededError):
         brute_checkcore(g1, CONSERVATIVE, o1, EnumerationBudget(max_agents=1))
+
+
+def test_max_excess_matches_arbval_loop():
+    """CheckCore and max excess share one cover table across all subsets;
+    they must match a loop over the public per-subset ``brute_arbval``."""
+    for rng, g in _seeded_games(23, 16, nmax=4):
+        outcomes = [random_outcome(rng, g)]
+        cs = superadditive_cover(g, g.weights, None)[1]
+        imp = brute_is_stable(g, CONSERVATIVE, cs)
+        if imp is not None:
+            outcomes.append(Outcome(structure=cs, imputation=imp))
+        for o, rule in product(outcomes, RULES5):
+            best = None
+            for S in iter_subsets(g.n):
+                value, (dev, post) = brute_arbval(g, rule, o, S)
+                excess = value - o.payoff_to_set(S)
+                if best is None or excess > best[1]:
+                    best = (S, excess, dev, post)
+            S, excess, dev, post = best
+            assert brute_max_excess(g, rule, o) == (excess, S)
+            found = brute_checkcore(g, rule, o)
+            if excess > 0:
+                assert (found.agents, found.excess, found.deviation, found.post) == best
+            else:
+                assert found is None
+
+
+def test_witnesses_share_the_games_vectors():
+    """Every coalition of an oracle witness, filler or atom, is one of the
+    game's own tuples, so answers kept side by side add no copies."""
+    for rng, g in _seeded_games(29, 10, nmax=4):
+        shared = {id(v) for v in g.charfun.vectors.values()} | {id(v) for v in g._solo_vectors.values()}
+        o = random_outcome(rng, g)
+        S = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
+        witnesses = [superadditive_cover(g, g.weights, None)[1], brute_arbval(g, REFINED, o, S)[1][1]]
+        found = brute_checkcore(g, REFINED, o)
+        if found is not None:
+            witnesses.append(found.post)
+        for cs in witnesses:
+            assert all(id(c) in shared for c in cs), cs
