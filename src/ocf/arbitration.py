@@ -23,12 +23,23 @@ game.  Only local rules are accepted by the tree and treewidth solvers.  Each
 local rule also states its payment through ``payment_terms``, as affine forms
 in the coalition's payoff entries whose maximum is the payment; the stability
 LP of :mod:`ocf.stability` reads its rows from them.
+
+What a deviating set may use is one identity (``deviation_available``).  S
+keeps the coalitions it owns and its unused weight, and adds what it
+withdraws from the coalitions it shares with outsiders ("mixed"
+coalitions).  Its own coalitions and unused weight are its weight minus its
+share of the mixed coalitions, so for i in S
+
+    available_i = w_i - sum over mixed j of (c_j[i] - d_j[i]),
+
+and 0 outside S.  A coalition is owned by S when its support lies inside S.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from .core import (
     ZERO,
@@ -39,7 +50,7 @@ from .core import (
     GameDef,
     Outcome,
     PayoffVector,
-    reduce_structure_indices,
+    mixed_indices,
     structure_weight,
     support,
     vec_leq,
@@ -76,6 +87,25 @@ class Deviation:
         return all(all(w == 0 for w in d) for d in self.withdrawals.values())
 
 
+def withdrawal_options(g: GameDef, c: Coalition, deviators: frozenset[int]) -> list[Coalition]:
+    """Every vector S may withdraw from the coalition ``c``, zero vector
+    first, in lexicographic order over S's contributors.  A withdrawal by
+    one agent is the game's own solo vector, so witnesses share it."""
+    coords = sorted(support(c) & deviators)
+    solo = g._solo_vectors
+    out = []
+    for amounts in product(*[range(c[i] + 1) for i in coords]):
+        moved = [(i, u) for i, u in zip(coords, amounts) if u]
+        if len(moved) == 1 and moved[0] in solo:
+            out.append(solo[moved[0]])
+            continue
+        w = [0] * g.n
+        for i, u in moved:
+            w[i] = u
+        out.append(tuple(w))
+    return out
+
+
 @dataclass(frozen=True)
 class CoreViolation:
     """Witness that an outcome is not in the core."""
@@ -88,11 +118,10 @@ class CoreViolation:
 
 def validate_deviation(o: Outcome, deviators: frozenset[int], dev: Deviation, n: int) -> None:
     """Raise ContractViolation unless ``dev`` is a legal deviation of S from o."""
-    own = set(reduce_structure_indices(o.structure, deviators))
     for j, d in dev.withdrawals.items():
         if not (0 <= j < len(o.structure)):
             raise ContractViolation(f"withdrawal index {j} out of range")
-        if j in own:
+        if o.supports[j] <= deviators:
             raise ContractViolation(f"coalition {j} is owned by the deviators; nothing to withdraw")
         c = o.structure[j]
         if len(d) != n:
@@ -149,14 +178,12 @@ class LocalArbitrationRule(ArbitrationRule):
 
     def deviation_payoffs(self, game, outcome, deviators, dev):
         n = game.n
-        own = set(reduce_structure_indices(outcome.structure, deviators))
-        out: dict[int, Fraction] = {}
-        for j, c in enumerate(outcome.structure):
-            if j in own:
-                continue
-            d = dev.withdrawal(j, n)
-            out[j] = self.coalition_payoff(game.charfun, c, d, outcome.imputation[j], deviators)
-        return out
+        cs, imp = outcome.structure, outcome.imputation
+        return {
+            j: self.coalition_payoff(game.charfun, cs[j], dev.withdrawal(j, n), imp[j], deviators)
+            for j, sup in enumerate(outcome.supports)
+            if not sup <= deviators
+        }
 
 
 class ConservativeRule(LocalArbitrationRule):
@@ -213,22 +240,13 @@ class SensitiveRule(ArbitrationRule):
     is_local = False
 
     def deviation_payoffs(self, game, outcome, deviators, dev):
-        n = game.n
-        own = set(reduce_structure_indices(outcome.structure, deviators))
-        touched = {
-            j
-            for j, d in dev.withdrawals.items()
-            if any(w != 0 for w in d)
-        }
-        hurt: set[int] = set()
-        for j in touched:
-            hurt |= support(outcome.structure[j])
-        hurt -= deviators
+        touched = {j for j, d in dev.withdrawals.items() if any(d)}
+        hurt = set().union(*(outcome.supports[j] for j in touched)) - deviators
         out: dict[int, Fraction] = {}
-        for j, c in enumerate(outcome.structure):
-            if j in own:
+        for j, sup in enumerate(outcome.supports):
+            if sup <= deviators:
                 continue
-            if j in touched or (support(c) & hurt):
+            if j in touched or (sup & hurt):
                 out[j] = ZERO
             else:
                 out[j] = sum((outcome.imputation[j][i] for i in deviators), start=ZERO)
@@ -287,24 +305,24 @@ def sensitive_payoffs(
 
 
 def deviation_available(
-    game: GameDef, o: Outcome, deviators: frozenset[int], dev: Deviation
+    game: GameDef, cs: CoalitionStructure, deviators: frozenset[int], dev: Deviation
 ) -> Coalition:
-    """Resources S may use after the deviation: own coalitions + unused + freed."""
+    """What S may use after deviating from the structure ``cs`` by ``dev``:
+    its own coalitions, its unused weight and what it withdraws.
+
+    For i in S that is w_i minus what S leaves in the mixed coalitions,
+    w_i - sum over mixed j of (c_j[i] - d_j[i]), because i's own coalitions
+    and unused weight add up to w_i minus its share of the mixed ones; 0
+    outside S.  With an empty deviation it is what S may use before any
+    withdrawal, and each withdrawal adds to it, so a caller trying many
+    withdrawal profiles of one set derives it once.
+    """
     n = game.n
-    committed = structure_weight(o.structure, n)
-    own_idx = reduce_structure_indices(o.structure, deviators)
-    own = structure_weight(tuple(o.structure[j] for j in own_idx), n)
-    freed = [0] * n
-    for d in dev.withdrawals.values():
-        for i, w in enumerate(d):
-            freed[i] += w
-    avail = []
-    for i in range(n):
-        if i in deviators:
-            unused = game.weights[i] - committed[i]
-            avail.append(own[i] + unused + freed[i])
-        else:
-            avail.append(0)
+    avail = [w if i in deviators else 0 for i, w in enumerate(game.weights)]
+    for j in mixed_indices(cs, deviators):
+        c, d = cs[j], dev.withdrawal(j, n)
+        for i in deviators:
+            avail[i] -= c[i] - d[i]
     return tuple(avail)
 
 
@@ -318,11 +336,11 @@ def deviation_total(
 ) -> Fraction:
     """Total payoff S collects: value of the new structure plus arbitration.
 
-    ``post`` must be buildable from S's own coalitions, unused weight and the
-    withdrawn resources, and supported entirely inside S.
+    ``post`` must fit inside what S may use (``deviation_available``) and be
+    supported entirely inside S.
     """
     validate_deviation(o, deviators, dev, game.n)
-    avail = deviation_available(game, o, deviators, dev)
+    avail = deviation_available(game, o.structure, deviators, dev)
     used = structure_weight(post, game.n)
     if not vec_leq(used, avail):
         raise ContractViolation(f"post structure uses {used}, only {avail} available")

@@ -341,20 +341,10 @@ def reduce_structure(cs: CoalitionStructure, agents: Iterable[int]) -> Coalition
     return tuple(c for c in cs if support(c) <= s)
 
 
-def reduce_structure_indices(cs: CoalitionStructure, agents: Iterable[int]) -> list[int]:
-    """Indices into ``cs`` of the coalitions fully supported inside ``agents``."""
-    s = frozenset(agents)
-    return [j for j, c in enumerate(cs) if support(c) <= s]
-
-
 def mixed_indices(cs: CoalitionStructure, agents: frozenset[int]) -> list[int]:
-    """Indices into ``cs`` of the coalitions ``agents`` share with outsiders."""
-    out = []
-    for j, c in enumerate(cs):
-        sup = support(c)
-        if (sup & agents) and not sup <= agents:
-            out.append(j)
-    return out
+    """Indices into ``cs`` of the coalitions ``agents`` share with outsiders:
+    those of which the agents contribute neither nothing nor everything."""
+    return [j for j, c in enumerate(cs) if 0 < sum(c[i] for i in agents) < sum(c)]
 
 
 @dataclass(frozen=True)

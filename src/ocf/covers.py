@@ -7,9 +7,10 @@ work on any ordered additive values (scaled ``int``s in the bag engine and
 ``CoverTable``, ``Fraction`` elsewhere):
 
 * ``closure`` - the unbounded atom knapsack
-  ``best(r) = max(base(r), max over atoms a <= r of value(a) + best(r - a))``.
-  Used by ``CoverTable``, ``single_cover`` and the atom layers of the bag
-  engine in :mod:`ocf.treewidth`.
+  ``best(r) = max(base(r), max over atoms a <= r of value(a) + best(r - a))``;
+  ``unwind`` walks its picks back into one optimal multiset.  Used by
+  ``CoverTable``, ``single_cover`` and the atom layers of the bag engine in
+  :mod:`ocf.treewidth`.
 * ``convolve`` - the bounded (max,+) convolution of a box table with a table
   over some of its axes.  Used by the bag engine's child merges and keep
   layers and by its feeder tables ``KeepTable``, ``AlphaTable`` and
@@ -119,18 +120,6 @@ def _scaled(v: Fraction | None, d: int) -> int | None:
     return None if v is None else v.numerator * (d // v.denominator)
 
 
-def lift(vectors: Iterable[tuple[int, ...]], coords: Iterable[int], n: int) -> list[Coalition]:
-    """Vectors over the agents ``coords`` as n-vectors, zero elsewhere."""
-    coords = tuple(coords)
-    out = []
-    for a in vectors:
-        full = [0] * n
-        for i, w in zip(coords, a):
-            full[i] = w
-        out.append(tuple(full))
-    return out
-
-
 class CoverTable:
     """Dense cover table over all resource vectors below ``caps``.
 
@@ -158,36 +147,21 @@ class CoverTable:
         return [self.atoms[k][0] for k in picked]
 
 
-def solo_atoms(cf: CharacteristicFunction, i: int) -> list[tuple[int, Fraction]]:
-    """Agent i's positive-valued coalitions of its own, as (units, value)
+def solo_atoms(cf: CharacteristicFunction, i: int) -> list[tuple[tuple[int], Fraction]]:
+    """Agent i's positive-valued coalitions of its own, as ((units,), value)
     pairs in unit order: the atoms of its ``single_cover``."""
     table = cf.entries.get((i,), {})
-    return [(contrib[0], value) for contrib, value in sorted(table.items()) if value > 0]
+    return [(contrib, value) for contrib, value in sorted(table.items()) if value > 0]
 
 
 def single_cover(
-    atoms: list[tuple[int, Fraction]], cap: int
-) -> tuple[list[Fraction], list[int | None]]:
+    atoms: list[tuple[tuple[int], Fraction]], cap: int
+) -> tuple[list[Fraction], dict]:
     """1-d cover: best value of splitting w units of one agent, w = 0..cap.
 
-    ``atoms`` are (units, value) pairs with units >= 1 and value > 0.
-    Returns the value table and a chosen-atom index per state.
+    ``atoms`` are ((units,), value) pairs with units >= 1 and value > 0.
+    Returns the value table as a list and ``closure``'s picks, keyed by
+    (w,), which ``unwind`` walks back into one optimal split.
     """
-    base = {(w,): ZERO for w in range(cap + 1)}
-    best, picks = closure((cap,), [((units,), v) for units, v in atoms], base)
-    return list(best.values()), list(picks.values())
-
-
-def single_cover_witness(
-    atoms: list[tuple[int, Fraction]], choice: list[int | None], w: int
-) -> list[int]:
-    """Unit sizes of one optimal split of w (leftovers idle)."""
-    out = []
-    while w > 0:
-        pick = choice[w]
-        if pick is None:
-            return out
-        units, _ = atoms[pick]
-        out.append(units)
-        w -= units
-    return out
+    best, picks = closure((cap,), atoms, {(w,): ZERO for w in range(cap + 1)})
+    return list(best.values()), picks

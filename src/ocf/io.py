@@ -130,15 +130,7 @@ def dump_game(g: GameDef, path: str | Path) -> None:
 
 
 def outcome_from_dict(doc: Any, n: int) -> Outcome:
-    _expect(isinstance(doc, dict) and "structure" in doc, "outcome needs a structure")
-    structure: list[Coalition] = []
-    for idx, row in enumerate(doc["structure"]):
-        _expect(
-            isinstance(row, list) and len(row) == n
-            and all(isinstance(w, int) and w >= 0 for w in row),
-            f"structure[{idx}] must be {n} non-negative integers",
-        )
-        structure.append(tuple(row))
+    structure = structure_from_dict(doc, n)
     imputation: list = []
     _expect("imputation" in doc, "outcome needs an imputation")
     rows = doc["imputation"]
@@ -146,7 +138,7 @@ def outcome_from_dict(doc: Any, n: int) -> Outcome:
     for idx, row in enumerate(rows):
         _expect(isinstance(row, list) and len(row) == n, f"imputation[{idx}] must have {n} entries")
         imputation.append(tuple(_rational(v, f"imputation[{idx}][{j}]") for j, v in enumerate(row)))
-    return Outcome(structure=tuple(structure), imputation=tuple(imputation))
+    return Outcome(structure=structure, imputation=tuple(imputation))
 
 
 def load_outcome(path: str | Path, n: int) -> Outcome:

@@ -8,11 +8,16 @@ tested against these.  ``brute_is_stable`` writes the whole stability
 system of :mod:`ocf.stability`: one row per deviating set, withdrawal
 profile and choice of the rule's payment terms.
 
+What a deviating set S may use after a withdrawal profile is the identity
+of :mod:`ocf.arbitration`: for i in S, its weight minus what it leaves in
+the coalitions it shares with outsiders.  ``deviation_available`` gives it
+once per set with no withdrawal, and each profile adds its withdrawals.
+
 Exhaustive does not mean rebuilt: each call builds one cover table.
 ``brute_max_excess``/``brute_checkcore`` and ``brute_is_stable`` look up
-every deviating set's freed resources in one table over the game's weights
-(clipped to ``budget.max_weight`` for Is-Stable, whose freed vectors pass
-the cover budget first); a vector zero outside S is reached only by atoms
+what every deviating set may use in one table over the game's weights
+(clipped to ``budget.max_weight`` for Is-Stable, whose lookups pass the
+cover budget first); a vector zero outside S is reached only by atoms
 inside S, met in the same order as in S's own table, so values and
 witnesses are those of a table per set.  ``count_structures`` is a counting
 table over the box below ``c``, and ``enumerate_structures`` hands each
@@ -33,6 +38,7 @@ from .arbitration import (
     CoreViolation,
     Deviation,
     deviation_available,
+    withdrawal_options,
 )
 from .core import (
     ZERO,
@@ -44,7 +50,6 @@ from .core import (
     Imputation,
     Outcome,
     mixed_indices,
-    reduce_structure_indices,
     structure_weight,
     support,
     vec_leq,
@@ -173,19 +178,6 @@ def enumerate_structures(
     return rec(_nonzero_atoms_below(c), tuple(c), [])
 
 
-def _withdrawal_options(c: Coalition, deviators: frozenset[int]) -> list[Coalition]:
-    """All withdrawal vectors from one coalition, zero vector first."""
-    coords = sorted(support(c) & deviators)
-    n = len(c)
-    opts = []
-    for combo in product(*[range(c[i] + 1) for i in coords]):
-        w = [0] * n
-        for i, amount in zip(coords, combo):
-            w[i] = amount
-        opts.append(tuple(w))
-    return opts
-
-
 def brute_arbval(
     g: GameDef,
     arb: ArbitrationRule,
@@ -195,8 +187,8 @@ def brute_arbval(
 ) -> tuple[Fraction, tuple[Deviation, CoalitionStructure]]:
     """Exact best deviation value for S by exhausting all withdrawal patterns.
 
-    Post-deviation structures are optimized by the superadditive cover of the
-    freed resources rather than enumerated, which is exact and much smaller.
+    Post-deviation structures are optimized by the superadditive cover of
+    what S may use rather than enumerated, which is exact and much smaller.
     """
     caps = tuple(w if i in deviators else 0 for i, w in enumerate(g.weights))
     table = CoverTable(g.charfun.atoms_within(deviators), caps)
@@ -211,10 +203,12 @@ def _arbval_on(
     budget: EnumerationBudget | None,
     table: CoverTable,
 ) -> tuple[Fraction, tuple[Deviation, CoalitionStructure]]:
-    """``brute_arbval`` reading the cover of the freed resources, which are
-    zero outside ``deviators``, from ``table``."""
+    """``brute_arbval`` reading the cover of what S may use, which is zero
+    outside ``deviators``, from ``table``.  What S may use before any
+    withdrawal is derived once; each profile adds its withdrawals to it."""
     mixed = mixed_indices(o.structure, deviators)
-    options = {j: _withdrawal_options(o.structure[j], deviators) for j in mixed}
+    base = deviation_available(g, o.structure, deviators, Deviation())
+    options = {j: withdrawal_options(g, o.structure[j], deviators) for j in mixed}
     space = 1
     for opts in options.values():
         space *= len(opts)
@@ -228,7 +222,7 @@ def _arbval_on(
     best_avail: Coalition | None = None
     for combo in product(*[options[j] for j in mixed]):
         dev = Deviation(withdrawals={j: w for j, w in zip(mixed, combo) if any(w)})
-        avail = deviation_available(g, o, deviators, dev)
+        avail = structure_weight((base, *combo), g.n)
         new_value = table.value(avail)
         payments = arb.deviation_payoffs(g, o, deviators, dev)
         total = new_value + sum(payments.values(), start=ZERO)
@@ -298,9 +292,14 @@ def brute_max_excess(
 
 
 def _stability_deviations(
-    g: GameDef, cs: CoalitionStructure, deviators: frozenset[int], rule: ArbitrationRule
+    g: GameDef,
+    cs: CoalitionStructure,
+    mixed: list[int],
+    deviators: frozenset[int],
+    rule: ArbitrationRule,
 ) -> Iterator[dict[int, Coalition]]:
-    """Withdrawal profiles whose constraints jointly pin A* for the rule.
+    """Withdrawal profiles from the ``mixed`` coalitions whose constraints
+    jointly pin A* for the rule.
 
     Conservative payments never depend on the withdrawal, so only the full
     withdrawal (maximal freed resources) binds.  Refined payments only
@@ -308,7 +307,6 @@ def _stability_deviations(
     coalition suffices.  Optimistic needs every withdrawal level.
     """
     n = g.n
-    mixed = mixed_indices(cs, deviators)
     per: list[list[Coalition]] = []
     for j in mixed:
         c = cs[j]
@@ -321,7 +319,7 @@ def _stability_deviations(
                 opts.append(full)
             per.append(opts)
         else:
-            per.append(_withdrawal_options(c, deviators))
+            per.append(withdrawal_options(g, c, deviators))
     for combo in product(*per):
         yield {j: w for j, w in zip(mixed, combo) if any(w)}
 
@@ -350,8 +348,8 @@ def brute_is_stable(
             f"n={g.n} exceeds budget.max_agents={budget.max_agents}"
         )
     n = g.n
-    # every freed vector passes superadditive_cover's checks before its
-    # lookup, so no lookup leaves the clipped box
+    # every lookup passes superadditive_cover's checks first, so none
+    # leaves the clipped box
     caps = g.weights if budget is None else tuple(min(w, budget.max_weight) for w in g.weights)
     table = CoverTable(g.charfun.atoms(), caps)
     cover_cache: dict[Coalition, Fraction] = {}
@@ -365,19 +363,12 @@ def brute_is_stable(
 
     max_rows = None if budget is None else 1 << (n + budget.max_agents - 2)
     rows = 0
-    committed = structure_weight(cs, n)
     zero = zero_coalition(n)
     for S in iter_subsets(n):
-        own = structure_weight(tuple(cs[j] for j in reduce_structure_indices(cs, S)), n)
+        base = deviation_available(g, cs, S, Deviation())
         mixed = mixed_indices(cs, S)
-        for withdrawals in _stability_deviations(g, cs, S, rule):
-            avail = tuple(
-                own[i] + (g.weights[i] - committed[i]) + sum(w[i] for w in withdrawals.values())
-                if i in S
-                else 0
-                for i in range(n)
-            )
-            const = cover_value(avail)
+        for withdrawals in _stability_deviations(g, cs, mixed, S, rule):
+            const = cover_value(structure_weight((base, *withdrawals.values()), n))
             # one row per choice of payment term from every mixed coalition
             terms = [
                 rule.payment_terms(g.charfun, cs[j], withdrawals.get(j, zero), S)

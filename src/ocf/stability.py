@@ -154,11 +154,14 @@ class StabilitySystem:
     keeps a reduced variable and the last one's is v(c) minus theirs, which
     must stay non-negative - one ``<=`` row.  A coalition with v(c) < 0
     makes the system infeasible.  ``cuts`` counts the rows added by
-    ``add_cut``.
+    ``add_cut``.  A structure that exceeds the endowments is refused with
+    ``ContractViolation``, on every lane.
     """
 
     def __init__(self, g: GameDef, rule: LocalArbitrationRule, cs: CoalitionStructure):
         require_local(rule)
+        if not vec_leq(structure_weight(cs, g.n), g.weights):
+            raise ContractViolation("structure exceeds agent endowments")
         self.cs = cs
         self.n = g.n
         self.var_of = _variables(cs)
@@ -260,8 +263,6 @@ def cutting_plane(
     ``BudgetExceededError``.
     """
     system = StabilitySystem(g, rule, cs)
-    if not vec_leq(structure_weight(cs, g.n), g.weights):
-        raise ContractViolation("structure exceeds agent endowments")
     for _ in range(max_rounds):
         candidate = system.solve()
         if candidate is None:

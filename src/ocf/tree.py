@@ -37,7 +37,14 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .arbitration import CoreViolation, Deviation, LocalArbitrationRule, require_local
+from .arbitration import (
+    CoreViolation,
+    Deviation,
+    LocalArbitrationRule,
+    deviation_available,
+    require_local,
+    withdrawal_options,
+)
 from .core import (
     ZERO,
     BudgetExceededError,
@@ -48,10 +55,8 @@ from .core import (
     InteractionGraph,
     Outcome,
     mixed_indices,
-    reduce_structure_indices,
-    structure_weight,
 )
-from .covers import CoverTable, convolve, lift
+from .covers import CoverTable, convolve
 from .stability import cutting_plane
 from .treewidth import (
     UnsupportedGameError,
@@ -103,85 +108,79 @@ def optval_tree(g: GameDef, c: Coalition) -> tuple[Fraction, CoalitionStructure]
 # ArbVal
 
 
+# arbval_tree hands a set that induces a cycle to arbval_local up to this size
+LOCAL_DP_MAX_SET = 4
+
+
 def arbval_local(
     g: GameDef,
     rule: LocalArbitrationRule,
     o: Outcome,
     deviators: frozenset[int],
-    max_set_size: int = 4,
+    max_set_size: int = LOCAL_DP_MAX_SET,
     with_witness: bool = False,
 ):
     """Best deviation value of a small set under any local rule.
 
-    Works on any interaction structure and any k.  The DP state is the vector
-    of resources withdrawn so far, so the table has (W+1)^|S| entries; the set
-    size is capped to keep that in check.
+    Works on any interaction structure and any k.  S may use what
+    ``deviation_available`` gives it before any withdrawal (its own
+    coalitions and unused weight) plus the total t it withdraws from the
+    coalitions it shares with outsiders, each of which pays S for its own
+    withdrawal.  A DP over those coalitions, one (max,+) convolution each,
+    finds the best payment for every t in the box below S's share of them;
+    the answer is the best cover of base + t plus that payment.  The box has
+    up to (W+1)^|S| states, so the set size is capped.
     """
     require_local(rule)
     if len(deviators) > max_set_size:
         raise BudgetExceededError(
             f"|S|={len(deviators)} exceeds the local-DP cap {max_set_size}"
         )
-    n = g.n
     coords = sorted(deviators)
-    own_idx = reduce_structure_indices(o.structure, deviators)
-    own = structure_weight(tuple(o.structure[j] for j in own_idx), n)
-    committed = structure_weight(o.structure, n)
-    unused = [g.weights[i] - committed[i] for i in range(n)]
-    bound = tuple(g.weights[i] - own[i] for i in coords)
+    base = deviation_available(g, o.structure, deviators, Deviation())
+    shared = tuple(g.weights[i] - base[i] for i in coords)
     mixed = mixed_indices(o.structure, deviators)
 
-    # A[t] = best arbitration payoff if exactly t is withdrawn; unused
-    # resources withdraw for free, each mixed coalition adds its rule payment
-    A = {
-        t: ZERO if all(x <= unused[i] for x, i in zip(t, coords)) else None
-        for t in product(*[range(b + 1) for b in bound])
-    }
+    # A[t] = best payment to S when it withdraws t in all
+    A = dict.fromkeys(product(*[range(b + 1) for b in shared]))
+    A[(0,) * len(coords)] = ZERO
     trace = []
     for j in mixed:
         c = o.structure[j]
         x = o.imputation[j]
         wcoords = [i for i in coords if c[i] > 0]
-        combos = list(product(*[range(c[i] + 1) for i in wcoords]))
-        pays = {
-            z: rule.coalition_payoff(g.charfun, c, w, x, deviators)
-            for z, w in zip(combos, lift(combos, wcoords, n))
-        }
+        by_z = {tuple(w[i] for i in wcoords): w for w in withdrawal_options(g, c, deviators)}
+        pays = {z: rule.coalition_payoff(g.charfun, c, w, x, deviators) for z, w in by_z.items()}
         axes = [coords.index(i) for i in wcoords]
-        A, bp = convolve(bound, A, axes, pays)
-        trace.append((wcoords, axes, bp))
+        A, bp = convolve(shared, A, axes, pays)
+        trace.append((by_z, axes, bp))
 
-    atoms = [(tuple(a[i] for i in coords), v) for a, v in g.charfun.atoms_within(deviators)]
-    cover = CoverTable(atoms, tuple(g.weights[i] for i in coords)) if coords else None
-    own_local = tuple(own[i] for i in coords)
+    cover = CoverTable(
+        g.charfun.atoms_within(deviators),
+        tuple(w if i in deviators else 0 for i, w in enumerate(g.weights)),
+    )
     best = None
-    best_t = None
     for t, paid in A.items():
-        if paid is None:
-            continue
-        have = tuple(a + b for a, b in zip(own_local, t))
-        cand = (cover.value(have) if cover else ZERO) + paid
+        have = list(base)
+        for i, u in zip(coords, t):
+            have[i] += u
+        cand = cover.value(have) + paid
         if best is None or cand > best:
-            best = cand
-            best_t = t
-    assert best is not None and best_t is not None
+            best, best_t, best_have = cand, t, have
+    assert best is not None
     if not with_witness:
         return best
     withdrawals: dict[int, Coalition] = {}
     t = best_t
-    for j, (wcoords, axes, bp) in zip(reversed(mixed), reversed(trace)):
+    for j, (by_z, axes, bp) in zip(reversed(mixed), reversed(trace)):
         z = bp[t]
-        assert z is not None
-        (w,) = lift([z], wcoords, n)
-        if any(w):
-            withdrawals[j] = w
+        if any(z):
+            withdrawals[j] = by_z[z]
         rest = list(t)
-        for p, zz in zip(axes, z):
-            rest[p] -= zz
+        for p, u in zip(axes, z):
+            rest[p] -= u
         t = tuple(rest)
-    have = tuple(a + b for a, b in zip(own_local, best_t))
-    picked = lift(cover.witness_atoms(have), coords, n) if cover else []
-    return best, Deviation(withdrawals=withdrawals), tuple(picked)
+    return best, Deviation(withdrawals=withdrawals), tuple(cover.witness_atoms(best_have))
 
 
 def arbval_tree(
@@ -204,7 +203,7 @@ def arbval_tree(
     ]
     sub = InteractionGraph.from_pairs(g.n, sub_edges)
     if not sub.is_forest():
-        if len(deviators) <= 4:
+        if len(deviators) <= LOCAL_DP_MAX_SET:
             return arbval_local(g, rule, o, deviators, with_witness=with_witness)
         raise UnsupportedGameError(
             "deviating set induces a cycle; use arbval_local or the treewidth solver"

@@ -45,7 +45,13 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable
 
-from .arbitration import CoreViolation, Deviation, LocalArbitrationRule, require_local
+from .arbitration import (
+    CoreViolation,
+    Deviation,
+    LocalArbitrationRule,
+    require_local,
+    withdrawal_options,
+)
 from .core import (
     ZERO,
     Coalition,
@@ -55,6 +61,7 @@ from .core import (
     Imputation,
     InteractionGraph,
     Outcome,
+    mixed_indices,
     structure_weight,
     vec_leq,
 )
@@ -64,7 +71,6 @@ from .covers import (
     closure,
     convolve,
     single_cover,
-    single_cover_witness,
     solo_atoms,
     unwind,
 )
@@ -396,8 +402,9 @@ class SingleTable:
         return self.values[w]
 
     def witness(self, w: int) -> list[Coalition]:
+        picked, _ = unwind(self.atoms, self.choice, (w,))
         key = (self.agent,)
-        return [self._vectors[(key, (u,))] for u in single_cover_witness(self.atoms, self.choice, w)]
+        return [self._vectors[(key, self.atoms[k][0])] for k in picked]
 
 
 def _pair_coalitions(o: Outcome, i: int, j: int) -> list[int]:
@@ -445,18 +452,13 @@ class KeepTable:
     def __init__(self, g: GameDef, o: Outcome, rule: LocalArbitrationRule, dev: int, other: int):
         self.dev = dev
         self.indices = _pair_coalitions(o, dev, other)
-        n = g.n
+        S = frozenset((dev,))
         pays: list[list[Fraction]] = []
         for j in self.indices:
-            c = o.structure[j]
-            x = o.imputation[j]
-            ci = c[dev]
-            row = []
-            for keep in range(ci + 1):
-                d = [0] * n
-                d[dev] = ci - keep
-                row.append(rule.coalition_payoff(g.charfun, c, tuple(d), x, frozenset((dev,))))
-            pays.append(row)
+            c, x = o.structure[j], o.imputation[j]
+            # keeping k units withdraws the rest, so the keeps run backwards
+            withdrawals = reversed(withdrawal_options(g, c, S))
+            pays.append([rule.coalition_payoff(g.charfun, c, d, x, S) for d in withdrawals])
         self.cap, self.values, self._bp = _chain(pays)
 
     def value(self, y: int) -> Fraction | None:
@@ -513,25 +515,21 @@ class VBarTable:
         return self.alpha.keeps(kept)
 
 
-def _deviation_from_keeps(o: Outcome, kept: dict[int, int], deviators: frozenset[int], n: int) -> Deviation:
+def _deviation_from_keeps(
+    g: GameDef, o: Outcome, kept: dict[int, int], deviators: frozenset[int]
+) -> Deviation:
     """Translate per-coalition kept units into withdrawal vectors.
 
-    Mixed coalitions absent from ``kept`` are fully withdrawn from."""
+    Mixed coalitions absent from ``kept`` are fully withdrawn from.  A
+    pairwise coalition shared with an outsider has exactly one deviator, so
+    each withdrawal is that agent's solo vector of the game."""
     withdrawals: dict[int, Coalition] = {}
-    for j, (c, sup) in enumerate(zip(o.structure, o.supports)):
-        if not (sup & deviators) or sup <= deviators:
-            continue
-        d = [0] * n
-        for i in sup & deviators:
-            d[i] = c[i]
-        withdrawals[j] = tuple(d)
-    for j, keep in kept.items():
-        c = o.structure[j]
+    for j in mixed_indices(o.structure, deviators):
         (i,) = o.supports[j] & deviators
-        d = list(withdrawals[j])
-        d[i] = c[i] - keep
-        withdrawals[j] = tuple(d)
-    return Deviation(withdrawals={j: d for j, d in withdrawals.items() if any(d)})
+        units = o.structure[j][i] - kept.get(j, 0)
+        if units:
+            withdrawals[j] = g._solo_vectors[(i, units)]
+    return Deviation(withdrawals=withdrawals)
 
 
 @dataclass
@@ -774,8 +772,6 @@ def arbval_tw(
     require_local(rule)
     graph = require_two_ocf_tree(g, need_forest=False)
     check_outcome_shape(g, o)
-    if not deviators:
-        return (ZERO, Deviation(), ()) if with_witness else ZERO
     induced = InteractionGraph.from_pairs(
         g.n, [(a, b) for a, b in graph.simple_edges() if a in deviators and b in deviators]
     )
@@ -797,7 +793,9 @@ def _arbval_bags(
     """The bag DP behind ``arbval_tw`` and ``arbval_tree``, on arguments the
     caller has already checked; ``t`` covers exactly the deviators.  Each
     deviator's solo row is its ``VBarTable``, which also keeps resources with
-    non-deviating neighbours."""
+    non-deviating neighbours.  The empty set deviates to nothing."""
+    if not deviators:
+        return (ZERO, Deviation(), ()) if with_witness else ZERO
     graph = g.interaction
     assert graph is not None
     caps = tuple(g.weights[i] if i in deviators else 0 for i in range(g.n))
@@ -817,7 +815,7 @@ def _arbval_bags(
     for i, w in walk.solo.items():
         atoms.extend(vbars[i].witness(w))
         kept.update(vbars[i].kept(w))
-    dev = _deviation_from_keeps(o, kept, deviators, g.n)
+    dev = _deviation_from_keeps(g, o, kept, deviators)
     return value, dev, tuple(atoms)
 
 
@@ -884,7 +882,7 @@ def _checkcore_bags(
     for e, y in walk.keeps.items():
         kept.update(keeps[e].keeps(y))
     members = frozenset(walk.members)
-    dev = _deviation_from_keeps(o, kept, members, g.n)
+    dev = _deviation_from_keeps(g, o, kept, members)
     return CoreViolation(agents=members, excess=excess, deviation=dev, post=tuple(post))
 
 

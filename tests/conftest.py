@@ -146,7 +146,43 @@ def random_structure(rng: random.Random, g: GameDef) -> tuple[tuple[int, ...], .
 
 def random_outcome(rng: random.Random, g: GameDef) -> Outcome:
     """Valid outcome: random structure plus a random exact split of each value."""
-    cs = random_structure(rng, g)
+    return random_split(rng, g, random_structure(rng, g))
+
+
+def random_k3_game(rng: random.Random, nmax: int = 4, wmax: int = 2, vmax: int = 10) -> GameDef:
+    """Random 3-OCF game without an interaction graph: a sparse value table
+    over every support of one to three agents."""
+    n = rng.randint(3, nmax)
+    weights = tuple(rng.randint(1, wmax) for _ in range(n))
+    rows = []
+    for size in (1, 2, 3):
+        for sup in itertools.combinations(range(n), size):
+            for contrib in itertools.product(*[range(1, weights[i] + 1) for i in sup]):
+                if rng.random() < 0.3:
+                    rows.append((sup, contrib, Fraction(rng.randint(1, vmax))))
+    return GameDef(n=n, weights=weights, charfun=make_charfun(n, 3, rows))
+
+
+def random_k_outcome(rng: random.Random, g: GameDef) -> Outcome:
+    """Valid outcome over supports of up to k agents, often leaving weight
+    unused, with a random exact split of each value."""
+    remaining = list(g.weights)
+    cs = []
+    for _ in range(rng.randint(0, g.n + 1)):
+        sup = rng.sample(range(g.n), rng.randint(1, g.charfun.k))
+        if any(remaining[i] == 0 for i in sup):
+            continue
+        c = [0] * g.n
+        for i in sup:
+            c[i] = rng.randint(1, remaining[i])
+            remaining[i] -= c[i]
+        cs.append(tuple(c))
+    return random_split(rng, g, tuple(cs))
+
+
+def random_split(rng: random.Random, g: GameDef, cs: tuple[tuple[int, ...], ...]) -> Outcome:
+    """The structure with a random exact split of each coalition's value
+    among its contributors."""
     imp = []
     for c in cs:
         v = g.charfun.value(c)

@@ -17,7 +17,7 @@ from ocf.arbitration import (
     sensitive_payoffs,
 )
 from ocf.core import ContractViolation, GameDef, Outcome, make_charfun
-from conftest import random_outcome, random_tree_game
+from conftest import random_k3_game, random_k_outcome, random_outcome, random_tree_game
 
 
 def test_rule_from_name():
@@ -228,3 +228,30 @@ def test_clamped_payment_terms_tie_at_zero(g1):
     assert _term_value(linear, xc) == _term_value(zero, xc) == 0
     assert OPTIMISTIC_CLAMPED.coalition_payoff(g1.charfun, c, d, xc, S) == 0
     assert OPTIMISTIC.payment_terms(g1.charfun, c, d, S) == (linear,)
+
+
+def test_available_is_own_plus_unused_plus_withdrawn():
+    """What a deviating set may use, its weight minus what it leaves in the
+    coalitions it shares with outsiders, is its own coalitions plus its
+    unused weight plus what it withdraws, on 3-OCF outcomes with idle
+    weight and random withdrawals."""
+    from ocf.arbitration import deviation_available
+    from ocf.core import mixed_indices, reduce_structure, structure_weight
+
+    rng = random.Random(17)
+    for _ in range(150):
+        g = random_k3_game(rng)
+        o = random_k_outcome(rng, g)
+        S = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
+        withdrawals = {}
+        for j in mixed_indices(o.structure, S):
+            c = o.structure[j]
+            withdrawals[j] = tuple(rng.randint(0, w) if i in S else 0 for i, w in enumerate(c))
+        own = structure_weight(reduce_structure(o.structure, S), g.n)
+        committed = structure_weight(o.structure, g.n)
+        freed = structure_weight(tuple(withdrawals.values()), g.n)
+        want = tuple(
+            own[i] + g.weights[i] - committed[i] + freed[i] if i in S else 0 for i in range(g.n)
+        )
+        dev = Deviation(withdrawals=withdrawals)
+        assert deviation_available(g, o.structure, S, dev) == want

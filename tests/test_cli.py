@@ -82,6 +82,28 @@ def test_all_lanes_agree(files, capsys):
     assert values == ["3", "3", "3"]
 
 
+def test_empty_set_arbval_on_every_lane(files, capsys):
+    """The empty set deviates to nothing: value 0, no withdrawal, no post
+    structure, exit 0 on each lane."""
+    lanes = (("oracle",), ("tree",), ("tree", "--local"), ("tw",))
+    for lane in lanes:
+        code, out, _ = run(capsys, lane[0], "arbval", *lane[1:], "--game", files["game"],
+                           "--outcome", files["outcome"], "--set", "",
+                           "--arb", "refined", "--format", "machine")
+        assert code == 0, lane
+        doc = json.loads(out)
+        assert (doc["value"], doc["deviation"], doc["post_structure"]) == ("0", {}, []), lane
+
+
+def test_overcommitted_structure_is_exit_2(files, capsys):
+    over = files["dir"] / "over.json"
+    over.write_text(json.dumps({"structure": [[2, 1], [1, 0]]}))
+    for lane in (("oracle",), ("tree",), ("tw", "--experimental", "--auto")):
+        code, _, err = run(capsys, lane[0], "is-stable", *lane[1:], "--game", files["game"],
+                           "--outcome", str(over), "--arb", "refined")
+        assert code == 2 and "endowments" in err, lane
+
+
 def test_is_stable_round_trip(files, capsys, g1):
     out_path = files["dir"] / "stable.json"
     code, _, _ = run(capsys, "tree", "is-stable", "--game", files["game"],

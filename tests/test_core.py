@@ -10,13 +10,14 @@ from ocf.core import (
     Outcome,
     evaluate,
     make_charfun,
+    mixed_indices,
     myerson_restrict,
     payoff_to_set,
     reduce_structure,
     support,
     validate_outcome,
 )
-from conftest import random_outcome, random_tree_game
+from conftest import random_k3_game, random_k_outcome, random_outcome, random_tree_game
 
 
 def test_eval_examples(g1):
@@ -67,6 +68,17 @@ def test_reduce_structure_partition():
         inside = reduce_structure(o.structure, S)
         outside = tuple(c for c in o.structure if not support(c) <= S)
         assert sorted(inside + outside) == sorted(o.structure)
+
+
+def test_mixed_indices_are_the_shared_coalitions():
+    """A coalition is mixed for S when its support meets S and leaves it."""
+    rng = random.Random(3)
+    for _ in range(60):
+        g = random_k3_game(rng)
+        o = random_k_outcome(rng, g)
+        S = frozenset(rng.sample(range(g.n), rng.randint(0, g.n)))
+        want = [j for j, sup in enumerate(o.supports) if sup & S and not sup <= S]
+        assert mixed_indices(o.structure, S) == want
 
 
 def test_myerson_examples(g1):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from ocf.covers import closure, convolve, lift, unwind
+from ocf.covers import closure, convolve, unwind
 
 NUMBERS = {
     "int": lambda rng: rng.randint(-5, 9),
@@ -129,8 +129,3 @@ def test_convolve_over_an_empty_box_axis():
     out, picks = convolve((0, 2), {(0, 0): 1, (0, 1): 2, (0, 2): None}, [0], {(0,): 3, (1,): 100})
     assert out == {(0, 0): 4, (0, 1): 5, (0, 2): None}
     assert picks == {(0, 0): (0,), (0, 1): (0,), (0, 2): None}
-
-
-def test_lift():
-    assert lift([(1, 2), (0, 3)], [1, 3], 4) == [(0, 1, 0, 2), (0, 0, 0, 3)]
-    assert lift([], [0], 2) == []

@@ -9,6 +9,7 @@ from ocf.arbitration import (
     OPTIMISTIC_CLAMPED,
     REFINED,
     SENSITIVE,
+    Deviation,
     deviation_total,
 )
 from ocf.core import (
@@ -54,7 +55,15 @@ from ocf.treewidth import (
     rooted_forest,
 )
 import ocf.stability as stability_module
-from conftest import fan3_game, random_graph_game, random_outcome, random_structure, random_tree_game
+from conftest import (
+    fan3_game,
+    random_graph_game,
+    random_k3_game,
+    random_k_outcome,
+    random_outcome,
+    random_structure,
+    random_tree_game,
+)
 
 RULES = (CONSERVATIVE, REFINED, OPTIMISTIC, OPTIMISTIC_CLAMPED)
 # room for the clamped optimistic stability system of random structures
@@ -236,6 +245,60 @@ def test_arbval_agreement_random():
         v, dev, post = arbval_tree(g, rule, o, S, with_witness=True)
         assert v == b
         assert deviation_total(g, o, S, dev, rule, post) == v
+
+
+def test_arbval_local_agrees_off_trees():
+    """``arbval_local`` on 3-OCF games and on cyclic pairwise games, with
+    structures that leave weight unused, matches the oracle under every
+    local rule, and each witness re-evaluates to its value."""
+    rng = random.Random(83)
+    idle = 0
+    for trial in range(300):
+        if trial % 2:
+            g = random_k3_game(rng)
+            o = random_k_outcome(rng, g)
+        else:
+            g = random_graph_game(rng, nmax=4)
+            o = random_outcome(rng, g)
+        idle += structure_weight(o.structure, g.n) != g.weights
+        S = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
+        for rule in RULES:
+            b, _ = brute_arbval(g, rule, o, S)
+            v, dev, post = arbval_local(g, rule, o, S, with_witness=True)
+            assert v == b
+            assert deviation_total(g, o, S, dev, rule, post) == v
+    assert idle >= 150
+
+
+def test_empty_set_on_every_lane():
+    """S = {} earns 0 with no withdrawal and no post structure on every
+    ArbVal lane."""
+    rng = random.Random(89)
+    none = frozenset()
+    for trial in range(8):
+        g = random_tree_game(rng)
+        o = random_outcome(rng, g)
+        rule = RULES[trial % 4]
+        assert brute_arbval(g, rule, o, none) == (0, (Deviation(), ()))
+        for lane in (arbval_local, arbval_tree, arbval_tw):
+            assert lane(g, rule, o, none) == 0
+            assert lane(g, rule, o, none, with_witness=True) == (0, Deviation(), ())
+
+
+def test_every_is_stable_lane_refuses_overcommitted_structures():
+    """A structure asking more than the endowments is a contract violation
+    on the oracle, tree and treewidth lanes alike."""
+    cf = make_charfun(2, 2, [((0,), (1,), 1), ((0, 1), (1, 1), 4)])
+    g = GameDef(n=2, weights=(1, 1), charfun=cf, interaction=InteractionGraph.from_pairs(2, [(0, 1)]))
+    cs = ((1, 0), (1, 1))
+    t = heuristic_decomposition(g.interaction)
+    for rule in RULES:
+        with pytest.raises(ContractViolation, match="endowments"):
+            brute_is_stable(g, rule, cs)
+        with pytest.raises(ContractViolation, match="endowments"):
+            is_stable_tree(g, rule, cs)
+        with pytest.raises(ContractViolation, match="endowments"):
+            is_stable_tw(g, rule, cs, t)
 
 
 def test_checkcore_examples(g1, o1):
@@ -516,3 +579,28 @@ def test_witnesses_share_the_game_vectors():
         for c in first + again + post:
             if g.charfun.value(c) > 0:
                 assert id(c) in canonical
+
+
+def test_deviation_witnesses_share_the_game_vectors():
+    """On every ArbVal lane, a withdrawal by one agent is the game's own solo
+    vector and every valued post-deviation coalition is the game's own
+    vector, so kept answers hold no copies."""
+    rng = random.Random(97)
+    for trial in range(20):
+        g = random_tree_game(rng)
+        o = random_outcome(rng, g)
+        S = frozenset(rng.sample(range(g.n), rng.randint(1, min(3, g.n))))
+        rule = RULES[trial % 4]
+        shared = {id(v) for v in g.charfun.vectors.values()}
+        solo = {id(v) for v in g._solo_vectors.values()}
+        _, (dev0, post0) = brute_arbval(g, rule, o, S)
+        answers = [(dev0, post0)]
+        for lane in (arbval_local, arbval_tree, arbval_tw):
+            _, dev, post = lane(g, rule, o, S, with_witness=True)
+            answers.append((dev, post))
+        for dev, post in answers:
+            for d in dev.withdrawals.values():
+                assert id(d) in solo
+            for c in post:
+                if g.charfun.value(c) > 0:
+                    assert id(c) in shared
