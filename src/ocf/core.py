@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import le, sub
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 Coalition = tuple[int, ...]
 CoalitionStructure = tuple[Coalition, ...]
@@ -49,6 +49,23 @@ def vec_leq(a: Coalition, b: Coalition) -> bool:
 
 def zero_coalition(n: int) -> Coalition:
     return (0,) * n
+
+
+def reach(
+    adj: Mapping[int, Iterable[int]], start: int, within: Container[int] | None = None
+) -> dict[int, int | None]:
+    """Breadth-first search from ``start``: the parent of every vertex
+    reached (``start``'s is None), keyed in visit order.  Each vertex's
+    neighbours are visited in ``adj``'s order; with ``within`` given, only
+    vertices in it are entered."""
+    parent: dict[int, int | None] = {start: None}
+    queue = [start]
+    for v in queue:
+        for u in adj[v]:
+            if u not in parent and (within is None or u in within):
+                parent[u] = v
+                queue.append(u)
+    return parent
 
 
 @dataclass(frozen=True)
@@ -101,54 +118,24 @@ class InteractionGraph:
         """True iff ``agents`` induces a connected subgraph (singletons count)."""
         if len(agents) <= 1:
             return True
-        agents = set(agents)
-        seen = {next(iter(agents))}
-        frontier = list(seen)
-        while frontier:
-            v = frontier.pop()
-            for u in agents:
-                if u not in seen and self.has_edge(v, u):
-                    seen.add(u)
-                    frontier.append(u)
-        return seen == agents
+        return len(reach(self._adjacency, next(iter(agents)), agents)) == len(agents)
 
     def components(self) -> list[list[int]]:
         """Connected components over all n vertices, each sorted ascending."""
         seen: set[int] = set()
         comps = []
-        adj = self._adjacency
         for start in range(self.n):
-            if start in seen:
-                continue
-            comp = []
-            stack = [start]
-            seen.add(start)
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for u in adj[v]:
-                    if u not in seen:
-                        seen.add(u)
-                        stack.append(u)
-            comps.append(sorted(comp))
+            if start not in seen:
+                comp = reach(self._adjacency, start)
+                seen.update(comp)
+                comps.append(sorted(comp))
         return comps
 
     def is_forest(self) -> bool:
-        """True iff the simple-edge graph is acyclic (self-loops ignored)."""
-        parent = list(range(self.n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in self.simple_edges():
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                return False
-            parent[ra] = rb
-        return True
+        """True iff the simple-edge graph is acyclic (self-loops ignored): a
+        forest has one edge fewer per component than it has vertices."""
+        degrees = sum(map(len, self._adjacency.values()))
+        return degrees == 2 * (self.n - len(self.components()))
 
 
 @dataclass(frozen=True)
@@ -323,12 +310,8 @@ def myerson_restrict(cf: CharacteristicFunction, g: InteractionGraph) -> Charact
 
 
 def structure_weight(cs: CoalitionStructure, n: int) -> Coalition:
-    """Componentwise sum of the structure's coalitions."""
-    total = [0] * n
-    for c in cs:
-        for i, w in enumerate(c):
-            total[i] += w
-    return tuple(total)
+    """Componentwise sum of the structure's coalitions, each of length n."""
+    return tuple(map(sum, zip(*cs))) if cs else (0,) * n
 
 
 def structure_value(g: GameDef, cs: CoalitionStructure) -> Fraction:
@@ -376,46 +359,78 @@ def payoff_to_set(o: Outcome, agents: Iterable[int]) -> Fraction:
     return o.payoff_to_set(agents)
 
 
+def structure_violations(g: GameDef, cs: CoalitionStructure) -> list[str]:
+    """The structure half of the outcome rules, in integers only: every
+    coalition has n non-negative contributions, and together they stay
+    within the endowments.  One message per violation."""
+    problems = [
+        f"coalition {j}: length {len(c)} != n={g.n}" for j, c in enumerate(cs) if len(c) != g.n
+    ]
+    if problems:
+        return problems
+    if g.n and min(map(min, cs), default=0) < 0:
+        problems = [f"coalition {j}: negative contribution" for j, c in enumerate(cs) if min(c) < 0]
+    total = structure_weight(cs, g.n)
+    if not vec_leq(total, g.weights):
+        problems.extend(
+            f"structure exceeds endowments: agent {i} contributes {used} > weight {w}"
+            for i, (used, w) in enumerate(zip(total, g.weights))
+            if used > w
+        )
+    return problems
+
+
+def require_structure(g: GameDef, cs: CoalitionStructure) -> None:
+    """Refuse a structure that breaks ``structure_violations``, naming the
+    first violation."""
+    problems = structure_violations(g, cs)
+    if problems:
+        raise ContractViolation(problems[0])
+
+
+def outcome_violations(g: GameDef, o: Outcome) -> list[str]:
+    """Every rule of a valid outcome but individual rationality, one message
+    per violation: ``structure_violations``, then for each coalition a
+    payoff vector of length n that pays out exactly the coalition's value
+    (efficiency), to its contributors only and never below zero (no side
+    payments)."""
+    problems = structure_violations(g, o.structure)
+    for j, (c, x, sup) in enumerate(zip(o.structure, o.imputation, o.supports)):
+        if len(x) != g.n:
+            problems.append(f"payoff vector {j}: length {len(x)} != n={g.n}")
+            continue
+        if len(c) != g.n:
+            continue
+        # with nothing paid outside the support, its entries are the whole sum
+        outside = any(v for i, v in enumerate(x) if i not in sup)
+        paid = sum(x if outside else (x[i] for i in sup), start=ZERO)
+        want = g.charfun.value(c)
+        if paid != want:
+            problems.append(f"efficiency: coalition {j} pays {paid}, value is {want}")
+        if outside or any(x[i] < 0 for i in sup):
+            problems.extend(
+                f"no-side-payments: coalition {j} pays outside its support or below zero:"
+                f" agent {i} gets {v}"
+                for i, v in enumerate(x)
+                if v < 0 or (v and i not in sup)
+            )
+    return problems
+
+
 def validate_outcome(o: Outcome, g: GameDef, ir_mode: str = "full-endowment") -> list[str]:
-    """Check every outcome invariant; returns one message per violation.
+    """Every violation of the outcome rules: ``outcome_violations`` plus
+    individual rationality, one message per violation; an empty list means
+    the outcome is valid.
 
     ``ir_mode`` picks the individual-rationality baseline: "full-endowment"
     compares against the best an agent can do with its whole weight,
-    "unit" against a single unit of it.  Violations are data, not errors:
-    an empty list means the outcome is valid.
+    "unit" against a single unit of it.  Violations are data, not errors.
     """
     from .oracle import superadditive_cover  # cycle-free at call time
 
     if ir_mode not in ("full-endowment", "unit"):
         raise ContractViolation(f"unknown ir_mode {ir_mode!r}")
-    problems: list[str] = []
-    cs, imp = o.structure, o.imputation
-    for j, c in enumerate(cs):
-        if len(c) != g.n:
-            problems.append(f"coalition {j}: length {len(c)} != n={g.n}")
-            return problems
-        if any(w < 0 for w in c):
-            problems.append(f"coalition {j}: negative contribution")
-    total = structure_weight(cs, g.n)
-    for i in range(g.n):
-        if total[i] > g.weights[i]:
-            problems.append(
-                f"feasibility: agent {i} contributes {total[i]} > weight {g.weights[i]}"
-            )
-    for j, (c, x) in enumerate(zip(cs, imp)):
-        if len(x) != g.n:
-            problems.append(f"payoff vector {j}: length {len(x)} != n={g.n}")
-            continue
-        if any(v < 0 for v in x):
-            problems.append(f"payoff vector {j}: negative payoff")
-        paid = sum(x, start=ZERO)
-        want = g.charfun.value(c)
-        if paid != want:
-            problems.append(f"efficiency: coalition {j} pays {paid}, value is {want}")
-        sup = support(c)
-        for i in range(g.n):
-            if x[i] > 0 and i not in sup:
-                problems.append(f"no-side-payments: coalition {j} pays agent {i} outside support")
+    problems = outcome_violations(g, o)
     for i in range(g.n):
         if ir_mode == "full-endowment":
             baseline_vec = tuple(g.weights[i] if j == i else 0 for j in range(g.n))

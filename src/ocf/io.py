@@ -40,6 +40,12 @@ def _load_json(path: str | Path) -> Any:
         raise DataError(f"{path}: not valid JSON: {exc}") from exc
 
 
+def _dump_json(doc: Any, path: str | Path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _expect(cond: bool, message: str) -> None:
     if not cond:
         raise DataError(message)
@@ -124,9 +130,7 @@ def game_to_dict(g: GameDef) -> dict:
 
 
 def dump_game(g: GameDef, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(game_to_dict(g), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _dump_json(game_to_dict(g), path)
 
 
 def outcome_from_dict(doc: Any, n: int) -> Outcome:
@@ -167,9 +171,7 @@ def outcome_to_dict(o: Outcome) -> dict:
 
 
 def dump_outcome(o: Outcome, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(outcome_to_dict(o), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _dump_json(outcome_to_dict(o), path)
 
 
 def decomposition_from_dict(doc: Any) -> TreeDecomposition:
@@ -202,9 +204,7 @@ def decomposition_to_dict(t: TreeDecomposition) -> dict:
 
 
 def dump_decomposition(t: TreeDecomposition, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(decomposition_to_dict(t), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _dump_json(decomposition_to_dict(t), path)
 
 
 def lbg_from_dict(doc: Any) -> LbgInstance:
@@ -243,6 +243,4 @@ def lbg_to_dict(inst: LbgInstance) -> dict:
 
 
 def dump_lbg(inst: LbgInstance, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(lbg_to_dict(inst), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _dump_json(lbg_to_dict(inst), path)

@@ -290,16 +290,9 @@ def lbg_best_deviation(
         )
         for i in deviators
     }
-    coords = sorted(deviators)
     inside = [j for j, t in enumerate(inst.tasks) if t.agents <= deviators]
-    rhs = []
-    for i in coords:
-        rhs.append(nu[i] + withdrawn[i] + out.unused(i))
-    lp = LinearProgram(n_vars=len(inside), objective=[inst.tasks[j].pi for j in inside])
-    for k, i in enumerate(coords):
-        coeffs = {m: ONE for m, j in enumerate(inside) if i in inst.tasks[j].agents}
-        lp.add_row(coeffs, "<=", rhs[k])
-    sol = solve_lp(lp)
+    rhs = [nu[i] + withdrawn[i] + out.unused(i) if i in deviators else ZERO for i in range(inst.n)]
+    sol = solve_lp(_allocation_lp(inst, rhs, inside))
     assert sol.status == "optimal" and sol.objective_value is not None
     alpha = sol.objective_value
     marginal = sum((partial.get(j, ZERO) * inst.tasks[j].pi for j in mixed), start=ZERO)

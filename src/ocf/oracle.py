@@ -50,6 +50,7 @@ from .core import (
     Imputation,
     Outcome,
     mixed_indices,
+    require_structure,
     structure_weight,
     support,
     vec_leq,
@@ -190,6 +191,7 @@ def brute_arbval(
     Post-deviation structures are optimized by the superadditive cover of
     what S may use rather than enumerated, which is exact and much smaller.
     """
+    require_structure(g, o.structure)
     caps = tuple(w if i in deviators else 0 for i, w in enumerate(g.weights))
     table = CoverTable(g.charfun.atoms_within(deviators), caps)
     return _arbval_on(g, arb, o, deviators, budget, table)
@@ -246,6 +248,7 @@ def _max_excess_scan(
 ) -> CoreViolation:
     """The nonempty subset of maximum excess, the first in bitmask order on
     ties, with the deviation and post-deviation structure that earn it."""
+    require_structure(g, o.structure)
     if budget is not None and g.n > budget.max_agents:
         raise BudgetExceededError(
             f"n={g.n} exceeds budget.max_agents={budget.max_agents} (2^n subsets)"

@@ -43,14 +43,12 @@ from .core import (
     ZERO,
     BudgetExceededError,
     CoalitionStructure,
-    ContractViolation,
     GameDef,
     Imputation,
     Outcome,
     mixed_indices,
-    structure_weight,
+    require_structure,
     support,
-    vec_leq,
 )
 from .covers import single_cover, solo_atoms
 from .lp import ONE, DualSimplex, LinearProgram
@@ -154,14 +152,14 @@ class StabilitySystem:
     keeps a reduced variable and the last one's is v(c) minus theirs, which
     must stay non-negative - one ``<=`` row.  A coalition with v(c) < 0
     makes the system infeasible.  ``cuts`` counts the rows added by
-    ``add_cut``.  A structure that exceeds the endowments is refused with
-    ``ContractViolation``, on every lane.
+    ``add_cut``.  A structure that breaks ``core.structure_violations``, one
+    over the endowments say, is refused with ``ContractViolation``, on every
+    lane.
     """
 
     def __init__(self, g: GameDef, rule: LocalArbitrationRule, cs: CoalitionStructure):
         require_local(rule)
-        if not vec_leq(structure_weight(cs, g.n), g.weights):
-            raise ContractViolation("structure exceeds agent endowments")
+        require_structure(g, cs)
         self.cs = cs
         self.n = g.n
         self.var_of = _variables(cs)

@@ -55,6 +55,7 @@ from .core import (
     InteractionGraph,
     Outcome,
     mixed_indices,
+    require_structure,
 )
 from .covers import CoverTable, convolve
 from .stability import cutting_plane
@@ -132,6 +133,7 @@ def arbval_local(
     up to (W+1)^|S| states, so the set size is capped.
     """
     require_local(rule)
+    require_structure(g, o.structure)
     if len(deviators) > max_set_size:
         raise BudgetExceededError(
             f"|S|={len(deviators)} exceeds the local-DP cap {max_set_size}"

@@ -20,8 +20,11 @@ without solving ArbVal again.
 The feeder tables of the engine's solo and keep rows live here too:
 ``SingleTable`` (an agent alone), ``KeepTable`` (a deviator keeping units
 on one edge), ``AlphaTable`` (on all its edges to non-deviators) and
-``VBarTable`` (both), as do the lane checks and ``rooted_forest``; this
-module imports nothing from :mod:`ocf.tree`.
+``VBarTable`` (both), as do the pairwise-shape check of the tree lanes
+(``check_outcome_shape``, on top of the outcome rules of :mod:`ocf.core`)
+and ``forest_decomposition``, the width-1 decomposition read off one
+breadth-first search (``core.reach``) per component; this module imports
+nothing from :mod:`ocf.tree`.
 
 Charging discipline: every agent's solo work is priced exactly once, at the
 *topmost* bag containing the agent; every edge's pair coalitions, and under
@@ -62,8 +65,8 @@ from .core import (
     InteractionGraph,
     Outcome,
     mixed_indices,
-    structure_weight,
-    vec_leq,
+    outcome_violations,
+    reach,
 )
 from .covers import (
     _denominator,
@@ -99,14 +102,14 @@ def require_two_ocf_tree(g: GameDef, need_forest: bool = True) -> InteractionGra
 
 
 def check_outcome_shape(g: GameDef, o: Outcome) -> None:
-    """Light validity: feasible, efficient, no side payments, pairwise-shaped."""
+    """A valid outcome (the first of ``outcome_violations`` is raised) whose
+    coalitions have at most two contributors, joined by an edge."""
     if g.interaction is None:
         raise UnsupportedGameError("solver requires an interaction graph")
-    if len(o.structure) != len(o.imputation):
-        raise ContractViolation("imputation length mismatch")
-    if not vec_leq(structure_weight(o.structure, g.n), g.weights):
-        raise ContractViolation("structure exceeds endowments")
-    for j, (c, x, sup) in enumerate(zip(o.structure, o.imputation, o.supports)):
+    problems = outcome_violations(g, o)
+    if problems:
+        raise ContractViolation(problems[0])
+    for j, sup in enumerate(o.supports):
         if len(sup) > 2:
             raise UnsupportedOutcomeError(
                 f"coalition {j} has {len(sup)} contributors; tree solvers need <= 2"
@@ -117,55 +120,6 @@ def check_outcome_shape(g: GameDef, o: Outcome) -> None:
                 raise UnsupportedOutcomeError(
                     f"coalition {j} spans non-edge ({a},{b})"
                 )
-        # with nothing paid outside the support, its entries are the whole sum
-        outside = any(v for i, v in enumerate(x) if i not in sup)
-        paid = sum(x if outside else (x[i] for i in sup), start=ZERO)
-        if paid != g.charfun.value(c):
-            raise ContractViolation(f"coalition {j} violates efficiency")
-        if outside or any(x[i] < 0 for i in sup):
-            raise ContractViolation(f"coalition {j} pays outside its support")
-
-
-@dataclass(frozen=True)
-class RootedTree:
-    root: int
-    vertices: tuple[int, ...]
-    children: dict[int, tuple[int, ...]]
-    parent: dict[int, int | None]
-
-
-def rooted_forest(graph: InteractionGraph, vertices: set[int] | None = None) -> list[RootedTree]:
-    """Deterministic rooting: lowest index per component, children ascending,
-    vertices in breadth-first order (every parent before its children)."""
-    verts = set(range(graph.n)) if vertices is None else set(vertices)
-    adj: dict[int, set[int]] = {v: set() for v in verts}
-    for a, b in graph.simple_edges():
-        if a in verts and b in verts:
-            adj[a].add(b)
-            adj[b].add(a)
-    seen: set[int] = set()
-    trees = []
-    for start in sorted(verts):
-        if start in seen:
-            continue
-        children: dict[int, tuple[int, ...]] = {}
-        parent: dict[int, int | None] = {start: None}
-        order = [start]
-        seen.add(start)
-        queue = [start]
-        while queue:
-            v = queue.pop(0)
-            kids = tuple(u for u in sorted(adj[v]) if u not in seen)
-            children[v] = kids
-            for u in kids:
-                seen.add(u)
-                parent[u] = v
-                order.append(u)
-                queue.append(u)
-        trees.append(
-            RootedTree(root=start, vertices=tuple(order), children=children, parent=parent)
-        )
-    return trees
 
 
 @dataclass(frozen=True)
@@ -178,26 +132,21 @@ class TreeDecomposition:
     def width(self) -> int:
         return max(len(b) for b in self.bags) - 1
 
-    def rooted(self) -> tuple[dict[int, int | None], dict[int, list[int]], list[int]]:
-        """(parent, children, postorder) over bag indices, from the root."""
+    def _adjacency(self) -> dict[int, list[int]]:
         adj: dict[int, set[int]] = {i: set() for i in range(len(self.bags))}
         for a, b in self.edges:
             adj[a].add(b)
             adj[b].add(a)
-        parent: dict[int, int | None] = {self.root: None}
+        return {i: sorted(nbrs) for i, nbrs in adj.items()}
+
+    def rooted(self) -> tuple[dict[int, int | None], dict[int, list[int]], list[int]]:
+        """(parent, children, postorder) over bag indices, from the root."""
+        parent = reach(self._adjacency(), self.root)
         children: dict[int, list[int]] = {i: [] for i in range(len(self.bags))}
-        order = [self.root]
-        queue = [self.root]
-        while queue:
-            v = queue.pop(0)
-            for u in sorted(adj[v]):
-                if u not in parent:
-                    parent[u] = v
-                    children[v].append(u)
-                    order.append(u)
-                    queue.append(u)
-        post = list(reversed(order))
-        return parent, children, post
+        for v, p in parent.items():
+            if p is not None:
+                children[p].append(v)
+        return parent, children, list(reversed(parent))
 
 
 def validate_decomposition(
@@ -230,19 +179,8 @@ def validate_decomposition(
     # tree-ness
     if len(t.edges) != nb - 1:
         problems.append(f"{len(t.edges)} edges for {nb} bags; a tree needs {nb - 1}")
-    adj: dict[int, set[int]] = {i: set() for i in range(nb)}
-    for a, b in t.edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {t.root}
-    queue = [t.root]
-    while queue:
-        v = queue.pop(0)
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    if len(seen) != nb:
+    adj = t._adjacency()
+    if len(reach(adj, t.root)) != nb:
         problems.append("decomposition is not connected")
     if problems:
         return problems
@@ -259,15 +197,7 @@ def validate_decomposition(
         if not holding:
             continue
         hset = set(holding)
-        comp = {holding[0]}
-        queue = [holding[0]]
-        while queue:
-            v = queue.pop(0)
-            for u in adj[v]:
-                if u in hset and u not in comp:
-                    comp.add(u)
-                    queue.append(u)
-        if comp != hset:
+        if len(reach(adj, holding[0], hset)) != len(hset):
             problems.append(f"bags containing agent {i} are not connected")
     return problems
 
@@ -330,24 +260,27 @@ def forest_decomposition(
     graph: InteractionGraph, vertices: set[int] | None = None
 ) -> TreeDecomposition:
     """Width-1 decomposition of a forest (or of the subgraph induced by
-    ``vertices``), read off ``rooted_forest`` without any elimination order.
+    ``vertices``), read off a breadth-first search of each component from
+    its lowest vertex, without any elimination order.
 
     One bag per component root and one {parent, child} bag per edge, hung
     under the bag that introduced the parent; the roots of later components
     hang under the first root's bag.
     """
+    verts = range(graph.n) if vertices is None else sorted(vertices)
     bags: list[frozenset[int]] = []
     edges: list[tuple[int, int]] = []
-    for tree in rooted_forest(graph, vertices):
-        intro = {tree.root: len(bags)}
+    intro: dict[int, int] = {}  # vertex -> the bag that introduced it
+    for start in verts:
+        if start in intro:
+            continue
         if bags:
             edges.append((0, len(bags)))
-        bags.append(frozenset((tree.root,)))
-        for v in tree.vertices[1:]:
-            p = tree.parent[v]
+        for v, p in reach(graph._adjacency, start, vertices).items():
+            if p is not None:
+                edges.append((intro[p], len(bags)))
             intro[v] = len(bags)
-            edges.append((intro[p], len(bags)))
-            bags.append(frozenset((p, v)))
+            bags.append(frozenset((v,) if p is None else (p, v)))
     return TreeDecomposition(bags=tuple(bags) or (frozenset(),), edges=tuple(edges), root=0)
 
 

@@ -104,6 +104,17 @@ def test_overcommitted_structure_is_exit_2(files, capsys):
         assert code == 2 and "endowments" in err, lane
 
 
+def test_overcommitted_outcome_is_exit_2_on_arbval_and_checkcore(files, capsys):
+    over = files["dir"] / "over_outcome.json"
+    over.write_text(json.dumps({"structure": [[2, 1], [1, 0]],
+                                "imputation": [["0", "0"], ["1", "0"]]}))
+    for argv in (("oracle", "arbval", "--set", "0"), ("tree", "arbval", "--local", "--set", "0"),
+                 ("oracle", "checkcore")):
+        code, _, err = run(capsys, *argv, "--game", files["game"], "--outcome", str(over),
+                           "--arb", "refined")
+        assert code == 2 and "endowments" in err, argv
+
+
 def test_is_stable_round_trip(files, capsys, g1):
     out_path = files["dir"] / "stable.json"
     code, _, _ = run(capsys, "tree", "is-stable", "--game", files["game"],

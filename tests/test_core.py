@@ -81,6 +81,49 @@ def test_mixed_indices_are_the_shared_coalitions():
         assert mixed_indices(o.structure, S) == want
 
 
+def _random_graph(rng: random.Random) -> InteractionGraph:
+    """Up to 7 vertices, some isolated, with self-loops and repeated pairs."""
+    n = rng.randint(1, 7)
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n + 2))]
+    return InteractionGraph.from_pairs(n, pairs)
+
+
+def _linked(g: InteractionGraph, agents, drop=None) -> set[frozenset[int]]:
+    """Pairs of ``agents`` joined by a path inside them, by closing the
+    edge relation under composition until nothing changes."""
+    pairs = {e for e in g.edges if len(e) == 2 and e <= agents and e != drop}
+    while True:
+        more = {a ^ b for a in pairs for b in pairs if len(a & b) == 1} - pairs
+        if not more:
+            return pairs
+        pairs |= more
+
+
+def test_graph_predicates_match_their_definitions():
+    """Connected subsets, components and forests against their definitions:
+    a subset is connected when every pair in it is joined inside it; a
+    component is a class of that relation over all vertices; a forest has
+    no edge whose ends stay joined without it."""
+    rng = random.Random(211)
+    for _ in range(300):
+        g = _random_graph(rng)
+        everyone = frozenset(range(g.n))
+        subsets = [frozenset(), frozenset({rng.randrange(g.n)}), everyone]
+        subsets += [frozenset(v for v in range(g.n) if rng.random() < 0.5) for _ in range(4)]
+        for agents in subsets:
+            linked = _linked(g, agents)
+            want = all(frozenset((a, b)) in linked for a in agents for b in agents if a < b)
+            assert g.is_connected_subset(agents) == want, (g, agents)
+        linked = _linked(g, everyone)
+        classes = []
+        for v in range(g.n):
+            if not any(v in c for c in classes):
+                classes.append([u for u in range(g.n) if u == v or frozenset((u, v)) in linked])
+        assert g.components() == classes
+        cycle = any(e in _linked(g, everyone, drop=e) for e in g.edges if len(e) == 2)
+        assert g.is_forest() == (not cycle), g
+
+
 def test_myerson_examples(g1):
     same = myerson_restrict(g1.charfun, g1.interaction)
     assert same.entries == g1.charfun.entries

@@ -51,8 +51,8 @@ from ocf.treewidth import (
     heuristic_decomposition,
     is_stable_tw,
     max_excess_tw,
+    forest_decomposition,
     optval_tw,
-    rooted_forest,
 )
 import ocf.stability as stability_module
 from conftest import (
@@ -299,6 +299,23 @@ def test_every_is_stable_lane_refuses_overcommitted_structures():
             is_stable_tree(g, rule, cs)
         with pytest.raises(ContractViolation, match="endowments"):
             is_stable_tw(g, rule, cs, t)
+
+
+def test_arbval_and_checkcore_lanes_refuse_overcommitted_structures(g1):
+    """The oracle and the local DP refuse an outcome whose structure asks
+    more than the endowments, as the bag-DP lanes do."""
+    F = Fraction
+    o = Outcome(structure=((2, 1), (1, 0)), imputation=((F(0), F(0)), (F(1), F(0))))
+    S = frozenset({0})
+    for call in (
+        lambda: brute_arbval(g1, REFINED, o, S),
+        lambda: brute_checkcore(g1, REFINED, o),
+        lambda: brute_max_excess(g1, REFINED, o),
+        lambda: arbval_local(g1, REFINED, o, S),
+        lambda: arbval_tree(g1, REFINED, o, S),
+    ):
+        with pytest.raises(ContractViolation, match="endowments"):
+            call()
 
 
 def test_checkcore_examples(g1, o1):
@@ -548,15 +565,18 @@ def test_check_outcome_shape_errors(g1):
                 check_outcome_shape(g1, o)
 
 
-def test_rooted_forest_deterministic():
+def test_forest_decomposition_deterministic():
+    """Components are rooted at their lowest vertex and searched breadth
+    first, children ascending; later roots hang under the first root's bag."""
     graph = InteractionGraph.from_pairs(5, [(3, 1), (1, 0), (2, 4)])
-    trees = rooted_forest(graph)
-    assert [t.root for t in trees] == [0, 2]
-    assert trees[0].children[0] == (1,)
-    assert trees[0].children[1] == (3,)
-    assert trees[0].parent == {0: None, 1: 0, 3: 1}
-    assert trees[1].parent == {2: None, 4: 2}
-    assert rooted_forest(graph, {1, 3, 4})[0].parent == {1: None, 3: 1}
+    t = forest_decomposition(graph)
+    assert t.bags == tuple(map(frozenset, ({0}, {0, 1}, {1, 3}, {2}, {2, 4})))
+    assert t.edges == ((0, 1), (1, 2), (0, 3), (3, 4))
+    assert t.root == 0
+    sub = forest_decomposition(graph, {1, 3, 4})
+    assert sub.bags == tuple(map(frozenset, ({1}, {1, 3}, {4})))
+    assert sub.edges == ((0, 1), (0, 2))
+    assert sub.root == 0
 
 
 def test_witnesses_share_the_game_vectors():
