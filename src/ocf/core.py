@@ -314,6 +314,21 @@ def structure_weight(cs: CoalitionStructure, n: int) -> Coalition:
     return tuple(map(sum, zip(*cs))) if cs else (0,) * n
 
 
+def _pad_fillers(g: GameDef, atoms: list[Coalition], target: Coalition) -> CoalitionStructure:
+    """Append one singleton filler per agent so the weight is exactly target.
+
+    Witness atoms are the game's own vectors and the fillers come from
+    ``GameDef._solo_vectors``, so every structure shares its tuples with the
+    game."""
+    used = structure_weight(tuple(atoms), g.n)
+    out = list(atoms)
+    for i in range(g.n):
+        gap = target[i] - used[i]
+        if gap > 0:
+            out.append(g._solo_vectors[(i, gap)])
+    return tuple(out)
+
+
 def structure_value(g: GameDef, cs: CoalitionStructure) -> Fraction:
     return sum((g.charfun.value(c) for c in cs), start=ZERO)
 

@@ -2,33 +2,20 @@
 
 All four problems run in time polynomial in n and the largest weight once
 coalitions are pairwise (k <= 2) and the interaction graph is a forest.
-OptVal, ArbVal and CheckCore are the width-1 case of the treewidth lane: they
-run the bag engine of :mod:`ocf.treewidth` on ``forest_decomposition``.
-
-* ``optval_tree``    - best coalition structure for a resource vector.
-* ``arbval_local``   - best deviation value of a small set S under any local
-                       rule, on any interaction structure, by a DP over
-                       withdrawal vectors (table size grows as W^|S|).
-* ``arbval_tree``    - best deviation value of an arbitrary S whose induced
-                       subgraph is acyclic: each deviator's solo table is
-                       replaced by one that may also keep resources with
-                       non-deviating neighbours for arbitration payoffs.
-* ``checkcore_tree`` - ``checkcore_tw`` on ``forest_decomposition``: maximum
-                       excess over all nonempty agent subsets; positive
-                       excess refutes core membership and comes with the
-                       violating set, its deviation and its post-deviation
-                       structure.
-* ``is_stable_tree`` - cutting-plane search for a stabilizing imputation:
-                       ``cutting_plane`` of :mod:`ocf.stability` with the
-                       bag-DP CheckCore on ``forest_decomposition`` as the
-                       separation oracle (the decomposition and the solo
-                       tables built once); each violation's own witness
-                       gives the next cut.
+The tree lane is the width-1 case of the treewidth lane: each entry checks
+that the graph is a forest and calls its counterpart in :mod:`ocf.treewidth`
+(``optval_tw``, ``arbval_tw``, ``checkcore_tw``, ``max_excess_tw``,
+``is_stable_tw``), whose decomposition policy gives a forest its
+``forest_decomposition``.  ``arbval_tree`` needs no forest: it answers any S,
+and a set inducing a cycle gets a min-fill decomposition of its subgraph.
+``arbval_local`` is the one solver of its own here: the best deviation value
+of a small set S under any local rule, on any interaction structure, by a DP
+over withdrawal vectors (table size grows as W^|S|).
 
 The tree solvers require the outcome itself to be pairwise-shaped: every
 coalition in the structure is supported by a single agent or by the two ends
 of an interaction edge.  The brute-force oracle has no such restriction.
-The lane checks and the per-agent and per-edge tables that feed the bag
+Every input check, the decomposition policy and the tables that feed the bag
 engine live in :mod:`ocf.treewidth`.
 """
 
@@ -52,24 +39,19 @@ from .core import (
     CoalitionStructure,
     GameDef,
     Imputation,
-    InteractionGraph,
     Outcome,
     mixed_indices,
     require_structure,
 )
 from .covers import CoverTable, convolve
-from .stability import cutting_plane
 from .treewidth import (
-    UnsupportedGameError,
-    _arbval_bags,
-    _checkcore_bags,
-    _solo_tables,
-    check_outcome_shape,
+    arbval_tw,
     checkcore_tw,
     forest_decomposition,
+    is_stable_tw,
     max_excess_tw,
     optval_tw,
-    require_two_ocf_tree,
+    require_forest,
 )
 
 # The benchmark's tracer (bench/tracing.py) wraps the feeder tables under
@@ -100,17 +82,14 @@ class PairTable:
 
 def optval_tree(g: GameDef, c: Coalition) -> tuple[Fraction, CoalitionStructure]:
     """Best structure value for resources ``c`` on a forest, with a witness
-    of weight exactly ``c`` (zero-value fillers pad idle resources)."""
-    graph = require_two_ocf_tree(g)
-    return optval_tw(g, forest_decomposition(graph), c)
+    of weight exactly ``c`` (zero-value fillers pad idle resources).  The
+    decomposition is passed, not left to ``optval_tw``, because the
+    benchmark's tracer (bench/tracing.py) reads the bags of that argument."""
+    return optval_tw(g, forest_decomposition(require_forest(g)), c)
 
 
 # ---------------------------------------------------------------------------
 # ArbVal
-
-
-# arbval_tree hands a set that induces a cycle to arbval_local up to this size
-LOCAL_DP_MAX_SET = 4
 
 
 def arbval_local(
@@ -118,7 +97,7 @@ def arbval_local(
     rule: LocalArbitrationRule,
     o: Outcome,
     deviators: frozenset[int],
-    max_set_size: int = LOCAL_DP_MAX_SET,
+    max_set_size: int = 4,
     with_witness: bool = False,
 ):
     """Best deviation value of a small set under any local rule.
@@ -130,7 +109,10 @@ def arbval_local(
     withdrawal.  A DP over those coalitions, one (max,+) convolution each,
     finds the best payment for every t in the box below S's share of them;
     the answer is the best cover of base + t plus that payment.  The box has
-    up to (W+1)^|S| states, so the set size is capped.
+    up to (W+1)^|S| states, so the set size is capped.  As in
+    ``brute_arbval``, only ``core.require_structure`` is checked: the full
+    ``outcome_violations`` costs about 30 µs, against a median of 0.14 ms
+    per local ArbVal query on the benchmark's ``sweep`` workload.
     """
     require_local(rule)
     require_structure(g, o.structure)
@@ -192,25 +174,9 @@ def arbval_tree(
     deviators: frozenset[int],
     with_witness: bool = False,
 ):
-    """Best deviation value of any S inducing an acyclic interaction subgraph.
-
-    Falls back to ``arbval_local`` when S induces a cycle but is small enough;
-    no cap on |S| otherwise.
-    """
-    require_local(rule)
-    graph = require_two_ocf_tree(g, need_forest=False)
-    check_outcome_shape(g, o)
-    sub_edges = [
-        (a, b) for a, b in graph.simple_edges() if a in deviators and b in deviators
-    ]
-    sub = InteractionGraph.from_pairs(g.n, sub_edges)
-    if not sub.is_forest():
-        if len(deviators) <= LOCAL_DP_MAX_SET:
-            return arbval_local(g, rule, o, deviators, with_witness=with_witness)
-        raise UnsupportedGameError(
-            "deviating set induces a cycle; use arbval_local or the treewidth solver"
-        )
-    return _arbval_bags(g, rule, o, deviators, forest_decomposition(sub, deviators), with_witness)
+    """``arbval_tw`` with the decomposition it builds: best deviation value
+    of any S, on any interaction graph."""
+    return arbval_tw(g, rule, o, deviators, with_witness=with_witness)
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +187,8 @@ def max_excess_tree(
     g: GameDef, rule: LocalArbitrationRule, o: Outcome
 ) -> tuple[Fraction, frozenset[int]]:
     """Maximum excess over all nonempty subsets (and an achieving set)."""
-    require_local(rule)
-    graph = require_two_ocf_tree(g)
-    return max_excess_tw(g, rule, o, forest_decomposition(graph))
+    require_forest(g)
+    return max_excess_tw(g, rule, o)
 
 
 def checkcore_tree(
@@ -231,9 +196,8 @@ def checkcore_tree(
 ) -> CoreViolation | None:
     """None iff the outcome is stable; otherwise the worst violating set, with
     the deviation and post-deviation structure that earn its excess."""
-    require_local(rule)
-    graph = require_two_ocf_tree(g)
-    return checkcore_tw(g, rule, o, forest_decomposition(graph))
+    require_forest(g)
+    return checkcore_tw(g, rule, o)
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +211,6 @@ def is_stable_tree(
     max_rounds: int = 100_000,
 ) -> Imputation | None:
     """Find an imputation making the structure stable, or prove none exists,
-    by ``cutting_plane`` with the bag-DP CheckCore on the forest
-    decomposition, which is valid by construction; it and the agents' solo
-    tables are built once for every round."""
-    t = forest_decomposition(require_two_ocf_tree(g))
-    singles = _solo_tables(g)
-    return cutting_plane(g, rule, cs, lambda o: _checkcore_bags(g, rule, o, t, singles), max_rounds)
+    by ``is_stable_tw`` on the forest decomposition."""
+    require_forest(g)
+    return is_stable_tw(g, rule, cs, max_rounds=max_rounds)

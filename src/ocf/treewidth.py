@@ -5,7 +5,10 @@ hand: per-bag tables indexed by resource vectors over the bag-parent
 separator replace the per-agent weight tables, and runtime grows with
 (W+1)^(width+1) instead of W.  Exactness never depends on the decomposition
 being width-optimal, only speed does, so decompositions may come from a file
-or from the min-fill heuristic.
+or from ``_decomposition``: every public entry's one check of the game and
+the decomposition, which validates a caller's once and otherwise builds
+``forest_decomposition`` on a forest and min-fill on any other graph.  The
+tree lane of :mod:`ocf.tree` is these entries on a forest.
 
 One engine, ``_BagEngine``, answers OptVal, ArbVal and CheckCore.  CheckCore
 adds one choice per bag, which of its agents deviate; OptVal and ArbVal fix
@@ -20,11 +23,11 @@ without solving ArbVal again.
 The feeder tables of the engine's solo and keep rows live here too:
 ``SingleTable`` (an agent alone), ``KeepTable`` (a deviator keeping units
 on one edge), ``AlphaTable`` (on all its edges to non-deviators) and
-``VBarTable`` (both), as do the pairwise-shape check of the tree lanes
-(``check_outcome_shape``, on top of the outcome rules of :mod:`ocf.core`)
-and ``forest_decomposition``, the width-1 decomposition read off one
-breadth-first search (``core.reach``) per component; this module imports
-nothing from :mod:`ocf.tree`.
+``VBarTable`` (both), as do the outcome check (``check_outcome_shape``: the
+outcome rules of :mod:`ocf.core` and a pairwise-shaped structure, once per
+call; no cutting-plane round re-checks the LP's own candidate) and
+``forest_decomposition``, the width-1 decomposition read off one
+breadth-first search (``core.reach``) per component.
 
 Charging discipline: every agent's solo work is priced exactly once, at the
 *topmost* bag containing the agent; every edge's pair coalitions, and under
@@ -64,9 +67,11 @@ from .core import (
     Imputation,
     InteractionGraph,
     Outcome,
+    _pad_fillers,
     mixed_indices,
     outcome_violations,
     reach,
+    support,
 )
 from .covers import (
     _denominator,
@@ -77,7 +82,6 @@ from .covers import (
     solo_atoms,
     unwind,
 )
-from .oracle import _pad_fillers
 from .stability import cutting_plane
 
 
@@ -89,27 +93,38 @@ class UnsupportedOutcomeError(ValueError):
     """The outcome is not pairwise-shaped over the interaction graph."""
 
 
-def require_two_ocf_tree(g: GameDef, need_forest: bool = True) -> InteractionGraph:
+def require_pairwise_game(g: GameDef) -> InteractionGraph:
+    """The game of every bag-DP lane: a 2-OCF game with an interaction graph."""
     if g.charfun.k > 2:
         raise UnsupportedGameError(f"solver requires a 2-OCF game, got k={g.charfun.k}")
     if g.interaction is None:
         raise UnsupportedGameError("solver requires an interaction graph")
-    if need_forest and not g.interaction.is_forest():
-        raise UnsupportedGameError(
-            "interaction graph has a cycle; use the treewidth solver instead"
-        )
     return g.interaction
 
 
+def require_forest(g: GameDef) -> InteractionGraph:
+    """The tree lane's game: a pairwise game whose interaction graph is a forest."""
+    graph = require_pairwise_game(g)
+    if not graph.is_forest():
+        raise UnsupportedGameError(
+            "interaction graph has a cycle; use the treewidth solver instead"
+        )
+    return graph
+
+
 def check_outcome_shape(g: GameDef, o: Outcome) -> None:
-    """A valid outcome (the first of ``outcome_violations`` is raised) whose
-    coalitions have at most two contributors, joined by an edge."""
-    if g.interaction is None:
-        raise UnsupportedGameError("solver requires an interaction graph")
+    """``outcome_violations`` (the first is raised), then ``check_structure_shape``."""
     problems = outcome_violations(g, o)
     if problems:
         raise ContractViolation(problems[0])
-    for j, sup in enumerate(o.supports):
+    check_structure_shape(g, o.structure)
+
+
+def check_structure_shape(g: GameDef, cs: CoalitionStructure) -> None:
+    """Every coalition has at most two contributors, joined by an edge."""
+    if g.interaction is None:
+        raise UnsupportedGameError("solver requires an interaction graph")
+    for j, sup in enumerate(map(support, cs)):
         if len(sup) > 2:
             raise UnsupportedOutcomeError(
                 f"coalition {j} has {len(sup)} contributors; tree solvers need <= 2"
@@ -662,22 +677,42 @@ def _keep_best(tables: dict, steps: dict, key, table: dict, source) -> None:
         sources.append(source)
 
 
-def _prepare(g: GameDef, t: TreeDecomposition, vertices: set[int] | None = None) -> set[int]:
-    require_two_ocf_tree(g, need_forest=False)
-    verts = set(range(g.n)) if vertices is None else set(vertices)
-    assert g.interaction is not None
-    problems = validate_decomposition(g.interaction, t, verts)
+def _decomposition(
+    g: GameDef, t: TreeDecomposition | None, vertices: frozenset[int] | None = None
+) -> TreeDecomposition:
+    """The decomposition one solver call runs on, over ``vertices`` (every
+    agent by default), for a pairwise game.
+
+    A decomposition from the caller is restricted to the vertices and
+    validated.  Without one, the subgraph the vertices induce gets
+    ``forest_decomposition`` when it is a forest and min-fill otherwise;
+    both are valid by construction and are not validated again."""
+    graph = require_pairwise_game(g)
+    verts = None if vertices is None else set(vertices)
+    if t is None:
+        if verts is not None:
+            graph = InteractionGraph.from_pairs(
+                g.n, [e for e in graph.simple_edges() if verts.issuperset(e)]
+            )
+        if graph.is_forest():
+            return forest_decomposition(graph, verts)
+        t = heuristic_decomposition(graph)
+        return t if verts is None else restrict_decomposition(t, verts)
+    if verts is not None:
+        t = restrict_decomposition(t, verts)
+    problems = validate_decomposition(graph, t, verts)
     if problems:
         raise ContractViolation("invalid tree decomposition: " + "; ".join(problems))
-    return verts
+    return t
 
 
 def optval_tw(
-    g: GameDef, t: TreeDecomposition, c: Coalition
+    g: GameDef, t: TreeDecomposition | None, c: Coalition
 ) -> tuple[Fraction, CoalitionStructure]:
-    """Best structure value for resources ``c`` via the bag DP, with witness."""
+    """Best structure value for resources ``c`` via the bag DP, with witness;
+    ``t=None`` builds the decomposition (see ``_decomposition``)."""
     g.check_coalition(c)
-    _prepare(g, t)
+    t = _decomposition(g, t)
     singles = [SingleTable(g, i, c[i]) for i in range(g.n)]
     engine = _BagEngine(g, t, c, {i: s.values for i, s in enumerate(singles)}, {}, every_subset=False)
     value = engine.value()
@@ -696,37 +731,17 @@ def arbval_tw(
     t: TreeDecomposition | None = None,
     with_witness: bool = False,
 ):
-    """Best deviation value of S on an arbitrary graph via the bag DP.
+    """Best deviation value of any S on any graph via the bag DP.
 
-    ``t`` must be a decomposition of the subgraph induced by S; bags holding
-    extra agents are restricted down to S first.  When omitted, the min-fill
-    heuristic runs on the induced subgraph.
-    """
+    ``t``, when given, must decompose the subgraph induced by S; bags holding
+    extra agents are restricted down to S first.  When omitted, the induced
+    subgraph gets ``forest_decomposition`` if it is a forest and min-fill
+    otherwise.  Each deviator's solo row is its ``VBarTable``, which also
+    keeps resources with non-deviating neighbours.  The empty set deviates
+    to nothing."""
     require_local(rule)
-    graph = require_two_ocf_tree(g, need_forest=False)
+    t = _decomposition(g, t, deviators)
     check_outcome_shape(g, o)
-    induced = InteractionGraph.from_pairs(
-        g.n, [(a, b) for a, b in graph.simple_edges() if a in deviators and b in deviators]
-    )
-    if t is None:
-        t = heuristic_decomposition(induced)
-    t = restrict_decomposition(t, set(deviators))
-    _prepare(g, t, set(deviators))
-    return _arbval_bags(g, rule, o, deviators, t, with_witness)
-
-
-def _arbval_bags(
-    g: GameDef,
-    rule: LocalArbitrationRule,
-    o: Outcome,
-    deviators: frozenset[int],
-    t: TreeDecomposition,
-    with_witness: bool,
-):
-    """The bag DP behind ``arbval_tw`` and ``arbval_tree``, on arguments the
-    caller has already checked; ``t`` covers exactly the deviators.  Each
-    deviator's solo row is its ``VBarTable``, which also keeps resources with
-    non-deviating neighbours.  The empty set deviates to nothing."""
     if not deviators:
         return (ZERO, Deviation(), ()) if with_witness else ZERO
     graph = g.interaction
@@ -767,10 +782,9 @@ def _excess_engine(
 ) -> tuple[_BagEngine, dict[tuple[int, int], KeepTable]]:
     """The every-subset engine over excesses: an agent's solo row is its
     single-agent cover minus its payoff, and a member keeps resources with a
-    non-member neighbour through the edge's ``KeepTable``.  The caller has
-    checked the rule and the decomposition; the outcome's shape is checked
-    here."""
-    check_outcome_shape(g, o)
+    non-member neighbour through the edge's ``KeepTable``.  Checks nothing:
+    the public entries check their inputs once, and Is-Stable's candidates
+    are valid outcomes by construction."""
     graph = g.interaction
     assert graph is not None
     payoff = [ZERO] * g.n
@@ -801,8 +815,8 @@ def _checkcore_bags(
     t: TreeDecomposition,
     singles: list[SingleTable],
 ) -> CoreViolation | None:
-    """``checkcore_tw`` on a checked rule and decomposition, with the
-    agents' prebuilt ``_solo_tables``: the separation step of Is-Stable."""
+    """``checkcore_tw`` on checked inputs, with the agents' prebuilt
+    ``_solo_tables``: the separation step of Is-Stable."""
     engine, keeps = _excess_engine(g, rule, o, t, singles)
     excess = engine.value()
     if excess <= 0:
@@ -823,12 +837,13 @@ def checkcore_tw(
     g: GameDef,
     rule: LocalArbitrationRule,
     o: Outcome,
-    t: TreeDecomposition,
+    t: TreeDecomposition | None = None,
 ) -> CoreViolation | None:
     """None iff stable; otherwise a maximal-excess violating set with the
     deviation and post-deviation structure that earn its excess."""
     require_local(rule)
-    _prepare(g, t)
+    t = _decomposition(g, t)
+    check_outcome_shape(g, o)
     return _checkcore_bags(g, rule, o, t, _solo_tables(g))
 
 
@@ -836,11 +851,12 @@ def max_excess_tw(
     g: GameDef,
     rule: LocalArbitrationRule,
     o: Outcome,
-    t: TreeDecomposition,
+    t: TreeDecomposition | None = None,
 ) -> tuple[Fraction, frozenset[int]]:
     """Maximum excess over all nonempty subsets, via the bag DP."""
     require_local(rule)
-    _prepare(g, t)
+    t = _decomposition(g, t)
+    check_outcome_shape(g, o)
     engine, _ = _excess_engine(g, rule, o, t, _solo_tables(g))
     return engine.value(), frozenset(engine.walk().members)
 
@@ -849,13 +865,16 @@ def is_stable_tw(
     g: GameDef,
     rule: LocalArbitrationRule,
     cs: CoalitionStructure,
-    t: TreeDecomposition,
+    t: TreeDecomposition | None = None,
     max_rounds: int = 100_000,
 ) -> Imputation | None:
-    """Experimental: ``cutting_plane`` with the bag-DP CheckCore as
-    separation oracle, the tree lane's Is-Stable on arbitrary graphs.  The
-    decomposition is checked and the agents' solo tables are built once, not
-    every round."""
-    _prepare(g, t)
+    """``cutting_plane`` with the bag-DP CheckCore as separation oracle:
+    ``is_stable_tree`` on forests, experimental on other graphs.  The
+    decomposition, the structure's pairwise shape and the agents' solo
+    tables are checked or built once, not every round; the system the loop
+    solves checks the rest of the structure, and its candidates are valid
+    outcomes by construction."""
+    t = _decomposition(g, t)
+    check_structure_shape(g, cs)
     singles = _solo_tables(g)
     return cutting_plane(g, rule, cs, lambda o: _checkcore_bags(g, rule, o, t, singles), max_rounds)

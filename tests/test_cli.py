@@ -5,7 +5,7 @@ import pytest
 from ocf.arbitration import REFINED, Deviation, deviation_total
 from ocf.cli import main
 from ocf.io import dump_game, dump_outcome, load_outcome
-from ocf.core import Outcome
+from ocf.core import GameDef, InteractionGraph, Outcome, make_charfun
 from ocf.rationals import parse_rational
 from fractions import Fraction
 
@@ -113,6 +113,30 @@ def test_overcommitted_outcome_is_exit_2_on_arbval_and_checkcore(files, capsys):
         code, _, err = run(capsys, *argv, "--game", files["game"], "--outcome", str(over),
                            "--arb", "refined")
         assert code == 2 and "endowments" in err, argv
+
+
+def test_invalid_outcome_is_exit_2_on_checkcore_and_is_stable(files, capsys):
+    """Every CheckCore lane refuses an inefficient imputation, and the tree
+    lane's Is-Stable a coalition across a non-edge."""
+    greedy = files["dir"] / "greedy_outcome.json"
+    greedy.write_text(json.dumps({"structure": [[1, 1], [1, 0]],
+                                  "imputation": [["9", "9"], ["1", "0"]]}))
+    for argv in (("oracle", "checkcore"), ("tree", "checkcore"), ("tw", "checkcore", "--auto")):
+        code, _, err = run(capsys, *argv, "--game", files["game"], "--outcome", str(greedy),
+                           "--arb", "refined")
+        assert code == 2 and "efficiency" in err, argv
+    cf = make_charfun(3, 2, [((0, 1), (1, 1), Fraction(1)), ((0,), (1,), Fraction(10)),
+                             ((2,), (1,), Fraction(10))])
+    path = GameDef(n=3, weights=(1, 1, 1), charfun=cf,
+                   interaction=InteractionGraph.from_pairs(3, [(0, 1), (1, 2)]))
+    game = files["dir"] / "path3.json"
+    dump_game(path, game)
+    wide = files["dir"] / "wide_outcome.json"
+    wide.write_text(json.dumps({"structure": [[1, 0, 1], [0, 1, 0]],
+                                "imputation": [["0", "0", "0"], ["0", "0", "0"]]}))
+    code, _, err = run(capsys, "tree", "is-stable", "--game", str(game), "--outcome", str(wide),
+                       "--arb", "refined")
+    assert code == 2 and "non-edge" in err
 
 
 def test_is_stable_round_trip(files, capsys, g1):

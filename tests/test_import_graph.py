@@ -46,6 +46,7 @@ def test_module_imports_are_acyclic():
     graph = _import_graph()
     assert {"tree", "treewidth", "oracle"} <= set(graph)
     assert "treewidth" in graph["tree"]
+    assert "oracle" not in graph["treewidth"]
     try:
         tuple(TopologicalSorter(graph).static_order())
     except CycleError as exc:

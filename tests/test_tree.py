@@ -247,6 +247,29 @@ def test_arbval_agreement_random():
         assert deviation_total(g, o, S, dev, rule, post) == v
 
 
+def test_arbval_tree_answers_five_agent_cycles():
+    """``arbval_tree`` takes a set of any size that induces a cycle: on
+    five-agent sets of cyclic games it agrees with the oracle under every
+    local rule, and each witness re-evaluates to its value."""
+    rng = random.Random(109)
+    cases = 0
+    while cases < 12:
+        g = random_graph_game(rng, nmax=6, wmax=2)
+        if g.n < 5:
+            continue
+        S = frozenset(rng.sample(range(g.n), 5))
+        induced = [(a, b) for a, b in g.interaction.simple_edges() if a in S and b in S]
+        if InteractionGraph.from_pairs(g.n, induced).is_forest():
+            continue
+        cases += 1
+        o = random_outcome(rng, g)
+        for rule in RULES:
+            b, _ = brute_arbval(g, rule, o, S)
+            v, dev, post = arbval_tree(g, rule, o, S, with_witness=True)
+            assert v == b
+            assert deviation_total(g, o, S, dev, rule, post) == v
+
+
 def test_arbval_local_agrees_off_trees():
     """``arbval_local`` on 3-OCF games and on cyclic pairwise games, with
     structures that leave weight unused, matches the oracle under every
@@ -316,6 +339,42 @@ def test_arbval_and_checkcore_lanes_refuse_overcommitted_structures(g1):
     ):
         with pytest.raises(ContractViolation, match="endowments"):
             call()
+
+
+def test_every_checkcore_lane_refuses_inefficient_outcomes(g1):
+    """An imputation that pays a coalition more than its value is a contract
+    violation on the oracle, tree and treewidth lanes alike."""
+    F = Fraction
+    o = Outcome(structure=((1, 1), (1, 0)), imputation=((F(9), F(9)), (F(1), F(0))))
+    for call in (
+        lambda: brute_checkcore(g1, REFINED, o),
+        lambda: brute_max_excess(g1, REFINED, o),
+        lambda: checkcore_tree(g1, REFINED, o),
+        lambda: max_excess_tree(g1, REFINED, o),
+        lambda: checkcore_tw(g1, REFINED, o),
+        lambda: max_excess_tw(g1, REFINED, o),
+    ):
+        with pytest.raises(ContractViolation, match="efficiency: coalition 0 pays 18"):
+            call()
+
+
+def test_is_stable_refuses_non_pairwise_structures():
+    """A structure with a coalition across a non-edge is outside the bag-DP
+    lanes' contract whether or not its stability system is feasible."""
+    edge = ((0, 1), (1, 1), Fraction(1))
+    solos = [((0,), (1,), Fraction(10)), ((2,), (1,), Fraction(10))]
+    cs = ((1, 0, 1), (0, 1, 0))
+    for rows in ([edge, *solos], [edge]):
+        g = GameDef(
+            n=3,
+            weights=(1, 1, 1),
+            charfun=make_charfun(3, 2, rows),
+            interaction=InteractionGraph.from_pairs(3, [(0, 1), (1, 2)]),
+        )
+        for rule in RULES:
+            for call in (lambda: is_stable_tree(g, rule, cs), lambda: is_stable_tw(g, rule, cs)):
+                with pytest.raises(UnsupportedOutcomeError, match="non-edge"):
+                    call()
 
 
 def test_checkcore_examples(g1, o1):

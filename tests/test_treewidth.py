@@ -180,6 +180,7 @@ def test_optval_matches_oracle_and_tree():
         v, w = optval_tw(g, td, c)
         assert v == superadditive_cover(g, c)[0]
         assert structure_weight(w, g.n) == c and structure_value(g, w) == v
+        assert optval_tw(g, None, c)[0] == v
     for _ in range(20):
         g = random_tree_game(rng)
         c = tuple(rng.randint(0, w) for w in g.weights)
@@ -248,8 +249,12 @@ def test_checkcore_agreement_random():
         mv, _ = max_excess_tw(g, rule, o, td)
         bv, _ = brute_max_excess(g, rule, o)
         assert mv == bv
+        assert max_excess_tw(g, rule, o)[0] == mv
         cc = checkcore_tw(g, rule, o, td)
         assert (cc is None) == (brute_checkcore(g, rule, o) is None)
+        auto = checkcore_tw(g, rule, o)
+        assert (auto is None) == (cc is None)
+        assert auto is None or auto.excess == cc.excess
         if cc is not None:
             assert cc.deviation is not None and cc.post is not None
             total = deviation_total(g, o, cc.agents, cc.deviation, rule, cc.post)
@@ -315,7 +320,8 @@ def test_is_stable_tw_experimental():
             td = heuristic_decomposition(g.interaction)
             _, cs = optval_tw(g, td, g.weights)
             for rule in RULES:
-                answers = [is_stable_tw(g, rule, cs, td), brute_is_stable(g, rule, cs)]
+                answers = [is_stable_tw(g, rule, cs, td), brute_is_stable(g, rule, cs),
+                           is_stable_tw(g, rule, cs)]
                 if make is random_tree_game:
                     answers.append(is_stable_tree(g, rule, cs))
                 assert len({imp is None for imp in answers}) == 1
