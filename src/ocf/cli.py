@@ -9,10 +9,17 @@ One binary, six subcommand families::
     ocf gen     x3c|indep-set|set-cover             hardness-gadget fixtures
     ocf validate game|outcome|decomp
 
-Exit codes: 0 yes/stable/in-core/feasible/valid, 1 no, 2 usage or data error,
-3 enumeration budget exceeded.  ``--format machine`` emits one JSON document
-on stdout; without ``--timing`` that document is byte-deterministic across
-identical invocations.  Diagnostics go to stderr.
+The CLI is a thin shell over the library: a choice the library makes gets no
+flag.  ``--decomp`` is optional on every ``tw`` command; without it the
+solver builds the decomposition itself (a forest decomposition on a forest,
+min-fill otherwise).  Enumeration budget flags exist only where a budget is
+read: the oracle lane and ``gen set-cover --decide``.
+
+Exit codes: 0 yes/stable/in-core/feasible/valid, 1 no, 2 usage or data error
+(a malformed flag value included), 3 enumeration budget exceeded.
+``--format machine`` emits one JSON document on stdout; without ``--timing``
+that document is byte-deterministic across identical invocations.
+Diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -24,11 +31,12 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .arbitration import LocalArbitrationRule, UnsupportedRuleError, require_local, rule_from_name
+from .arbitration import UnsupportedRuleError, rule_from_name
 from .core import (
     BudgetExceededError,
     ContractViolation,
     GameDef,
+    InteractionGraph,
     Outcome,
     validate_outcome,
 )
@@ -79,7 +87,6 @@ from .treewidth import (
     UnsupportedOutcomeError,
     arbval_tw,
     checkcore_tw,
-    heuristic_decomposition,
     is_stable_tw,
     optval_tw,
     validate_decomposition,
@@ -94,7 +101,7 @@ EXIT_BUDGET = 3
 class _Report:
     def __init__(self, args: argparse.Namespace, command: str):
         self.machine = args.format == "machine"
-        self.timing = getattr(args, "timing", False)
+        self.timing = args.timing
         self.doc: dict = {"command": command, "version": __version__}
         self.lines: list[str] = []
         self.started = time.perf_counter()
@@ -120,26 +127,46 @@ class _Report:
                 print(f"time: {ms:.1f} ms")
 
 
-def _parse_agent_set(text: str, n: int) -> frozenset[int]:
+_FIELD_TYPES = {"i": int, "q": parse_rational}
+
+
+def _fields(flag: str, text: str, form: str) -> tuple:
+    """The typed fields of one ``--flag`` value.
+
+    ``form`` spells the value as field kinds (``i`` an integer, ``q`` a
+    rational) between one-character separators: ``"i-i=q"`` reads ``0-1=3/2``
+    as ``(0, 1, Fraction(3, 2))``.  A form that ends in its separator, such
+    as ``"i,"``, reads a list of any length; the empty text is the empty
+    list.  Text that does not fit raises ``DataError`` naming the flag."""
+    kinds, seps = form[::2], form[1::2]
+    if len(kinds) == len(seps):
+        parts = text.split(seps) if text else []
+        kinds *= len(parts)
+    else:
+        parts, rest = [], text
+        for sep in seps:
+            part, _, rest = rest.partition(sep)
+            parts.append(part)
+        parts.append(rest)
     try:
-        agents = frozenset(int(p) for p in text.split(",") if p != "")
+        return tuple(_FIELD_TYPES[k](p) for k, p in zip(kinds, parts))
     except ValueError:
-        raise DataError(f"bad agent set {text!r}; expected e.g. 0,2") from None
+        raise DataError(f"bad --{flag} {text!r}") from None
+
+
+def _parse_agent_set(text: str, n: int) -> frozenset[int]:
+    agents = frozenset(_fields("set", text, "i,"))
     if any(i < 0 or i >= n for i in agents):
         raise DataError(f"agent set {text!r} out of range for n={n}")
     return agents
 
 
 def _parse_coalition(args: argparse.Namespace, g: GameDef):
-    if getattr(args, "all", False):
+    if args.all:
         return g.weights
-    text = getattr(args, "coalition", None)
-    if text is None:
+    if args.coalition is None:
         raise DataError("need --coalition i,j,... or --all")
-    try:
-        c = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise DataError(f"bad coalition {text!r}") from None
+    c = _fields("coalition", args.coalition, "i,")
     g.check_coalition(c)
     return c
 
@@ -150,27 +177,6 @@ def _budget(args: argparse.Namespace) -> EnumerationBudget:
         max_weight=args.budget_max_weight,
         max_structures=args.budget_max_structures,
     )
-
-
-def _rule(args: argparse.Namespace):
-    return rule_from_name(args.arb)
-
-
-def _local_rule(args: argparse.Namespace) -> LocalArbitrationRule:
-    rule = rule_from_name(args.arb)
-    require_local(rule)
-    return rule
-
-
-def _decomposition(args: argparse.Namespace, g: GameDef):
-    if getattr(args, "auto", False):
-        if g.interaction is None:
-            raise DataError("game has no interaction graph to decompose")
-        return heuristic_decomposition(g.interaction)
-    path = getattr(args, "decomp", None)
-    if path is None:
-        raise DataError("need --decomp file.json or --auto")
-    return load_decomposition(path)
 
 
 def _threshold_verdict(report: _Report, value: Fraction, args) -> int:
@@ -193,11 +199,6 @@ def _deviation_doc(dev) -> dict:
     return {str(j): list(d) for j, d in dev.withdrawals.items()}
 
 
-def _load_structure(args, g: GameDef):
-    doc = _load_json(args.outcome)
-    return structure_from_dict(doc, g.n)
-
-
 # ---------------------------------------------------------------------------
 # solver commands
 
@@ -211,7 +212,7 @@ def cmd_optval(args: argparse.Namespace) -> int:
     elif args.lane == "tree":
         value, witness = optval_tree(g, c)
     else:
-        t = _decomposition(args, g)
+        t = load_decomposition(args.decomp) if args.decomp else None
         value, witness = optval_tw(g, t, c)
     report.put("witness", _structure_doc(witness))
     report.say(f"witness: {_structure_doc(witness)}")
@@ -225,14 +226,15 @@ def cmd_arbval(args: argparse.Namespace) -> int:
     o = load_outcome(args.outcome, g.n)
     S = _parse_agent_set(args.set, g.n)
     report = _Report(args, f"{args.lane} arbval")
+    rule = rule_from_name(args.arb)
     if args.lane == "oracle":
-        value, (dev, post) = brute_arbval(g, _rule(args), o, S, _budget(args))
+        value, (dev, post) = brute_arbval(g, rule, o, S, _budget(args))
     elif args.lane == "tree":
         solver = arbval_local if args.local else arbval_tree
-        value, dev, post = solver(g, _local_rule(args), o, S, with_witness=True)
+        value, dev, post = solver(g, rule, o, S, with_witness=True)
     else:
-        t = _decomposition(args, g) if (args.decomp or args.auto) else None
-        value, dev, post = arbval_tw(g, _local_rule(args), o, S, t=t, with_witness=True)
+        t = load_decomposition(args.decomp) if args.decomp else None
+        value, dev, post = arbval_tw(g, rule, o, S, t=t, with_witness=True)
     report.put("deviation", _deviation_doc(dev))
     report.put("post_structure", _structure_doc(post))
     code = _threshold_verdict(report, value, args)
@@ -244,12 +246,14 @@ def cmd_checkcore(args: argparse.Namespace) -> int:
     g = load_game(args.game)
     o = load_outcome(args.outcome, g.n)
     report = _Report(args, f"{args.lane} checkcore")
+    rule = rule_from_name(args.arb)
     if args.lane == "oracle":
-        violation = brute_checkcore(g, _rule(args), o, _budget(args))
+        violation = brute_checkcore(g, rule, o, _budget(args))
     elif args.lane == "tree":
-        violation = checkcore_tree(g, _local_rule(args), o)
+        violation = checkcore_tree(g, rule, o)
     else:
-        violation = checkcore_tw(g, _local_rule(args), o, _decomposition(args, g))
+        t = load_decomposition(args.decomp) if args.decomp else None
+        violation = checkcore_tw(g, rule, o, t)
     if violation is None:
         report.put("decision", "in-core")
         report.say("in core: no subset has a profitable deviation")
@@ -275,9 +279,9 @@ def cmd_checkcore(args: argparse.Namespace) -> int:
 
 def cmd_is_stable(args: argparse.Namespace) -> int:
     g = load_game(args.game)
-    cs = _load_structure(args, g)
+    cs = structure_from_dict(_load_json(args.outcome), g.n)
     report = _Report(args, f"{args.lane} is-stable")
-    rule = _local_rule(args)
+    rule = rule_from_name(args.arb)
     if args.lane == "oracle":
         imputation = brute_is_stable(g, rule, cs, _budget(args))
     elif args.lane == "tree":
@@ -285,7 +289,8 @@ def cmd_is_stable(args: argparse.Namespace) -> int:
     else:
         if not args.experimental:
             raise DataError("tw is-stable is experimental; pass --experimental")
-        imputation = is_stable_tw(g, rule, cs, _decomposition(args, g))
+        t = load_decomposition(args.decomp) if args.decomp else None
+        imputation = is_stable_tw(g, rule, cs, t)
     if imputation is None:
         report.put("decision", "no")
         report.say("no stabilizing imputation exists for this structure")
@@ -354,33 +359,25 @@ def cmd_lbg(args: argparse.Namespace) -> int:
         return EXIT_NO
     # generators
     if args.lbg_cmd == "gen-flow":
-        edges = [tuple(int(x) for x in e.split("-")) for e in args.edge]
+        edges = [_fields("edge", e, "i-i") for e in args.edge]
         caps = {}
         for spec in args.capacity:
-            e, cap = spec.split("=")
-            a, b = e.split("-")
-            caps[(int(a), int(b))] = parse_rational(cap)
-        suppliers = []
-        for spec in args.supplier:
-            s, t, w, pi = spec.split(",")
-            suppliers.append((int(s), int(t), parse_rational(w), parse_rational(pi)))
+            a, b, cap = _fields("capacity", spec, "i-i=q")
+            caps[(a, b)] = cap
+        suppliers = [_fields("supplier", spec, "i,i,q,q") for spec in args.supplier]
         inst = gen_multicommodity_flow(edges, suppliers, caps, args.max_path_len)
     elif args.lbg_cmd == "gen-market":
-        aw = [parse_rational(w) for w in args.sellers.split(",")]
-        bw = [parse_rational(w) for w in args.buyers.split(",")]
+        aw = list(_fields("sellers", args.sellers, "q,"))
+        bw = list(_fields("buyers", args.buyers, "q,"))
         prices = {}
         for spec in args.price:
-            e, p = spec.split("=")
-            a, b = e.split("-")
-            prices[(int(a), int(b))] = parse_rational(p)
+            a, b, p = _fields("price", spec, "i-i=q")
+            prices[(a, b)] = p
         inst = gen_bipartite_market(aw, bw, prices)
     else:
-        caps = [parse_rational(w) for w in args.capacities.split(",")]
-        edges = [tuple(int(x) for x in e.split("-")) for e in args.edge]
-        demands = []
-        for spec in args.demand:
-            s, t, pi = spec.split(",")
-            demands.append((int(s), int(t), parse_rational(pi)))
+        caps = list(_fields("capacities", args.capacities, "q,"))
+        edges = [_fields("edge", e, "i-i") for e in args.edge]
+        demands = [_fields("demand", spec, "i,i,q") for spec in args.demand]
         inst = gen_routing(len(caps), edges, caps, demands, args.max_path_len)
     dump_lbg(inst, args.out)
     report.put("instance", args.out)
@@ -396,29 +393,21 @@ def cmd_lbg(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     report = _Report(args, f"gen {args.gadget}")
-    if args.gadget == "x3c":
-        subsets = tuple(
-            frozenset(int(x) for x in s.split(",")) for s in args.subset
-        )
-        inst = X3cInstance(args.elements, subsets)
-        g, threshold = x3c_gadget(inst)
-        dump_game(g, args.out)
-        report.put("game", args.out)
-        report.put("threshold", format_rational(threshold))
-        report.say(f"wrote {args.out}; yes iff optimal value >= {format_rational(threshold)}")
-    elif args.gadget == "indep-set":
-        from .core import InteractionGraph
-
-        edges = [tuple(int(x) for x in e.split("-")) for e in args.edge]
-        graph = InteractionGraph.from_pairs(args.vertices, edges)
-        g, threshold = independent_set_gadget(graph, args.size, parse_rational(args.eps))
+    if args.gadget != "set-cover":
+        if args.gadget == "x3c":
+            subsets = tuple(frozenset(_fields("subset", s, "i,")) for s in args.subset)
+            g, threshold = x3c_gadget(X3cInstance(args.elements, subsets))
+        else:
+            edges = [_fields("edge", e, "i-i") for e in args.edge]
+            graph = InteractionGraph.from_pairs(args.vertices, edges)
+            g, threshold = independent_set_gadget(graph, args.size, parse_rational(args.eps))
         dump_game(g, args.out)
         report.put("game", args.out)
         report.put("threshold", format_rational(threshold))
         report.say(f"wrote {args.out}; yes iff optimal value >= {format_rational(threshold)}")
     else:
-        elements = frozenset(int(x) for x in args.elements_list.split(","))
-        subsets = tuple(frozenset(int(x) for x in s.split(",")) for s in args.subset)
+        elements = frozenset(_fields("elements-list", args.elements_list, "i,"))
+        subsets = tuple(frozenset(_fields("subset", s, "i,")) for s in args.subset)
         g, o, arb, threshold = set_cover_arbitration_gadget(elements, subsets, args.cover_size)
         dump_game(g, args.game_out)
         dump_outcome(o, args.outcome_out)
@@ -474,86 +463,71 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: each leaf command is a list of (flag, argparse keywords) specs
+
+_REQUIRED = {"required": True}
+_SWITCH = {"action": "store_true"}
+_COMMON = (
+    ("--format", {"choices": ("human", "machine"), "default": "human"}),
+    ("--timing", {**_SWITCH, "help": "include wall time in output"}),
+)
+_BUDGET = (
+    ("--budget-max-agents", {"type": int, "default": 6}),
+    ("--budget-max-weight", {"type": int, "default": 4}),
+    ("--budget-max-structures", {"type": int, "default": 10_000_000}),
+)
+_GAME = ("--game", _REQUIRED)
+_OUTCOME = ("--outcome", _REQUIRED)
+_INSTANCE = ("--instance", _REQUIRED)
+_PATH = ("--path", _REQUIRED)
+_OUT = ("--out", _REQUIRED)
+_THRESHOLD = ("--threshold", {"help": "decision threshold p/q"})
+_EDGES = ("--edge", {"action": "append", "default": [], "help": "a-b (repeatable)"})
+_MAX_PATH_LEN = ("--max-path-len", {"type": int, "default": 8})
+_ARB = ("--arb", {"default": "conservative", "choices": (
+    "conservative", "refined", "optimistic", "optimistic-clamped", "sensitive")})
+_LOCAL = ("--local", {**_SWITCH, "help": "use the withdrawal-vector DP"})
+_EXPERIMENTAL = ("--experimental", _SWITCH)
+_DECOMP = ("--decomp", {"help": "decomposition file (default: a forest decomposition on a "
+                                "forest, min-fill otherwise)"})
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("human", "machine"), default="human")
-    p.add_argument("--timing", action="store_true", help="include wall time in output")
+def _family(sub, name: str, dest: str, help: str | None = None):
+    return sub.add_parser(name, help=help).add_subparsers(dest=dest, required=True)
 
 
-def _add_budget(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget-max-agents", type=int, default=6)
-    p.add_argument("--budget-max-weight", type=int, default=4)
-    p.add_argument("--budget-max-structures", type=int, default=10_000_000)
+def _leaf(sub, name: str, func, *flags, help: str | None = None, budget: bool = False,
+          **defaults) -> None:
+    """Add leaf command ``name`` with its flags, then ``--format`` and
+    ``--timing``, then the enumeration budget flags when it reads a budget."""
+    p = sub.add_parser(name, help=help)
+    for flag, spec in flags + _COMMON + (_BUDGET if budget else ()):
+        p.add_argument(flag, **spec)
+    p.set_defaults(func=func, **defaults)
 
 
 def _solver_parsers(sub, lane: str) -> None:
-    lane_p = sub.add_parser(lane, help=f"{lane} solvers")
-    ssub = lane_p.add_subparsers(dest="solver_cmd", required=True)
-
-    p = ssub.add_parser("optval", help="best coalition-structure value")
-    p.add_argument("--game", required=True)
-    p.add_argument("--coalition", help="resource vector i,j,k,...")
-    p.add_argument("--all", action="store_true", help="use the full endowment")
-    p.add_argument("--threshold", help="decision threshold p/q")
-    _add_common(p)
-    _add_budget(p)
-    if lane == "tw":
-        p.add_argument("--decomp")
-        p.add_argument("--auto", action="store_true")
-    p.set_defaults(func=cmd_optval, lane=lane)
-
-    p = ssub.add_parser("arbval", help="best deviation value of a set")
-    p.add_argument("--game", required=True)
-    p.add_argument("--outcome", required=True)
-    p.add_argument("--set", required=True, help="deviating agents, e.g. 0,2")
-    p.add_argument(
-        "--arb",
-        default="conservative",
-        choices=("conservative", "refined", "optimistic", "optimistic-clamped", "sensitive"),
-    )
-    p.add_argument("--threshold")
-    _add_common(p)
-    _add_budget(p)
-    if lane == "tree":
-        p.add_argument("--local", action="store_true", help="use the withdrawal-vector DP")
-    if lane == "tw":
-        p.add_argument("--decomp")
-        p.add_argument("--auto", action="store_true")
-    p.set_defaults(func=cmd_arbval, lane=lane)
-
-    p = ssub.add_parser("checkcore", help="is the outcome in the core?")
-    p.add_argument("--game", required=True)
-    p.add_argument("--outcome", required=True)
-    p.add_argument(
-        "--arb",
-        default="conservative",
-        choices=("conservative", "refined", "optimistic", "optimistic-clamped", "sensitive"),
-    )
-    _add_common(p)
-    _add_budget(p)
-    if lane == "tw":
-        p.add_argument("--decomp")
-        p.add_argument("--auto", action="store_true")
-    p.set_defaults(func=cmd_checkcore, lane=lane)
-
-    p = ssub.add_parser("is-stable", help="find a stabilizing imputation")
-    p.add_argument("--game", required=True)
-    p.add_argument("--outcome", required=True, help="outcome file; only the structure is read")
-    p.add_argument(
-        "--arb",
-        default="conservative",
-        choices=("conservative", "refined", "optimistic", "optimistic-clamped"),
-    )
-    p.add_argument("--out", help="write the stable outcome here")
-    _add_common(p)
-    _add_budget(p)
-    if lane == "tw":
-        p.add_argument("--decomp")
-        p.add_argument("--auto", action="store_true")
-        p.add_argument("--experimental", action="store_true")
-    p.set_defaults(func=cmd_is_stable, lane=lane)
+    ssub = _family(sub, lane, "solver_cmd", f"{lane} solvers")
+    oracle = lane == "oracle"
+    decomp = (_DECOMP,) if lane == "tw" else ()
+    local = (_LOCAL,) if lane == "tree" else ()
+    experimental = (_EXPERIMENTAL,) if lane == "tw" else ()
+    _leaf(ssub, "optval", cmd_optval, _GAME,
+          ("--coalition", {"help": "resource vector i,j,k,..."}),
+          ("--all", {**_SWITCH, "help": "use the full endowment"}),
+          _THRESHOLD, *decomp,
+          help="best coalition-structure value", budget=oracle, lane=lane)
+    _leaf(ssub, "arbval", cmd_arbval, _GAME, _OUTCOME,
+          ("--set", {**_REQUIRED, "help": "deviating agents, e.g. 0,2"}),
+          _ARB, _THRESHOLD, *local, *decomp,
+          help="best deviation value of a set", budget=oracle, lane=lane)
+    _leaf(ssub, "checkcore", cmd_checkcore, _GAME, _OUTCOME, _ARB, *decomp,
+          help="is the outcome in the core?", budget=oracle, lane=lane)
+    _leaf(ssub, "is-stable", cmd_is_stable, _GAME,
+          ("--outcome", {**_REQUIRED, "help": "outcome file; only the structure is read"}),
+          _ARB, ("--out", {"help": "write the stable outcome here"}),
+          *decomp, *experimental,
+          help="find a stabilizing imputation", budget=oracle, lane=lane)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -564,90 +538,48 @@ def build_parser() -> argparse.ArgumentParser:
     for lane in ("oracle", "tree", "tw"):
         _solver_parsers(sub, lane)
 
-    lbg = sub.add_parser("lbg", help="linear bottleneck games")
-    lsub = lbg.add_subparsers(dest="lbg_cmd", required=True)
-    p = lsub.add_parser("solve")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--cross-check", action="store_true", help="solve the dual separately too")
-    _add_common(p)
-    p.set_defaults(func=cmd_lbg)
-    p = lsub.add_parser("core")
-    p.add_argument("--instance", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_lbg)
-    p = lsub.add_parser("verify")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--grid", default="1", help="withdrawal granularity p/q")
-    _add_common(p)
-    p.set_defaults(func=cmd_lbg)
-    p = lsub.add_parser("gen-flow")
-    p.add_argument("--edge", action="append", default=[], help="a-b (repeatable)")
-    p.add_argument("--capacity", action="append", default=[], help="a-b=p/q")
-    p.add_argument("--supplier", action="append", default=[], help="s,t,W,pi")
-    p.add_argument("--max-path-len", type=int, default=8)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_lbg)
-    p = lsub.add_parser("gen-market")
-    p.add_argument("--sellers", required=True, help="weights w,w,...")
-    p.add_argument("--buyers", required=True, help="weights w,w,...")
-    p.add_argument("--price", action="append", default=[], help="a-b=p/q")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_lbg)
-    p = lsub.add_parser("gen-routing")
-    p.add_argument("--capacities", required=True, help="node weights w,w,...")
-    p.add_argument("--edge", action="append", default=[], help="a-b (repeatable)")
-    p.add_argument("--demand", action="append", default=[], help="s,t,pi")
-    p.add_argument("--max-path-len", type=int, default=8)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_lbg)
+    lsub = _family(sub, "lbg", "lbg_cmd", "linear bottleneck games")
+    _leaf(lsub, "solve", cmd_lbg, _INSTANCE,
+          ("--cross-check", {**_SWITCH, "help": "solve the dual separately too"}))
+    _leaf(lsub, "core", cmd_lbg, _INSTANCE)
+    _leaf(lsub, "verify", cmd_lbg, _INSTANCE,
+          ("--grid", {"default": "1", "help": "withdrawal granularity p/q"}))
+    _leaf(lsub, "gen-flow", cmd_lbg, _EDGES,
+          ("--capacity", {"action": "append", "default": [], "help": "a-b=p/q"}),
+          ("--supplier", {"action": "append", "default": [], "help": "s,t,W,pi"}),
+          _MAX_PATH_LEN, _OUT)
+    _leaf(lsub, "gen-market", cmd_lbg,
+          ("--sellers", {**_REQUIRED, "help": "weights w,w,..."}),
+          ("--buyers", {**_REQUIRED, "help": "weights w,w,..."}),
+          ("--price", {"action": "append", "default": [], "help": "a-b=p/q"}),
+          _OUT)
+    _leaf(lsub, "gen-routing", cmd_lbg,
+          ("--capacities", {**_REQUIRED, "help": "node weights w,w,..."}),
+          _EDGES,
+          ("--demand", {"action": "append", "default": [], "help": "s,t,pi"}),
+          _MAX_PATH_LEN, _OUT)
 
-    gen = sub.add_parser("gen", help="hardness-gadget fixtures")
-    gsub = gen.add_subparsers(dest="gadget", required=True)
-    p = gsub.add_parser("x3c")
-    p.add_argument("--elements", type=int, required=True)
-    p.add_argument("--subset", action="append", required=True, help="e,e,e (repeatable)")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_gen)
-    p = gsub.add_parser("indep-set")
-    p.add_argument("--vertices", type=int, required=True)
-    p.add_argument("--edge", action="append", default=[], help="a-b (repeatable)")
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--eps", default="1/10")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_gen)
-    p = gsub.add_parser("set-cover")
-    p.add_argument("--elements-list", required=True, help="e,e,...")
-    p.add_argument("--subset", action="append", required=True, help="e,e,... (repeatable)")
-    p.add_argument("--cover-size", type=int, required=True)
-    p.add_argument("--game-out", required=True)
-    p.add_argument("--outcome-out", required=True)
-    p.add_argument("--decide", action="store_true", help="run the brute deviation search")
-    _add_common(p)
-    _add_budget(p)
-    p.set_defaults(func=cmd_gen)
+    gsub = _family(sub, "gen", "gadget", "hardness-gadget fixtures")
+    _leaf(gsub, "x3c", cmd_gen,
+          ("--elements", {**_REQUIRED, "type": int}),
+          ("--subset", {**_REQUIRED, "action": "append", "help": "e,e,e (repeatable)"}),
+          _OUT)
+    _leaf(gsub, "indep-set", cmd_gen,
+          ("--vertices", {**_REQUIRED, "type": int}), _EDGES,
+          ("--size", {**_REQUIRED, "type": int}), ("--eps", {"default": "1/10"}), _OUT)
+    _leaf(gsub, "set-cover", cmd_gen,
+          ("--elements-list", {**_REQUIRED, "help": "e,e,..."}),
+          ("--subset", {**_REQUIRED, "action": "append", "help": "e,e,... (repeatable)"}),
+          ("--cover-size", {**_REQUIRED, "type": int}),
+          ("--game-out", _REQUIRED), ("--outcome-out", _REQUIRED),
+          ("--decide", {**_SWITCH, "help": "run the brute deviation search"}),
+          budget=True)
 
-    val = sub.add_parser("validate", help="validate data files")
-    vsub = val.add_subparsers(dest="kind", required=True)
-    p = vsub.add_parser("game")
-    p.add_argument("--path", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_validate)
-    p = vsub.add_parser("outcome")
-    p.add_argument("--path", required=True)
-    p.add_argument("--game", required=True)
-    p.add_argument("--ir-mode", choices=("full-endowment", "unit"), default="full-endowment")
-    _add_common(p)
-    p.set_defaults(func=cmd_validate)
-    p = vsub.add_parser("decomp")
-    p.add_argument("--path", required=True)
-    p.add_argument("--game", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_validate)
+    vsub = _family(sub, "validate", "kind", "validate data files")
+    _leaf(vsub, "game", cmd_validate, _PATH)
+    _leaf(vsub, "outcome", cmd_validate, _PATH, _GAME,
+          ("--ir-mode", {"choices": ("full-endowment", "unit"), "default": "full-endowment"}))
+    _leaf(vsub, "decomp", cmd_validate, _PATH, _GAME)
     return ap
 
 

@@ -131,11 +131,16 @@ class InteractionGraph:
                 comps.append(sorted(comp))
         return comps
 
-    def is_forest(self) -> bool:
-        """True iff the simple-edge graph is acyclic (self-loops ignored): a
-        forest has one edge fewer per component than it has vertices."""
+    @cached_property
+    def _is_forest(self) -> bool:
         degrees = sum(map(len, self._adjacency.values()))
         return degrees == 2 * (self.n - len(self.components()))
+
+    def is_forest(self) -> bool:
+        """True iff the simple-edge graph is acyclic (self-loops ignored): a
+        forest has one edge fewer per component than it has vertices.  The
+        graph is immutable, so the answer is computed once."""
+        return self._is_forest
 
 
 @dataclass(frozen=True)

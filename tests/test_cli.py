@@ -58,7 +58,7 @@ def test_budget_exit_3(files, capsys):
 
 
 def test_machine_output_deterministic(files, capsys):
-    args = ("tw", "optval", "--game", files["game"], "--all", "--auto",
+    args = ("tw", "optval", "--game", files["game"], "--all",
             "--format", "machine")
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
@@ -98,7 +98,7 @@ def test_empty_set_arbval_on_every_lane(files, capsys):
 def test_overcommitted_structure_is_exit_2(files, capsys):
     over = files["dir"] / "over.json"
     over.write_text(json.dumps({"structure": [[2, 1], [1, 0]]}))
-    for lane in (("oracle",), ("tree",), ("tw", "--experimental", "--auto")):
+    for lane in (("oracle",), ("tree",), ("tw", "--experimental")):
         code, _, err = run(capsys, lane[0], "is-stable", *lane[1:], "--game", files["game"],
                            "--outcome", str(over), "--arb", "refined")
         assert code == 2 and "endowments" in err, lane
@@ -121,7 +121,7 @@ def test_invalid_outcome_is_exit_2_on_checkcore_and_is_stable(files, capsys):
     greedy = files["dir"] / "greedy_outcome.json"
     greedy.write_text(json.dumps({"structure": [[1, 1], [1, 0]],
                                   "imputation": [["9", "9"], ["1", "0"]]}))
-    for argv in (("oracle", "checkcore"), ("tree", "checkcore"), ("tw", "checkcore", "--auto")):
+    for argv in (("oracle", "checkcore"), ("tree", "checkcore"), ("tw", "checkcore")):
         code, _, err = run(capsys, *argv, "--game", files["game"], "--outcome", str(greedy),
                            "--arb", "refined")
         assert code == 2 and "efficiency" in err, argv
@@ -169,6 +169,17 @@ def test_sensitive_rejected_by_tree_lane(files, capsys):
     assert code == 2 and "local" in err
 
 
+def test_local_rule_check_is_the_librarys(files, capsys):
+    """Every command that needs a local rule takes --arb sensitive and exits
+    2 with the library's refusal, on every lane."""
+    o = ("--game", files["game"], "--outcome", files["outcome"], "--arb", "sensitive")
+    for argv in (("tree", "checkcore"), ("tw", "checkcore"), ("tw", "arbval", "--set", "0"),
+                 ("oracle", "is-stable"), ("tree", "is-stable"),
+                 ("tw", "is-stable", "--experimental")):
+        code, _, err = run(capsys, *argv, *o)
+        assert code == 2 and "needs a local rule, not 'sensitive'" in err, argv
+
+
 def test_gen_and_solve_round_trip(tmp_path, capsys):
     game = tmp_path / "x3c.json"
     code, out, _ = run(capsys, "gen", "x3c", "--elements", "3",
@@ -214,12 +225,11 @@ def test_set_cover_decide(tmp_path, capsys):
 
 def test_tw_is_stable_requires_flag(files, capsys):
     code, _, err = run(capsys, "tw", "is-stable", "--game", files["game"],
-                       "--outcome", files["outcome"], "--arb", "conservative",
-                       "--auto")
+                       "--outcome", files["outcome"], "--arb", "conservative")
     assert code == 2 and "experimental" in err
     code, _, _ = run(capsys, "tw", "is-stable", "--game", files["game"],
                      "--outcome", files["outcome"], "--arb", "conservative",
-                     "--auto", "--experimental")
+                     "--experimental")
     assert code == 0
 
 
@@ -294,3 +304,151 @@ def test_arbval_witness_reevaluates(tmp_path, capsys):
             checked += 1
             withdrawn += bool(dev.withdrawals)
     assert checked == 48 and withdrawn >= 6
+
+
+def test_tw_commands_build_their_own_decomposition(tmp_path, capsys):
+    """Without --decomp every tw command answers as it does with a min-fill
+    decomposition file, on tree and on cyclic games, and its witness
+    re-checks: the optimal structure by its value, a deviation by what it
+    earns, a stable imputation by the oracle's CheckCore."""
+    import random
+
+    from ocf.arbitration import rule_from_name
+    from ocf.core import structure_value, validate_outcome
+    from ocf.io import decomposition_to_dict, outcome_from_dict
+    from ocf.oracle import brute_checkcore
+    from ocf.treewidth import heuristic_decomposition
+    from conftest import random_graph_game, random_outcome, random_tree_game
+
+    rng = random.Random(15)
+    codes = []
+    for trial in range(12):
+        g = (random_graph_game if trial % 2 else random_tree_game)(rng, nmax=4)
+        o = random_outcome(rng, g)
+        game, outcome, decomp = (tmp_path / f"{x}{trial}.json" for x in "god")
+        dump_game(g, game)
+        dump_outcome(o, outcome)
+        decomp.write_text(json.dumps(decomposition_to_dict(heuristic_decomposition(g.interaction))))
+        o = load_outcome(outcome, g.n)
+        arb = ("conservative", "refined", "optimistic", "optimistic-clamped")[trial % 4]
+        rule = rule_from_name(arb)
+        agents = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
+        with_o = ("--outcome", str(outcome), "--arb", arb)
+        commands = (("optval", "--all"),
+                    ("arbval", *with_o, "--set", ",".join(map(str, agents))),
+                    ("checkcore", *with_o),
+                    ("is-stable", *with_o, "--experimental"))
+        for command in commands:
+            argv = ("tw", *command, "--game", str(game), "--format", "machine")
+            code, out, _ = run(capsys, *argv)
+            ref_code, ref_out, _ = run(capsys, *argv, "--decomp", str(decomp))
+            doc, ref = json.loads(out), json.loads(ref_out)
+            assert code == ref_code in (0, 1), (trial, command)
+            assert [doc.get(k) for k in ("value", "excess", "decision")] == \
+                [ref.get(k) for k in ("value", "excess", "decision")], (trial, command)
+            codes.append((command[0], code))
+            if command[0] == "optval":
+                witness = tuple(tuple(c) for c in doc["witness"])
+                assert structure_value(g, witness) == parse_rational(doc["value"])
+            elif command[0] == "is-stable" and code == 0:
+                stable = outcome_from_dict(doc["outcome"], g.n)
+                assert validate_outcome(stable, g) == []
+                assert brute_checkcore(g, rule, stable) is None
+            elif "deviation" in doc:
+                dev = Deviation(withdrawals={int(j): tuple(d) for j, d in doc["deviation"].items()})
+                post = tuple(tuple(c) for c in doc["post_structure"])
+                S = frozenset(doc.get("violating_set", agents))
+                gained = deviation_total(g, o, S, dev, rule, post)
+                if command[0] == "checkcore":
+                    gained -= o.payoff_to_set(S)
+                assert gained == parse_rational(doc.get("excess", doc.get("value")))
+    assert {("checkcore", 1), ("is-stable", 0), ("is-stable", 1)} <= set(codes)
+
+
+def test_malformed_flag_values_are_exit_2(files, capsys):
+    """A flag value that does not fit its form is a data error naming the
+    flag, not a crash."""
+    out = ("--out", str(files["dir"] / "x.json"))
+    cases = (
+        (("lbg", "gen-flow", "--edge", "0x1", *out), "--edge '0x1'"),
+        (("lbg", "gen-routing", "--capacities", "1,1", "--demand", "0,1", *out), "--demand '0,1'"),
+        (("lbg", "gen-market", "--sellers", "1", "--buyers", "1", "--price", "0=3", *out),
+         "--price '0=3'"),
+        (("gen", "x3c", "--elements", "3", "--subset", "0,1,x", *out), "--subset '0,1,x'"),
+        (("tree", "arbval", "--game", files["game"], "--outcome", files["outcome"],
+          "--set", "0,x"), "--set '0,x'"),
+        (("tree", "optval", "--game", files["game"], "--coalition", "1;0"), "--coalition '1;0'"),
+    )
+    for argv, bad in cases:
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and f"error: bad {bad}" in err, argv
+
+
+_COMMON_OPTIONS = " --format --timing"
+_BUDGET_OPTIONS = " --budget-max-agents --budget-max-weight --budget-max-structures"
+LEAF_OPTIONS = {
+    "oracle optval": "--game --coalition --all --threshold" + _BUDGET_OPTIONS,
+    "oracle arbval": "--game --outcome --set --arb --threshold" + _BUDGET_OPTIONS,
+    "oracle checkcore": "--game --outcome --arb" + _BUDGET_OPTIONS,
+    "oracle is-stable": "--game --outcome --arb --out" + _BUDGET_OPTIONS,
+    "tree optval": "--game --coalition --all --threshold",
+    "tree arbval": "--game --outcome --set --arb --threshold --local",
+    "tree checkcore": "--game --outcome --arb",
+    "tree is-stable": "--game --outcome --arb --out",
+    "tw optval": "--game --coalition --all --threshold --decomp",
+    "tw arbval": "--game --outcome --set --arb --threshold --decomp",
+    "tw checkcore": "--game --outcome --arb --decomp",
+    "tw is-stable": "--game --outcome --arb --out --decomp --experimental",
+    "lbg solve": "--instance --cross-check",
+    "lbg core": "--instance",
+    "lbg verify": "--instance --grid",
+    "lbg gen-flow": "--edge --capacity --supplier --max-path-len --out",
+    "lbg gen-market": "--sellers --buyers --price --out",
+    "lbg gen-routing": "--capacities --edge --demand --max-path-len --out",
+    "gen x3c": "--elements --subset --out",
+    "gen indep-set": "--vertices --edge --size --eps --out",
+    "gen set-cover": "--elements-list --subset --cover-size --game-out --outcome-out --decide"
+                     + _BUDGET_OPTIONS,
+    "validate game": "--path",
+    "validate outcome": "--path --game --ir-mode",
+    "validate decomp": "--path --game",
+}
+
+
+def test_cli_surface_is_pinned():
+    """Each leaf command offers exactly the options in LEAF_OPTIONS (plus
+    --format, --timing and -h), so a flag added or dropped shows here."""
+    import argparse
+
+    from ocf.cli import build_parser
+
+    def leaves(parser, path):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            yield " ".join(path), parser
+        for sub in subs:
+            for name, child in sub.choices.items():
+                yield from leaves(child, path + (name,))
+
+    surface = {path: sorted(s for a in p._actions for s in a.option_strings
+                            if s not in ("-h", "--help"))
+               for path, p in leaves(build_parser(), ())}
+    assert surface == {path: sorted((opts + _COMMON_OPTIONS).split())
+                       for path, opts in LEAF_OPTIONS.items()}
+
+
+def test_readme_cli_examples_parse():
+    """Every ``ocf ...`` line in README's CLI code block parses, so a removed
+    or renamed flag cannot stay in the docs."""
+    import shlex
+    from pathlib import Path
+
+    from ocf.cli import build_parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    lines = [line.split("#", 1)[0].strip() for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("ocf ")]
+    assert len(commands) >= 10
+    for argv in commands:
+        build_parser().parse_args(argv)
