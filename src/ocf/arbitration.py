@@ -50,6 +50,7 @@ from .core import (
     GameDef,
     Outcome,
     PayoffVector,
+    _require_payoff_lengths,
     mixed_indices,
     structure_weight,
     support,
@@ -202,7 +203,7 @@ class RefinedRule(LocalArbitrationRule):
     def coalition_payoff(self, cf, c, d, xc, deviators):
         if any(w != 0 for w in d):
             return ZERO
-        return sum((xc[i] for i in deviators if i < len(xc)), start=ZERO)
+        return sum((xc[i] for i in deviators), start=ZERO)
 
     def payment_terms(self, cf, c, d, deviators):
         if any(d):
@@ -289,6 +290,8 @@ def local_payoff(
 ) -> Fraction:
     """Single-coalition payment under a local rule, with precondition checks."""
     require_local(rule)
+    if len(xc) != len(c):
+        raise ContractViolation("payoff vector and coalition differ in length")
     if not vec_leq(d, c):
         raise ContractViolation("withdrawal exceeds the coalition")
     if not support(d) <= deviators:
@@ -337,8 +340,9 @@ def deviation_total(
     """Total payoff S collects: value of the new structure plus arbitration.
 
     ``post`` must fit inside what S may use (``deviation_available``) and be
-    supported entirely inside S.
+    supported entirely inside S, and every payoff vector must be n long.
     """
+    _require_payoff_lengths(game, o)
     validate_deviation(o, deviators, dev, game.n)
     avail = deviation_available(game, o.structure, deviators, dev)
     used = structure_weight(post, game.n)

@@ -7,7 +7,8 @@ irrelevant to value).  All payoffs and characteristic values are exact
 :class:`fractions.Fraction` objects; there is no floating point anywhere.
 
 Everything here is immutable after construction and safe to share across
-threads.
+threads.  Per-game tables are built on first use and kept, so editing
+``charfun.entries`` afterwards is unsupported.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from fractions import Fraction
 from functools import cached_property
 from operator import le, sub
 from typing import Container, Iterable, Mapping, Sequence
+
+from .covers import single_cover
 
 Coalition = tuple[int, ...]
 CoalitionStructure = tuple[Coalition, ...]
@@ -183,20 +186,25 @@ class CharacteristicFunction:
 
     def atoms(self) -> list[tuple[Coalition, Fraction]]:
         """All positive-valued stored coalitions as full-length vectors."""
-        return self._atoms_of(sorted(self.entries))
+        return [a for row in self._support_atoms.values() for a in row]
 
     def atoms_within(self, agents: frozenset[int]) -> list[tuple[Coalition, Fraction]]:
         """Positive-valued stored coalitions whose support is inside ``agents``."""
-        return self._atoms_of(sorted(sup for sup in self.entries if agents.issuperset(sup)))
+        return [a for sup, row in self._support_atoms.items() if agents.issuperset(sup) for a in row]
 
-    def _atoms_of(self, sups: list[tuple[int, ...]]) -> list[tuple[Coalition, Fraction]]:
+    @cached_property
+    def _support_atoms(self) -> dict[tuple[int, ...], list[tuple[Coalition, Fraction]]]:
+        """Each support's positive-valued stored coalitions as (vector,
+        value) pairs in contribution order, supports in sorted order."""
         vectors = self.vectors
-        return [
-            (vectors[(sup, contrib)], value)
-            for sup in sups
-            for contrib, value in sorted(self.entries[sup].items())
-            if value > 0
-        ]
+        return {
+            sup: [
+                (vectors[(sup, contrib)], value)
+                for contrib, value in sorted(self.entries[sup].items())
+                if value > 0
+            ]
+            for sup in sorted(self.entries)
+        }
 
     @cached_property
     def vectors(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], Coalition]:
@@ -289,6 +297,16 @@ class GameDef:
                 if vec is None:
                     vec = tuple(w if j == i else 0 for j in range(self.n))
                 out[(i, w)] = vec
+        return out
+
+    @cached_property
+    def _solo_covers(self) -> list[tuple[list, list[Fraction], dict]]:
+        """Each agent's ``single_cover`` over its whole weight: (atoms,
+        v*_i(w) for w = 0..w_i, picks).  Every solver reads a prefix of it."""
+        out = []
+        for i, weight in enumerate(self.weights):
+            atoms = [((c[i],), v) for c, v in self.charfun._support_atoms.get((i,), ())]
+            out.append((atoms, *single_cover(atoms, weight)))
         return out
 
     def check_coalition(self, c: Coalition) -> None:
@@ -408,6 +426,14 @@ def require_structure(g: GameDef, cs: CoalitionStructure) -> None:
         raise ContractViolation(problems[0])
 
 
+def _require_payoff_lengths(g: GameDef, o: Outcome) -> None:
+    """Raise ``outcome_violations``' message for a payoff vector whose
+    length is not n: an O(#coalitions) check for lanes that skip the rest."""
+    for j, x in enumerate(o.imputation):
+        if len(x) != g.n:
+            raise ContractViolation(f"payoff vector {j}: length {len(x)} != n={g.n}")
+
+
 def outcome_violations(g: GameDef, o: Outcome) -> list[str]:
     """Every rule of a valid outcome but individual rationality, one message
     per violation: ``structure_violations``, then for each coalition a
@@ -446,17 +472,11 @@ def validate_outcome(o: Outcome, g: GameDef, ir_mode: str = "full-endowment") ->
     compares against the best an agent can do with its whole weight,
     "unit" against a single unit of it.  Violations are data, not errors.
     """
-    from .oracle import superadditive_cover  # cycle-free at call time
-
     if ir_mode not in ("full-endowment", "unit"):
         raise ContractViolation(f"unknown ir_mode {ir_mode!r}")
     problems = outcome_violations(g, o)
-    for i in range(g.n):
-        if ir_mode == "full-endowment":
-            baseline_vec = tuple(g.weights[i] if j == i else 0 for j in range(g.n))
-        else:
-            baseline_vec = tuple(1 if j == i else 0 for j in range(g.n))
-        baseline, _ = superadditive_cover(g, baseline_vec, budget=None)
+    for i, (_, values, _) in enumerate(g._solo_covers):
+        baseline = values[-1] if ir_mode == "full-endowment" else values[1]
         got = o.payoff_to_agent(i)
         if got < baseline:
             problems.append(

@@ -10,7 +10,8 @@ work on any ordered additive values (scaled ``int``s in the bag engine and
   ``best(r) = max(base(r), max over atoms a <= r of value(a) + best(r - a))``;
   ``unwind`` walks its picks back into one optimal multiset.  Used by
   ``CoverTable``, ``single_cover`` and the atom layers of the bag engine in
-  :mod:`ocf.treewidth`.
+  :mod:`ocf.treewidth`; ``single_cover`` only by :mod:`ocf.core`, once per
+  agent and game, and every solver reads that table.
 * ``convolve`` - the bounded (max,+) convolution of a box table with a table
   over some of its axes.  Used by the bag engine's child merges and keep
   layers and by its feeder tables ``KeepTable``, ``AlphaTable`` and
@@ -25,7 +26,8 @@ cover is ``closure`` over a base of zeros.  ``CoverTable`` runs it on
 ``int``s: the atom values are scaled once by the lcm of their denominators
 (``_denominator``, shared with the bag engine) and each lookup divides back
 into a ``Fraction``.  Scaling by a positive constant keeps every comparison,
-so values and picks are those of the ``Fraction`` table.
+so values and picks are those of the ``Fraction`` table.  This module
+imports nothing from the package, so :mod:`ocf.core` can build on it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,9 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable
 
-from .core import ZERO, CharacteristicFunction, Coalition
+Coalition = tuple[int, ...]
+
+ZERO = Fraction(0)
 
 
 def closure(caps: tuple[int, ...], atoms: list[tuple[tuple[int, ...], object]], base: dict):
@@ -147,13 +151,6 @@ class CoverTable:
         return [self.atoms[k][0] for k in picked]
 
 
-def solo_atoms(cf: CharacteristicFunction, i: int) -> list[tuple[tuple[int], Fraction]]:
-    """Agent i's positive-valued coalitions of its own, as ((units,), value)
-    pairs in unit order: the atoms of its ``single_cover``."""
-    table = cf.entries.get((i,), {})
-    return [(contrib, value) for contrib, value in sorted(table.items()) if value > 0]
-
-
 def single_cover(
     atoms: list[tuple[tuple[int], Fraction]], cap: int
 ) -> tuple[list[Fraction], dict]:
@@ -161,7 +158,8 @@ def single_cover(
 
     ``atoms`` are ((units,), value) pairs with units >= 1 and value > 0.
     Returns the value table as a list and ``closure``'s picks, keyed by
-    (w,), which ``unwind`` walks back into one optimal split.
+    (w,), which ``unwind`` walks back into one optimal split.  The table
+    for a smaller cap is a prefix of this one, picks included.
     """
     best, picks = closure((cap,), atoms, {(w,): ZERO for w in range(cap + 1)})
     return list(best.values()), picks

@@ -50,6 +50,7 @@ from .core import (
     Imputation,
     Outcome,
     _pad_fillers,
+    _require_payoff_lengths,
     mixed_indices,
     outcome_violations,
     require_structure,
@@ -177,11 +178,12 @@ def brute_arbval(
 
     Post-deviation structures are optimized by the superadditive cover of
     what S may use rather than enumerated, which is exact and much smaller.
-    Only ``core.require_structure`` is checked: the full
-    ``outcome_violations`` costs about 30 µs, against a median of 0.14 ms
-    per ArbVal query on the benchmark's ``sweep`` workload.
+    Only ``core.require_structure`` and the payoff vectors' lengths are
+    checked: the full ``outcome_violations`` costs about 30 µs, against a
+    median of 0.14 ms per ArbVal query on the benchmark's ``sweep`` workload.
     """
     require_structure(g, o.structure)
+    _require_payoff_lengths(g, o)
     caps = tuple(w if i in deviators else 0 for i, w in enumerate(g.weights))
     table = CoverTable(g.charfun.atoms_within(deviators), caps)
     return _arbval_on(g, arb, o, deviators, budget, table)

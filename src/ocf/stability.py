@@ -15,8 +15,9 @@ Every solver holds it as a ``StabilitySystem`` instead:
   larger coalition's last contributor's variable is substituted out, which
   leaves one ``<=`` row on the others; no efficiency equality stays;
 * seeded with one individual-rationality row per agent (its payoffs add up
-  to at least its full-endowment solo value), so every imputation found is
-  individually rational under every rule;
+  to at least its full-endowment solo value, read off the game's solo
+  cover), so every imputation found is individually rational under every
+  rule;
 * grown one ``>=`` row at a time on :class:`ocf.lp.DualSimplex`, which
   re-solves from the last basis.
 
@@ -50,7 +51,6 @@ from .core import (
     require_structure,
     support,
 )
-from .covers import single_cover, solo_atoms
 from .lp import ONE, DualSimplex, LinearProgram
 
 VarIndex = dict[tuple[int, int], int]
@@ -133,11 +133,10 @@ def ir_rows(
     answer.  Under the unclamped optimistic rule a payment can be negative;
     there the rows keep Is-Stable's imputations individually rational."""
     rows = []
-    for i, w in enumerate(g.weights):
-        values, _ = single_cover(solo_atoms(g.charfun, i), w)
-        if values[w] > 0:
+    for i, (_, values, _) in enumerate(g._solo_covers):
+        if values[-1] > 0:
             coeffs = {v: ONE for (j, k), v in var_of.items() if k == i}
-            rows.append((coeffs, values[w]))
+            rows.append((coeffs, values[-1]))
     return rows
 
 

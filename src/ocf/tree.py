@@ -40,6 +40,7 @@ from .core import (
     GameDef,
     Imputation,
     Outcome,
+    _require_payoff_lengths,
     mixed_indices,
     require_structure,
 )
@@ -110,12 +111,14 @@ def arbval_local(
     finds the best payment for every t in the box below S's share of them;
     the answer is the best cover of base + t plus that payment.  The box has
     up to (W+1)^|S| states, so the set size is capped.  As in
-    ``brute_arbval``, only ``core.require_structure`` is checked: the full
-    ``outcome_violations`` costs about 30 µs, against a median of 0.14 ms
-    per local ArbVal query on the benchmark's ``sweep`` workload.
+    ``brute_arbval``, only ``core.require_structure`` and the payoff
+    vectors' lengths are checked: the full ``outcome_violations`` costs
+    about 30 µs, against a median of 0.14 ms per local ArbVal query on the
+    benchmark's ``sweep`` workload.
     """
     require_local(rule)
     require_structure(g, o.structure)
+    _require_payoff_lengths(g, o)
     if len(deviators) > max_set_size:
         raise BudgetExceededError(
             f"|S|={len(deviators)} exceeds the local-DP cap {max_set_size}"

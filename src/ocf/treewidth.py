@@ -21,13 +21,14 @@ post-deviation structure, so the cutting-plane loop of Is-Stable
 without solving ArbVal again.
 
 The feeder tables of the engine's solo and keep rows live here too:
-``SingleTable`` (an agent alone), ``KeepTable`` (a deviator keeping units
-on one edge), ``AlphaTable`` (on all its edges to non-deviators) and
-``VBarTable`` (both), as do the outcome check (``check_outcome_shape``: the
-outcome rules of :mod:`ocf.core` and a pairwise-shaped structure, once per
-call; no cutting-plane round re-checks the LP's own candidate) and
-``forest_decomposition``, the width-1 decomposition read off one
-breadth-first search (``core.reach``) per component.
+``SingleTable`` (an agent alone, a view of the game's solo cover),
+``KeepTable`` (a deviator keeping units on one edge), ``AlphaTable`` (on
+all its edges to non-deviators) and ``VBarTable`` (both), as do the outcome
+check (``check_outcome_shape``: the outcome rules of :mod:`ocf.core` and a
+pairwise-shaped structure, once per call; no cutting-plane round re-checks
+the LP's own candidate) and ``forest_decomposition``, the width-1
+decomposition read off one breadth-first search (``core.reach``) per
+component.
 
 Charging discipline: every agent's solo work is priced exactly once, at the
 *topmost* bag containing the agent; every edge's pair coalitions, and under
@@ -73,15 +74,7 @@ from .core import (
     reach,
     support,
 )
-from .covers import (
-    _denominator,
-    _scaled,
-    closure,
-    convolve,
-    single_cover,
-    solo_atoms,
-    unwind,
-)
+from .covers import _denominator, _scaled, closure, convolve, unwind
 from .stability import cutting_plane
 
 
@@ -332,27 +325,22 @@ def _layout(t: TreeDecomposition, vertices: set[int], graph_edges: Iterable[tupl
     return children, post, agents, sep, home_v, edges_at
 
 
-def _pair_atoms(g: GameDef, a: int, b: int) -> list[tuple[Coalition, Fraction]]:
-    """Stored coalitions supported by exactly the two ends of edge (a, b)."""
-    return [(c, v) for c, v in g.charfun.atoms_within(frozenset((a, b))) if c[a] and c[b]]
-
-
 class SingleTable:
-    """v*_i(w): best split of w units of one agent into its own coalitions."""
+    """v*_i(w): best split of w units of one agent into its own coalitions,
+    as a view of the prefix up to ``cap`` of the game's solo cover."""
 
     def __init__(self, g: GameDef, i: int, cap: int):
         self.agent = i
-        self.atoms = solo_atoms(g.charfun, i)
-        self.values, self.choice = single_cover(self.atoms, cap)
-        self._vectors = g.charfun.vectors
+        self.atoms, values, self.choice = g._solo_covers[i]
+        self.values = values[: cap + 1]
+        self._vectors = g._solo_vectors
 
     def value(self, w: int) -> Fraction:
         return self.values[w]
 
     def witness(self, w: int) -> list[Coalition]:
         picked, _ = unwind(self.atoms, self.choice, (w,))
-        key = (self.agent,)
-        return [self._vectors[(key, self.atoms[k][0])] for k in picked]
+        return [self._vectors[(self.agent, self.atoms[k][0][0])] for k in picked]
 
 
 def _pair_coalitions(o: Outcome, i: int, j: int) -> list[int]:
@@ -528,7 +516,7 @@ class _BagEngine:
             t, set(solo), graph.simple_edges()
         )
         self.homed = {X: [i for i in ax if home_v.get(i) == X] for X, ax in self.agents.items()}
-        pairs = {e: _pair_atoms(g, *e) for edges in self.edges_at.values() for e in edges}
+        pairs = {e: g.charfun._support_atoms.get(e, []) for es in self.edges_at.values() for e in es}
         d = _denominator(
             (v for row in solo.values() for v in row),
             (v for row in keeps.values() for v in row),
@@ -767,21 +755,11 @@ def arbval_tw(
     return value, dev, tuple(atoms)
 
 
-def _solo_tables(g: GameDef) -> list[SingleTable]:
-    """Every agent's ``SingleTable`` over its whole weight; none depends on
-    an outcome, so a cutting-plane loop builds them once."""
-    return [SingleTable(g, i, g.weights[i]) for i in range(g.n)]
-
-
 def _excess_engine(
-    g: GameDef,
-    rule: LocalArbitrationRule,
-    o: Outcome,
-    t: TreeDecomposition,
-    singles: list[SingleTable],
+    g: GameDef, rule: LocalArbitrationRule, o: Outcome, t: TreeDecomposition
 ) -> tuple[_BagEngine, dict[tuple[int, int], KeepTable]]:
     """The every-subset engine over excesses: an agent's solo row is its
-    single-agent cover minus its payoff, and a member keeps resources with a
+    solo cover minus its payoff, and a member keeps resources with a
     non-member neighbour through the edge's ``KeepTable``.  Checks nothing:
     the public entries check their inputs once, and Is-Stable's candidates
     are valid outcomes by construction."""
@@ -799,7 +777,7 @@ def _excess_engine(
         g,
         t,
         g.weights,
-        {i: [v - payoff[i] for v in s.values] for i, s in enumerate(singles)},
+        {i: [v - payoff[i] for v in values] for i, (_, values, _) in enumerate(g._solo_covers)},
         {e: k.values for e, k in keeps.items()},
         every_subset=True,
     )
@@ -809,22 +787,17 @@ def _excess_engine(
 
 
 def _checkcore_bags(
-    g: GameDef,
-    rule: LocalArbitrationRule,
-    o: Outcome,
-    t: TreeDecomposition,
-    singles: list[SingleTable],
+    g: GameDef, rule: LocalArbitrationRule, o: Outcome, t: TreeDecomposition
 ) -> CoreViolation | None:
-    """``checkcore_tw`` on checked inputs, with the agents' prebuilt
-    ``_solo_tables``: the separation step of Is-Stable."""
-    engine, keeps = _excess_engine(g, rule, o, t, singles)
+    """``checkcore_tw`` on checked inputs: the separation step of Is-Stable."""
+    engine, keeps = _excess_engine(g, rule, o, t)
     excess = engine.value()
     if excess <= 0:
         return None
     walk = engine.walk()
     post = walk.atoms
     for i, w in walk.solo.items():
-        post.extend(singles[i].witness(w))
+        post.extend(SingleTable(g, i, w).witness(w))
     kept: dict[int, int] = {}
     for e, y in walk.keeps.items():
         kept.update(keeps[e].keeps(y))
@@ -844,7 +817,7 @@ def checkcore_tw(
     require_local(rule)
     t = _decomposition(g, t)
     check_outcome_shape(g, o)
-    return _checkcore_bags(g, rule, o, t, _solo_tables(g))
+    return _checkcore_bags(g, rule, o, t)
 
 
 def max_excess_tw(
@@ -857,7 +830,7 @@ def max_excess_tw(
     require_local(rule)
     t = _decomposition(g, t)
     check_outcome_shape(g, o)
-    engine, _ = _excess_engine(g, rule, o, t, _solo_tables(g))
+    engine, _ = _excess_engine(g, rule, o, t)
     return engine.value(), frozenset(engine.walk().members)
 
 
@@ -870,11 +843,10 @@ def is_stable_tw(
 ) -> Imputation | None:
     """``cutting_plane`` with the bag-DP CheckCore as separation oracle:
     ``is_stable_tree`` on forests, experimental on other graphs.  The
-    decomposition, the structure's pairwise shape and the agents' solo
-    tables are checked or built once, not every round; the system the loop
-    solves checks the rest of the structure, and its candidates are valid
-    outcomes by construction."""
+    decomposition and the structure's pairwise shape are checked once, not
+    every round, and the agents' solo covers are the game's own; the system
+    the loop solves checks the rest of the structure, and its candidates are
+    valid outcomes by construction."""
     t = _decomposition(g, t)
     check_structure_shape(g, cs)
-    singles = _solo_tables(g)
-    return cutting_plane(g, rule, cs, lambda o: _checkcore_bags(g, rule, o, t, singles), max_rounds)
+    return cutting_plane(g, rule, cs, lambda o: _checkcore_bags(g, rule, o, t), max_rounds)

@@ -45,6 +45,8 @@ def test_local_payoff_preconditions(g1):
         local_payoff(REFINED, (1, 1), (2, 0), (Fraction(2), Fraction(2)), frozenset({0}), g1.charfun)
     with pytest.raises(ContractViolation):
         local_payoff(REFINED, (1, 1), (0, 1), (Fraction(2), Fraction(2)), frozenset({0}), g1.charfun)
+    with pytest.raises(ContractViolation, match="differ in length"):
+        local_payoff(REFINED, (1, 1), (0, 0), (Fraction(2),), frozenset({1}), g1.charfun)
 
 
 def _example_one_game():

@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from ocf.covers import closure, convolve, unwind
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ocf.covers import closure, convolve, single_cover, unwind
 
 NUMBERS = {
     "int": lambda rng: rng.randint(-5, 9),
@@ -129,3 +132,26 @@ def test_convolve_over_an_empty_box_axis():
     out, picks = convolve((0, 2), {(0, 0): 1, (0, 1): 2, (0, 2): None}, [0], {(0,): 3, (1,): 100})
     assert out == {(0, 0): 4, (0, 1): 5, (0, 2): None}
     assert picks == {(0, 0): (0,), (0, 1): (0,), (0, 2): None}
+
+
+SOLO_ATOMS = st.lists(
+    st.tuples(
+        st.tuples(st.integers(1, 8)),
+        st.fractions(min_value=Fraction(1, 7), max_value=20, max_denominator=7),
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(atoms=SOLO_ATOMS, weight=st.integers(0, 12), data=st.data())
+def test_single_cover_prefix_answers_every_smaller_cap(atoms, weight, data):
+    """The table over a whole weight, cut to a smaller cap, is the table over
+    that cap: ``closure`` never reads a state above the one it fills.  A
+    game builds one solo cover per agent and every solver reads its prefix."""
+    cap = data.draw(st.integers(0, weight))
+    full_values, full_picks = single_cover(atoms, weight)
+    values, picks = single_cover(atoms, cap)
+    assert full_values[: cap + 1] == values
+    for w in range(cap + 1):
+        assert unwind(atoms, full_picks, (w,)) == unwind(atoms, picks, (w,))

@@ -51,3 +51,18 @@ def test_module_imports_are_acyclic():
         tuple(TopologicalSorter(graph).static_order())
     except CycleError as exc:
         pytest.fail("import cycle: " + " -> ".join(exc.args[1]))
+
+
+def _intra_package_imports(tree: ast.Module) -> list[ast.ImportFrom]:
+    return [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level >= 1]
+
+
+def test_covers_is_a_leaf_and_core_imports_at_module_level():
+    """``core`` builds each game's solo covers on ``covers``, so ``covers``
+    imports nothing from the package, and ``core`` needs no late import."""
+    covers = ast.parse((PACKAGE / "covers.py").read_text(encoding="utf-8"))
+    assert _intra_package_imports(covers) == []
+    core = ast.parse((PACKAGE / "core.py").read_text(encoding="utf-8"))
+    every = {n for n in ast.walk(core) if isinstance(n, (ast.Import, ast.ImportFrom))}
+    assert every == set(_module_level_imports(core))
+    assert "covers" in _import_graph()["core"]

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -683,3 +684,24 @@ def test_deviation_witnesses_share_the_game_vectors():
             for c in post:
                 if g.charfun.value(c) > 0:
                     assert id(c) in shared
+
+
+def test_payoff_vectors_of_the_wrong_length_are_refused():
+    """The oracle and local ArbVal lanes skip most of ``outcome_violations``
+    but not a payoff vector whose length is not n, which they refuse with
+    its message as the bag lanes do; so does the witness evaluator
+    ``deviation_total``.  A one-entry vector on a two-agent coalition once
+    read as a payment of 4 under the refined and optimistic rules."""
+    cf = make_charfun(2, 2, [((0, 1), (1, 1), Fraction(4))])
+    g = GameDef(n=2, weights=(1, 1), charfun=cf, interaction=InteractionGraph.from_pairs(2, [(0, 1)]))
+    for x in ((Fraction(4),), (Fraction(4), Fraction(0), Fraction(0))):
+        o = Outcome(structure=((1, 1),), imputation=(x,))
+        message = re.escape(f"payoff vector 0: length {len(x)} != n=2")
+        for rule in (CONSERVATIVE, REFINED, OPTIMISTIC, OPTIMISTIC_CLAMPED):
+            for S in (frozenset({0}), frozenset({0, 1})):
+                with pytest.raises(ContractViolation, match=message):
+                    brute_arbval(g, rule, o, S)
+                with pytest.raises(ContractViolation, match=message):
+                    arbval_local(g, rule, o, S)
+                with pytest.raises(ContractViolation, match=message):
+                    deviation_total(g, o, S, Deviation(), rule, ())

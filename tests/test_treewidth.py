@@ -1,8 +1,10 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+import ocf.covers
 from ocf.arbitration import (
     CONSERVATIVE,
     OPTIMISTIC,
@@ -474,3 +476,32 @@ def test_brute_is_stable_row_budget_admits_wide_systems(monkeypatch):
     cs = tuple(tuple(int(k in (i, (i + 1) % 6)) for k in range(6)) for i in range(6))
     with pytest.raises(_SolveReached, match="^729$"):
         brute_is_stable(cycle, REFINED, cs)
+
+
+def test_solo_covers_are_built_once_per_game(monkeypatch):
+    """Every lane reads the game's one solo cover per agent, built on first
+    use: OptVal, CheckCore and Is-Stable on the bag lane, the oracle's
+    Is-Stable and ``validate_outcome`` together build exactly n of them,
+    one per agent over its whole weight.  Every module's binding of
+    ``single_cover`` is counted, ``core``'s among them."""
+    caps = []
+    build = ocf.covers.single_cover
+
+    def counted(atoms, cap):
+        caps.append(cap)
+        return build(atoms, cap)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ocf") and getattr(module, "single_cover", None) is build:
+            monkeypatch.setattr(module, "single_cover", counted)
+    rng = random.Random(16)
+    g = random_tree_game(rng)
+    _, cs = optval_tw(g, None, g.weights)
+    o = random_outcome(rng, g)
+    for rule in RULES:
+        arbval_tw(g, rule, o, frozenset(range(g.n)))
+        checkcore_tw(g, rule, o)
+        assert (is_stable_tw(g, rule, cs) is None) == (brute_is_stable(g, rule, cs) is None)
+    for mode in ("full-endowment", "unit"):
+        validate_outcome(o, g, mode)
+    assert caps == list(g.weights)
