@@ -241,6 +241,7 @@ class SensitiveRule(ArbitrationRule):
     is_local = False
 
     def deviation_payoffs(self, game, outcome, deviators, dev):
+        _require_payoff_lengths(game, outcome)
         touched = {j for j, d in dev.withdrawals.items() if any(d)}
         hurt = set().union(*(outcome.supports[j] for j in touched)) - deviators
         out: dict[int, Fraction] = {}

@@ -18,6 +18,13 @@ work on any ordered additive values (scaled ``int``s in the bag engine and
   ``VBarTable`` in :mod:`ocf.treewidth`, and by the withdrawal DP of
   ``arbval_local`` in :mod:`ocf.tree`.
 
+``_frontier`` keeps the entries of a table that no entry at smaller or equal
+resources matches in value (the dominance rule of knapsack DPs).  Against a
+table that is non-decreasing in resources, as every table the bag engine
+merges into is, only those entries can win a ``convolve`` or be worth an
+atom in ``closure``, so the engine reduces each operand it merges in (keep
+rows, pair atoms, finished child tables) to them once, when it builds it.
+
 The cover of a resource vector is the best total value of a coalition
 multiset using at most those resources.  Because unlisted coalitions are worth
 zero, only the positive-valued stored coalitions ("atoms") ever matter, and
@@ -88,6 +95,12 @@ def convolve(caps: tuple[int, ...], prev: dict, axes: Iterable[int], other: dict
     where ``other`` is keyed by tuples over ``axes``; its entries beyond the
     caps never fit.  Returns ``(out, picks)``: ``picks[r]`` is the first ``z``
     in ``other``'s order that achieves ``out[r]``, None when nothing does.
+
+    When ``prev`` is non-decreasing on every axis (None lowest), an entry
+    ``z`` of ``other`` never beats one at some ``z' <= z`` worth at least as
+    much, so ``_frontier(other)`` gives the same ``out``; its picks are then
+    the first non-dominated ``z`` that achieves ``out[r]``.  Only values are
+    kept: a witness read from the picks may change.
     """
     axes = tuple(axes)
     out: dict = dict.fromkeys(product(*[range(c + 1) for c in caps]))
@@ -112,6 +125,35 @@ def convolve(caps: tuple[int, ...], prev: dict, axes: Iterable[int], other: dict
                 out[r] = cand
                 picks[r] = z
     return out, picks
+
+
+def _frontier(table: dict) -> dict:
+    """The entries of ``table`` that no other entry dominates, in key order.
+
+    ``z`` is dominated when some ``z' <= z``, ``z' != z``, is worth at least
+    as much; None entries are dropped.  One prefix-max sweep in ``product``
+    order over the grid of the coordinates the keys use on each axis, so the
+    best value at or below each lower grid neighbour of ``z`` is known before
+    ``z`` reads it; grid points missing from ``table`` count as None.  ``z``
+    is kept when its value is strictly above the best of those neighbours.
+    """
+    grid = [sorted(set(axis)) for axis in zip(*table)]
+    lows = [axis[0] for axis in grid]
+    strides = [math.prod(map(len, grid[k + 1 :])) for k in range(len(grid))]
+    best: list = []  # per grid point in product order: best value at or below it
+    out = {}
+    for z in product(*grid):
+        below = None
+        for x, low, s in zip(z, lows, strides):
+            if x > low:
+                b = best[len(best) - s]
+                if b is not None and (below is None or b > below):
+                    below = b
+        v = table.get(z)
+        if v is not None and (below is None or v > below):
+            out[z] = below = v
+        best.append(below)
+    return out
 
 
 def _denominator(*groups: Iterable[Fraction | None]) -> int:

@@ -74,7 +74,7 @@ from .core import (
     reach,
     support,
 )
-from .covers import _denominator, _scaled, closure, convolve, unwind
+from .covers import _denominator, _frontier, _scaled, closure, convolve, unwind
 from .stability import cutting_plane
 
 
@@ -497,6 +497,16 @@ class _BagEngine:
     ``every_subset`` each subset of a bag's agents is tried as D (CheckCore);
     otherwise D is the whole bag and the set is every vertex (OptVal,
     ArbVal).  Tables hold values scaled by ``self.scale``.
+
+    Every table a box layer merges into is non-decreasing in resources: the
+    solo rows are covers (less a payoff under CheckCore, convolved with an
+    alpha row under ArbVal) or zeros, and a convolution or closure of such a
+    table stays so.  Each operand merged in is therefore kept as its
+    ``_frontier``, built once: the keep rows and each edge's pair atoms at
+    set-up, and a bag's finished tables in ``self.final``, which CheckCore
+    merges once per subset of the parent bag.  Values are those of the full
+    operands; a walk reads its witness through the first non-dominated entry
+    that reaches a value.
     """
 
     def __init__(
@@ -524,13 +534,19 @@ class _BagEngine:
         )
         self.scale = d
         self._solo = {i: [_scaled(v, d) for v in row] for i, row in solo.items()}
-        # a keep row with no coalition to keep in leaves every state as it is
-        self._keeps = {
-            e: {(y,): _scaled(v, d) for y, v in enumerate(row)}
-            for e, row in keeps.items()
-            if len(row) > 1
-        }
-        self._pairs = {e: [(c, _scaled(v, d)) for c, v in row] for e, row in pairs.items()}
+        # a keep row whose frontier is nothing kept for nothing leaves every
+        # state as it is; a row with no coalition to keep in is one
+        self._keeps = {}
+        for e, row in keeps.items():
+            front = _frontier({(y,): _scaled(v, d) for y, v in enumerate(row)})
+            if front != {(0,): 0}:
+                self._keeps[e] = front
+        self._pairs = {}
+        for (a, b), row in pairs.items():
+            # an edge's atom is keyed by its two ends' units, which fix it
+            vectors = {(c[a], c[b]): c for c, _ in row}
+            front = _frontier({(c[a], c[b]): _scaled(v, d) for c, v in row})
+            self._pairs[(a, b)] = [(vectors[z], v) for z, v in front.items()]
         # per agent: its resource levels, and the solo row of a bag it is not homed at
         self._span = [range(c + 1) for c in caps]
         self._zeros = [[0] * (c + 1) for c in caps]
@@ -598,13 +614,15 @@ class _BagEngine:
             steps = bp.setdefault(mask, {})
             for flag, top in layer.items():
                 _keep_best(tables, steps, flag, {q: top[r] for q, r in at}, rec)
-        self.final[X] = final
+        self.final[X] = {
+            mask: {flag: _frontier(table) for flag, table in by_flag.items()}
+            for mask, by_flag in final.items()
+        }
         self.bp[X] = bp
 
     def value(self) -> Fraction | None:
         """Best value over sets with a member; None if no state reached."""
-        top = self.final[self.t.root].get((), {}).get(True)
-        v = None if top is None else top[()]
+        v = self.final[self.t.root].get((), {}).get(True, {}).get(())
         return None if v is None else Fraction(v, self.scale)
 
     def walk(self) -> _Walk:

@@ -98,6 +98,18 @@ def test_sensitive_empty_deviation_pays_everywhere():
     assert pays == {0: 2, 1: 2, 2: 2}
 
 
+def test_sensitive_refuses_short_payoff_vectors(g1):
+    # one payoff entry for a two-agent coalition: S={0} used to read 4 and
+    # S={1} an IndexError; both now get deviation_total's message
+    o = Outcome(structure=((1, 1),), imputation=((Fraction(4),),))
+    for S in (frozenset({0}), frozenset({1})):
+        for call in (sensitive_payoffs, SENSITIVE.deviation_payoffs):
+            with pytest.raises(ContractViolation, match=r"payoff vector 0: length 1 != n=2"):
+                call(g1, o, S, Deviation())
+        with pytest.raises(ContractViolation, match=r"payoff vector 0: length 1 != n=2"):
+            deviation_total(g1, o, S, Deviation(), SENSITIVE, ())
+
+
 def test_deviation_total_examples(g1, o1):
     S = frozenset({0})
     # withdraw the unit from the pair coalition and work alone with both units

@@ -7,7 +7,7 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocf.covers import closure, convolve, single_cover, unwind
+from ocf.covers import _frontier, closure, convolve, single_cover, unwind
 
 NUMBERS = {
     "int": lambda rng: rng.randint(-5, 9),
@@ -155,3 +155,56 @@ def test_single_cover_prefix_answers_every_smaller_cap(atoms, weight, data):
     assert full_values[: cap + 1] == values
     for w in range(cap + 1):
         assert unwind(atoms, full_picks, (w,)) == unwind(atoms, picks, (w,))
+
+
+VALUES = st.one_of(st.none(), st.integers(-6, 9))
+
+
+def _prefix_max(table):
+    """Best value at or below each key of a box table; None is the lowest."""
+    out = {}
+    for r in table:
+        vs = [v for z, v in table.items() if v is not None and _fits(z, r)]
+        out[r] = max(vs, default=None)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_frontier_keeps_convolve_values_on_monotone_prev(data):
+    """On a ``prev`` that is non-decreasing on every axis, the non-dominated
+    entries of ``other`` give every value ``other`` gives, and each pick is
+    one of them that reaches the value.  The bag engine's merges rely on it."""
+    caps = tuple(data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
+    axes = sorted(data.draw(st.sets(st.integers(0, len(caps) - 1))))
+    prev = _prefix_max({r: data.draw(VALUES) for r in _box(caps)})
+    # other's domain reaches one past the caps, so some z never fit
+    other = {z: data.draw(VALUES) for z in _box([caps[p] + 1 for p in axes])}
+    front = _frontier(other)
+    assert list(front) == sorted(front)
+    for z, v in other.items():
+        dominated = v is None or any(
+            w is not None and w >= v and y != z and _fits(y, z) for y, w in other.items()
+        )
+        assert (z in front) == (not dominated)
+        if z in front:
+            assert front[z] == v
+    out, _ = convolve(caps, prev, axes, other)
+    pruned, picks = convolve(caps, prev, axes, front)
+    assert pruned == out
+    for r, z in picks.items():
+        if z is None:
+            assert out[r] is None
+            continue
+        assert z in front
+        rest = list(r)
+        for p, zz in zip(axes, z):
+            rest[p] -= zz
+        assert prev[tuple(rest)] + front[z] == out[r]
+
+
+def test_frontier_of_a_sparse_table():
+    # keys need not fill a box; equal values at larger keys are dominated
+    table = {(0, 2): 1, (3, 0): 2, (3, 3): 2, (5, 5): 7, (1, 4): None}
+    assert _frontier(table) == {(0, 2): 1, (3, 0): 2, (5, 5): 7}
+    assert _frontier({}) == {} and _frontier({(): 5}) == {(): 5} and _frontier({(): None}) == {}

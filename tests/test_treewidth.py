@@ -505,3 +505,57 @@ def test_solo_covers_are_built_once_per_game(monkeypatch):
     for mode in ("full-endowment", "unit"):
         validate_outcome(o, g, mode)
     assert caps == list(g.weights)
+
+
+def _non_decreasing(table: dict) -> bool:
+    """Every axis of a box table is non-decreasing, None lowest."""
+    for r, v in table.items():
+        for k, x in enumerate(r):
+            below = table[r[:k] + (x - 1,) + r[k + 1 :]] if x else None
+            if below is not None and (v is None or v < below):
+                return False
+    return True
+
+
+def test_bag_engine_merges_into_monotone_tables(monkeypatch):
+    """The bag engine keeps only the non-dominated entries of each merge's
+    other operand, which keeps every value only while the table merged into
+    is non-decreasing in resources.  Every ``prev`` that ``_BagEngine._bag``
+    hands to ``convolve`` or ``closure`` is, under OptVal, ArbVal, CheckCore
+    and Is-Stable on tree, cycle and clique games, and the witnesses
+    re-check."""
+    import ocf.treewidth as tw
+
+    bag = tw._BagEngine._bag.__code__
+    seen = {"convolve": [], "closure": []}
+
+    def watched(kernel, at):  # ``prev`` is convolve's 2nd argument, closure's 3rd
+        def call(*args):
+            if sys._getframe(1).f_code is bag:
+                seen[kernel.__name__].append(_non_decreasing(args[at]))
+            return kernel(*args)
+
+        return call
+
+    monkeypatch.setattr(tw, "convolve", watched(tw.convolve, 1))
+    monkeypatch.setattr(tw, "closure", watched(tw.closure, 2))
+    rng = random.Random(103)
+    for trial in range(16):
+        g = (random_graph_game if trial % 2 else random_tree_game)(rng, nmax=5)
+        rule = RULES[trial % 4]
+        v, cs = optval_tw(g, None, g.weights)
+        assert v == structure_value(g, cs) == superadditive_cover(g, g.weights)[0]
+        o = random_outcome(rng, g)
+        S = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
+        a, dev, post = arbval_tw(g, rule, o, S, with_witness=True)
+        assert a == deviation_total(g, o, S, dev, rule, post) == brute_arbval(g, rule, o, S)[0]
+        cc = checkcore_tw(g, rule, o)
+        assert (cc is None) == (brute_checkcore(g, rule, o) is None)
+        if cc is not None:
+            total = deviation_total(g, o, cc.agents, cc.deviation, rule, cc.post)
+            assert total - o.payoff_to_set(cc.agents) == cc.excess == brute_max_excess(g, rule, o)[0]
+        imp = is_stable_tw(g, rule, cs)
+        assert (imp is None) == (brute_is_stable(g, rule, cs) is None)
+        if imp is not None:
+            assert brute_checkcore(g, rule, Outcome(structure=cs, imputation=imp)) is None
+    assert all(map(all, seen.values())) and all(seen.values())
