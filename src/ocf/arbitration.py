@@ -50,6 +50,7 @@ from .core import (
     GameDef,
     Outcome,
     PayoffVector,
+    _require_agents,
     _require_payoff_lengths,
     mixed_indices,
     structure_weight,
@@ -304,6 +305,7 @@ def sensitive_payoffs(
     game: GameDef, o: Outcome, deviators: frozenset[int], dev: Deviation
 ) -> dict[int, Fraction]:
     """Per-coalition payments under the sensitive rule."""
+    _require_agents(game.n, deviators)
     validate_deviation(o, deviators, dev, game.n)
     return SENSITIVE.deviation_payoffs(game, o, deviators, dev)
 
@@ -343,6 +345,7 @@ def deviation_total(
     ``post`` must fit inside what S may use (``deviation_available``) and be
     supported entirely inside S, and every payoff vector must be n long.
     """
+    _require_agents(game.n, deviators)
     _require_payoff_lengths(game, o)
     validate_deviation(o, deviators, dev, game.n)
     avail = deviation_available(game, o.structure, deviators, dev)

@@ -19,7 +19,7 @@ from functools import cached_property
 from operator import le, sub
 from typing import Container, Iterable, Mapping, Sequence
 
-from .covers import single_cover
+from .covers import _denominator, _frontier, _scaled, single_cover
 
 Coalition = tuple[int, ...]
 CoalitionStructure = tuple[Coalition, ...]
@@ -205,6 +205,24 @@ class CharacteristicFunction:
             ]
             for sup in sorted(self.entries)
         }
+
+    @cached_property
+    def _pair_frontiers(self) -> dict[tuple[int, int], list[tuple[Coalition, Fraction]]]:
+        """Each two-agent support's atoms that no atom at fewer or equal
+        units of both agents matches in value (``covers._frontier``), as
+        (vector, value) pairs.  The bag engine merges only these; dominance
+        survives its positive scaling, so they are found once per game."""
+        out = {}
+        for sup, row in self._support_atoms.items():
+            if len(sup) == 2:
+                a, b = sup
+                # an atom is keyed by its two ends' units, which fix it, and
+                # compared on its value scaled to an int, which is faster
+                atom = {(c[a], c[b]): (c, v) for c, v in row}
+                d = _denominator(v for _, v in row)
+                front = _frontier({z: _scaled(v, d) for z, (_, v) in atom.items()})
+                out[sup] = [atom[z] for z in front]
+        return out
 
     @cached_property
     def vectors(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], Coalition]:
@@ -432,6 +450,14 @@ def _require_payoff_lengths(g: GameDef, o: Outcome) -> None:
     for j, x in enumerate(o.imputation):
         if len(x) != g.n:
             raise ContractViolation(f"payoff vector {j}: length {len(x)} != n={g.n}")
+
+
+def _require_agents(n: int, agents: Iterable[int]) -> None:
+    """Refuse a set of agents naming one outside ``range(n)``; a negative
+    index would otherwise read another agent's entries."""
+    for i in agents:
+        if not 0 <= i < n:
+            raise ContractViolation(f"agent {i} out of range for n={n}")
 
 
 def outcome_violations(g: GameDef, o: Outcome) -> list[str]:

@@ -13,10 +13,12 @@ work on any ordered additive values (scaled ``int``s in the bag engine and
   :mod:`ocf.treewidth`; ``single_cover`` only by :mod:`ocf.core`, once per
   agent and game, and every solver reads that table.
 * ``convolve`` - the bounded (max,+) convolution of a box table with a table
-  over some of its axes.  Used by the bag engine's child merges and keep
-  layers and by its feeder tables ``KeepTable``, ``AlphaTable`` and
-  ``VBarTable`` in :mod:`ocf.treewidth`, and by the withdrawal DP of
-  ``arbval_local`` in :mod:`ocf.tree`.
+  over some of its axes; ``chain`` runs it layer by layer, and ``unchain``
+  walks a chain's picks back into one choice per layer.  Chains build the
+  bag engine's keep rows, its feeder tables ``KeepTable`` (``AlphaTable``
+  is one over several edges) and ``VBarTable`` in :mod:`ocf.treewidth`,
+  and the withdrawal DP of ``arbval_local`` in :mod:`ocf.tree`; the
+  engine's child merges are single layers, read back by ``unchain`` too.
 
 ``_frontier`` keeps the entries of a table that no entry at smaller or equal
 resources matches in value (the dominance rule of knapsack DPs).  Against a
@@ -125,6 +127,31 @@ def convolve(caps: tuple[int, ...], prev: dict, axes: Iterable[int], other: dict
                 out[r] = cand
                 picks[r] = z
     return out, picks
+
+
+def chain(caps: tuple[int, ...], table: dict, layers: Iterable[tuple[Iterable[int], dict]]):
+    """``convolve`` ``table`` with each ``(axes, other)`` of ``layers`` in turn:
+    the last table, and a trail of each layer's axes and picks."""
+    trail = []
+    for axes, other in layers:
+        table, picks = convolve(caps, table, axes, other)
+        trail.append((axes, picks))
+    return table, trail
+
+
+def unchain(trail: list, r: tuple[int, ...]) -> tuple[list, tuple[int, ...]]:
+    """Walk ``chain``'s trail back from a reachable state ``r``: each layer's
+    pick, in layer order, and the state left to the first table."""
+    picks = []
+    for axes, at in reversed(trail):
+        z = at[r]
+        picks.append(z)
+        rest = list(r)
+        for p, zz in zip(axes, z):
+            rest[p] -= zz
+        r = tuple(rest)
+    picks.reverse()
+    return picks, r
 
 
 def _frontier(table: dict) -> dict:

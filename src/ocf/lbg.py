@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator
 
-from .core import ZERO, BudgetExceededError, ContractViolation
+from .core import ZERO, BudgetExceededError, ContractViolation, _require_agents
 from .lp import LinearProgram, solve_lp
 
 ONE = Fraction(1)
@@ -259,6 +259,7 @@ def lbg_best_deviation(
     withdrawal levels within their current level.  The freed resources are
     reused optimally via one small LP.
     """
+    _require_agents(inst.n, deviators)
     forced = {
         j
         for j, t in enumerate(inst.tasks)
@@ -267,6 +268,8 @@ def lbg_best_deviation(
     if not forced <= abandon:
         raise ContractViolation("abandon list must include executed tasks inside S")
     for j in abandon:
+        if not 0 <= j < len(inst.tasks):
+            raise ContractViolation(f"task {j} out of range")
         t = inst.tasks[j]
         if out.levels[j] <= 0:
             raise ContractViolation(f"task {j} is not executed; nothing to abandon")
@@ -325,6 +328,7 @@ def iter_lbg_deviations(
     max_count: int | None = None,
 ) -> Iterator[tuple[frozenset[int], dict[int, Fraction]]]:
     """All (abandon set, grid withdrawal profile) pairs for one deviating set."""
+    _require_agents(inst.n, deviators)
     forced = frozenset(
         j
         for j, t in enumerate(inst.tasks)

@@ -40,11 +40,12 @@ from .core import (
     GameDef,
     Imputation,
     Outcome,
+    _require_agents,
     _require_payoff_lengths,
     mixed_indices,
     require_structure,
 )
-from .covers import CoverTable, convolve
+from .covers import CoverTable, chain, unchain
 from .treewidth import (
     arbval_tw,
     checkcore_tw,
@@ -117,6 +118,7 @@ def arbval_local(
     benchmark's ``sweep`` workload.
     """
     require_local(rule)
+    _require_agents(g.n, deviators)
     require_structure(g, o.structure)
     _require_payoff_lengths(g, o)
     if len(deviators) > max_set_size:
@@ -131,16 +133,16 @@ def arbval_local(
     # A[t] = best payment to S when it withdraws t in all
     A = dict.fromkeys(product(*[range(b + 1) for b in shared]))
     A[(0,) * len(coords)] = ZERO
-    trace = []
+    options, layers = [], []
     for j in mixed:
         c = o.structure[j]
         x = o.imputation[j]
         wcoords = [i for i in coords if c[i] > 0]
         by_z = {tuple(w[i] for i in wcoords): w for w in withdrawal_options(g, c, deviators)}
         pays = {z: rule.coalition_payoff(g.charfun, c, w, x, deviators) for z, w in by_z.items()}
-        axes = [coords.index(i) for i in wcoords]
-        A, bp = convolve(shared, A, axes, pays)
-        trace.append((by_z, axes, bp))
+        options.append(by_z)
+        layers.append(([coords.index(i) for i in wcoords], pays))
+    A, trail = chain(shared, A, layers)
 
     cover = CoverTable(
         g.charfun.atoms_within(deviators),
@@ -157,16 +159,8 @@ def arbval_local(
     assert best is not None
     if not with_witness:
         return best
-    withdrawals: dict[int, Coalition] = {}
-    t = best_t
-    for j, (by_z, axes, bp) in zip(reversed(mixed), reversed(trace)):
-        z = bp[t]
-        if any(z):
-            withdrawals[j] = by_z[z]
-        rest = list(t)
-        for p, u in zip(axes, z):
-            rest[p] -= u
-        t = tuple(rest)
+    picks, _ = unchain(trail, best_t)
+    withdrawals = {j: by_z[z] for j, by_z, z in zip(mixed, options, picks) if any(z)}
     return best, Deviation(withdrawals=withdrawals), tuple(cover.witness_atoms(best_have))
 
 

@@ -22,9 +22,10 @@ without solving ArbVal again.
 
 The feeder tables of the engine's solo and keep rows live here too:
 ``SingleTable`` (an agent alone, a view of the game's solo cover),
-``KeepTable`` (a deviator keeping units on one edge), ``AlphaTable`` (on
-all its edges to non-deviators) and ``VBarTable`` (both), as do the outcome
-check (``check_outcome_shape``: the outcome rules of :mod:`ocf.core` and a
+``KeepTable`` (a deviator keeping units on one edge), ``AlphaTable`` (a
+``KeepTable`` over all its edges to non-deviators: one chain over their
+coalitions) and ``VBarTable`` (both), as do the outcome check
+(``check_outcome_shape``: the outcome rules of :mod:`ocf.core` and a
 pairwise-shaped structure, once per call; no cutting-plane round re-checks
 the LP's own candidate) and ``forest_decomposition``, the width-1
 decomposition read off one breadth-first search (``core.reach``) per
@@ -41,8 +42,9 @@ bag and below.
 Arithmetic: each engine call scales every value its tables read (atom values,
 solo rows, payoffs, keep rows) by one common denominator D and runs the
 (max,+) kernel of :mod:`ocf.covers` (``closure`` for the atoms priced at a
-bag, ``convolve`` for child merges and keep layers) on Python ints, which is
-exact; answers are converted back to ``Fraction`` on the way out.
+bag, ``chain`` for keep rows, ``convolve`` for child merges, and ``unwind``
+and ``unchain`` to read them back) on Python ints, which is exact; answers
+are converted back to ``Fraction`` on the way out.
 """
 
 from __future__ import annotations
@@ -69,12 +71,13 @@ from .core import (
     InteractionGraph,
     Outcome,
     _pad_fillers,
+    _require_agents,
     mixed_indices,
     outcome_violations,
     reach,
     support,
 )
-from .covers import _denominator, _frontier, _scaled, closure, convolve, unwind
+from .covers import _denominator, _frontier, _scaled, chain, closure, convolve, unchain, unwind
 from .stability import cutting_plane
 
 
@@ -343,38 +346,9 @@ class SingleTable:
         return [self._vectors[(self.agent, self.atoms[k][0][0])] for k in picked]
 
 
-def _pair_coalitions(o: Outcome, i: int, j: int) -> list[int]:
-    """Indices of outcome coalitions supported by exactly {i, j}."""
-    pair = frozenset((i, j))
-    return [k for k, sup in enumerate(o.supports) if sup == pair]
-
-
 def _line(values: list) -> dict:
     """A 1-d value list as a kernel table keyed by 1-tuples."""
     return {(k,): v for k, v in enumerate(values)}
-
-
-def _chain(rows: list[list]) -> tuple[int, list, list[dict]]:
-    """Best total over one entry per row, for every total index up to the sum
-    of the rows' lengths: (that sum, the totals, the per-row picks)."""
-    cap = sum(len(row) - 1 for row in rows)
-    table = _line([ZERO] + [None] * cap)
-    bps = []
-    for row in rows:
-        table, bp = convolve((cap,), table, (0,), _line(row))
-        bps.append(bp)
-    return cap, list(table.values()), bps
-
-
-def _chain_picks(bps: list[dict], y: int) -> list[int]:
-    """Per-row indices of one best choice for total y, in row order."""
-    out = []
-    for bp in reversed(bps):
-        (k,) = bp[(y,)]
-        out.append(k)
-        y -= k
-    assert y == 0
-    return out[::-1]
 
 
 class KeepTable:
@@ -382,20 +356,29 @@ class KeepTable:
 
     Covers the outcome coalitions supported by {dev, other}; keeping k of the
     deviator's contribution in a coalition means withdrawing the rest.
-    A knapsack across the edge's coalitions, with per-coalition backpointers.
+    One ``chain`` across the edge's coalitions, one layer each.
     """
 
     def __init__(self, g: GameDef, o: Outcome, rule: LocalArbitrationRule, dev: int, other: int):
+        self._fill(g, o, rule, dev, {frozenset((dev, other))})
+
+    def _fill(self, g: GameDef, o: Outcome, rule: LocalArbitrationRule, dev: int, pairs: set):
+        """The table over the outcome coalitions whose support is one of
+        ``pairs``, each {dev, a neighbour}."""
         self.dev = dev
-        self.indices = _pair_coalitions(o, dev, other)
+        self.indices = [k for k, sup in enumerate(o.supports) if sup in pairs]
         S = frozenset((dev,))
-        pays: list[list[Fraction]] = []
+        layers = []
+        self.cap = 0
         for j in self.indices:
             c, x = o.structure[j], o.imputation[j]
             # keeping k units withdraws the rest, so the keeps run backwards
             withdrawals = reversed(withdrawal_options(g, c, S))
-            pays.append([rule.coalition_payoff(g.charfun, c, d, x, S) for d in withdrawals])
-        self.cap, self.values, self._bp = _chain(pays)
+            pays = [rule.coalition_payoff(g.charfun, c, d, x, S) for d in withdrawals]
+            layers.append(((0,), _line(pays)))
+            self.cap += c[dev]
+        table, self._trail = chain((self.cap,), _line([ZERO] + [None] * self.cap), layers)
+        self.values = list(table.values())
 
     def value(self, y: int) -> Fraction | None:
         """Best payoff for keeping exactly y units; None when unreachable."""
@@ -405,27 +388,17 @@ class KeepTable:
 
     def keeps(self, y: int) -> dict[int, int]:
         """Per-coalition kept units achieving value(y)."""
-        return dict(zip(self.indices, _chain_picks(self._bp, y)))
+        picks, _ = unchain(self._trail, (y,))
+        return {j: k for j, (k,) in zip(self.indices, picks)}
 
 
-class AlphaTable:
+class AlphaTable(KeepTable):
     """Best total arbitration payoff for agent i keeping y units with the
-    given non-deviating neighbours, merged edge by edge."""
+    given non-deviating neighbours: one keep table over all those edges."""
 
     def __init__(self, g: GameDef, o: Outcome, rule: LocalArbitrationRule, i: int, others: list[int]):
-        self.keep_tables = [KeepTable(g, o, rule, i, j) for j in others]
-        self.cap, self.values, self._bp = _chain([t.values for t in self.keep_tables])
-
-    def value(self, y: int) -> Fraction | None:
-        if y > self.cap:
-            return None
-        return self.values[y]
-
-    def keeps(self, y: int) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for table, k in zip(self.keep_tables, _chain_picks(self._bp, y)):
-            out.update(table.keeps(k))
-        return out
+        # not KeepTable.__init__, so bench/tracing.py counts no keep table here
+        self._fill(g, o, rule, i, {frozenset((i, j)) for j in others})
 
 
 class VBarTable:
@@ -435,19 +408,18 @@ class VBarTable:
     def __init__(self, single: SingleTable, alpha: AlphaTable, cap: int):
         self.single = single
         self.alpha = alpha
-        table, picks = convolve((cap,), _line(single.values), (0,), _line(alpha.values))
+        table, self._trail = chain((cap,), _line(single.values), [((0,), _line(alpha.values))])
         self.values = list(table.values())
-        self.split = [(w - kept, kept) for (w,), (kept,) in picks.items()]
 
     def value(self, w: int):
         return self.values[w]
 
     def witness(self, w: int) -> list[Coalition]:
-        alone, _ = self.split[w]
+        _, (alone,) = unchain(self._trail, (w,))
         return self.single.witness(alone)
 
     def kept(self, w: int) -> dict[int, int]:
-        _, kept = self.split[w]
+        [(kept,)], _ = unchain(self._trail, (w,))
         return self.alpha.keeps(kept)
 
 
@@ -502,11 +474,11 @@ class _BagEngine:
     solo rows are covers (less a payoff under CheckCore, convolved with an
     alpha row under ArbVal) or zeros, and a convolution or closure of such a
     table stays so.  Each operand merged in is therefore kept as its
-    ``_frontier``, built once: the keep rows and each edge's pair atoms at
-    set-up, and a bag's finished tables in ``self.final``, which CheckCore
-    merges once per subset of the parent bag.  Values are those of the full
-    operands; a walk reads its witness through the first non-dominated entry
-    that reaches a value.
+    ``_frontier``, built once: the keep rows at set-up, each edge's pair
+    atoms per game (``CharacteristicFunction._pair_frontiers``), and a bag's
+    finished tables in ``self.final``, which CheckCore merges once per subset
+    of the parent bag.  Values are those of the full operands; a walk reads
+    its witness through the first non-dominated entry that reaches a value.
     """
 
     def __init__(
@@ -526,7 +498,7 @@ class _BagEngine:
             t, set(solo), graph.simple_edges()
         )
         self.homed = {X: [i for i in ax if home_v.get(i) == X] for X, ax in self.agents.items()}
-        pairs = {e: g.charfun._support_atoms.get(e, []) for es in self.edges_at.values() for e in es}
+        pairs = {e: g.charfun._pair_frontiers.get(e, []) for es in self.edges_at.values() for e in es}
         d = _denominator(
             (v for row in solo.values() for v in row),
             (v for row in keeps.values() for v in row),
@@ -541,12 +513,7 @@ class _BagEngine:
             front = _frontier({(y,): _scaled(v, d) for y, v in enumerate(row)})
             if front != {(0,): 0}:
                 self._keeps[e] = front
-        self._pairs = {}
-        for (a, b), row in pairs.items():
-            # an edge's atom is keyed by its two ends' units, which fix it
-            vectors = {(c[a], c[b]): c for c, _ in row}
-            front = _frontier({(c[a], c[b]): _scaled(v, d) for c, v in row})
-            self._pairs[(a, b)] = [(vectors[z], v) for z, v in front.items()]
+        self._pairs = {e: [(c, _scaled(v, d)) for c, v in row] for e, row in pairs.items()}
         # per agent: its resource levels, and the solo row of a bag it is not homed at
         self._span = [range(c + 1) for c in caps]
         self._zeros = [[0] * (c + 1) for c in caps]
@@ -577,19 +544,15 @@ class _BagEngine:
             box = product(*[span[i] for i in D])
             rows = product(*[solo[i] if i in homed else zeros[i] for i in D])
             cur = {r: sum(vs) for r, vs in zip(box, rows)}
-            keep_bp = []
-            for a, b in edges:
-                if (a in pos) != (b in pos):
-                    e = (a, b) if a in pos else (b, a)
-                    kt = self._keeps.get(e)
-                    if kt is not None:
-                        cur, picks = convolve(caps, cur, (pos[e[0]],), kt)
-                        keep_bp.append((e, picks))
+            # (member, non-member) edges with a keep row
+            cut = [(a, b) if a in pos else (b, a) for a, b in edges if (a in pos) != (b in pos)]
+            keep_edges = [e for e in cut if e in self._keeps]
+            cur, keep_trail = chain(caps, cur, [((pos[e[0]],), self._keeps[e]) for e in keep_edges])
             pairs = [p for a, b in edges if a in pos and b in pos for p in self._pairs[(a, b)]]
             atoms = [(tuple(c[i] for i in D), v) for c, v in pairs]
             cur, atom_bp = closure(caps, atoms, cur)
             # child merges, one table per flag; per child and flag, the
-            # (f_prev, f_child, picks) sources and the states a later one won
+            # (f_prev, f_child, trail) sources and the states a later one won
             layer = {any(i in pos for i in homed): cur}
             child_bp: list[dict] = []
             for sep_y, by in kids:
@@ -600,10 +563,11 @@ class _BagEngine:
                 for f_prev, prev in layer.items():
                     for f_child, child in by.get(mask_y, {}).items():
                         out, picks = convolve(caps, prev, axes, child)
-                        _keep_best(merged, steps, f_prev or f_child, out, (f_prev, f_child, picks))
+                        source = (f_prev, f_child, [(axes, picks)])
+                        _keep_best(merged, steps, f_prev or f_child, out, source)
                 layer = merged
                 child_bp.append(steps)
-            rec = (D, pos, keep_bp, pairs, atoms, atom_bp, child_bp)
+            rec = (D, pos, keep_edges, keep_trail, pairs, atoms, atom_bp, child_bp)
             # project onto the parent separator: members there get quota q,
             # the rest own their whole caps; both products run in q's order
             qs = product(*[span[i] for i in D if i in sep_x])
@@ -632,30 +596,22 @@ class _BagEngine:
         while stack:
             X, mask, flag, q = stack.pop()
             sources, won = self.bp[X][mask][flag]
-            D, pos, keep_bp, pairs, atoms, atom_bp, child_bp = sources[won.get(q, 0)]
+            D, pos, keep_edges, keep_trail, pairs, atoms, atom_bp, child_bp = sources[won.get(q, 0)]
             sep_x = self.sep[X]
             quota = iter(q)  # the separator members' quotas, in D's order
             state = tuple(next(quota) if i in sep_x else self.caps[i] for i in D)
             # replay the child merges backwards to find each child's state
             for Y, steps in zip(reversed(self.children[X]), reversed(child_bp)):
                 merges, won_at = steps[flag]
-                f_prev, f_child, picks = merges[won_at.get(state, 0)]
-                z = picks[state]
-                sep_y = self.sep[Y]
-                stack.append((Y, tuple(i in pos for i in sep_y), f_child, z))
-                s = list(state)
-                for i, zz in zip([i for i in sep_y if i in pos], z):
-                    s[pos[i]] -= zz
-                state = tuple(s)
+                f_prev, f_child, trail = merges[won_at.get(state, 0)]
+                (z,), state = unchain(trail, state)
+                stack.append((Y, tuple(i in pos for i in self.sep[Y]), f_child, z))
                 flag = f_prev
             picked, state = unwind(atoms, atom_bp, state)
             out.atoms.extend(pairs[k][0] for k in picked)
-            for (i, j), picks in reversed(keep_bp):
-                (y,) = picks[state]
-                out.keeps[(i, j)] = y
-                s = list(state)
-                s[pos[i]] -= y
-                state = tuple(s)
+            ys, state = unchain(keep_trail, state)
+            for e, (y,) in zip(keep_edges, ys):
+                out.keeps[e] = y
             for i in self.homed[X]:
                 if i in pos:
                     out.members.add(i)
@@ -746,6 +702,7 @@ def arbval_tw(
     keeps resources with non-deviating neighbours.  The empty set deviates
     to nothing."""
     require_local(rule)
+    _require_agents(g.n, deviators)
     t = _decomposition(g, t, deviators)
     check_outcome_shape(g, o)
     if not deviators:

@@ -7,7 +7,7 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocf.covers import _frontier, closure, convolve, single_cover, unwind
+from ocf.covers import _frontier, chain, closure, convolve, single_cover, unchain, unwind
 
 NUMBERS = {
     "int": lambda rng: rng.randint(-5, 9),
@@ -208,3 +208,36 @@ def test_frontier_of_a_sparse_table():
     table = {(0, 2): 1, (3, 0): 2, (3, 3): 2, (5, 5): 7, (1, 4): None}
     assert _frontier(table) == {(0, 2): 1, (3, 0): 2, (5, 5): 7}
     assert _frontier({}) == {} and _frontier({(): 5}) == {(): 5} and _frontier({(): None}) == {}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_chain_is_convolve_layer_by_layer_and_unchain_reads_it_back(data):
+    """``chain`` is ``convolve`` applied layer after layer, and ``unchain``
+    splits every reachable state into a state of the first table plus one
+    pick per layer whose values add up to the chained value."""
+    caps = tuple(data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
+    base = {r: data.draw(VALUES) for r in _box(caps)}
+    layers = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        axes = sorted(data.draw(st.sets(st.integers(0, len(caps) - 1))))
+        # the layer's domain reaches one past the caps, so some z never fit
+        other = {z: data.draw(VALUES) for z in _box([caps[p] + 1 for p in axes])}
+        layers.append((axes, other))
+    out, trail = chain(caps, base, layers)
+    table, steps = base, []
+    for axes, other in layers:
+        table, picks = convolve(caps, table, axes, other)
+        steps.append((axes, picks))
+    assert out == table and trail == steps
+    for r, v in out.items():
+        if v is None:
+            continue
+        picks, rest = unchain(trail, r)
+        assert len(picks) == len(layers) and _fits(rest, caps)
+        total = list(rest)
+        for (axes, _), z in zip(layers, picks):
+            for p, zz in zip(axes, z):
+                total[p] += zz
+        assert tuple(total) == r
+        assert base[rest] + sum(other[z] for (_, other), z in zip(layers, picks)) == v

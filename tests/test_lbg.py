@@ -100,6 +100,26 @@ def test_best_deviation_preconditions(l1):
         lbg_best_deviation(l1, out, frozenset({0}), frozenset({1}), {0: F(9)})
 
 
+def test_best_deviation_refuses_unknown_tasks_and_agents():
+    """Task indices and agents outside the instance are refused.  Task -3
+    once read as task 0, counted as abandoned and as kept at once (total 3
+    against 1 and 2), and agents -1 and 2 of a two-agent instance got a
+    deviation record."""
+    inst = make_lbg_instance(2, [1, 1], [({0, 1}, 2), ({0}, 1)])
+    out = lbg_core_outcome(inst)
+    S = frozenset({0})
+    assert lbg_best_deviation(inst, out, S, frozenset({0}), {}).total == 1
+    assert lbg_best_deviation(inst, out, S, frozenset(), {}).total == 2
+    for j in (-3, 7):
+        with pytest.raises(ContractViolation, match=f"task {j} out of range"):
+            lbg_best_deviation(inst, out, S, frozenset({j}), {})
+    for i in (-1, 2):
+        with pytest.raises(ContractViolation, match=f"agent {i} out of range for n=2"):
+            lbg_best_deviation(inst, out, frozenset({i}), frozenset(), {})
+        with pytest.raises(ContractViolation, match=f"agent {i} out of range for n=2"):
+            list(iter_lbg_deviations(inst, out, frozenset({i}), F(1)))
+
+
 def test_verify_core_examples(l1):
     out = lbg_core_outcome(l1)
     assert lbg_verify_core(l1, out, F(1)) is None

@@ -12,6 +12,7 @@ from ocf.arbitration import (
     SENSITIVE,
     Deviation,
     deviation_total,
+    sensitive_payoffs,
 )
 from ocf.core import (
     ContractViolation,
@@ -705,3 +706,67 @@ def test_payoff_vectors_of_the_wrong_length_are_refused():
                     arbval_local(g, rule, o, S)
                 with pytest.raises(ContractViolation, match=message):
                     deviation_total(g, o, S, Deviation(), rule, ())
+
+
+def test_alpha_table_is_the_chain_of_its_keep_tables():
+    """``AlphaTable`` is one chain over every coalition an agent shares with
+    the given neighbours; by associativity its values are the 1-d (max,+)
+    chain of the neighbours' ``KeepTable`` values, and each best split keeps
+    y units in those coalitions alone, paid as ``value(y)`` says."""
+    rng = random.Random(29)
+    for trial in range(60):
+        g = (random_graph_game if trial % 2 else random_tree_game)(rng)
+        o = random_outcome(rng, g)
+        rule = RULES[trial % 4]
+        i = rng.randrange(g.n)
+        nbrs = g.interaction.neighbors(i)
+        others = sorted(rng.sample(nbrs, rng.randint(0, len(nbrs))))
+        alpha = AlphaTable(g, o, rule, i, others)
+        want = [Fraction(0)]
+        for keep in (KeepTable(g, o, rule, i, j) for j in others):
+            merged = [None] * (len(want) + len(keep.values) - 1)
+            for a, va in enumerate(want):
+                for b, vb in enumerate(keep.values):
+                    if va is not None and vb is not None:
+                        if merged[a + b] is None or va + vb > merged[a + b]:
+                            merged[a + b] = va + vb
+            want = merged
+        assert alpha.values == want and alpha.cap == len(want) - 1
+        pairs = {frozenset((i, k)) for k in others}
+        shared = {j for j, sup in enumerate(o.supports) if sup in pairs}
+        S = frozenset((i,))
+        for y, v in enumerate(alpha.values):
+            if v is None:
+                continue
+            kept = alpha.keeps(y)
+            assert set(kept) == shared and sum(kept.values()) == y
+            paid = Fraction(0)
+            for j, k in kept.items():
+                c = o.structure[j]
+                d = tuple(c[a] - k if a == i else 0 for a in range(g.n))
+                paid += rule.coalition_payoff(g.charfun, c, d, o.imputation[j], S)
+            assert paid == v == alpha.value(y)
+
+
+def test_deviating_sets_outside_the_agents_are_refused():
+    """A deviating set naming an agent outside range(n) is refused, naming
+    the agent.  A negative index once read another agent's entries: {0, -1}
+    scored 10 in ``deviation_total`` and 18 under the sensitive oracle, and
+    every DP lane raised ``KeyError`` or ``IndexError``."""
+    rng = random.Random(5)
+    g = random_tree_game(rng)
+    o = random_outcome(rng, g)
+    assert g.n == 4
+    for S, bad in ((frozenset({-1}), -1), (frozenset({4}), 4), (frozenset({0, -1}), -1)):
+        message = re.escape(f"agent {bad} out of range for n=4")
+        for call in (
+            lambda: brute_arbval(g, REFINED, o, S),
+            lambda: brute_arbval(g, SENSITIVE, o, S),
+            lambda: arbval_local(g, REFINED, o, S),
+            lambda: arbval_tree(g, REFINED, o, S),
+            lambda: arbval_tw(g, REFINED, o, S),
+            lambda: deviation_total(g, o, S, Deviation(), REFINED, ()),
+            lambda: sensitive_payoffs(g, o, S, Deviation()),
+        ):
+            with pytest.raises(ContractViolation, match=message):
+                call()
