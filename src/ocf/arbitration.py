@@ -85,9 +85,6 @@ class Deviation:
     def withdrawal(self, j: int, n: int) -> Coalition:
         return self.withdrawals.get(j, zero_coalition(n))
 
-    def is_empty(self) -> bool:
-        return all(all(w == 0 for w in d) for d in self.withdrawals.values())
-
 
 def withdrawal_options(g: GameDef, c: Coalition, deviators: frozenset[int]) -> list[Coalition]:
     """Every vector S may withdraw from the coalition ``c``, zero vector
@@ -114,8 +111,8 @@ class CoreViolation:
 
     agents: frozenset[int]
     excess: Fraction
-    deviation: Deviation | None = None
-    post: CoalitionStructure | None = None
+    deviation: Deviation
+    post: CoalitionStructure
 
 
 def validate_deviation(o: Outcome, deviators: frozenset[int], dev: Deviation, n: int) -> None:
@@ -226,7 +223,7 @@ class OptimisticRule(LocalArbitrationRule):
 
     def coalition_payoff(self, cf, c, d, xc, deviators):
         remainder = vec_sub(c, d)
-        owed = sum((xc[i] for i in range(len(xc)) if i not in deviators), start=ZERO)
+        owed = sum((x for i, x in enumerate(xc) if x and i not in deviators), start=ZERO)
         pay = cf.value(remainder) - owed
         if self.clamped and pay < 0:
             return ZERO

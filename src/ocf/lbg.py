@@ -320,6 +320,14 @@ def lbg_best_deviation(
     )
 
 
+def _require_grid(grid: Fraction) -> Fraction:
+    """The withdrawal grid as a ``Fraction``, refused unless positive."""
+    grid = Fraction(grid)
+    if grid <= 0:
+        raise ContractViolation("grid must be positive")
+    return grid
+
+
 def iter_lbg_deviations(
     inst: LbgInstance,
     out: LbgOutcome,
@@ -329,6 +337,7 @@ def iter_lbg_deviations(
 ) -> Iterator[tuple[frozenset[int], dict[int, Fraction]]]:
     """All (abandon set, grid withdrawal profile) pairs for one deviating set."""
     _require_agents(inst.n, deviators)
+    grid = _require_grid(grid)
     forced = frozenset(
         j
         for j, t in enumerate(inst.tasks)
@@ -417,9 +426,7 @@ def lbg_verify_core(
     problems = validate_lbg_outcome(out)
     if problems:
         raise ContractViolation("invalid outcome: " + "; ".join(problems))
-    grid = Fraction(grid)
-    if grid <= 0:
-        raise ContractViolation("grid must be positive")
+    grid = _require_grid(grid)
     for mask in range(1, 1 << inst.n):
         S = frozenset(i for i in range(inst.n) if mask >> i & 1)
         p_s = out.payoff_to_set(S)

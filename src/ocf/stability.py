@@ -23,9 +23,10 @@ Every solver holds it as a ``StabilitySystem`` instead:
 
 ``brute_is_stable`` in :mod:`ocf.oracle` adds every row up front;
 ``cutting_plane``, behind ``is_stable_tree`` and ``is_stable_tw``, adds only
-the rows that the lane's CheckCore finds violated.  Rows are written over
-the full variables of ``stability_lp`` and mapped into the presolved ones as
-they are added.
+the rows that the lane's max-excess scan finds violated: the scan's worst
+set, when its excess is positive, with the deviation that earns it.  Rows
+are written over the full variables of ``stability_lp`` and mapped into the
+presolved ones as they are added.
 """
 
 from __future__ import annotations
@@ -246,28 +247,27 @@ def cutting_plane(
     g: GameDef,
     rule: LocalArbitrationRule,
     cs: CoalitionStructure,
-    checkcore: Callable[[Outcome], CoreViolation | None],
+    max_excess: Callable[[Outcome], CoreViolation],
     max_rounds: int,
 ) -> Imputation | None:
     """Find an imputation making the structure stable, or prove none exists.
 
     Solves the ``StabilitySystem`` of the cuts found so far and asks the
-    lane's ``checkcore`` about the candidate: None means it is in the core,
-    otherwise the violation's agents, deviation and post-deviation structure
-    witness one new linear cut that the candidate violates, and the system
-    re-solves from its last basis.  There are finitely many (set, deviation,
-    branch) cuts, so the loop ends; exhausting ``max_rounds`` raises
-    ``BudgetExceededError``.
+    lane's ``max_excess`` scan for the candidate's worst deviating set: an
+    excess of at most 0 means the candidate is in the core, otherwise the
+    set, its deviation and its post-deviation structure witness one new
+    linear cut that the candidate violates, and the system re-solves from
+    its last basis.  There are finitely many (set, deviation, branch) cuts,
+    so the loop ends; exhausting ``max_rounds`` raises ``BudgetExceededError``.
     """
     system = StabilitySystem(g, rule, cs)
     for _ in range(max_rounds):
         candidate = system.solve()
         if candidate is None:
             return None
-        found = checkcore(Outcome(structure=cs, imputation=candidate))
-        if found is None:
+        found = max_excess(Outcome(structure=cs, imputation=candidate))
+        if found.excess <= 0:
             return candidate
-        assert found.deviation is not None and found.post is not None
         post_value = sum((g.charfun.value(c) for c in found.post), start=ZERO)
         system.add_cut(*_stability_cut(
             g, cs, found.agents, found.deviation, post_value, rule, candidate, system.var_of

@@ -15,10 +15,11 @@ adds one choice per bag, which of its agents deviate; OptVal and ArbVal fix
 the set to every vertex.  One walk back through the engine's tables reads
 off a witness: the members, the pair atoms picked, each member's solo
 level, and the units each member keeps with each non-member neighbour.
-CheckCore turns that walk into its violation's deviation and
-post-deviation structure, so the cutting-plane loop of Is-Stable
-(``cutting_plane`` in :mod:`ocf.stability`) reads its cuts from CheckCore
-without solving ArbVal again.
+One max-excess scan, ``_max_excess_bags``, turns that walk into the worst
+set's deviation and post-deviation structure, as ``oracle._max_excess_scan``
+does on the oracle; CheckCore, max-excess and the cutting-plane loop of
+Is-Stable (``cutting_plane`` in :mod:`ocf.stability`) all read it, so the
+loop reads its cuts without solving ArbVal again.
 
 The feeder tables of the engine's solo and keep rows live here too:
 ``SingleTable`` (an agent alone, a view of the game's solo cover),
@@ -338,9 +339,6 @@ class SingleTable:
         self.values = values[: cap + 1]
         self._vectors = g._solo_vectors
 
-    def value(self, w: int) -> Fraction:
-        return self.values[w]
-
     def witness(self, w: int) -> list[Coalition]:
         picked, _ = unwind(self.atoms, self.choice, (w,))
         return [self._vectors[(self.agent, self.atoms[k][0][0])] for k in picked]
@@ -410,9 +408,6 @@ class VBarTable:
         self.alpha = alpha
         table, self._trail = chain((cap,), _line(single.values), [((0,), _line(alpha.values))])
         self.values = list(table.values())
-
-    def value(self, w: int):
-        return self.values[w]
 
     def witness(self, w: int) -> list[Coalition]:
         _, (alone,) = unchain(self._trail, (w,))
@@ -730,24 +725,21 @@ def arbval_tw(
     return value, dev, tuple(atoms)
 
 
-def _excess_engine(
+def _max_excess_bags(
     g: GameDef, rule: LocalArbitrationRule, o: Outcome, t: TreeDecomposition
-) -> tuple[_BagEngine, dict[tuple[int, int], KeepTable]]:
-    """The every-subset engine over excesses: an agent's solo row is its
-    solo cover minus its payoff, and a member keeps resources with a
-    non-member neighbour through the edge's ``KeepTable``.  Checks nothing:
-    the public entries check their inputs once, and Is-Stable's candidates
-    are valid outcomes by construction."""
-    graph = g.interaction
-    assert graph is not None
+) -> CoreViolation:
+    """The nonempty set of maximum excess, with the deviation and
+    post-deviation structure that earn it, from the every-subset engine over
+    excesses: solo rows are solo covers less payoffs, and keep rows are the
+    ``KeepTable``s, both ways, of the edges outcome coalitions span (no other
+    edge has units to keep).  Checks nothing: the public entries check their
+    inputs once, and Is-Stable's candidates are valid outcomes by construction."""
     payoff = [ZERO] * g.n
     for x, sup in zip(o.imputation, o.supports):
         for i in sup:
             payoff[i] += x[i]
-    keeps = {}
-    for a, b in graph.simple_edges():
-        keeps[(a, b)] = KeepTable(g, o, rule, a, b)
-        keeps[(b, a)] = KeepTable(g, o, rule, b, a)
+    spanned = dict.fromkeys(tuple(sorted(sup)) for sup in o.supports if len(sup) == 2)
+    keeps = {(a, b): KeepTable(g, o, rule, a, b) for e in spanned for a, b in (e, e[::-1])}
     engine = _BagEngine(
         g,
         t,
@@ -756,19 +748,9 @@ def _excess_engine(
         {e: k.values for e, k in keeps.items()},
         every_subset=True,
     )
-    if engine.value() is None:  # pragma: no cover - nonempty subsets always exist
-        raise RuntimeError("bag DP produced no nonempty subset")
-    return engine, keeps
-
-
-def _checkcore_bags(
-    g: GameDef, rule: LocalArbitrationRule, o: Outcome, t: TreeDecomposition
-) -> CoreViolation | None:
-    """``checkcore_tw`` on checked inputs: the separation step of Is-Stable."""
-    engine, keeps = _excess_engine(g, rule, o, t)
     excess = engine.value()
-    if excess <= 0:
-        return None
+    if excess is None:  # pragma: no cover - nonempty subsets always exist
+        raise RuntimeError("bag DP produced no nonempty subset")
     walk = engine.walk()
     post = walk.atoms
     for i, w in walk.solo.items():
@@ -792,7 +774,8 @@ def checkcore_tw(
     require_local(rule)
     t = _decomposition(g, t)
     check_outcome_shape(g, o)
-    return _checkcore_bags(g, rule, o, t)
+    worst = _max_excess_bags(g, rule, o, t)
+    return worst if worst.excess > 0 else None
 
 
 def max_excess_tw(
@@ -805,8 +788,8 @@ def max_excess_tw(
     require_local(rule)
     t = _decomposition(g, t)
     check_outcome_shape(g, o)
-    engine, _ = _excess_engine(g, rule, o, t)
-    return engine.value(), frozenset(engine.walk().members)
+    worst = _max_excess_bags(g, rule, o, t)
+    return worst.excess, worst.agents
 
 
 def is_stable_tw(
@@ -816,7 +799,7 @@ def is_stable_tw(
     t: TreeDecomposition | None = None,
     max_rounds: int = 100_000,
 ) -> Imputation | None:
-    """``cutting_plane`` with the bag-DP CheckCore as separation oracle:
+    """``cutting_plane`` with the bag-DP max-excess scan as separation oracle:
     ``is_stable_tree`` on forests, experimental on other graphs.  The
     decomposition and the structure's pairwise shape are checked once, not
     every round, and the agents' solo covers are the game's own; the system
@@ -824,4 +807,4 @@ def is_stable_tw(
     valid outcomes by construction."""
     t = _decomposition(g, t)
     check_structure_shape(g, cs)
-    return cutting_plane(g, rule, cs, lambda o: _checkcore_bags(g, rule, o, t), max_rounds)
+    return cutting_plane(g, rule, cs, lambda o: _max_excess_bags(g, rule, o, t), max_rounds)

@@ -233,6 +233,36 @@ def test_payment_terms_max_is_coalition_payoff():
     assert cases >= 200
 
 
+def test_optimistic_payoff_subtracts_side_payments_outside_the_support():
+    """A payoff vector may pay agents outside its coalition's support, and
+    the oracle and local ArbVal lanes accept such outcomes: the optimistic
+    payment still subtracts every non-deviator's entry, v(c - d) minus the
+    sum of xc[i] over i not in S, clamped at zero when the rule is."""
+    from ocf.arbitration import withdrawal_options
+    from ocf.core import mixed_indices, support, vec_sub
+
+    rng = random.Random(7)
+    cases = 0
+    for _ in range(100):
+        g = random_tree_game(rng, nmax=4)
+        o = random_outcome(rng, g)
+        S = frozenset(rng.sample(range(g.n), rng.randint(1, g.n - 1)))
+        for j in mixed_indices(o.structure, S):
+            c = o.structure[j]
+            xc = tuple(
+                x if i in support(c) else Fraction(rng.randint(1, 5), rng.randint(1, 3))
+                for i, x in enumerate(o.imputation[j])
+            )
+            outside = [i for i in range(g.n) if i not in support(c) | S]
+            owed = sum((xc[i] for i in range(g.n) if i not in S), start=Fraction(0))
+            for d in withdrawal_options(g, c, S):
+                pay = g.charfun.value(vec_sub(c, d)) - owed
+                assert OPTIMISTIC.coalition_payoff(g.charfun, c, d, xc, S) == pay
+                assert OPTIMISTIC_CLAMPED.coalition_payoff(g.charfun, c, d, xc, S) == max(pay, 0)
+                cases += any(xc[i] for i in outside)
+    assert cases >= 30
+
+
 def test_clamped_payment_terms_tie_at_zero(g1):
     """Withdrawing agent 0's unit from the pair leaves (0, 1), worth 2, and
     agent 1 was promised 2: the linear branch is exactly 0, as is the clamp."""

@@ -189,6 +189,19 @@ def test_deviation_enumeration_budget(l1):
         list(iter_lbg_deviations(l1, out, frozenset({0}), F(1, 4), max_count=1))
 
 
+@pytest.mark.parametrize("grid", [F(0), F(-1, 2)])
+def test_deviation_enumeration_refuses_non_positive_grid(grid):
+    """The enumeration refuses the grids that ``lbg_verify_core`` refuses,
+    with the same error, rather than dividing by zero or indexing an empty
+    tick list."""
+    inst = make_lbg_instance(2, [F(1), F(1)], [({0, 1}, F(2)), ({0}, F(1))])
+    out = lbg_core_outcome(inst)
+    with pytest.raises(ContractViolation, match="grid must be positive"):
+        list(iter_lbg_deviations(inst, out, frozenset({0}), grid))
+    with pytest.raises(ContractViolation, match="grid must be positive"):
+        lbg_verify_core(inst, out, grid)
+
+
 # ---------------------------------------------------------------------------
 # generators
 

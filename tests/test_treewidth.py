@@ -559,3 +559,33 @@ def test_bag_engine_merges_into_monotone_tables(monkeypatch):
         if imp is not None:
             assert brute_checkcore(g, rule, Outcome(structure=cs, imputation=imp)) is None
     assert all(map(all, seen.values())) and all(seen.values())
+
+
+def test_checkcore_builds_keep_tables_only_on_spanned_edges(monkeypatch):
+    """Only an edge that an outcome coalition spans has units to keep, so
+    CheckCore builds keep tables on those edges alone, one per direction.
+    On a 6-cycle whose structure pairs (0, 1) and (2, 3) and leaves 4 and 5
+    alone, that is 4 tables, not the 12 of every edge both ways; the
+    violation (all six agents, excess 18 - 8) re-checks."""
+    import ocf.treewidth as tw
+
+    built = []
+    init = tw.KeepTable.__init__
+
+    def counted(self, g, o, rule, dev, other):
+        built.append((dev, other))
+        init(self, g, o, rule, dev, other)
+
+    monkeypatch.setattr(tw.KeepTable, "__init__", counted)
+    g = _pair_game(6, [(i, (i + 1) % 6) for i in range(6)], 2)
+    cs = ((1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1))
+    h, z, u = Fraction(3, 2), Fraction(0), Fraction(1)
+    imp = ((h, h, z, z, z, z), (z, z, h, h, z, z), (z, z, z, z, u, z), (z, z, z, z, z, u))
+    o = Outcome(structure=cs, imputation=imp)
+    for rule in (REFINED, OPTIMISTIC):
+        built.clear()
+        cc = checkcore_tw(g, rule, o)
+        assert sorted(built) == [(0, 1), (1, 0), (2, 3), (3, 2)]
+        assert cc is not None and cc.agents == frozenset(range(6)) and cc.excess == 10
+        total = deviation_total(g, o, cc.agents, cc.deviation, rule, cc.post)
+        assert total - o.payoff_to_set(cc.agents) == cc.excess
