@@ -51,8 +51,8 @@ from .core import (
     Outcome,
     PayoffVector,
     _require_agents,
-    _require_payoff_lengths,
     mixed_indices,
+    require_outcome,
     structure_weight,
     support,
     vec_leq,
@@ -239,7 +239,7 @@ class SensitiveRule(ArbitrationRule):
     is_local = False
 
     def deviation_payoffs(self, game, outcome, deviators, dev):
-        _require_payoff_lengths(game, outcome)
+        require_outcome(game, outcome)
         touched = {j for j, d in dev.withdrawals.items() if any(d)}
         hurt = set().union(*(outcome.supports[j] for j in touched)) - deviators
         out: dict[int, Fraction] = {}
@@ -303,6 +303,7 @@ def sensitive_payoffs(
 ) -> dict[int, Fraction]:
     """Per-coalition payments under the sensitive rule."""
     _require_agents(game.n, deviators)
+    require_outcome(game, o)
     validate_deviation(o, deviators, dev, game.n)
     return SENSITIVE.deviation_payoffs(game, o, deviators, dev)
 
@@ -340,10 +341,10 @@ def deviation_total(
     """Total payoff S collects: value of the new structure plus arbitration.
 
     ``post`` must fit inside what S may use (``deviation_available``) and be
-    supported entirely inside S, and every payoff vector must be n long.
+    supported entirely inside S; the outcome passes ``core.require_outcome``.
     """
     _require_agents(game.n, deviators)
-    _require_payoff_lengths(game, o)
+    require_outcome(game, o)
     validate_deviation(o, deviators, dev, game.n)
     avail = deviation_available(game, o.structure, deviators, dev)
     used = structure_weight(post, game.n)

@@ -9,6 +9,10 @@ irrelevant to value).  All payoffs and characteristic values are exact
 Everything here is immutable after construction and safe to share across
 threads.  Per-game tables are built on first use and kept, so editing
 ``charfun.entries`` afterwards is unsupported.
+
+An outcome that passes ``require_outcome``, the one outcome check of every
+solver, records the game it passed for beside its cached supports; it is no
+field, so ``==``, ``hash`` and ``io.outcome_to_dict`` never see it.
 """
 
 from __future__ import annotations
@@ -444,14 +448,6 @@ def require_structure(g: GameDef, cs: CoalitionStructure) -> None:
         raise ContractViolation(problems[0])
 
 
-def _require_payoff_lengths(g: GameDef, o: Outcome) -> None:
-    """Raise ``outcome_violations``' message for a payoff vector whose
-    length is not n: an O(#coalitions) check for lanes that skip the rest."""
-    for j, x in enumerate(o.imputation):
-        if len(x) != g.n:
-            raise ContractViolation(f"payoff vector {j}: length {len(x)} != n={g.n}")
-
-
 def _require_agents(n: int, agents: Iterable[int]) -> None:
     """Refuse a set of agents naming one outside ``range(n)``; a negative
     index would otherwise read another agent's entries."""
@@ -487,6 +483,18 @@ def outcome_violations(g: GameDef, o: Outcome) -> list[str]:
                 if v < 0 or (v and i not in sup)
             )
     return problems
+
+
+def require_outcome(g: GameDef, o: Outcome) -> None:
+    """Refuse an outcome that breaks ``outcome_violations``, naming the
+    first violation.  A pass is recorded on the outcome, so asking again
+    with the same game object costs one identity test."""
+    if o.__dict__.get("_valid_for") is g:
+        return
+    problems = outcome_violations(g, o)
+    if problems:
+        raise ContractViolation(problems[0])
+    o.__dict__["_valid_for"] = g
 
 
 def validate_outcome(o: Outcome, g: GameDef, ir_mode: str = "full-endowment") -> list[str]:

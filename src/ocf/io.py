@@ -51,6 +51,16 @@ def _expect(cond: bool, message: str) -> None:
         raise DataError(message)
 
 
+def _is_int(value: Any) -> bool:
+    # JSON true and false load as bools, which Python counts as ints
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _list(doc: dict, key: str) -> list:
+    _expect(isinstance(doc[key], list), f"{key} must be a list")
+    return doc[key]
+
+
 def _rational(value: Any, where: str) -> Fraction:
     try:
         return parse_rational(value)
@@ -63,28 +73,27 @@ def game_from_dict(doc: Any) -> GameDef:
     for key in ("n", "weights", "k", "coalitions"):
         _expect(key in doc, f"game document missing {key!r}")
     n = doc["n"]
-    _expect(isinstance(n, int) and n >= 1, "n must be a positive integer")
-    weights = doc["weights"]
+    _expect(_is_int(n) and n >= 1, "n must be a positive integer")
+    weights = _list(doc, "weights")
     _expect(
-        isinstance(weights, list) and len(weights) == n
-        and all(isinstance(w, int) and w >= 1 for w in weights),
+        len(weights) == n and all(_is_int(w) and w >= 1 for w in weights),
         "weights must be n positive integers",
     )
     k = doc["k"]
-    _expect(isinstance(k, int) and k >= 1, "k must be a positive integer")
+    _expect(_is_int(k) and k >= 1, "k must be a positive integer")
     entries = []
-    for idx, row in enumerate(doc["coalitions"]):
+    for idx, row in enumerate(_list(doc, "coalitions")):
         where = f"coalitions[{idx}]"
         _expect(isinstance(row, dict), f"{where} must be an object")
         sup = row.get("support")
         contrib = row.get("contribution")
         _expect(isinstance(sup, list) and isinstance(contrib, list), f"{where}: support/contribution must be lists")
+        _expect(all(_is_int(i) and 0 <= i < n for i in sup), f"{where}: support out of range")
         _expect(sup == sorted(set(sup)), f"{where}: support must be sorted ascending, no duplicates")
         _expect(len(sup) == len(contrib), f"{where}: contribution must parallel support")
-        _expect(all(isinstance(i, int) and 0 <= i < n for i in sup), f"{where}: support out of range")
         _expect(len(sup) <= k, f"{where}: support wider than k")
         for i, w in zip(sup, contrib):
-            _expect(isinstance(w, int) and 1 <= w <= weights[i], f"{where}: contribution out of range for agent {i}")
+            _expect(_is_int(w) and 1 <= w <= weights[i], f"{where}: contribution out of range for agent {i}")
         value = _rational(row.get("value"), f"{where}.value")
         _expect(value >= 0, f"{where}: negative value rejected")
         entries.append((tuple(sup), tuple(contrib), value))
@@ -92,8 +101,10 @@ def game_from_dict(doc: Any) -> GameDef:
     if doc.get("graph") is not None:
         gdoc = doc["graph"]
         _expect(isinstance(gdoc, dict) and "edges" in gdoc, "graph must be an object with edges")
+        edges = _list(gdoc, "edges")
+        _expect(all(isinstance(e, list) and all(map(_is_int, e)) for e in edges), "graph edges must be lists of agent indices")
         try:
-            graph = InteractionGraph.from_pairs(n, gdoc["edges"])
+            graph = InteractionGraph.from_pairs(n, edges)
         except ContractViolation as exc:
             raise DataError(f"graph: {exc}") from exc
     try:
@@ -153,10 +164,10 @@ def structure_from_dict(doc: Any, n: int) -> tuple[Coalition, ...]:
     """Structure-only read of an outcome document (imputation optional)."""
     _expect(isinstance(doc, dict) and "structure" in doc, "document needs a structure")
     out = []
-    for idx, row in enumerate(doc["structure"]):
+    for idx, row in enumerate(_list(doc, "structure")):
         _expect(
             isinstance(row, list) and len(row) == n
-            and all(isinstance(w, int) and w >= 0 for w in row),
+            and all(_is_int(w) and w >= 0 for w in row),
             f"structure[{idx}] must be {n} non-negative integers",
         )
         out.append(tuple(row))
@@ -179,15 +190,15 @@ def decomposition_from_dict(doc: Any) -> TreeDecomposition:
     for key in ("bags", "edges", "root"):
         _expect(key in doc, f"decomposition missing {key!r}")
     bags = []
-    for idx, bag in enumerate(doc["bags"]):
-        _expect(isinstance(bag, list) and all(isinstance(i, int) and i >= 0 for i in bag), f"bags[{idx}] must be a list of agent indices")
+    for idx, bag in enumerate(_list(doc, "bags")):
+        _expect(isinstance(bag, list) and all(_is_int(i) and i >= 0 for i in bag), f"bags[{idx}] must be a list of agent indices")
         bags.append(frozenset(bag))
     edges = []
-    for idx, e in enumerate(doc["edges"]):
-        _expect(isinstance(e, list) and len(e) == 2 and all(isinstance(i, int) for i in e), f"edges[{idx}] must be a pair")
+    for idx, e in enumerate(_list(doc, "edges")):
+        _expect(isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)), f"edges[{idx}] must be a pair")
         edges.append((e[0], e[1]))
     root = doc["root"]
-    _expect(isinstance(root, int), "root must be an integer")
+    _expect(_is_int(root), "root must be an integer")
     return TreeDecomposition(bags=tuple(bags), edges=tuple(edges), root=root)
 
 
@@ -212,14 +223,14 @@ def lbg_from_dict(doc: Any) -> LbgInstance:
     for key in ("n", "weights", "tasks"):
         _expect(key in doc, f"LBG document missing {key!r}")
     n = doc["n"]
-    _expect(isinstance(n, int) and n >= 1, "n must be a positive integer")
-    weights = [_rational(w, f"weights[{i}]") for i, w in enumerate(doc["weights"])]
+    _expect(_is_int(n) and n >= 1, "n must be a positive integer")
+    weights = [_rational(w, f"weights[{i}]") for i, w in enumerate(_list(doc, "weights"))]
     tasks = []
-    for idx, row in enumerate(doc["tasks"]):
+    for idx, row in enumerate(_list(doc, "tasks")):
         where = f"tasks[{idx}]"
         _expect(isinstance(row, dict) and "agents" in row and "pi" in row, f"{where} needs agents and pi")
         agents = row["agents"]
-        _expect(isinstance(agents, list) and all(isinstance(i, int) for i in agents), f"{where}: agents must be a list of indices")
+        _expect(isinstance(agents, list) and all(map(_is_int, agents)), f"{where}: agents must be a list of indices")
         tasks.append((frozenset(agents), _rational(row["pi"], f"{where}.pi")))
     try:
         return make_lbg_instance(n, weights, tasks)

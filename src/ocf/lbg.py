@@ -237,12 +237,20 @@ class LbgDeviation:
     total: Fraction = ZERO
 
 
-def _mixed_executed(inst: LbgInstance, out: LbgOutcome, deviators: frozenset[int]) -> list[int]:
-    return [
-        j
-        for j, t in enumerate(inst.tasks)
-        if out.levels[j] > 0 and (t.agents & deviators) and not t.agents <= deviators
-    ]
+def _task_split(
+    inst: LbgInstance, out: LbgOutcome, deviators: frozenset[int]
+) -> tuple[list[int], list[int], list[int]]:
+    """In task order: executed tasks inside S ("forced"), executed tasks S
+    shares with outsiders ("mixed") and every task inside S ("inside")."""
+    forced, mixed, inside = [], [], []
+    for j, t in enumerate(inst.tasks):
+        if t.agents <= deviators:
+            inside.append(j)
+            if out.levels[j] > 0:
+                forced.append(j)
+        elif out.levels[j] > 0 and t.agents & deviators:
+            mixed.append(j)
+    return forced, mixed, inside
 
 
 def lbg_best_deviation(
@@ -260,12 +268,8 @@ def lbg_best_deviation(
     reused optimally via one small LP.
     """
     _require_agents(inst.n, deviators)
-    forced = {
-        j
-        for j, t in enumerate(inst.tasks)
-        if out.levels[j] > 0 and t.agents <= deviators
-    }
-    if not forced <= abandon:
+    forced, mixed, inside = _task_split(inst, out, deviators)
+    if not abandon.issuperset(forced):
         raise ContractViolation("abandon list must include executed tasks inside S")
     for j in abandon:
         if not 0 <= j < len(inst.tasks):
@@ -275,7 +279,7 @@ def lbg_best_deviation(
             raise ContractViolation(f"task {j} is not executed; nothing to abandon")
         if not t.agents & deviators:
             raise ContractViolation(f"task {j} does not involve the deviators")
-    mixed = set(_mixed_executed(inst, out, deviators)) - abandon
+    mixed = [j for j in mixed if j not in abandon]
     for j, z in partial.items():
         if j not in mixed:
             raise ContractViolation(f"task {j} is not a withdrawable kept task")
@@ -293,7 +297,6 @@ def lbg_best_deviation(
         )
         for i in deviators
     }
-    inside = [j for j, t in enumerate(inst.tasks) if t.agents <= deviators]
     rhs = [nu[i] + withdrawn[i] + out.unused(i) if i in deviators else ZERO for i in range(inst.n)]
     sol = solve_lp(_allocation_lp(inst, rhs, inside))
     assert sol.status == "optimal" and sol.objective_value is not None
@@ -338,16 +341,11 @@ def iter_lbg_deviations(
     """All (abandon set, grid withdrawal profile) pairs for one deviating set."""
     _require_agents(inst.n, deviators)
     grid = _require_grid(grid)
-    forced = frozenset(
-        j
-        for j, t in enumerate(inst.tasks)
-        if out.levels[j] > 0 and t.agents <= deviators
-    )
-    optional = _mixed_executed(inst, out, deviators)
+    forced, optional, _ = _task_split(inst, out, deviators)
     count = 0
     for bits in range(1 << len(optional)):
         extra = frozenset(optional[k] for k in range(len(optional)) if bits >> k & 1)
-        abandon = forced | extra
+        abandon = extra.union(forced)
         kept = [j for j in optional if j not in extra]
         axes = []
         for j in kept:
@@ -376,13 +374,7 @@ def _screen_value(
     "abandon"; the bound is tight enough that it never fires on dual-priced
     outcomes, which is exactly the theorem being verified.
     """
-    forced = [
-        j
-        for j, t in enumerate(inst.tasks)
-        if out.levels[j] > 0 and t.agents <= deviators
-    ]
-    mixed = _mixed_executed(inst, out, deviators)
-    inside = [j for j, t in enumerate(inst.tasks) if t.agents <= deviators]
+    forced, mixed, inside = _task_split(inst, out, deviators)
     coords = sorted(deviators)
     nv = len(inside) + 2 * len(mixed)  # c_j, then (f_j, gain_j) per mixed task
     obj = [inst.tasks[j].pi for j in inside] + [ZERO, ONE] * len(mixed)

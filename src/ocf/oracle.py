@@ -51,10 +51,8 @@ from .core import (
     Outcome,
     _pad_fillers,
     _require_agents,
-    _require_payoff_lengths,
     mixed_indices,
-    outcome_violations,
-    require_structure,
+    require_outcome,
     structure_weight,
     support,
     vec_leq,
@@ -179,13 +177,10 @@ def brute_arbval(
 
     Post-deviation structures are optimized by the superadditive cover of
     what S may use rather than enumerated, which is exact and much smaller.
-    Only ``core.require_structure`` and the payoff vectors' lengths are
-    checked: the full ``outcome_violations`` costs about 30 µs, against a
-    median of 0.14 ms per ArbVal query on the benchmark's ``sweep`` workload.
+    The outcome passes ``core.require_outcome``, as on every lane.
     """
     _require_agents(g.n, deviators)
-    require_structure(g, o.structure)
-    _require_payoff_lengths(g, o)
+    require_outcome(g, o)
     caps = tuple(w if i in deviators else 0 for i, w in enumerate(g.weights))
     table = CoverTable(g.charfun.atoms_within(deviators), caps)
     return _arbval_on(g, arb, o, deviators, budget, table)
@@ -242,11 +237,8 @@ def _max_excess_scan(
 ) -> CoreViolation:
     """The nonempty subset of maximum excess, the first in bitmask order on
     ties, with the deviation and post-deviation structure that earn it.  The
-    outcome must break none of ``core.outcome_violations``, as on the bag-DP
-    lanes; it is checked once per call, not per subset."""
-    problems = outcome_violations(g, o)
-    if problems:
-        raise ContractViolation(problems[0])
+    outcome passes ``core.require_outcome`` once per call, not per subset."""
+    require_outcome(g, o)
     if budget is not None and g.n > budget.max_agents:
         raise BudgetExceededError(
             f"n={g.n} exceeds budget.max_agents={budget.max_agents} (2^n subsets)"

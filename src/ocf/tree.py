@@ -41,9 +41,8 @@ from .core import (
     Imputation,
     Outcome,
     _require_agents,
-    _require_payoff_lengths,
     mixed_indices,
-    require_structure,
+    require_outcome,
 )
 from .covers import CoverTable, chain, unchain
 from .treewidth import (
@@ -111,16 +110,12 @@ def arbval_local(
     withdrawal.  A DP over those coalitions, one (max,+) convolution each,
     finds the best payment for every t in the box below S's share of them;
     the answer is the best cover of base + t plus that payment.  The box has
-    up to (W+1)^|S| states, so the set size is capped.  As in
-    ``brute_arbval``, only ``core.require_structure`` and the payoff
-    vectors' lengths are checked: the full ``outcome_violations`` costs
-    about 30 µs, against a median of 0.14 ms per local ArbVal query on the
-    benchmark's ``sweep`` workload.
+    up to (W+1)^|S| states, so the set size is capped.  The outcome passes
+    ``core.require_outcome``, as on every lane.
     """
     require_local(rule)
     _require_agents(g.n, deviators)
-    require_structure(g, o.structure)
-    _require_payoff_lengths(g, o)
+    require_outcome(g, o)
     if len(deviators) > max_set_size:
         raise BudgetExceededError(
             f"|S|={len(deviators)} exceeds the local-DP cap {max_set_size}"

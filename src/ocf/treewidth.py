@@ -26,8 +26,8 @@ The feeder tables of the engine's solo and keep rows live here too:
 ``KeepTable`` (a deviator keeping units on one edge), ``AlphaTable`` (a
 ``KeepTable`` over all its edges to non-deviators: one chain over their
 coalitions) and ``VBarTable`` (both), as do the outcome check
-(``check_outcome_shape``: the outcome rules of :mod:`ocf.core` and a
-pairwise-shaped structure, once per call; no cutting-plane round re-checks
+(``check_outcome_shape``: ``core.require_outcome``, the outcome check of
+every lane, then a pairwise-shaped structure; no cutting-plane round checks
 the LP's own candidate) and ``forest_decomposition``, the width-1
 decomposition read off one breadth-first search (``core.reach``) per
 component.
@@ -74,8 +74,8 @@ from .core import (
     _pad_fillers,
     _require_agents,
     mixed_indices,
-    outcome_violations,
     reach,
+    require_outcome,
     support,
 )
 from .covers import _denominator, _frontier, _scaled, chain, closure, convolve, unchain, unwind
@@ -110,10 +110,9 @@ def require_forest(g: GameDef) -> InteractionGraph:
 
 
 def check_outcome_shape(g: GameDef, o: Outcome) -> None:
-    """``outcome_violations`` (the first is raised), then ``check_structure_shape``."""
-    problems = outcome_violations(g, o)
-    if problems:
-        raise ContractViolation(problems[0])
+    """``core.require_outcome``, the outcome check of every lane, then
+    ``check_structure_shape``."""
+    require_outcome(g, o)
     check_structure_shape(g, o.structure)
 
 

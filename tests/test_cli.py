@@ -115,6 +115,17 @@ def test_overcommitted_outcome_is_exit_2_on_arbval_and_checkcore(files, capsys):
         assert code == 2 and "endowments" in err, argv
 
 
+def test_malformed_outcome_shape_is_exit_2(files, capsys):
+    """A number where the structure's list belongs, or JSON ``true`` for a
+    contribution, is a load error (exit 2), not a crash (exit 1) or a unit."""
+    for structure in (5, [[True, True]]):
+        bad = files["dir"] / "bad_shape.json"
+        bad.write_text(json.dumps({"structure": structure, "imputation": [["2", "2"]]}))
+        code, _, err = run(capsys, "oracle", "arbval", "--set", "0", "--game", files["game"],
+                           "--outcome", str(bad), "--arb", "refined")
+        assert code == 2 and err.startswith("error: structure"), (structure, err)
+
+
 def test_invalid_outcome_is_exit_2_on_checkcore_and_is_stable(files, capsys):
     """Every CheckCore lane refuses an inefficient imputation, and the tree
     lane's Is-Stable a coalition across a non-edge."""

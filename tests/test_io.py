@@ -15,6 +15,7 @@ from ocf.io import (
     load_outcome,
     load_decomposition,
     outcome_from_dict,
+    decomposition_from_dict,
     decomposition_to_dict,
 )
 from ocf.treewidth import heuristic_decomposition
@@ -136,3 +137,60 @@ def test_lbg_rejections():
 def test_missing_file():
     with pytest.raises(DataError):
         load_game("/nonexistent/game.json")
+
+
+def _with(doc, **fields):
+    out = dict(doc)
+    out.update(fields)
+    return out
+
+
+def test_list_fields_refuse_other_values():
+    """A list-valued field holding a number is a load error, not a crash
+    while iterating it."""
+    good_outcome = {"structure": [[1, 1], [1, 0]], "imputation": [["2", "2"], ["1", "0"]]}
+    good_decomp = {"bags": [[0, 1]], "edges": [], "root": 0}
+    good_lbg = {"n": 1, "weights": ["1"], "tasks": [{"agents": [0], "pi": "1"}]}
+    cases = [
+        (game_from_dict, _with(G1_DOC, coalitions=4)),
+        (game_from_dict, _with(G1_DOC, weights=2)),
+        (game_from_dict, _with(G1_DOC, graph={"edges": 1})),
+        (game_from_dict, _with(G1_DOC, graph={"edges": [0, 1]})),
+        (lambda d: outcome_from_dict(d, 2), _with(good_outcome, structure=5)),
+        (lambda d: outcome_from_dict(d, 2), _with(good_outcome, imputation=5)),
+        (decomposition_from_dict, _with(good_decomp, bags=3)),
+        (decomposition_from_dict, _with(good_decomp, edges=3)),
+        (lbg_from_dict, _with(good_lbg, weights=3)),
+        (lbg_from_dict, _with(good_lbg, tasks=3)),
+    ]
+    outcome_from_dict(good_outcome, 2)
+    decomposition_from_dict(good_decomp)
+    lbg_from_dict(good_lbg)
+    for load, doc in cases:
+        with pytest.raises(DataError):
+            load(doc)
+
+
+def test_integer_fields_refuse_booleans():
+    """JSON ``true`` loads as a Python bool, which is an int; no integer
+    field takes it for 1."""
+    coalition = G1_DOC["coalitions"][0]
+    cases = [
+        (game_from_dict, _with(G1_DOC, n=True, weights=[2])),
+        (game_from_dict, _with(G1_DOC, k=True)),
+        (game_from_dict, _with(G1_DOC, weights=[2, True])),
+        (game_from_dict, _with(G1_DOC, coalitions=[_with(coalition, support=[False])])),
+        (game_from_dict, _with(G1_DOC, coalitions=[_with(coalition, contribution=[True])])),
+        (game_from_dict, _with(G1_DOC, graph={"edges": [[0, True]]})),
+        (lambda d: outcome_from_dict(d, 2),
+         {"structure": [[True, True]], "imputation": [["2", "2"]]}),
+        (lambda d: outcome_from_dict(d, 2), {"structure": [[1, False]], "imputation": [["1", "0"]]}),
+        (decomposition_from_dict, {"bags": [[0, True]], "edges": [], "root": 0}),
+        (decomposition_from_dict, {"bags": [[0], [1]], "edges": [[0, True]], "root": 0}),
+        (decomposition_from_dict, {"bags": [[0, 1]], "edges": [], "root": False}),
+        (lbg_from_dict, {"n": True, "weights": ["1"], "tasks": []}),
+        (lbg_from_dict, {"n": 1, "weights": ["1"], "tasks": [{"agents": [False], "pi": "1"}]}),
+    ]
+    for load, doc in cases:
+        with pytest.raises(DataError):
+            load(doc)

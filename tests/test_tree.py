@@ -688,9 +688,9 @@ def test_deviation_witnesses_share_the_game_vectors():
 
 
 def test_payoff_vectors_of_the_wrong_length_are_refused():
-    """The oracle and local ArbVal lanes skip most of ``outcome_violations``
-    but not a payoff vector whose length is not n, which they refuse with
-    its message as the bag lanes do; so does the witness evaluator
+    """The oracle and local ArbVal lanes refuse a payoff vector whose
+    length is not n with ``outcome_violations``' message, through the same
+    ``core.require_outcome`` as the bag lanes; so does the witness evaluator
     ``deviation_total``.  A one-entry vector on a two-agent coalition once
     read as a payment of 4 under the refined and optimistic rules."""
     cf = make_charfun(2, 2, [((0, 1), (1, 1), Fraction(4))])
