@@ -52,6 +52,7 @@ from .core import (
     PayoffVector,
     _require_agents,
     mixed_indices,
+    reach,
     require_outcome,
     structure_weight,
     support,
@@ -113,6 +114,60 @@ class CoreViolation:
     excess: Fraction
     deviation: Deviation
     post: CoalitionStructure
+
+
+def split_violation(
+    g: GameDef, rule: LocalArbitrationRule, o: Outcome, v: CoreViolation
+) -> list[CoreViolation]:
+    """``v`` split over the connected components of its set in the
+    interaction graph, smallest agent first: each component keeps the
+    withdrawals whose vector touches it and the post-deviation coalitions
+    inside it, and its excess is scored under ``rule``.
+
+    On a pairwise-shaped outcome no coalition of the outcome or of ``v.post``
+    meets two components, so each piece is a legal deviation of its
+    component and the excesses add up to ``v.excess``.  A coalition that
+    meets two components raises ``ContractViolation``.  Checks nothing else:
+    ``v`` is a lane's witness on a checked outcome."""
+    adjacency = g.interaction._adjacency
+    part: dict[int, int] = {}
+    parts: list[frozenset[int]] = []
+    for a in sorted(v.agents):
+        if a not in part:
+            parts.append(frozenset(reach(adjacency, a, within=v.agents)))
+            part.update(dict.fromkeys(parts[-1], len(parts) - 1))
+
+    def part_of(sup: frozenset[int]) -> int:
+        met = {part[i] for i in sup & v.agents}
+        if len(met) != 1:
+            raise ContractViolation(
+                f"a coalition on agents {sorted(sup)} meets {len(met)} components of the deviating set"
+            )
+        return met.pop()
+
+    withdrawals: list[dict[int, Coalition]] = [{} for _ in parts]
+    post: list[list[Coalition]] = [[] for _ in parts]
+    excess = [ZERO] * len(parts)
+    for j, d in v.deviation.withdrawals.items():
+        if any(d):
+            withdrawals[part_of(support(d))][j] = d
+    for c in v.post:
+        sup = support(c)
+        if sup:
+            k = part_of(sup)
+            post[k].append(c)
+            excess[k] += g.charfun.value(c)
+    for x, sup in zip(o.imputation, o.supports):
+        for i in sup & v.agents:
+            excess[part[i]] -= x[i]
+    devs = [Deviation(w) for w in withdrawals]
+    for j in mixed_indices(o.structure, v.agents):
+        c = o.structure[j]
+        k = part_of(o.supports[j])
+        excess[k] += rule.coalition_payoff(
+            g.charfun, c, devs[k].withdrawal(j, g.n), o.imputation[j], parts[k]
+        )
+    return [CoreViolation(*piece) for piece in zip(parts, excess, devs, map(tuple, post))]
 
 
 def validate_deviation(o: Outcome, deviators: frozenset[int], dev: Deviation, n: int) -> None:

@@ -21,12 +21,22 @@ Every solver holds it as a ``StabilitySystem`` instead:
 * grown one ``>=`` row at a time on :class:`ocf.lp.DualSimplex`, which
   re-solves from the last basis.
 
-``brute_is_stable`` in :mod:`ocf.oracle` adds every row up front;
-``cutting_plane``, behind ``is_stable_tree`` and ``is_stable_tw``, adds only
-the rows that the lane's max-excess scan finds violated: the scan's worst
-set, when its excess is positive, with the deviation that earns it.  Rows
-are written over the full variables of ``stability_lp`` and mapped into the
-presolved ones as they are added.
+``brute_is_stable`` in :mod:`ocf.oracle` adds every row up front to the
+full system.  ``cutting_plane``, behind ``is_stable_tree`` and
+``is_stable_tw``, solves a smaller one and adds only the rows that the
+lane's max-excess scan finds violated:
+
+* copies of a coalition share one payoff row, which keeps every answer
+  because swapping two copies' rows maps the convex set of stable
+  imputations onto itself, so their average over the swaps is stable too;
+* the scan's worst set, when its excess is positive, is split into its
+  connected components in the interaction graph, and each component whose
+  share of the excess is positive gives one cut; on a pairwise-shaped
+  structure no coalition meets two components, so each component's cut is
+  a row of the full system, and together they imply the set's own cut.
+
+Rows are written over the full variables of ``stability_lp`` and mapped
+into the presolved ones as they are added.
 """
 
 from __future__ import annotations
@@ -40,16 +50,19 @@ from .arbitration import (
     LocalArbitrationRule,
     PaymentTerm,
     require_local,
+    split_violation,
 )
 from .core import (
     ZERO,
     BudgetExceededError,
+    Coalition,
     CoalitionStructure,
     GameDef,
     Imputation,
     Outcome,
     mixed_indices,
     require_structure,
+    structure_value,
     support,
 )
 from .lp import ONE, DualSimplex, LinearProgram
@@ -150,14 +163,23 @@ class StabilitySystem:
     :class:`ocf.lp.DualSimplex`: a singleton coalition's variable is the
     constant v(c); in a larger coalition every contributor but the last
     keeps a reduced variable and the last one's is v(c) minus theirs, which
-    must stay non-negative - one ``<=`` row.  A coalition with v(c) < 0
-    makes the system infeasible.  ``cuts`` counts the rows added by
-    ``add_cut``.  A structure that breaks ``core.structure_violations``, one
-    over the endowments say, is refused with ``ContractViolation``, on every
-    lane.
+    must stay non-negative - one ``<=`` row.  With ``shared``, which only
+    ``cutting_plane`` sets, every repeat of a coalition vector takes the
+    first copy's forms, so copies are paid alike and add no variable and no
+    row.  A coalition with v(c) < 0 makes the system infeasible.  ``cuts``
+    counts the rows added by ``add_cut``.  A structure that breaks
+    ``core.structure_violations``, one over the endowments say, is refused
+    with ``ContractViolation``, on every lane.
     """
 
-    def __init__(self, g: GameDef, rule: LocalArbitrationRule, cs: CoalitionStructure):
+    def __init__(
+        self,
+        g: GameDef,
+        rule: LocalArbitrationRule,
+        cs: CoalitionStructure,
+        *,
+        shared: bool = False,
+    ):
         require_local(rule)
         require_structure(g, cs)
         self.cs = cs
@@ -166,6 +188,7 @@ class StabilitySystem:
         self.cuts = 0
         self._infeasible = False
         self._forms: list[tuple[Fraction, dict[int, Fraction]]] = []
+        first: dict[Coalition, int] = {}
         bounds = []
         reduced = 0
         # one form per full variable, in var_of's order
@@ -173,6 +196,10 @@ class StabilitySystem:
             sup = support(c)
             if not sup:
                 continue
+            if shared and c in first:
+                self._forms.extend(self._forms[first[c] : first[c] + len(sup)])
+                continue
+            first[c] = len(self._forms)
             value = g.charfun.value(c)
             self._infeasible = self._infeasible or value < 0
             ks = range(reduced, reduced + len(sup) - 1)
@@ -250,28 +277,48 @@ def cutting_plane(
     max_excess: Callable[[Outcome], CoreViolation],
     max_rounds: int,
 ) -> Imputation | None:
-    """Find an imputation making the structure stable, or prove none exists.
+    """Find an imputation making the pairwise-shaped structure stable, or
+    prove none exists.
 
-    Solves the ``StabilitySystem`` of the cuts found so far and asks the
-    lane's ``max_excess`` scan for the candidate's worst deviating set: an
-    excess of at most 0 means the candidate is in the core, otherwise the
-    set, its deviation and its post-deviation structure witness one new
-    linear cut that the candidate violates, and the system re-solves from
-    its last basis.  There are finitely many (set, deviation, branch) cuts,
-    so the loop ends; exhausting ``max_rounds`` raises ``BudgetExceededError``.
+    Solves the shared ``StabilitySystem`` of the cuts found so far and asks
+    the lane's ``max_excess`` scan for the candidate's worst deviating set:
+    an excess of at most 0 means the candidate is in the core.  Otherwise
+    ``split_violation`` splits the set into its connected components, and
+    each component of positive excess witnesses one linear cut that the
+    candidate violates (a cut is violated exactly when its component's
+    excess is positive, as every payment enters through its largest term at
+    the candidate); the system re-solves from its last basis.
+
+    Both reductions are exact.  Copies of a coalition share one payoff row:
+    the stable imputations form a convex set (each payment is a maximum of
+    affine forms), and swapping two copies' rows maps it onto itself, so
+    the average over those swaps is stable and pays copies alike.  A
+    component's cut is a row of the full system: on a pairwise-shaped
+    structure no coalition meets two components, so the excesses of the
+    components add up to the set's, and the set's own cut is the sum of
+    theirs.  There are finitely many (set, deviation, branch) cuts, so the
+    loop ends; exhausting ``max_rounds`` raises ``BudgetExceededError``.
     """
-    system = StabilitySystem(g, rule, cs)
+    system = StabilitySystem(g, rule, cs, shared=True)
     for _ in range(max_rounds):
         candidate = system.solve()
         if candidate is None:
             return None
-        found = max_excess(Outcome(structure=cs, imputation=candidate))
+        o = Outcome(structure=cs, imputation=candidate)
+        found = max_excess(o)
         if found.excess <= 0:
             return candidate
-        post_value = sum((g.charfun.value(c) for c in found.post), start=ZERO)
-        system.add_cut(*_stability_cut(
-            g, cs, found.agents, found.deviation, post_value, rule, candidate, system.var_of
-        ))
+        violated = [part for part in split_violation(g, rule, o, found) if part.excess > 0]
+        if not violated:
+            raise RuntimeError(
+                f"no component of the separated set {sorted(found.agents)} has positive excess,"
+                f" though the set's is {found.excess}"
+            )
+        for part in violated:
+            system.add_cut(*_stability_cut(
+                g, cs, part.agents, part.deviation, structure_value(g, part.post), rule, candidate,
+                system.var_of,
+            ))
     raise BudgetExceededError(
         f"cutting-plane loop did not finish within max_rounds={max_rounds}"
     )

@@ -27,10 +27,10 @@ The feeder tables of the engine's solo and keep rows live here too:
 ``KeepTable`` over all its edges to non-deviators: one chain over their
 coalitions) and ``VBarTable`` (both), as do the outcome check
 (``check_outcome_shape``: ``core.require_outcome``, the outcome check of
-every lane, then a pairwise-shaped structure; no cutting-plane round checks
-the LP's own candidate) and ``forest_decomposition``, the width-1
-decomposition read off one breadth-first search (``core.reach``) per
-component.
+every lane, then a pairwise-shaped structure, recorded on the outcome once
+both pass; no cutting-plane round checks the LP's own candidate) and
+``forest_decomposition``, the width-1 decomposition read off one
+breadth-first search (``core.reach``) per component.
 
 Charging discipline: every agent's solo work is priced exactly once, at the
 *topmost* bag containing the agent; every edge's pair coalitions, and under
@@ -111,16 +111,25 @@ def require_forest(g: GameDef) -> InteractionGraph:
 
 def check_outcome_shape(g: GameDef, o: Outcome) -> None:
     """``core.require_outcome``, the outcome check of every lane, then
-    ``check_structure_shape``."""
+    ``check_structure_shape`` on the outcome's cached supports.  A pass of
+    both is recorded on the outcome beside the gate's own record, so asking
+    again with the same game object costs one identity test."""
+    if o.__dict__.get("_shape_for") is g:
+        return
     require_outcome(g, o)
-    check_structure_shape(g, o.structure)
+    _check_shape(g, o.supports)
+    o.__dict__["_shape_for"] = g
 
 
 def check_structure_shape(g: GameDef, cs: CoalitionStructure) -> None:
     """Every coalition has at most two contributors, joined by an edge."""
+    _check_shape(g, map(support, cs))
+
+
+def _check_shape(g: GameDef, supports: Iterable[frozenset[int]]) -> None:
     if g.interaction is None:
         raise UnsupportedGameError("solver requires an interaction graph")
-    for j, sup in enumerate(map(support, cs)):
+    for j, sup in enumerate(supports):
         if len(sup) > 2:
             raise UnsupportedOutcomeError(
                 f"coalition {j} has {len(sup)} contributors; tree solvers need <= 2"

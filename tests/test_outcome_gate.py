@@ -10,9 +10,18 @@ from fractions import Fraction
 import pytest
 
 import ocf.core
+import ocf.treewidth
 from ocf.arbitration import REFINED, Deviation, deviation_total, sensitive_payoffs
 from ocf.cli import main
-from ocf.core import ContractViolation, GameDef, Outcome, outcome_violations
+from ocf.core import (
+    ContractViolation,
+    GameDef,
+    InteractionGraph,
+    Outcome,
+    make_charfun,
+    outcome_violations,
+    require_outcome,
+)
 from ocf.io import dump_game, outcome_to_dict
 from ocf.oracle import brute_arbval, brute_checkcore, brute_max_excess
 from ocf.tree import (
@@ -21,7 +30,7 @@ from ocf.tree import (
     checkcore_tree,
     max_excess_tree,
 )
-from ocf.treewidth import arbval_tw, checkcore_tw, max_excess_tw
+from ocf.treewidth import UnsupportedOutcomeError, arbval_tw, checkcore_tw, max_excess_tw
 
 F = Fraction
 S0 = frozenset({0})
@@ -101,6 +110,39 @@ def test_each_outcome_is_checked_once_per_game(g1, o1, count_checks):
     assert len(count_checks) == 2
     arbval_tw(twin, REFINED, o1, S0)
     assert len(count_checks) == 2
+
+
+def test_the_pairwise_shape_is_checked_once_per_game(g1, o1, monkeypatch):
+    """The bag lanes check an outcome's pairwise shape once per game
+    object, as the gate checks the rest."""
+    calls = []
+    real = ocf.treewidth._check_shape
+
+    def counted(g, supports):
+        calls.append(g)
+        return real(g, supports)
+
+    monkeypatch.setattr(ocf.treewidth, "_check_shape", counted)
+    arbval_tree(g1, REFINED, o1, S0)
+    checkcore_tree(g1, REFINED, o1)
+    max_excess_tw(g1, REFINED, o1)
+    assert calls == [g1]
+    twin = GameDef(n=g1.n, weights=g1.weights, charfun=g1.charfun, interaction=g1.interaction)
+    checkcore_tw(twin, REFINED, o1)
+    checkcore_tw(twin, REFINED, o1)
+    assert calls == [g1, twin]
+
+
+def test_the_gate_alone_does_not_pass_the_shape():
+    """An outcome the gate passed, whose coalition spans a non-edge, is still
+    refused by every bag lane, each time it is asked."""
+    cf = make_charfun(3, 2, [((0,), (1,), F(1))])
+    path = GameDef(n=3, weights=(1, 1, 1), charfun=cf, interaction=InteractionGraph.from_pairs(3, [(0, 1), (1, 2)]))
+    o = Outcome(structure=((1, 0, 1),), imputation=((F(0),) * 3,))
+    require_outcome(path, o)
+    for call in (checkcore_tree, checkcore_tw, checkcore_tree):
+        with pytest.raises(UnsupportedOutcomeError, match=r"spans non-edge \(0,2\)"):
+            call(path, REFINED, o)
 
 
 def test_invalid_outcomes_are_never_recorded(g1, count_checks):

@@ -1,20 +1,48 @@
 """The incremental stability system: ``lp.DualSimplex`` against a brute-force
 vertex enumeration that shares no code with ``ocf.lp`` (the same tableau
 also runs both phases of ``solve_lp``), the presolve of ``StabilitySystem``,
-and Is-Stable on the refined path game whose LPs used to take minutes."""
+the two reductions of the cutting-plane loop (copies of a coalition share
+one payoff row, and a separated set is cut once per connected component),
+and Is-Stable at acceptance scale, on games whose LPs used to take minutes."""
 
 import random
 import time
 from fractions import Fraction
 
-from ocf.arbitration import CONSERVATIVE, REFINED
-from ocf.core import GameDef, InteractionGraph, Outcome, make_charfun
+import pytest
+
+from ocf.arbitration import (
+    CONSERVATIVE,
+    OPTIMISTIC,
+    OPTIMISTIC_CLAMPED,
+    REFINED,
+    CoreViolation,
+    Deviation,
+    deviation_total,
+    split_violation,
+)
+from ocf.core import (
+    ContractViolation,
+    GameDef,
+    InteractionGraph,
+    Outcome,
+    make_charfun,
+    structure_value,
+    validate_outcome,
+)
 from ocf.lp import DualSimplex, pivot, solve_lp
-from ocf.oracle import brute_is_stable
-from ocf.stability import StabilitySystem, ir_rows, stability_lp
+from ocf.oracle import EnumerationBudget, brute_checkcore, brute_is_stable
+from ocf.stability import StabilitySystem, cutting_plane, ir_rows, stability_lp
 from ocf.tree import checkcore_tree, is_stable_tree, optval_tree
-from ocf.treewidth import checkcore_tw, heuristic_decomposition, is_stable_tw
-from conftest import feasible_vertex, random_structure, random_tree_game, row_holds
+from ocf.treewidth import checkcore_tw, heuristic_decomposition, is_stable_tw, optval_tw
+from conftest import (
+    feasible_vertex,
+    random_graph_game,
+    random_outcome,
+    random_structure,
+    random_tree_game,
+    row_holds,
+)
 
 F = Fraction
 
@@ -218,3 +246,191 @@ def test_refined_path_is_stable():
     assert checkcore_tw(g, REFINED, Outcome(structure=cs, imputation=tree_imp), td) is None
     assert checkcore_tree(g, REFINED, Outcome(structure=cs, imputation=tw_imp)) is None
     assert elapsed < 10, f"took {elapsed:.1f}s, budget is 10s"
+
+
+RULES = (CONSERVATIVE, REFINED, OPTIMISTIC, OPTIMISTIC_CLAMPED)
+
+
+def _repeated_structure(rng: random.Random, g: GameDef) -> tuple[tuple[int, ...], ...]:
+    """A pairwise-shaped structure that repeats coalitions on purpose: each
+    support drawn takes one vector two or three times, as far as the weights
+    allow (a support left without room for two copies is skipped), and copies
+    end up apart from each other."""
+    remaining = list(g.weights)
+    cs = []
+    supports = [(i,) for i in range(g.n)] + g.interaction.simple_edges()
+    for _ in range(rng.randint(1, g.n + 1)):
+        sup = rng.choice(supports)
+        c = [0] * g.n
+        for i in sup:
+            c[i] = rng.randint(1, max(1, remaining[i] // 2))
+        copies = min([rng.randint(2, 3)] + [remaining[i] // c[i] for i in sup])
+        if copies < 2:
+            continue
+        for i in sup:
+            remaining[i] -= copies * c[i]
+        cs.extend([tuple(c)] * copies)
+    rng.shuffle(cs)
+    return tuple(cs)
+
+
+def _copies_paid_alike(cs, imp) -> bool:
+    first = {}
+    return all(first.setdefault(c, x) == x for c, x in zip(cs, imp))
+
+
+def _unit_game(rng: random.Random, trial: int) -> GameDef:
+    """A random tree, cycle or clique game whose entries all take one unit
+    per agent, with weights of one to three units: its optimal structures
+    repeat coalitions too."""
+    unit = (random_tree_game if trial % 2 else random_graph_game)(rng, nmax=5, wmax=1)
+    weights = tuple(rng.randint(1, 3) for _ in range(unit.n))
+    return GameDef(n=unit.n, weights=weights, charfun=unit.charfun, interaction=unit.interaction)
+
+
+def test_copies_share_one_payoff_row():
+    """On structures that repeat coalitions, optimal ones and ones built to
+    repeat, on tree and on cycle or clique games, both lanes answer stable
+    or none as the oracle, which solves the full system with a payoff row
+    per copy; each lane's imputation pays copies alike, is a valid outcome,
+    and passes the other lane's CheckCore."""
+    rng = random.Random(97)
+    wide = EnumerationBudget(max_agents=10)
+    counts = {"stable": 0, "none": 0, "oracle pays copies apart": 0}
+    for trial in range(80):
+        g = _unit_game(rng, trial)
+        td = heuristic_decomposition(g.interaction)
+        cs = optval_tw(g, td, g.weights)[1] if trial % 3 else _repeated_structure(rng, g)
+        if len(set(cs)) == len(cs):
+            continue
+        forest = g.interaction.is_forest()
+        for rule in RULES:
+            tw = is_stable_tw(g, rule, cs, td)
+            oracle = brute_is_stable(g, rule, cs, wide)
+            lanes = [tw] + ([is_stable_tree(g, rule, cs)] if forest else [])
+            assert {imp is None for imp in lanes} == {oracle is None}, (trial, rule.name)
+            if oracle is None:
+                counts["none"] += 1
+                continue
+            counts["stable"] += 1
+            counts["oracle pays copies apart"] += not _copies_paid_alike(cs, oracle)
+            for imp in lanes:
+                assert _copies_paid_alike(cs, imp)
+                assert validate_outcome(Outcome(structure=cs, imputation=imp), g) == []
+            assert (checkcore_tree if forest else brute_checkcore)(
+                g, rule, Outcome(structure=cs, imputation=tw)
+            ) is None
+            if forest:
+                assert checkcore_tw(g, rule, Outcome(structure=cs, imputation=lanes[1]), td) is None
+    # the oracle's own vertex pays copies apart now and then, so sharing is
+    # what pays them alike on the lanes
+    assert counts["stable"] >= 100 and counts["none"] >= 40, counts
+    assert counts["oracle pays copies apart"] >= 3, counts
+
+
+def test_split_violation_adds_up():
+    """A lane's worst set, split into its connected components: the pieces
+    partition the set, each is connected, the excesses add up to the set's,
+    and each piece's deviation and post-deviation structure re-check through
+    ``deviation_total`` and ``structure_value`` as a witness of its own
+    excess."""
+    rng = random.Random(101)
+    several = 0
+    for trial in range(150):
+        g = (random_tree_game if trial % 2 else random_graph_game)(rng, nmax=7, wmax=3)
+        o = random_outcome(rng, g)
+        rule = RULES[trial % 4]
+        found = checkcore_tw(g, rule, o)
+        if found is None:
+            continue
+        pieces = split_violation(g, rule, o, found)
+        several += len(pieces) > 1
+        assert frozenset().union(*(p.agents for p in pieces)) == found.agents
+        assert sum(len(p.agents) for p in pieces) == len(found.agents)
+        assert all(g.interaction.is_connected_subset(p.agents) for p in pieces)
+        assert sum(p.excess for p in pieces) == found.excess
+        assert sum(structure_value(g, p.post) for p in pieces) == structure_value(g, found.post)
+        for p in pieces:
+            total = deviation_total(g, o, p.agents, p.deviation, rule, p.post)
+            assert total - o.payoff_to_set(p.agents) == p.excess
+    assert several >= 15, several
+
+
+def test_split_violation_refuses_a_coalition_across_components():
+    """Off the pairwise shape a coalition can meet two components of the
+    set, and then the excess does not split; that is refused."""
+    cf = make_charfun(3, 2, [((0,), (1,), F(1)), ((2,), (1,), F(1))])
+    g = GameDef(n=3, weights=(1, 1, 1), charfun=cf, interaction=InteractionGraph.from_pairs(3, [(0, 1), (1, 2)]))
+    o = Outcome(structure=((1, 1, 1),), imputation=((F(0),) * 3,))
+    v = CoreViolation(frozenset({0, 2}), F(2), Deviation({0: (1, 0, 1)}), ((1, 0, 0), (0, 0, 1)))
+    with pytest.raises(ContractViolation, match="meets 2 components"):
+        split_violation(g, REFINED, o, v)
+
+
+def test_cutting_plane_refuses_a_violation_no_component_carries():
+    """A separation oracle whose violation no component of its set carries
+    (here an excess of 1 claimed for a set that deviates to nothing) is a
+    bug in the lane, and the loop says so instead of cycling."""
+    g = _g1()
+    bogus = CoreViolation(frozenset({0}), F(1), Deviation(), ())
+    with pytest.raises(RuntimeError, match="no component"):
+        cutting_plane(g, CONSERVATIVE, ((1, 1), (1, 0)), lambda o: bogus, 10)
+
+
+def _c9_cycle(n: int, w: int) -> GameDef:
+    """A criterion-9-shaped cycle: six distinct pair entries per edge and
+    three distinct solo entries per agent, drawn from ``random.Random(7)``."""
+    rng = random.Random(7)
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    entries = {}
+    for a, b in sorted(tuple(sorted(e)) for e in edges):
+        for x in rng.sample(range(w * w), 6):
+            entries[((a, b), (1 + x // w, 1 + x % w))] = F(rng.randint(1, 100))
+    for i in range(n):
+        for x in rng.sample(range(1, w + 1), min(3, w)):
+            entries[((i,), (x,))] = F(rng.randint(1, 40))
+    cf = make_charfun(n, 2, [(s, c, v) for (s, c), v in entries.items()])
+    return GameDef(n=n, weights=(w,) * n, charfun=cf, interaction=InteractionGraph.from_pairs(n, edges))
+
+
+def _timed_is_stable(solve, g, rule, cs, budget):
+    started = time.perf_counter()
+    imp = solve(g, rule, cs)
+    elapsed = time.perf_counter() - started
+    assert elapsed <= budget, f"{rule.name} took {elapsed:.2f}s, budget is {budget}s"
+    return imp
+
+
+PATH_BUDGETS = [
+    (16, REFINED, 0.5), (20, REFINED, 1), (16, OPTIMISTIC_CLAMPED, 0.5),
+    (50, CONSERVATIVE, 1), (50, REFINED, 1), (50, OPTIMISTIC, 1), (50, OPTIMISTIC_CLAMPED, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "n, rule, budget", PATH_BUDGETS, ids=[f"path-{n}-{rule.name}" for n, rule, _ in PATH_BUDGETS]
+)
+def test_path_is_stable_at_acceptance_scale(n, rule, budget):
+    """Is-Stable on the W=4 path from its optimal structure, within a
+    wall-clock budget per call: refined path-16 took 10 s and path-50 over a
+    minute before copies shared a payoff row and each component of the
+    separated set got its own cut.  The imputation passes the treewidth
+    lane's CheckCore."""
+    g = _refined_path(n, 4)
+    _, cs = optval_tree(g, g.weights)
+    imp = _timed_is_stable(is_stable_tree, g, rule, cs, budget)
+    assert imp is not None and _copies_paid_alike(cs, imp)
+    assert checkcore_tw(g, rule, Outcome(structure=cs, imputation=imp)) is None
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda r: r.name)
+def test_cycle_is_stable_at_acceptance_scale(rule):
+    """Is-Stable on the treewidth lane for the W=4 criterion-9 30-cycle
+    from its optimal structure, in 1 s or less per call; refined and clamped
+    optimistic took over a minute each before both reductions.  The
+    imputation passes CheckCore, which the oracle cannot run at n=30."""
+    g = _c9_cycle(30, 4)
+    _, cs = optval_tw(g, None, g.weights)
+    imp = _timed_is_stable(is_stable_tw, g, rule, cs, 1)
+    assert imp is not None and _copies_paid_alike(cs, imp)
+    assert checkcore_tw(g, rule, Outcome(structure=cs, imputation=imp)) is None
