@@ -20,6 +20,19 @@ work on any ordered additive values (scaled ``int``s in the bag engine and
   and the withdrawal DP of ``arbval_local`` in :mod:`ocf.tree`; the
   engine's child merges are single layers, read back by ``unchain`` too.
 
+Both sweep the box below some caps once per atom or entry: every state
+``r`` that the shift (the atom, or the entry placed on its axes) fits into,
+beside ``r - shift``.  A ``Box`` holds one canonical tuple per state and
+keeps each sweep it is asked for as two tuples of those states, so a table
+keyed by ``Box.keys`` answers every lookup of a repeated sweep by identity,
+with no fresh tuple built.  Each object that builds tables owns its boxes
+and drops them when it is done: the bag engine keeps one per distinct caps
+of its sets D, and every ``chain`` (the feeder tables, ``arbval_local``)
+one for its layers.  A lone ``closure`` or ``convolve`` may take plain caps
+instead (``CoverTable``, ``single_cover``); it sweeps each shift once, on
+fresh tuples.  A merge whose other operand is the zero vector alone is
+``prev`` plus a constant and sweeps nothing.
+
 ``_frontier`` keeps the entries of a table that no entry at smaller or equal
 resources matches in value (the dominance rule of knapsack DPs).  Against a
 table that is non-decreasing in resources, as every table the bag engine
@@ -43,6 +56,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from typing import Iterable
 
@@ -51,24 +65,73 @@ Coalition = tuple[int, ...]
 ZERO = Fraction(0)
 
 
-def closure(caps: tuple[int, ...], atoms: list[tuple[tuple[int, ...], object]], base: dict):
-    """Unbounded atom knapsack over the box below ``caps``.
+_NO_PAIRS: tuple[tuple, tuple] = ((), ())
+
+
+def _pairs(caps: tuple[int, ...], shift: tuple[int, ...]) -> tuple[Iterable, Iterable]:
+    """The states ``r >= shift`` below ``caps`` and ``r - shift`` beside
+    them, as two fresh iterators in product order; both empty when the shift
+    exceeds the caps."""
+    if any(s > c for s, c in zip(shift, caps)):
+        return _NO_PAIRS
+    hi = product(*[range(s, c + 1) for s, c in zip(shift, caps)])
+    lo = product(*[range(c - s + 1) for s, c in zip(shift, caps)])
+    return hi, lo
+
+
+class Box:
+    """The states below ``caps``, one canonical tuple each, and a memo of
+    the sweeps over them.
+
+    ``keys`` holds every state in product order.  ``pairs(shift)`` is
+    ``_pairs`` mapped onto those canonical tuples, kept for the next sweep
+    with the same shift.  A table keyed by ``keys`` hands its own key objects
+    to every lookup of such a sweep, so each lookup ends at an identity test
+    instead of comparing tuples.  A box belongs to the object that builds
+    tables on it and is dropped with it; nothing is cached at module level.
+    """
+
+    def __init__(self, caps: Iterable[int]):
+        self.caps = tuple(caps)
+        self.keys = tuple(product(*[range(c + 1) for c in self.caps]))
+        self._canon = dict(zip(self.keys, self.keys))
+        self._pairs: dict[tuple[int, ...], tuple[tuple, tuple]] = {}
+
+    def pairs(self, shift: tuple[int, ...]) -> tuple[tuple, tuple]:
+        got = self._pairs.get(shift)
+        if got is None:
+            canon = self._canon.__getitem__
+            got = tuple(tuple(map(canon, side)) for side in _pairs(self.caps, shift))
+            self._pairs[shift] = got
+        return got
+
+
+def _sweeper(box: Box | tuple[int, ...]):
+    """The caps and the sweep of ``box``: ``box.pairs`` for a ``Box``, and
+    ``_pairs`` afresh for plain caps.  A lone kernel call sweeps each shift
+    once, and mapping fresh tuples onto canonical ones costs more than one
+    sweep's lookups save."""
+    if isinstance(box, Box):
+        return box.caps, box.pairs
+    caps = tuple(box)
+    return caps, partial(_pairs, caps)
+
+
+def closure(box: Box | tuple[int, ...], atoms: list[tuple[tuple[int, ...], object]], base: dict):
+    """Unbounded atom knapsack over ``box``: a ``Box``, or its caps.
 
     ``atoms`` are nonzero (vector, value) pairs; atoms exceeding the caps are
     unusable.  Returns ``(best, picks)``: ``picks[r]`` is the index of the
     last atom of one optimal multiset for ``r``, or None when ``best[r]`` is
     ``base[r]``.  Walking ``r -> r - atoms[picks[r]]`` rebuilds ``best[r]``.
     """
+    _, sweep = _sweeper(box)
     best = dict(base)
     picks: dict = dict.fromkeys(best)
     for idx, (a, v) in enumerate(atoms):
-        if any(x > c for x, c in zip(a, caps)):
-            continue
         # r runs over the states a fits into, rest = r - a alongside it; both
-        # in lexicographic order, so best(rest) already counts this atom
-        hi = product(*[range(x, c + 1) for x, c in zip(a, caps)])
-        lo = product(*[range(c - x + 1) for x, c in zip(a, caps)])
-        for r, rest in zip(hi, lo):
+        # in product order, so best(rest) already counts this atom
+        for r, rest in zip(*sweep(a)):
             prior = best[rest]
             if prior is None:
                 continue
@@ -90,13 +153,15 @@ def unwind(atoms: list, picks: dict, r: tuple[int, ...]) -> tuple[list[int], tup
     return out, r
 
 
-def convolve(caps: tuple[int, ...], prev: dict, axes: Iterable[int], other: dict):
-    """Bounded (max,+) convolution over the box below ``caps``.
+def convolve(box: Box | tuple[int, ...], prev: dict, axes: Iterable[int], other: dict):
+    """Bounded (max,+) convolution over ``box``: a ``Box``, or its caps.
 
     ``out(r) = max over z <= r[axes] of prev(r - z on axes) + other(z)``,
     where ``other`` is keyed by tuples over ``axes``; its entries beyond the
     caps never fit.  Returns ``(out, picks)``: ``picks[r]`` is the first ``z``
     in ``other``'s order that achieves ``out[r]``, None when nothing does.
+    Both are keyed like ``prev``, which holds every state of the box in
+    product order.
 
     When ``prev`` is non-decreasing on every axis (None lowest), an entry
     ``z`` of ``other`` never beats one at some ``z' <= z`` worth at least as
@@ -104,20 +169,23 @@ def convolve(caps: tuple[int, ...], prev: dict, axes: Iterable[int], other: dict
     the first non-dominated ``z`` that achieves ``out[r]``.  Only values are
     kept: a witness read from the picks may change.
     """
+    if len(other) == 1:
+        ((z, v),) = other.items()
+        if v is not None and not any(z):
+            # the zero vector alone: prev plus a constant, nothing to sweep
+            out = dict(prev) if v == 0 else {r: p if p is None else p + v for r, p in prev.items()}
+            return out, {r: p if p is None else z for r, p in prev.items()}
+    caps, sweep = _sweeper(box)
     axes = tuple(axes)
-    out: dict = dict.fromkeys(product(*[range(c + 1) for c in caps]))
-    picks: dict = dict.fromkeys(out)
+    out: dict = dict.fromkeys(prev)
+    picks: dict = dict.fromkeys(prev)
     for z, v in other.items():
         if v is None:
             continue
         shift = [0] * len(caps)
         for p, zz in zip(axes, z):
             shift[p] = zz
-        if any(s > c for s, c in zip(shift, caps)):
-            continue
-        hi = product(*[range(s, c + 1) for s, c in zip(shift, caps)])
-        lo = product(*[range(c - s + 1) for s, c in zip(shift, caps)])
-        for r, rest in zip(hi, lo):
+        for r, rest in zip(*sweep(tuple(shift))):
             prior = prev[rest]
             if prior is None:
                 continue
@@ -129,12 +197,15 @@ def convolve(caps: tuple[int, ...], prev: dict, axes: Iterable[int], other: dict
     return out, picks
 
 
-def chain(caps: tuple[int, ...], table: dict, layers: Iterable[tuple[Iterable[int], dict]]):
-    """``convolve`` ``table`` with each ``(axes, other)`` of ``layers`` in turn:
-    the last table, and a trail of each layer's axes and picks."""
+def chain(box: Box | tuple[int, ...], table: dict, layers: Iterable[tuple[Iterable[int], dict]]):
+    """``convolve`` ``table`` with each ``(axes, other)`` of ``layers`` in turn,
+    all over one ``Box`` (made here from plain caps): the last table, and a
+    trail of each layer's axes and picks."""
+    if not isinstance(box, Box):
+        box = Box(box)
     trail = []
     for axes, other in layers:
-        table, picks = convolve(caps, table, axes, other)
+        table, picks = convolve(box, table, axes, other)
         trail.append((axes, picks))
     return table, trail
 

@@ -497,7 +497,7 @@ def gen_multicommodity_flow(
         for path in _simple_paths(edges, s, t, max_path_len, max_paths):
             agents = frozenset({idx} | {edge_agent[e] for e in path})
             price = Fraction(price)
-            if tasks.get(agents, Fraction(-1)) < price:
+            if agents not in tasks or tasks[agents] < price:
                 tasks[agents] = price
     return make_lbg_instance(n, weights, [(a, p) for a, p in sorted(tasks.items(), key=lambda kv: sorted(kv[0]))])
 
@@ -540,7 +540,7 @@ def gen_routing(
             pi = Fraction(pi)
             if len(nodes) == 1:
                 continue
-            if tasks.get(nodes, Fraction(-1)) < pi:
+            if nodes not in tasks or tasks[nodes] < pi:
                 tasks[nodes] = pi
     return make_lbg_instance(
         n_nodes,

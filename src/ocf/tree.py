@@ -22,7 +22,6 @@ engine live in :mod:`ocf.treewidth`.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 
 from .arbitration import (
     CoreViolation,
@@ -44,7 +43,7 @@ from .core import (
     mixed_indices,
     require_outcome,
 )
-from .covers import CoverTable, chain, unchain
+from .covers import Box, CoverTable, chain, unchain
 from .treewidth import (
     arbval_tw,
     checkcore_tw,
@@ -126,7 +125,8 @@ def arbval_local(
     mixed = mixed_indices(o.structure, deviators)
 
     # A[t] = best payment to S when it withdraws t in all
-    A = dict.fromkeys(product(*[range(b + 1) for b in shared]))
+    box = Box(shared)
+    A = dict.fromkeys(box.keys)
     A[(0,) * len(coords)] = ZERO
     options, layers = [], []
     for j in mixed:
@@ -137,7 +137,7 @@ def arbval_local(
         pays = {z: rule.coalition_payoff(g.charfun, c, w, x, deviators) for z, w in by_z.items()}
         options.append(by_z)
         layers.append(([coords.index(i) for i in wcoords], pays))
-    A, trail = chain(shared, A, layers)
+    A, trail = chain(box, A, layers)
 
     cover = CoverTable(
         g.charfun.atoms_within(deviators),

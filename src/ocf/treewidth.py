@@ -78,7 +78,7 @@ from .core import (
     require_outcome,
     support,
 )
-from .covers import _denominator, _frontier, _scaled, chain, closure, convolve, unchain, unwind
+from .covers import Box, _denominator, _frontier, _scaled, chain, closure, convolve, unchain, unwind
 from .stability import cutting_plane
 
 
@@ -383,7 +383,9 @@ class KeepTable:
             pays = [rule.coalition_payoff(g.charfun, c, d, x, S) for d in withdrawals]
             layers.append(((0,), _line(pays)))
             self.cap += c[dev]
-        table, self._trail = chain((self.cap,), _line([ZERO] + [None] * self.cap), layers)
+        box = Box((self.cap,))
+        start = dict(zip(box.keys, [ZERO] + [None] * self.cap))
+        table, self._trail = chain(box, start, layers)
         self.values = list(table.values())
 
     def value(self, y: int) -> Fraction | None:
@@ -414,7 +416,9 @@ class VBarTable:
     def __init__(self, single: SingleTable, alpha: AlphaTable, cap: int):
         self.single = single
         self.alpha = alpha
-        table, self._trail = chain((cap,), _line(single.values), [((0,), _line(alpha.values))])
+        box = Box((cap,))
+        start = dict(zip(box.keys, single.values))
+        table, self._trail = chain(box, start, [((0,), _line(alpha.values))])
         self.values = list(table.values())
 
     def witness(self, w: int) -> list[Coalition]:
@@ -482,6 +486,14 @@ class _BagEngine:
     finished tables in ``self.final``, which CheckCore merges once per subset
     of the parent bag.  Values are those of the full operands; a walk reads
     its witness through the first non-dominated entry that reaches a value.
+
+    The engine keeps one ``covers.Box`` per distinct caps of its sets D
+    while it builds its tables, and drops them once every bag is done.
+    Each D's first table is keyed by its box's canonical states, and every
+    later table of D copies those keys, so the kernel's memoised sweeps
+    look each state up by identity.  With the set fixed (``_whole_bag``) a
+    bag has one table per child and no competing sources, so it keeps no
+    flags or per-state winners beyond the one source each.
     """
 
     def __init__(
@@ -523,37 +535,23 @@ class _BagEngine:
         self.every_subset = every_subset
         self.final: dict[int, dict] = {}
         self.bp: dict[int, dict] = {}
+        boxes: dict[Coalition, Box] = {}  # one per distinct caps of a set D
         for X in post:
-            self._bag(X)
+            self._bag(X, boxes)
 
-    def _bag(self, X: int) -> None:
+    def _bag(self, X: int, boxes: dict[Coalition, Box]) -> None:
+        if not self.every_subset:
+            self._whole_bag(X, boxes)
+            return
         ax = self.agents[X]
         sep_x = self.sep[X]
         homed = self.homed[X]
-        edges = self.edges_at[X]
         kids = [(self.sep[Y], self.final[Y]) for Y in self.children[X]]
-        all_caps, span, solo, zeros = self.caps, self._span, self._solo, self._zeros
-        if self.every_subset:
-            subsets = [
-                tuple(i for k, i in enumerate(ax) if bits >> k & 1) for bits in range(1 << len(ax))
-            ]
-        else:
-            subsets = [ax]
         final: dict = {}
         bp: dict = {}
-        for D in subsets:
-            pos = dict(zip(D, range(len(D))))
-            caps = tuple(all_caps[i] for i in D)
-            box = product(*[span[i] for i in D])
-            rows = product(*[solo[i] if i in homed else zeros[i] for i in D])
-            cur = {r: sum(vs) for r, vs in zip(box, rows)}
-            # (member, non-member) edges with a keep row
-            cut = [(a, b) if a in pos else (b, a) for a, b in edges if (a in pos) != (b in pos)]
-            keep_edges = [e for e in cut if e in self._keeps]
-            cur, keep_trail = chain(caps, cur, [((pos[e[0]],), self._keeps[e]) for e in keep_edges])
-            pairs = [p for a, b in edges if a in pos and b in pos for p in self._pairs[(a, b)]]
-            atoms = [(tuple(c[i] for i in D), v) for c, v in pairs]
-            cur, atom_bp = closure(caps, atoms, cur)
+        for bits in range(1 << len(ax)):
+            D = tuple(i for k, i in enumerate(ax) if bits >> k & 1)
+            box, pos, cur, walk_back = self._layer(X, D, boxes)
             # child merges, one table per flag; per child and flag, the
             # (f_prev, f_child, trail) sources and the states a later one won
             layer = {any(i in pos for i in homed): cur}
@@ -565,27 +563,71 @@ class _BagEngine:
                 steps: dict = {}
                 for f_prev, prev in layer.items():
                     for f_child, child in by.get(mask_y, {}).items():
-                        out, picks = convolve(caps, prev, axes, child)
+                        out, picks = convolve(box, prev, axes, child)
                         source = (f_prev, f_child, [(axes, picks)])
                         _keep_best(merged, steps, f_prev or f_child, out, source)
                 layer = merged
                 child_bp.append(steps)
-            rec = (D, pos, keep_edges, keep_trail, pairs, atoms, atom_bp, child_bp)
-            # project onto the parent separator: members there get quota q,
-            # the rest own their whole caps; both products run in q's order
-            qs = product(*[span[i] for i in D if i in sep_x])
-            avail = product(*[span[i] if i in sep_x else (all_caps[i],) for i in D])
-            at = list(zip(qs, avail))
+            rec = (*walk_back, child_bp)
             mask = tuple(i in pos for i in sep_x)
             tables = final.setdefault(mask, {})
             steps = bp.setdefault(mask, {})
             for flag, top in layer.items():
-                _keep_best(tables, steps, flag, {q: top[r] for q, r in at}, rec)
+                _keep_best(tables, steps, flag, self._project(X, D, top), rec)
         self.final[X] = {
             mask: {flag: _frontier(table) for flag, table in by_flag.items()}
             for mask, by_flag in final.items()
         }
         self.bp[X] = bp
+
+    def _whole_bag(self, X: int, boxes: dict[Coalition, Box]) -> None:
+        """``_bag`` with the set fixed to every vertex: D is the whole bag,
+        each child has one table, under the full mask, and no two sources
+        ever compete for a state, so every table sits under the flag True
+        that ``value`` and ``walk`` read."""
+        D = self.agents[X]
+        box, pos, cur, walk_back = self._layer(X, D, boxes)
+        child_bp: list[dict] = []
+        for Y in self.children[X]:
+            sep_y = self.sep[Y]
+            axes = [pos[i] for i in sep_y]
+            cur, picks = convolve(box, cur, axes, self.final[Y][(True,) * len(sep_y)][True])
+            child_bp.append({True: ([(True, True, [(axes, picks)])], {})})
+        mask = (True,) * len(self.sep[X])
+        self.final[X] = {mask: {True: _frontier(self._project(X, D, cur))}}
+        self.bp[X] = {mask: {True: ([(*walk_back, child_bp)], {})}}
+
+    def _layer(self, X: int, D: tuple[int, ...], boxes: dict[Coalition, Box]):
+        """Set D's box table at bag X before the child merges: the solo rows
+        of the members homed at X, their keep rows with non-members, and the
+        pair atoms inside D.  Returns D's box, its axis per member, the
+        table, and what a walk reads it back through."""
+        homed = self.homed[X]
+        edges = self.edges_at[X]
+        pos = dict(zip(D, range(len(D))))
+        caps = tuple(self.caps[i] for i in D)
+        box = boxes.get(caps)
+        if box is None:
+            box = boxes[caps] = Box(caps)
+        rows = product(*[self._solo[i] if i in homed else self._zeros[i] for i in D])
+        cur = dict(zip(box.keys, map(sum, rows)))
+        # (member, non-member) edges with a keep row
+        cut = [(a, b) if a in pos else (b, a) for a, b in edges if (a in pos) != (b in pos)]
+        keep_edges = [e for e in cut if e in self._keeps]
+        cur, keep_trail = chain(box, cur, [((pos[e[0]],), self._keeps[e]) for e in keep_edges])
+        pairs = [p for a, b in edges if a in pos and b in pos for p in self._pairs[(a, b)]]
+        atoms = [(tuple(c[i] for i in D), v) for c, v in pairs]
+        cur, atom_bp = closure(box, atoms, cur)
+        return box, pos, cur, (D, pos, keep_edges, keep_trail, pairs, atoms, atom_bp)
+
+    def _project(self, X: int, D: tuple[int, ...], top: dict) -> dict:
+        """``top`` on the parent separator: members there get quota q, the
+        rest own their whole caps; both products run in q's order."""
+        sep_x = self.sep[X]
+        span, caps = self._span, self.caps
+        qs = product(*[span[i] for i in D if i in sep_x])
+        avail = product(*[span[i] if i in sep_x else (caps[i],) for i in D])
+        return {q: top[r] for q, r in zip(qs, avail)}
 
     def value(self) -> Fraction | None:
         """Best value over sets with a member; None if no state reached."""

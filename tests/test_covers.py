@@ -7,7 +7,7 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocf.covers import _frontier, chain, closure, convolve, single_cover, unchain, unwind
+from ocf.covers import Box, _frontier, chain, closure, convolve, single_cover, unchain, unwind
 
 NUMBERS = {
     "int": lambda rng: rng.randint(-5, 9),
@@ -104,6 +104,9 @@ def test_convolve_matches_brute_force():
         prev = _random_table(rng, _box(caps), number, none_share)
         # other's domain reaches one past the caps, so some z never fit
         other = _random_table(rng, _box([caps[p] + 1 for p in axes]), number, none_share)
+        if trial % 5 == 0:
+            # the zero vector alone: an identity merge, or a constant added
+            other = {(0,) * len(axes): 0 if trial % 10 else number(rng)}
         out, picks = convolve(caps, prev, axes, other)
         assert list(out) == _box(caps) and list(picks) == _box(caps)
         for r in _box(caps):
@@ -241,3 +244,54 @@ def test_chain_is_convolve_layer_by_layer_and_unchain_reads_it_back(data):
                 total[p] += zz
         assert tuple(total) == r
         assert base[rest] + sum(other[z] for (_, other), z in zip(layers, picks)) == v
+
+
+def test_box_pairs_are_the_shifted_states_in_product_order():
+    """``pairs(shift)`` is every ``(r, r - shift)`` with ``r`` in the box, in
+    product order, and nothing once the shift passes the caps.  Both sides
+    are the box's own key objects, and asking again returns the kept answer."""
+    for caps in [(), (0,), (3,), (2, 0, 1), (1, 3), (2, 2, 2)]:
+        box = Box(caps)
+        assert box.keys == tuple(_box(caps))
+        ids = {id(k) for k in box.keys}
+        for shift in _box([c + 1 for c in caps]):
+            want = [(r, _sub(r, shift)) for r in _box(caps) if _fits(shift, r)]
+            hi, lo = got = box.pairs(shift)
+            assert list(zip(hi, lo)) == want
+            assert all(id(r) in ids for r in hi + lo)
+            assert box.pairs(shift) is got
+
+
+def test_kernel_reads_equal_keys_like_canonical_ones():
+    """A table keyed by tuples equal to the box's keys, but other objects,
+    gives the same ``(out, picks)`` as one keyed by the keys themselves,
+    through ``convolve``, ``closure`` and ``chain``."""
+    rng = random.Random(23)
+    for trial in range(60):
+        caps = tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 3)))
+        box = Box(caps)
+        values = [rng.choice((None, rng.randint(-4, 9))) for _ in box.keys]
+        canonical = dict(zip(box.keys, values))
+        fresh = {tuple(list(r)): v for r, v in canonical.items()}
+        assert all(a is not b for a, b in zip(fresh, canonical) if a)
+        axes = sorted(rng.sample(range(len(caps)), rng.randint(0, len(caps))))
+        other = {z: rng.randint(-3, 9) for z in _box([caps[p] + 1 for p in axes])}
+        atoms = [(a, rng.randint(1, 9)) for a in _box(caps) if any(a)][: rng.randint(0, 4)]
+        assert convolve(box, fresh, axes, other) == convolve(box, canonical, axes, other)
+        assert convolve(caps, fresh, axes, other) == convolve(box, canonical, axes, other)
+        assert closure(box, atoms, fresh) == closure(caps, atoms, canonical)
+        layers = [(axes, other), (axes, {z: v - 1 for z, v in other.items()})]
+        assert chain(box, fresh, layers) == chain(caps, canonical, layers)
+
+
+def test_kernel_on_a_box_with_no_axes():
+    """The box with no axes holds one state, the empty tuple; every kernel
+    call over it works on that state alone."""
+    box = Box(())
+    assert box.keys == ((),) and box.pairs(()) == (((),), ((),))
+    assert convolve(box, {(): 3}, [], {(): 2}) == ({(): 5}, {(): ()})
+    assert convolve((), {(): None}, [], {(): 2}) == ({(): None}, {(): None})
+    assert convolve(box, {(): 1}, [], {(): None}) == ({(): None}, {(): None})
+    assert closure(box, [], {(): 1}) == ({(): 1}, {(): None})
+    table, trail = chain(box, {(): 0}, [([], {(): 1}), ([], {(): 2})])
+    assert table == {(): 3} and unchain(trail, ()) == ([(), ()], ())

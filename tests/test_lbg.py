@@ -256,6 +256,16 @@ def test_gen_routing_examples():
     assert lbg_optimal(inst).value == 2
 
 
+@pytest.mark.parametrize("price", [F(-1, 2), F(-2)])
+def test_generators_refuse_every_negative_price(price):
+    """A negative price reaches ``make_lbg_instance`` and is refused, however
+    far below zero it lies; no task is dropped on the way."""
+    with pytest.raises(ContractViolation, match="non-negative"):
+        gen_multicommodity_flow([(0, 1)], [(0, 1, F(1), price)], {(0, 1): F(1)})
+    with pytest.raises(ContractViolation, match="non-negative"):
+        gen_routing(3, [(0, 1), (1, 2)], [F(1)] * 3, [(0, 2, price)])
+
+
 def test_generated_instances_are_core_stable():
     gens = [
         gen_multicommodity_flow(

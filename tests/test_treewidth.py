@@ -507,6 +507,31 @@ def test_solo_covers_are_built_once_per_game(monkeypatch):
     assert caps == list(g.weights)
 
 
+def test_boxes_die_with_the_solver_call(monkeypatch):
+    """Every ``covers.Box`` a solver call makes, with its memo of sweeps,
+    belongs to an object of that call: none outlives it.  Checked on OptVal,
+    CheckCore and Is-Stable over a path game."""
+    import gc
+    import weakref
+
+    made = []
+    init = ocf.covers.Box.__init__
+
+    def recorded(self, caps):
+        init(self, caps)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(ocf.covers.Box, "__init__", recorded)
+    g = _pair_game(6, [(i, i + 1) for i in range(5)], 2)
+    _, cs = optval_tree(g, g.weights)
+    o = random_outcome(random.Random(3), g)
+    for rule in RULES:
+        checkcore_tw(g, rule, o)
+        is_stable_tw(g, rule, cs)
+    gc.collect()
+    assert made and all(ref() is None for ref in made)
+
+
 def _non_decreasing(table: dict) -> bool:
     """Every axis of a box table is non-decreasing, None lowest."""
     for r, v in table.items():
@@ -526,12 +551,12 @@ def test_bag_engine_merges_into_monotone_tables(monkeypatch):
     re-check."""
     import ocf.treewidth as tw
 
-    bag = tw._BagEngine._bag.__code__
+    engine = {f.__code__ for f in (tw._BagEngine._bag, tw._BagEngine._whole_bag, tw._BagEngine._layer)}
     seen = {"convolve": [], "closure": []}
 
     def watched(kernel, at):  # ``prev`` is convolve's 2nd argument, closure's 3rd
         def call(*args):
-            if sys._getframe(1).f_code is bag:
+            if sys._getframe(1).f_code in engine:
                 seen[kernel.__name__].append(_non_decreasing(args[at]))
             return kernel(*args)
 
