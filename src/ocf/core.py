@@ -211,20 +211,26 @@ class CharacteristicFunction:
         }
 
     @cached_property
-    def _pair_frontiers(self) -> dict[tuple[int, int], list[tuple[Coalition, Fraction]]]:
+    def scale(self) -> int:
+        """The lcm of the denominators of the atom values: the scale of the
+        game's ``int`` tables (``_pair_frontiers``, ``GameDef._solo_covers``)."""
+        return _denominator(v for row in self._support_atoms.values() for _, v in row)
+
+    @cached_property
+    def _pair_frontiers(self) -> dict[tuple[int, int], list[tuple[Coalition, int]]]:
         """Each two-agent support's atoms that no atom at fewer or equal
         units of both agents matches in value (``covers._frontier``), as
-        (vector, value) pairs.  The bag engine merges only these; dominance
-        survives its positive scaling, so they are found once per game."""
+        (vector, value times ``scale``) pairs.  The bag engine merges only
+        these; dominance survives its positive scaling, so they are found
+        once per game."""
         out = {}
+        d = self.scale
         for sup, row in self._support_atoms.items():
             if len(sup) == 2:
                 a, b = sup
-                # an atom is keyed by its two ends' units, which fix it, and
-                # compared on its value scaled to an int, which is faster
-                atom = {(c[a], c[b]): (c, v) for c, v in row}
-                d = _denominator(v for _, v in row)
-                front = _frontier({z: _scaled(v, d) for z, (_, v) in atom.items()})
+                # an atom is keyed by its two ends' units, which fix it
+                atom = {(c[a], c[b]): (c, _scaled(v, d)) for c, v in row}
+                front = _frontier({z: v for z, (_, v) in atom.items()})
                 out[sup] = [atom[z] for z in front]
         return out
 
@@ -322,14 +328,20 @@ class GameDef:
         return out
 
     @cached_property
-    def _solo_covers(self) -> list[tuple[list, list[Fraction], dict]]:
-        """Each agent's ``single_cover`` over its whole weight: (atoms,
-        v*_i(w) for w = 0..w_i, picks).  Every solver reads a prefix of it."""
+    def _solo_covers(self) -> list[tuple[list, list[int], dict]]:
+        """Each agent's ``single_cover`` over its whole weight, on values
+        times ``charfun.scale``: (atoms, v*_i(w) for w = 0..w_i, picks).
+        Every solver reads a prefix of it; ``solo_value`` divides back."""
+        d = self.charfun.scale
         out = []
         for i, weight in enumerate(self.weights):
-            atoms = [((c[i],), v) for c, v in self.charfun._support_atoms.get((i,), ())]
+            atoms = [((c[i],), _scaled(v, d)) for c, v in self.charfun._support_atoms.get((i,), ())]
             out.append((atoms, *single_cover(atoms, weight)))
         return out
+
+    def solo_value(self, i: int, w: int) -> Fraction:
+        """v*_i(w): the best agent ``i`` makes alone with ``w`` units."""
+        return Fraction(self._solo_covers[i][1][w], self.charfun.scale)
 
     def check_coalition(self, c: Coalition) -> None:
         if len(c) != self.n:
@@ -509,8 +521,8 @@ def validate_outcome(o: Outcome, g: GameDef, ir_mode: str = "full-endowment") ->
     if ir_mode not in ("full-endowment", "unit"):
         raise ContractViolation(f"unknown ir_mode {ir_mode!r}")
     problems = outcome_violations(g, o)
-    for i, (_, values, _) in enumerate(g._solo_covers):
-        baseline = values[-1] if ir_mode == "full-endowment" else values[1]
+    for i, w in enumerate(g.weights):
+        baseline = g.solo_value(i, w if ir_mode == "full-endowment" else 1)
         got = o.payoff_to_agent(i)
         if got < baseline:
             problems.append(

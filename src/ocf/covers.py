@@ -3,8 +3,8 @@
 Every pseudo-polynomial solver here takes a best value over resource vectors
 and adds the values of parts.  Two primitives do that work; both take tables
 keyed by resource tuples, in which ``None`` marks an unreachable state, and
-work on any ordered additive values (scaled ``int``s in the bag engine and
-``CoverTable``, ``Fraction`` elsewhere):
+work on any ordered additive values (every solver passes scaled ``int``s;
+the tests pass ``Fraction``s too):
 
 * ``closure`` - the unbounded atom knapsack
   ``best(r) = max(base(r), max over atoms a <= r of value(a) + best(r - a))``;
@@ -15,10 +15,12 @@ work on any ordered additive values (scaled ``int``s in the bag engine and
 * ``convolve`` - the bounded (max,+) convolution of a box table with a table
   over some of its axes; ``chain`` runs it layer by layer, and ``unchain``
   walks a chain's picks back into one choice per layer.  Chains build the
-  bag engine's keep rows, its feeder tables ``KeepTable`` (``AlphaTable``
-  is one over several edges) and ``VBarTable`` in :mod:`ocf.treewidth`,
-  and the withdrawal DP of ``arbval_local`` in :mod:`ocf.tree`; the
-  engine's child merges are single layers, read back by ``unchain`` too.
+  bag engine's keep rows and the withdrawal DP of ``arbval_local`` in
+  :mod:`ocf.tree`; the engine's child merges are single layers, read back
+  by ``unchain`` too.  ``line_chain`` is ``chain`` on one axis, over plain
+  lists indexed by units, with ``convolve``'s rules, and ``line_unchain``
+  reads it back: the feeder tables ``KeepTable`` (``AlphaTable`` is one
+  over several edges) and ``VBarTable`` in :mod:`ocf.treewidth` run on it.
 
 Both sweep the box below some caps once per atom or entry: every state
 ``r`` that the shift (the atom, or the entry placed on its axes) fits into,
@@ -27,11 +29,11 @@ keeps each sweep it is asked for as two tuples of those states, so a table
 keyed by ``Box.keys`` answers every lookup of a repeated sweep by identity,
 with no fresh tuple built.  Each object that builds tables owns its boxes
 and drops them when it is done: the bag engine keeps one per distinct caps
-of its sets D, and every ``chain`` (the feeder tables, ``arbval_local``)
-one for its layers.  A lone ``closure`` or ``convolve`` may take plain caps
-instead (``CoverTable``, ``single_cover``); it sweeps each shift once, on
-fresh tuples.  A merge whose other operand is the zero vector alone is
-``prev`` plus a constant and sweeps nothing.
+of its sets D, and every ``chain`` (``arbval_local``) one for its layers.
+A lone ``closure`` or ``convolve`` may take plain caps instead
+(``CoverTable``, ``single_cover``); it sweeps each shift once, on fresh
+tuples.  A merge whose other operand is the zero vector alone is ``prev``
+plus a constant and sweeps nothing.
 
 ``_frontier`` keeps the entries of a table that no entry at smaller or equal
 resources matches in value (the dominance rule of knapsack DPs).  Against a
@@ -46,10 +48,12 @@ zero, only the positive-valued stored coalitions ("atoms") ever matter, and
 leftover resources can always idle in worthless filler coalitions, so the
 cover is ``closure`` over a base of zeros.  ``CoverTable`` runs it on
 ``int``s: the atom values are scaled once by the lcm of their denominators
-(``_denominator``, shared with the bag engine) and each lookup divides back
-into a ``Fraction``.  Scaling by a positive constant keeps every comparison,
-so values and picks are those of the ``Fraction`` table.  This module
-imports nothing from the package, so :mod:`ocf.core` can build on it.
+(``_denominator``) and each lookup divides back into a ``Fraction``.  Every
+other table does the same at a scale of its own (``_scaled``), and a table
+that merges tables of several scales lifts each to their lcm (``_lift``).
+Scaling by a positive constant keeps every comparison, so values and picks
+are those of the ``Fraction`` table.  This module imports nothing from the
+package, so :mod:`ocf.core` can build on it.
 """
 
 from __future__ import annotations
@@ -61,8 +65,6 @@ from itertools import product
 from typing import Iterable
 
 Coalition = tuple[int, ...]
-
-ZERO = Fraction(0)
 
 
 _NO_PAIRS: tuple[tuple, tuple] = ((), ())
@@ -225,6 +227,46 @@ def unchain(trail: list, r: tuple[int, ...]) -> tuple[list, tuple[int, ...]]:
     return picks, r
 
 
+def line_chain(table: list, layers: Iterable[list]) -> tuple[list, list[list]]:
+    """``chain`` on one axis, over plain lists indexed by units: ``table``
+    holds every state up to its cap, ``len(table) - 1``, and each layer is
+    the row ``other`` of one ``convolve``, indexed by ``z``.  Same rules:
+    None is unreachable, entries beyond the cap never fit, the first best
+    ``z`` wins, and a row whose only entry is at ``z = 0`` adds a constant.
+    Returns the last table and a trail of each layer's picks, a list per
+    layer with None where nothing reaches the state."""
+    top = len(table)
+    trail = []
+    for other in layers:
+        out: list = [None] * top
+        picks: list = [None] * top
+        for z, v in enumerate(other[:top]):
+            if v is None:
+                continue
+            for r, prior in enumerate(table[: top - z], z):
+                if prior is not None:
+                    cand = prior + v
+                    cur = out[r]
+                    if cur is None or cand > cur:
+                        out[r] = cand
+                        picks[r] = z
+        table = out
+        trail.append(picks)
+    return table, trail
+
+
+def line_unchain(trail: list[list], r: int) -> tuple[list[int], int]:
+    """Walk ``line_chain``'s trail back from a reachable state ``r``: each
+    layer's pick, in layer order, and the units left to the first table."""
+    picks = []
+    for at in reversed(trail):
+        z = at[r]
+        picks.append(z)
+        r -= z
+    picks.reverse()
+    return picks, r
+
+
 def _frontier(table: dict) -> dict:
     """The entries of ``table`` that no other entry dominates, in key order.
 
@@ -264,6 +306,12 @@ def _scaled(v: Fraction | None, d: int) -> int | None:
     return None if v is None else v.numerator * (d // v.denominator)
 
 
+def _lift(row: list, m: int) -> list:
+    """An ``int`` row scaled by ``m``, from its own scale to a multiple of
+    it: one multiply per entry, None kept; the row itself when ``m`` is 1."""
+    return row if m == 1 else [None if v is None else v * m for v in row]
+
+
 class CoverTable:
     """Dense cover table over all resource vectors below ``caps``.
 
@@ -291,15 +339,14 @@ class CoverTable:
         return [self.atoms[k][0] for k in picked]
 
 
-def single_cover(
-    atoms: list[tuple[tuple[int], Fraction]], cap: int
-) -> tuple[list[Fraction], dict]:
+def single_cover(atoms: list[tuple[tuple[int], int]], cap: int) -> tuple[list[int], dict]:
     """1-d cover: best value of splitting w units of one agent, w = 0..cap.
 
-    ``atoms`` are ((units,), value) pairs with units >= 1 and value > 0.
-    Returns the value table as a list and ``closure``'s picks, keyed by
+    ``atoms`` are ((units,), value) pairs with units >= 1 and value > 0; the
+    game passes its values scaled to ``int``s, and the base is the ``int``
+    0.  Returns the value table as a list and ``closure``'s picks, keyed by
     (w,), which ``unwind`` walks back into one optimal split.  The table
     for a smaller cap is a prefix of this one, picks included.
     """
-    best, picks = closure((cap,), atoms, {(w,): ZERO for w in range(cap + 1)})
+    best, picks = closure((cap,), atoms, {(w,): 0 for w in range(cap + 1)})
     return list(best.values()), picks

@@ -365,6 +365,25 @@ def iter_lbg_deviations(
             yield abandon, z
 
 
+def _screen_terms(
+    inst: LbgInstance, out: LbgOutcome, deviators: frozenset[int]
+) -> tuple[list[int], list[int], dict[int, Fraction], dict[int, Fraction]]:
+    """What S's screen LP reads: the mixed and inside tasks of
+    ``_task_split``, each deviator's base (its unused weight plus the levels
+    of the executed tasks inside S it is in) and each mixed task's share of
+    its payoffs paid to S."""
+    forced, mixed, inside = _task_split(inst, out, deviators)
+    base = {
+        i: out.unused(i)
+        + sum((out.levels[j] for j in forced if i in inst.tasks[j].agents), start=ZERO)
+        for i in deviators
+    }
+    share = {
+        j: sum((out.payoffs[j].get(i, ZERO) for i in deviators), start=ZERO) for j in mixed
+    }
+    return mixed, inside, base, share
+
+
 def _screen_value(
     inst: LbgInstance, out: LbgOutcome, deviators: frozenset[int]
 ) -> Fraction:
@@ -374,32 +393,48 @@ def _screen_value(
     "abandon"; the bound is tight enough that it never fires on dual-priced
     outcomes, which is exactly the theorem being verified.
     """
-    forced, mixed, inside = _task_split(inst, out, deviators)
-    coords = sorted(deviators)
+    mixed, inside, base, share = _screen_terms(inst, out, deviators)
     nv = len(inside) + 2 * len(mixed)  # c_j, then (f_j, gain_j) per mixed task
     obj = [inst.tasks[j].pi for j in inside] + [ZERO, ONE] * len(mixed)
     lp = LinearProgram(n_vars=nv, objective=obj)
     fpos = {j: len(inside) + 2 * k for k, j in enumerate(mixed)}
-    for i in coords:
+    for i in sorted(deviators):
         coeffs: dict[int, Fraction] = {
             m: ONE for m, j in enumerate(inside) if i in inst.tasks[j].agents
         }
-        base = out.unused(i) + sum(
-            (out.levels[j] for j in forced if i in inst.tasks[j].agents), start=ZERO
-        )
         for j in mixed:
             if i in inst.tasks[j].agents:
                 coeffs[fpos[j]] = coeffs.get(fpos[j], ZERO) - ONE
-        lp.add_row(coeffs, "<=", base)
+        lp.add_row(coeffs, "<=", base[i])
     for j in mixed:
         lvl = out.levels[j]
-        share = sum((out.payoffs[j].get(i, ZERO) for i in deviators), start=ZERO)
         lp.add_row({fpos[j]: ONE}, "<=", lvl)
         # gain_j <= share * (1 - f_j / lvl)
-        lp.add_row({fpos[j] + 1: ONE, fpos[j]: share / lvl}, "<=", share)
+        lp.add_row({fpos[j] + 1: ONE, fpos[j]: share[j] / lvl}, "<=", share[j])
     sol = solve_lp(lp)
     assert sol.status == "optimal" and sol.objective_value is not None
     return sol.objective_value
+
+
+def _dual_bound(
+    inst: LbgInstance, out: LbgOutcome, deviators: frozenset[int], prices: tuple[Fraction, ...]
+) -> Fraction:
+    """Objective of one dual-feasible point of ``_screen_value``'s LP for S,
+    so an upper bound on its value (weak duality).
+
+    ``prices`` are dual prices of ``lbg_optimal``: non-negative, and every
+    task's agents' prices add up to at least its price, so they cover the
+    columns of the tasks inside S.  Each mixed task t's gain row takes
+    multiplier 1, which covers its gain column, and its level row takes
+    max(0, prices(S ∩ t) - share/level), which covers its f column.
+    """
+    mixed, _, base, share = _screen_terms(inst, out, deviators)
+    bound = sum((prices[i] * base[i] for i in deviators), start=ZERO)
+    for j in mixed:
+        lvl = out.levels[j]
+        inside = sum((prices[i] for i in inst.tasks[j].agents & deviators), start=ZERO)
+        bound += share[j] + max(ZERO, inside - share[j] / lvl) * lvl
+    return bound
 
 
 def lbg_verify_core(
@@ -410,19 +445,23 @@ def lbg_verify_core(
 ) -> LbgDeviation | None:
     """Search for a deviation whose total payoff beats what S earns now.
 
-    Every nonempty S is first screened with an exact LP upper bound; only
-    sets the bound cannot clear are grid-enumerated.  Returns the first
-    strictly profitable deviation found, or None.  For dual-priced outcomes
-    the screen always clears (that is the §-theorem this function tests).
+    Every nonempty S is first screened by weak duality: the dual prices of
+    one ``lbg_optimal`` give a dual-feasible point of S's screen LP
+    (``_dual_bound``), and only when its objective exceeds what S earns is
+    the exact screen LP solved.  Only sets the LP bound cannot clear either
+    are grid-enumerated.  Returns the first strictly profitable deviation
+    found, or None.  For dual-priced outcomes the dual point always clears
+    (that is the §-theorem this function tests), so no screen LP is solved.
     """
     problems = validate_lbg_outcome(out)
     if problems:
         raise ContractViolation("invalid outcome: " + "; ".join(problems))
     grid = _require_grid(grid)
+    prices = lbg_optimal(inst).duals
     for mask in range(1, 1 << inst.n):
         S = frozenset(i for i in range(inst.n) if mask >> i & 1)
         p_s = out.payoff_to_set(S)
-        if _screen_value(inst, out, S) <= p_s:
+        if _dual_bound(inst, out, S, prices) <= p_s or _screen_value(inst, out, S) <= p_s:
             continue
         for abandon, z in iter_lbg_deviations(inst, out, S, grid, max_profiles_per_set):
             record = lbg_best_deviation(inst, out, S, abandon, z)

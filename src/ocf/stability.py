@@ -147,10 +147,11 @@ def ir_rows(
     answer.  Under the unclamped optimistic rule a payment can be negative;
     there the rows keep Is-Stable's imputations individually rational."""
     rows = []
-    for i, (_, values, _) in enumerate(g._solo_covers):
-        if values[-1] > 0:
+    for i, w in enumerate(g.weights):
+        solo = g.solo_value(i, w)
+        if solo > 0:
             coeffs = {v: ONE for (j, k), v in var_of.items() if k == i}
-            rows.append((coeffs, values[-1]))
+            rows.append((coeffs, solo))
     return rows
 
 

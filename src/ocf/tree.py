@@ -21,6 +21,7 @@ engine live in :mod:`ocf.treewidth`.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .arbitration import (
@@ -32,7 +33,6 @@ from .arbitration import (
     withdrawal_options,
 )
 from .core import (
-    ZERO,
     BudgetExceededError,
     Coalition,
     CoalitionStructure,
@@ -43,7 +43,7 @@ from .core import (
     mixed_indices,
     require_outcome,
 )
-from .covers import Box, CoverTable, chain, unchain
+from .covers import Box, CoverTable, _denominator, _scaled, chain, unchain
 from .treewidth import (
     arbval_tw,
     checkcore_tw,
@@ -108,8 +108,10 @@ def arbval_local(
     coalitions it shares with outsiders, each of which pays S for its own
     withdrawal.  A DP over those coalitions, one (max,+) convolution each,
     finds the best payment for every t in the box below S's share of them;
-    the answer is the best cover of base + t plus that payment.  The box has
-    up to (W+1)^|S| states, so the set size is capped.  The outcome passes
+    the answer is the best cover of base + t plus that payment.  The DP and
+    that last scan run on ``int``s, at the lcm of the cover's scale and the
+    payments' denominators.  The box has up to (W+1)^|S| states, so the set
+    size is capped.  The outcome passes
     ``core.require_outcome``, as on every lane.
     """
     require_local(rule)
@@ -123,11 +125,11 @@ def arbval_local(
     base = deviation_available(g, o.structure, deviators, Deviation())
     shared = tuple(g.weights[i] - base[i] for i in coords)
     mixed = mixed_indices(o.structure, deviators)
+    cover = CoverTable(
+        g.charfun.atoms_within(deviators),
+        tuple(w if i in deviators else 0 for i, w in enumerate(g.weights)),
+    )
 
-    # A[t] = best payment to S when it withdraws t in all
-    box = Box(shared)
-    A = dict.fromkeys(box.keys)
-    A[(0,) * len(coords)] = ZERO
     options, layers = [], []
     for j in mixed:
         c = o.structure[j]
@@ -137,21 +139,27 @@ def arbval_local(
         pays = {z: rule.coalition_payoff(g.charfun, c, w, x, deviators) for z, w in by_z.items()}
         options.append(by_z)
         layers.append(([coords.index(i) for i in wcoords], pays))
+    # one int scale for the cover and the payments, read once the rule has paid
+    d = math.lcm(cover.scale, _denominator(*(pays.values() for _, pays in layers)))
+    layers = [(axes, {z: _scaled(v, d) for z, v in pays.items()}) for axes, pays in layers]
+    # A[t] = best payment to S, times d, when it withdraws t in all
+    box = Box(shared)
+    A = dict.fromkeys(box.keys)
+    A[(0,) * len(coords)] = 0
     A, trail = chain(box, A, layers)
 
-    cover = CoverTable(
-        g.charfun.atoms_within(deviators),
-        tuple(w if i in deviators else 0 for i, w in enumerate(g.weights)),
-    )
+    m = d // cover.scale
+    value_at = cover.value_at
     best = None
     for t, paid in A.items():
         have = list(base)
         for i, u in zip(coords, t):
             have[i] += u
-        cand = cover.value(have) + paid
+        cand = value_at[tuple(have)] * m + paid
         if best is None or cand > best:
             best, best_t, best_have = cand, t, have
     assert best is not None
+    best = Fraction(best, d)
     if not with_witness:
         return best
     picks, _ = unchain(trail, best_t)

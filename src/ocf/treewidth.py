@@ -40,16 +40,23 @@ outside neighbours into its solo row.)  Resources flow root-to-leaves
 through separator quotas, so anything an agent owns is available at its home
 bag and below.
 
-Arithmetic: each engine call scales every value its tables read (atom values,
-solo rows, payoffs, keep rows) by one common denominator D and runs the
-(max,+) kernel of :mod:`ocf.covers` (``closure`` for the atoms priced at a
-bag, ``chain`` for keep rows, ``convolve`` for child merges, and ``unwind``
-and ``unchain`` to read them back) on Python ints, which is exact; answers
-are converted back to ``Fraction`` on the way out.
+Arithmetic: every table here holds Python ``int``s, which is exact.  The
+game holds its solo covers and pair atoms at its own ``charfun.scale``; a
+keep or alpha table scales the payments it reads by the lcm of their
+denominators, taken once the rule has paid, since a rule may pay any
+rational; a value-bar table works at the lcm of its two tables' scales.
+Each engine call takes its rows with their scales and lifts every row and
+atom to the lcm D of those scales and the game's, one integer multiply per
+entry, then runs the (max,+) kernel of :mod:`ocf.covers` (``closure`` for
+the atoms priced at a bag, ``chain`` for keep rows, ``convolve`` for child
+merges, and ``unwind`` and ``unchain`` to read them back).  Values are
+divided back into ``Fraction`` at the API: ``KeepTable.value`` and the
+engine's ``value``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -78,7 +85,20 @@ from .core import (
     require_outcome,
     support,
 )
-from .covers import Box, _denominator, _frontier, _scaled, chain, closure, convolve, unchain, unwind
+from .covers import (
+    Box,
+    _denominator,
+    _frontier,
+    _lift,
+    _scaled,
+    chain,
+    closure,
+    convolve,
+    line_chain,
+    line_unchain,
+    unchain,
+    unwind,
+)
 from .stability import cutting_plane
 
 
@@ -339,12 +359,14 @@ def _layout(t: TreeDecomposition, vertices: set[int], graph_edges: Iterable[tupl
 
 class SingleTable:
     """v*_i(w): best split of w units of one agent into its own coalitions,
-    as a view of the prefix up to ``cap`` of the game's solo cover."""
+    as a view of the prefix up to ``cap`` of the game's solo cover: ``row``
+    holds its values times ``scale``, the game's ``charfun.scale``."""
 
     def __init__(self, g: GameDef, i: int, cap: int):
         self.agent = i
-        self.atoms, values, self.choice = g._solo_covers[i]
-        self.values = values[: cap + 1]
+        self.atoms, row, self.choice = g._solo_covers[i]
+        self.row = row[: cap + 1]
+        self.scale = g.charfun.scale
         self._vectors = g._solo_vectors
 
     def witness(self, w: int) -> list[Coalition]:
@@ -352,17 +374,14 @@ class SingleTable:
         return [self._vectors[(self.agent, self.atoms[k][0][0])] for k in picked]
 
 
-def _line(values: list) -> dict:
-    """A 1-d value list as a kernel table keyed by 1-tuples."""
-    return {(k,): v for k, v in enumerate(values)}
-
-
 class KeepTable:
     """Best arbitration payoff for keeping y units of one deviator on one edge.
 
     Covers the outcome coalitions supported by {dev, other}; keeping k of the
     deviator's contribution in a coalition means withdrawing the rest.
-    One ``chain`` across the edge's coalitions, one layer each.
+    One ``line_chain`` across the edge's coalitions, one layer each, on the
+    payments times ``scale``, the lcm of their denominators: ``row[y]`` is
+    the best for y units, None when unreachable.
     """
 
     def __init__(self, g: GameDef, o: Outcome, rule: LocalArbitrationRule, dev: int, other: int):
@@ -380,24 +399,23 @@ class KeepTable:
             c, x = o.structure[j], o.imputation[j]
             # keeping k units withdraws the rest, so the keeps run backwards
             withdrawals = reversed(withdrawal_options(g, c, S))
-            pays = [rule.coalition_payoff(g.charfun, c, d, x, S) for d in withdrawals]
-            layers.append(((0,), _line(pays)))
+            layers.append([rule.coalition_payoff(g.charfun, c, d, x, S) for d in withdrawals])
             self.cap += c[dev]
-        box = Box((self.cap,))
-        start = dict(zip(box.keys, [ZERO] + [None] * self.cap))
-        table, self._trail = chain(box, start, layers)
-        self.values = list(table.values())
+        # the scale is read off the payments, which a rule may make any rational
+        self.scale = d = _denominator(*layers)
+        start = [0] + [None] * self.cap
+        rows = [[_scaled(v, d) for v in pays] for pays in layers]
+        self.row, self._trail = line_chain(start, rows)
 
     def value(self, y: int) -> Fraction | None:
         """Best payoff for keeping exactly y units; None when unreachable."""
-        if y > self.cap:
-            return None
-        return self.values[y]
+        v = self.row[y] if y <= self.cap else None
+        return None if v is None else Fraction(v, self.scale)
 
     def keeps(self, y: int) -> dict[int, int]:
         """Per-coalition kept units achieving value(y)."""
-        picks, _ = unchain(self._trail, (y,))
-        return {j: k for j, (k,) in zip(self.indices, picks)}
+        picks, _ = line_unchain(self._trail, y)
+        return dict(zip(self.indices, picks))
 
 
 class AlphaTable(KeepTable):
@@ -411,22 +429,23 @@ class AlphaTable(KeepTable):
 
 class VBarTable:
     """Solo table of a deviator: split w units between working alone and
-    staying in coalitions with non-deviating neighbours."""
+    staying in coalitions with non-deviating neighbours.  ``row`` holds its
+    values times ``scale``, the lcm of its two tables' scales."""
 
     def __init__(self, single: SingleTable, alpha: AlphaTable, cap: int):
         self.single = single
         self.alpha = alpha
-        box = Box((cap,))
-        start = dict(zip(box.keys, single.values))
-        table, self._trail = chain(box, start, [((0,), _line(alpha.values))])
-        self.values = list(table.values())
+        self.scale = math.lcm(single.scale, alpha.scale)
+        start = _lift(single.row[: cap + 1], self.scale // single.scale)
+        kept = _lift(alpha.row, self.scale // alpha.scale)
+        self.row, self._trail = line_chain(start, [kept])
 
     def witness(self, w: int) -> list[Coalition]:
-        _, (alone,) = unchain(self._trail, (w,))
+        _, alone = line_unchain(self._trail, w)
         return self.single.witness(alone)
 
     def kept(self, w: int) -> dict[int, int]:
-        [(kept,)], _ = unchain(self._trail, (w,))
+        (kept,), _ = line_unchain(self._trail, w)
         return self.alpha.keeps(kept)
 
 
@@ -470,12 +489,15 @@ class _BagEngine:
     pair atoms of edges inside D, and merges each child's table on the
     separator axes.
 
-    ``solo`` maps each vertex to its solo row: the value of each resource
-    level up to its cap.  ``keeps`` maps (member, non-member) edges to the
-    value of each number of units kept with the non-member.  With
-    ``every_subset`` each subset of a bag's agents is tried as D (CheckCore);
-    otherwise D is the whole bag and the set is every vertex (OptVal,
-    ArbVal).  Tables hold values scaled by ``self.scale``.
+    ``solo`` maps each vertex to its solo row, the value of each resource
+    level up to its cap, and ``keeps`` maps (member, non-member) edges to
+    the value of each number of units kept with the non-member; each row
+    comes as ``int``s with the scale it holds them at.  The engine lifts
+    every row, and the game's pair atoms, to ``self.scale``, the lcm of
+    those scales and the game's, and its tables hold values at that scale.
+    With ``every_subset`` each subset of a bag's agents is tried as D
+    (CheckCore); otherwise D is the whole bag and the set is every vertex
+    (OptVal, ArbVal).
 
     Every table a box layer merges into is non-decreasing in resources: the
     solo rows are covers (less a payoff under CheckCore, convolved with an
@@ -501,8 +523,8 @@ class _BagEngine:
         g: GameDef,
         t: TreeDecomposition,
         caps: Coalition,
-        solo: dict[int, list[Fraction]],
-        keeps: dict[tuple[int, int], list[Fraction | None]],
+        solo: dict[int, tuple[list[int], int]],
+        keeps: dict[tuple[int, int], tuple[list[int | None], int]],
         every_subset: bool,
     ):
         self.t = t
@@ -513,22 +535,20 @@ class _BagEngine:
             t, set(solo), graph.simple_edges()
         )
         self.homed = {X: [i for i in ax if home_v.get(i) == X] for X, ax in self.agents.items()}
-        pairs = {e: g.charfun._pair_frontiers.get(e, []) for es in self.edges_at.values() for e in es}
-        d = _denominator(
-            (v for row in solo.values() for v in row),
-            (v for row in keeps.values() for v in row),
-            (v for row in pairs.values() for _, v in row),
-        )
-        self.scale = d
-        self._solo = {i: [_scaled(v, d) for v in row] for i, row in solo.items()}
+        cf = g.charfun
+        scales = [s for _, s in solo.values()] + [s for _, s in keeps.values()]
+        self.scale = d = math.lcm(cf.scale, *scales)
+        self._solo = {i: _lift(row, d // s) for i, (row, s) in solo.items()}
         # a keep row whose frontier is nothing kept for nothing leaves every
         # state as it is; a row with no coalition to keep in is one
         self._keeps = {}
-        for e, row in keeps.items():
-            front = _frontier({(y,): _scaled(v, d) for y, v in enumerate(row)})
+        for e, (row, s) in keeps.items():
+            front = _frontier({(y,): v for y, v in enumerate(row)})
             if front != {(0,): 0}:
-                self._keeps[e] = front
-        self._pairs = {e: [(c, _scaled(v, d)) for c, v in row] for e, row in pairs.items()}
+                self._keeps[e] = {z: v * (d // s) for z, v in front.items()}
+        m = d // cf.scale
+        edges = [e for es in self.edges_at.values() for e in es]
+        self._pairs = {e: [(c, v * m) for c, v in cf._pair_frontiers.get(e, ())] for e in edges}
         # per agent: its resource levels, and the solo row of a bag it is not homed at
         self._span = [range(c + 1) for c in caps]
         self._zeros = [[0] * (c + 1) for c in caps]
@@ -721,7 +741,8 @@ def optval_tw(
     g.check_coalition(c)
     t = _decomposition(g, t)
     singles = [SingleTable(g, i, c[i]) for i in range(g.n)]
-    engine = _BagEngine(g, t, c, {i: s.values for i, s in enumerate(singles)}, {}, every_subset=False)
+    solo = {i: (s.row, s.scale) for i, s in enumerate(singles)}
+    engine = _BagEngine(g, t, c, solo, {}, every_subset=False)
     value = engine.value()
     walk = engine.walk()
     atoms = walk.atoms
@@ -761,7 +782,8 @@ def arbval_tw(
         vbars[i] = VBarTable(
             SingleTable(g, i, caps[i]), AlphaTable(g, o, rule, i, others), caps[i]
         )
-    engine = _BagEngine(g, t, caps, {i: v.values for i, v in vbars.items()}, {}, every_subset=False)
+    solo = {i: (v.row, v.scale) for i, v in vbars.items()}
+    engine = _BagEngine(g, t, caps, solo, {}, every_subset=False)
     value = engine.value()
     if not with_witness:
         return value
@@ -790,13 +812,15 @@ def _max_excess_bags(
             payoff[i] += x[i]
     spanned = dict.fromkeys(tuple(sorted(sup)) for sup in o.supports if len(sup) == 2)
     keeps = {(a, b): KeepTable(g, o, rule, a, b) for e in spanned for a, b in (e, e[::-1])}
+    # solo rows: the game's covers lifted to a scale the payoffs share, less the payoffs
+    d = math.lcm(g.charfun.scale, _denominator(payoff))
+    m = d // g.charfun.scale
+    solo = {}
+    for i, (_, values, _) in enumerate(g._solo_covers):
+        paid = _scaled(payoff[i], d)
+        solo[i] = ([v * m - paid for v in values], d)
     engine = _BagEngine(
-        g,
-        t,
-        g.weights,
-        {i: [v - payoff[i] for v in values] for i, (_, values, _) in enumerate(g._solo_covers)},
-        {e: k.values for e, k in keeps.items()},
-        every_subset=True,
+        g, t, g.weights, solo, {e: (k.row, k.scale) for e, k in keeps.items()}, every_subset=True
     )
     excess = engine.value()
     if excess is None:  # pragma: no cover - nonempty subsets always exist

@@ -7,7 +7,18 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocf.covers import Box, _frontier, chain, closure, convolve, single_cover, unchain, unwind
+from ocf.covers import (
+    Box,
+    _frontier,
+    chain,
+    closure,
+    convolve,
+    line_chain,
+    line_unchain,
+    single_cover,
+    unchain,
+    unwind,
+)
 
 NUMBERS = {
     "int": lambda rng: rng.randint(-5, 9),
@@ -295,3 +306,43 @@ def test_kernel_on_a_box_with_no_axes():
     assert closure(box, [], {(): 1}) == ({(): 1}, {(): None})
     table, trail = chain(box, {(): 0}, [([], {(): 1}), ([], {(): 2})])
     assert table == {(): 3} and unchain(trail, ()) == ([(), ()], ())
+
+
+def test_line_chain_is_chain_on_one_axis():
+    """``line_chain`` over lists gives ``chain``'s values over ``Box((cap,))``
+    and its first-best picks, on ``int`` and ``Fraction`` rows with None
+    entries, entries beyond the cap and lone zero rows; few distinct values,
+    so many states tie.  ``line_unchain`` rebuilds every reachable value."""
+    rng = random.Random(41)
+    lone = 0
+    for trial in range(400):
+        number = NUMBERS["int" if trial % 2 else "fraction"]
+
+        def value(share):
+            return None if rng.random() < share else number(rng) % 3
+
+        cap = rng.randint(0, 5)
+        start = [value(0.2 if trial % 3 else 0.0) for _ in range(cap + 1)]
+        layers = []
+        for _ in range(rng.randint(0, 4)):
+            if rng.random() < 0.2:
+                layers.append([value(0.3)])  # one entry, at z = 0
+                lone += layers[-1][0] is not None
+            else:
+                layers.append([value(0.25) for _ in range(rng.randint(1, cap + 3))])
+        table, trail = line_chain(start, layers)
+        box = Box((cap,))
+        want, want_trail = chain(
+            box,
+            dict(zip(box.keys, start)),
+            [((0,), {(z,): v for z, v in enumerate(row)}) for row in layers],
+        )
+        assert table == list(want.values())
+        assert trail == [[None if z is None else z[0] for z in picks.values()] for _, picks in want_trail]
+        for r, v in enumerate(table):
+            if v is None:
+                continue
+            picks, rest = line_unchain(trail, r)
+            assert rest + sum(picks) == r and len(picks) == len(layers)
+            assert start[rest] + sum(row[z] for row, z in zip(layers, picks)) == v
+    assert lone >= 20

@@ -7,6 +7,7 @@ late binding and are not counted.
 """
 
 import ast
+import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -66,3 +67,24 @@ def test_covers_is_a_leaf_and_core_imports_at_module_level():
     every = {n for n in ast.walk(core) if isinstance(n, (ast.Import, ast.ImportFrom))}
     assert every == set(_module_level_imports(core))
     assert "covers" in _import_graph()["core"]
+
+
+def test_the_package_imports_the_standard_library_alone():
+    """Every import in the package, at module level or inside a function,
+    is relative or names a module of the standard library: the package
+    depends on no third-party module, whatever happens to be installed."""
+    outside = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert outside == []

@@ -4,6 +4,7 @@ from itertools import islice
 
 import pytest
 
+import ocf.lbg
 from ocf.core import ContractViolation
 from ocf.lbg import (
     LbgOutcome,
@@ -159,6 +160,82 @@ def test_verify_core_misallocated_pair():
     assert validate_lbg_outcome(bad) == []
     violation = lbg_verify_core(inst, bad)
     assert violation is not None and violation.total > bad.payoff_to_set(violation.agents)
+
+
+def _hand_outcomes():
+    """The hand-made outcomes above that are not dual-priced."""
+    pair = make_lbg_instance(2, [F(1), F(1)], [({0, 1}, F(2))])
+    single = make_lbg_instance(1, [F(2)], [({0}, F(3))])
+    market = make_lbg_instance(2, [F(2), F(2)], [({0, 1}, F(1)), ({0}, F(5))])
+    return [
+        LbgOutcome(pair, (F(1), F(0), F(0)), ({0: F(2), 1: F(0)}, {}, {})),  # unfair
+        LbgOutcome(single, (F(2),), ({0: F(6)},)),  # robbed
+        LbgOutcome(single, (F(1),), ({0: F(3)},)),  # lazy
+        LbgOutcome(market, (F(2), F(0), F(0)), ({0: F(1), 1: F(1)}, {}, {})),  # misallocated
+    ]
+
+
+def _perturbed(rng: random.Random, out: LbgOutcome) -> LbgOutcome:
+    """A dual-priced outcome with some tasks run at a lower level and some
+    payments moved between a task's agents; still a valid outcome."""
+    inst = out.instance
+    levels, payoffs = list(out.levels), []
+    for j, x in enumerate(out.payoffs):
+        x = dict(x)
+        if x and rng.random() < 0.3:
+            cut = F(rng.randint(1, 3), 4)
+            levels[j] -= levels[j] * cut
+            x = {i: v - v * cut for i, v in x.items()}
+        if len(x) > 1 and rng.random() < 0.7:
+            a, b = rng.sample(sorted(x), 2)
+            moved = x[a] * F(rng.randint(1, 4), 4)
+            x[a] -= moved
+            x[b] += moved
+        payoffs.append(x)
+    return LbgOutcome(instance=inst, levels=tuple(levels), payoffs=tuple(payoffs))
+
+
+def test_dual_bound_covers_the_screen_lp(monkeypatch):
+    """The dual prices of ``lbg_optimal`` bound every set's screen LP from
+    above (weak duality), also on outcomes that are not dual-priced, and
+    ``lbg_verify_core`` solves the screen LP exactly for the sets whose
+    bound exceeds what they earn, in set order up to any violation it
+    returns: never on dual-priced outcomes, and sometimes on the others."""
+    screened = []
+    screen = ocf.lbg._screen_value
+
+    def counted(inst, out, S):
+        screened.append(S)
+        return screen(inst, out, S)
+
+    monkeypatch.setattr(ocf.lbg, "_screen_value", counted)
+    rng = random.Random(211)
+    priced, unpriced = [], _hand_outcomes()
+    while len(priced) < 30:
+        out = lbg_core_outcome(random_lbg_instance(rng))
+        priced.append(out)
+        unpriced.append(_perturbed(rng, out))
+    fallbacks = 0
+    for k, out in enumerate(priced + unpriced):
+        inst = out.instance
+        assert validate_lbg_outcome(out) == []
+        prices = lbg_optimal(inst).duals
+        unclear = []
+        for mask in range(1, 1 << inst.n):
+            S = frozenset(i for i in range(inst.n) if mask >> i & 1)
+            bound = ocf.lbg._dual_bound(inst, out, S, prices)
+            assert bound >= screen(inst, out, S)
+            if bound > out.payoff_to_set(S):
+                unclear.append(S)
+        screened.clear()
+        violation = lbg_verify_core(inst, out)
+        if violation is not None:
+            unclear = unclear[: unclear.index(violation.agents) + 1]
+        assert screened == unclear
+        if k < len(priced):
+            assert screened == [] and violation is None
+        fallbacks += len(screened)
+    assert fallbacks >= 10
 
 
 def test_theorem_reproduction_sample():

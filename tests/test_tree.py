@@ -441,7 +441,9 @@ def test_checkcore_agreement_random():
 
 
 def test_dp_tables_typed_sentinel():
-    """Unreachable states are None, never a float, in the keep/alpha tables."""
+    """Unreachable states are None, never a float, in the keep/alpha tables:
+    ``value`` answers a ``Fraction`` or None, and the rows behind it hold
+    ``int``s or None."""
     rng = random.Random(71)
     for trial in range(20):
         g = random_tree_game(rng)
@@ -453,7 +455,9 @@ def test_dp_tables_typed_sentinel():
         tables.append(AlphaTable(g, o, rule, i, others))
         for table in tables:
             assert table.value(table.cap + 1) is None
-            assert all(v is None or type(v) is Fraction for v in table.values)
+            values = [table.value(y) for y in range(table.cap + 1)]
+            assert all(v is None or type(v) is Fraction for v in values)
+            assert all(v is None or type(v) is int for v in table.row)
 
 
 def test_is_stable_examples(g1):
@@ -722,20 +726,24 @@ def test_alpha_table_is_the_chain_of_its_keep_tables():
         nbrs = g.interaction.neighbors(i)
         others = sorted(rng.sample(nbrs, rng.randint(0, len(nbrs))))
         alpha = AlphaTable(g, o, rule, i, others)
+        assert all(v is None or type(v) is int for v in alpha.row)
+        values = [alpha.value(y) for y in range(alpha.cap + 1)]
         want = [Fraction(0)]
         for keep in (KeepTable(g, o, rule, i, j) for j in others):
-            merged = [None] * (len(want) + len(keep.values) - 1)
+            assert all(v is None or type(v) is int for v in keep.row)
+            row = [keep.value(y) for y in range(keep.cap + 1)]
+            merged = [None] * (len(want) + len(row) - 1)
             for a, va in enumerate(want):
-                for b, vb in enumerate(keep.values):
+                for b, vb in enumerate(row):
                     if va is not None and vb is not None:
                         if merged[a + b] is None or va + vb > merged[a + b]:
                             merged[a + b] = va + vb
             want = merged
-        assert alpha.values == want and alpha.cap == len(want) - 1
+        assert values == want and alpha.cap == len(want) - 1
         pairs = {frozenset((i, k)) for k in others}
         shared = {j for j, sup in enumerate(o.supports) if sup in pairs}
         S = frozenset((i,))
-        for y, v in enumerate(alpha.values):
+        for y, v in enumerate(values):
             if v is None:
                 continue
             kept = alpha.keeps(y)

@@ -1,6 +1,7 @@
 import random
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -12,6 +13,7 @@ from ocf.arbitration import (
     REFINED,
     LocalArbitrationRule,
     deviation_total,
+    withdrawal_options,
 )
 from ocf.core import (
     ContractViolation,
@@ -33,8 +35,10 @@ from ocf.oracle import (
     superadditive_cover,
 )
 from ocf.stability import StabilitySystem
-from ocf.tree import arbval_tree, is_stable_tree, max_excess_tree, optval_tree
+from ocf.tree import arbval_local, arbval_tree, is_stable_tree, max_excess_tree, optval_tree
 from ocf.treewidth import (
+    AlphaTable,
+    KeepTable,
     TreeDecomposition,
     arbval_tw,
     checkcore_tw,
@@ -390,9 +394,41 @@ def _shares_equal_coalitions(cs) -> bool:
     return len({id(c) for c in cs}) == len(set(cs))
 
 
+def _check_keep_table(g, o, rule, table):
+    """Every ``value(y)`` of a keep or alpha table is the best total payment
+    over the ways to keep y units in its coalitions, by brute force on
+    ``Fraction``s, and ``keeps(y)`` is one of them; its rows hold ``int``s."""
+    i, S = table.dev, frozenset((table.dev,))
+    assert all(v is None or type(v) is int for v in table.row)
+    pays = [
+        [
+            rule.coalition_payoff(g.charfun, o.structure[j], d, o.imputation[j], S)
+            for d in withdrawal_options(g, o.structure[j], S)
+        ]
+        for j in table.indices
+    ]
+    best = {}
+    for keep in product(*[range(o.structure[j][i] + 1) for j in table.indices]):
+        # withdrawal_options runs from nothing withdrawn to everything
+        paid = sum((row[len(row) - 1 - k] for row, k in zip(pays, keep)), start=Fraction(0))
+        y = sum(keep)
+        if y not in best or paid > best[y]:
+            best[y] = paid
+    for y in range(table.cap + 2):
+        v = table.value(y)
+        assert v == best.get(y) and (v is None or type(v) is Fraction)
+        if v is not None:
+            kept = table.keeps(y)
+            assert sum(kept.values()) == y
+            rows = dict(zip(table.indices, pays))
+            assert sum((rows[j][len(rows[j]) - 1 - k] for j, k in kept.items()), start=Fraction(0)) == v
+
+
 def test_bag_dp_scaled_denominators():
     """The bag DPs scale by one common denominator per call: answers stay
-    exact ``Fraction``s equal to the oracle's, whatever the rule pays."""
+    exact ``Fraction``s equal to the oracle's, whatever the rule pays.  So
+    do ``arbval_local``, which scales its payments and its cover together,
+    and keep and alpha tables built on their own, each at its own scale."""
     rng = random.Random(107)
     thirteenth = _ThirteenthRefined()
     for trial in range(36):
@@ -413,10 +449,15 @@ def test_bag_dp_scaled_denominators():
             results = [arbval_tw(g, rule, o, S, with_witness=True)]
             if forest:
                 results.append(arbval_tree(g, rule, o, S, with_witness=True))
+            results.append(arbval_local(g, rule, o, S, with_witness=True))
             for value, dev, post in results:
                 assert type(value) is Fraction and value == want
                 assert deviation_total(g, o, S, dev, rule, post) == value
                 assert _shares_equal_coalitions(post)
+            i = rng.randrange(g.n)
+            nbrs = g.interaction.neighbors(i)
+            for table in [KeepTable(g, o, rule, i, j) for j in nbrs] + [AlphaTable(g, o, rule, i, nbrs)]:
+                _check_keep_table(g, o, rule, table)
             want = brute_max_excess(g, rule, o)[0]
             results = [max_excess_tw(g, rule, o, td)]
             if forest:
