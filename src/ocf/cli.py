@@ -10,10 +10,12 @@ One binary, six subcommand families::
     ocf validate game|outcome|decomp
 
 The CLI is a thin shell over the library: a choice the library makes gets no
-flag.  ``--decomp`` is optional on every ``tw`` command; without it the
-solver builds the decomposition itself (a forest decomposition on a forest,
-min-fill otherwise).  Enumeration budget flags exist only where a budget is
-read: the oracle lane and ``gen set-cover --decide``.
+flag, and every lane answers all four of its problems as the library does,
+with no switch to unlock one.  ``--decomp`` is optional on every ``tw``
+command; without it the solver builds the decomposition itself (a forest
+decomposition on a forest, min-fill otherwise).  Enumeration budget flags
+exist only where a budget is read: the oracle lane and ``gen set-cover
+--decide``.
 
 Exit codes: 0 yes/stable/in-core/feasible/valid, 1 no, 2 usage or data error
 (a malformed flag value included), 3 enumeration budget exceeded.
@@ -287,8 +289,6 @@ def cmd_is_stable(args: argparse.Namespace) -> int:
     elif args.lane == "tree":
         imputation = is_stable_tree(g, rule, cs)
     else:
-        if not args.experimental:
-            raise DataError("tw is-stable is experimental; pass --experimental")
         t = load_decomposition(args.decomp) if args.decomp else None
         imputation = is_stable_tw(g, rule, cs, t)
     if imputation is None:
@@ -487,7 +487,6 @@ _MAX_PATH_LEN = ("--max-path-len", {"type": int, "default": 8})
 _ARB = ("--arb", {"default": "conservative", "choices": (
     "conservative", "refined", "optimistic", "optimistic-clamped", "sensitive")})
 _LOCAL = ("--local", {**_SWITCH, "help": "use the withdrawal-vector DP"})
-_EXPERIMENTAL = ("--experimental", _SWITCH)
 _DECOMP = ("--decomp", {"help": "decomposition file (default: a forest decomposition on a "
                                 "forest, min-fill otherwise)"})
 
@@ -511,7 +510,6 @@ def _solver_parsers(sub, lane: str) -> None:
     oracle = lane == "oracle"
     decomp = (_DECOMP,) if lane == "tw" else ()
     local = (_LOCAL,) if lane == "tree" else ()
-    experimental = (_EXPERIMENTAL,) if lane == "tw" else ()
     _leaf(ssub, "optval", cmd_optval, _GAME,
           ("--coalition", {"help": "resource vector i,j,k,..."}),
           ("--all", {**_SWITCH, "help": "use the full endowment"}),
@@ -526,7 +524,7 @@ def _solver_parsers(sub, lane: str) -> None:
     _leaf(ssub, "is-stable", cmd_is_stable, _GAME,
           ("--outcome", {**_REQUIRED, "help": "outcome file; only the structure is read"}),
           _ARB, ("--out", {"help": "write the stable outcome here"}),
-          *decomp, *experimental,
+          *decomp,
           help="find a stabilizing imputation", budget=oracle, lane=lane)
 
 

@@ -521,6 +521,8 @@ def validate_outcome(o: Outcome, g: GameDef, ir_mode: str = "full-endowment") ->
     if ir_mode not in ("full-endowment", "unit"):
         raise ContractViolation(f"unknown ir_mode {ir_mode!r}")
     problems = outcome_violations(g, o)
+    if any(len(x) != g.n for x in o.imputation):
+        return problems  # an agent's total is undefined; the length is the violation
     for i, w in enumerate(g.weights):
         baseline = g.solo_value(i, w if ir_mode == "full-endowment" else 1)
         got = o.payoff_to_agent(i)

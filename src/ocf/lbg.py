@@ -195,6 +195,19 @@ def validate_lbg_outcome(out: LbgOutcome) -> list[str]:
     return problems
 
 
+def _require_lbg_outcome(out: LbgOutcome) -> None:
+    """Refuse an outcome that breaks ``validate_lbg_outcome``, naming every
+    violation.  A pass is recorded on the outcome, as ``core.require_outcome``
+    records one, so the per-profile calls of ``lbg_verify_core`` check it
+    once; an outcome is not edited after construction."""
+    if out.__dict__.get("_valid"):
+        return
+    problems = validate_lbg_outcome(out)
+    if problems:
+        raise ContractViolation("invalid outcome: " + "; ".join(problems))
+    out.__dict__["_valid"] = True
+
+
 def lbg_core_outcome(inst: LbgInstance, sol: LbgSolution | None = None) -> LbgOutcome:
     """Dual-priced outcome: agent i earns its dual price per unit contributed.
 
@@ -265,9 +278,11 @@ def lbg_best_deviation(
     ``abandon`` must list executed tasks touching S and include every executed
     task fully inside S; ``partial`` maps remaining touched tasks to uniform
     withdrawal levels within their current level.  The freed resources are
-    reused optimally via one small LP.
+    reused optimally via one small LP.  The outcome must pass
+    ``validate_lbg_outcome``.
     """
     _require_agents(inst.n, deviators)
+    _require_lbg_outcome(out)
     forced, mixed, inside = _task_split(inst, out, deviators)
     if not abandon.issuperset(forced):
         raise ContractViolation("abandon list must include executed tasks inside S")
@@ -338,8 +353,10 @@ def iter_lbg_deviations(
     grid: Fraction,
     max_count: int | None = None,
 ) -> Iterator[tuple[frozenset[int], dict[int, Fraction]]]:
-    """All (abandon set, grid withdrawal profile) pairs for one deviating set."""
+    """All (abandon set, grid withdrawal profile) pairs for one deviating
+    set; the outcome must pass ``validate_lbg_outcome``."""
     _require_agents(inst.n, deviators)
+    _require_lbg_outcome(out)
     grid = _require_grid(grid)
     forced, optional, _ = _task_split(inst, out, deviators)
     count = 0
@@ -453,9 +470,7 @@ def lbg_verify_core(
     found, or None.  For dual-priced outcomes the dual point always clears
     (that is the §-theorem this function tests), so no screen LP is solved.
     """
-    problems = validate_lbg_outcome(out)
-    if problems:
-        raise ContractViolation("invalid outcome: " + "; ".join(problems))
+    _require_lbg_outcome(out)
     grid = _require_grid(grid)
     prices = lbg_optimal(inst).duals
     for mask in range(1, 1 << inst.n):

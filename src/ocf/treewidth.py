@@ -874,7 +874,7 @@ def is_stable_tw(
     max_rounds: int = 100_000,
 ) -> Imputation | None:
     """``cutting_plane`` with the bag-DP max-excess scan as separation oracle:
-    ``is_stable_tree`` on forests, experimental on other graphs.  The
+    ``is_stable_tree`` on forests, and the same loop on any other graph.  The
     decomposition and the structure's pairwise shape are checked once, not
     every round, and the agents' solo covers are the game's own; the system
     the loop solves checks the rest of the structure, and its candidates are

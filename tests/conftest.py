@@ -1,5 +1,6 @@
-"""Shared fixtures: the hand-built G1/O1/L1 instances, random generators and
-a brute-force feasibility check for small linear systems.
+"""Shared fixtures: the hand-built G1/O1/L1 instances, random generators, the
+Hypothesis strategy of the lanes' differential tests and a brute-force
+feasibility check for small linear systems.
 
 G1 is the two-agent game used throughout the docs: weights (2, 1), agent 0
 makes 1 from one unit alone or 3 from both, agent 1 makes 2 alone, and the
@@ -15,6 +16,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from ocf.core import GameDef, InteractionGraph, Outcome, make_charfun, support
 from ocf.lbg import LbgInstance, make_lbg_instance
@@ -147,6 +149,76 @@ def random_structure(rng: random.Random, g: GameDef) -> tuple[tuple[int, ...], .
 def random_outcome(rng: random.Random, g: GameDef) -> Outcome:
     """Valid outcome: random structure plus a random exact split of each value."""
     return random_split(rng, g, random_structure(rng, g))
+
+
+# Interaction graphs for the lanes' differential tests, as (n, edges): three
+# forests, then graphs of treewidth 2 (a triangle, a 4-cycle with and
+# without a chord, two disjoint triangles) and 3 (K4).
+SHAPES = {
+    "path": (4, ((0, 1), (1, 2), (2, 3))),
+    "star": (4, ((0, 1), (0, 2), (0, 3))),
+    "two edges": (4, ((0, 1), (2, 3))),
+    "triangle": (3, ((0, 1), (1, 2), (0, 2))),
+    "cycle": (4, ((0, 1), (1, 2), (2, 3), (0, 3))),
+    "chorded cycle": (4, ((0, 1), (1, 2), (2, 3), (0, 3), (0, 2))),
+    "K4": (4, tuple(itertools.combinations(range(4), 2))),
+    "two triangles": (6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5))),
+}
+CYCLIC = ("triangle", "cycle", "chorded cycle", "K4", "two triangles")
+
+
+def random_shaped_game(rng: random.Random, shape: str, wmax: int = 2) -> GameDef:
+    """Random 2-OCF game on ``SHAPES[shape]`` that favours pairs: each
+    agent-and-level coalition is worth 1-3 with probability 1/4, each edge's
+    coalition 2-6 with probability 7/10, so structures overlap and the
+    rules' payments matter."""
+    n, edges = SHAPES[shape]
+    weights = tuple(rng.randint(1, wmax) for _ in range(n))
+    rows = []
+    for i in range(n):
+        for w in range(1, weights[i] + 1):
+            if rng.random() < 0.25:
+                rows.append(((i,), (w,), rng.randint(1, 3)))
+    for a, b in edges:
+        for contrib in itertools.product(range(1, weights[a] + 1), range(1, weights[b] + 1)):
+            if rng.random() < 0.7:
+                rows.append(((a, b), contrib, rng.randint(2, 6)))
+    return GameDef(n=n, weights=weights, charfun=make_charfun(n, 2, rows),
+                   interaction=InteractionGraph.from_pairs(n, edges))
+
+
+def random_maximal_structure(rng: random.Random, g: GameDef, tries: int = 1) -> tuple:
+    """Of ``tries`` random maximal structures, the first of highest value.
+    Each is drawn one positive-valued stored coalition at a time until none
+    fits, so it often repeats a coalition; the best of a few is often
+    optimal, and so often stable."""
+    atoms = [c for c, _ in g.charfun.atoms()]
+    best, best_value = (), None
+    for _ in range(tries):
+        remaining, cs = list(g.weights), []
+        while True:
+            fits = [c for c in atoms if all(map(int.__le__, c, remaining))]
+            if not fits:
+                break
+            c = rng.choice(fits)
+            cs.append(c)
+            remaining = [r - a for r, a in zip(remaining, c)]
+        value = sum(g.charfun.value(c) for c in cs)
+        if best_value is None or value > best_value:
+            best, best_value = tuple(cs), value
+    return best
+
+
+@st.composite
+def shaped_cases(draw, shapes) -> tuple[GameDef, tuple]:
+    """Hypothesis strategy: a ``random_shaped_game`` on one of ``shapes``
+    with a ``random_maximal_structure`` or the best of eight.  Weights go
+    up to 2, or 1 on six agents, where the oracle's Is-Stable would take
+    seconds at weight 2."""
+    shape = draw(st.sampled_from(shapes))
+    rng = draw(st.randoms(use_true_random=True))
+    g = random_shaped_game(rng, shape, wmax=1 if SHAPES[shape][0] > 4 else 2)
+    return g, random_maximal_structure(rng, g, tries=draw(st.sampled_from((1, 8))))
 
 
 def random_k3_game(rng: random.Random, nmax: int = 4, wmax: int = 2, vmax: int = 10) -> GameDef:

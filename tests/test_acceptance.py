@@ -54,7 +54,7 @@ from ocf.tree import (
     max_excess_tree,
     optval_tree,
 )
-from ocf.treewidth import heuristic_decomposition, max_excess_tw, optval_tw
+from ocf.treewidth import heuristic_decomposition, is_stable_tw, max_excess_tw, optval_tw
 from conftest import (
     random_graph_game,
     random_lbg_instance,
@@ -189,27 +189,32 @@ def test_criterion_5():
         assert max_excess_tw(g, rule, o, t)[0] == brute_value
 
 
-@criterion(6, "Is-Stable soundness both ways on 50 random tree games")
+@criterion(6, "Is-Stable soundness both ways on 50 random tree games and 40 cyclic ones")
 def test_criterion_6():
     rng = random.Random(20240206)
-    found_stable = found_none = 0
-    for trial in range(50):
-        g = random_tree_game(rng, nmax=4, wmax=3)
-        if trial % 2:
-            cs = random_structure(rng, g)
-        else:
-            _, cs = optval_tree(g, g.weights)  # optimal structures stabilize more often
-        rule = RULES3[trial % 3]
-        imputation = is_stable_tree(g, rule, cs)
-        if imputation is not None:
-            found_stable += 1
-            o = Outcome(structure=cs, imputation=imputation)
-            assert validate_outcome(o, g) == []
-            assert brute_checkcore(g, rule, o, ORACLE_BUDGET) is None
-        else:
-            found_none += 1
-            assert brute_is_stable(g, rule, cs, ORACLE_BUDGET) is None
-    assert found_stable > 0 and found_none > 0  # both branches exercised
+    lanes = (
+        ("tree", 50, RULES3, lambda rng: random_tree_game(rng, nmax=4, wmax=3), is_stable_tree),
+        ("tw", 40, RULES4, lambda rng: random_graph_game(rng, nmax=4, wmax=2), is_stable_tw),
+    )
+    for lane, trials, rules, make_game, is_stable in lanes:
+        found_stable = found_none = 0
+        for trial in range(trials):
+            g = make_game(rng)
+            if trial % 2:
+                cs = random_structure(rng, g)
+            else:
+                _, cs = optval_tw(g, None, g.weights)  # optimal structures stabilize more often
+            rule = rules[trial % len(rules)]
+            imputation = is_stable(g, rule, cs)
+            if imputation is not None:
+                found_stable += 1
+                o = Outcome(structure=cs, imputation=imputation)
+                assert validate_outcome(o, g) == []
+                assert brute_checkcore(g, rule, o, ORACLE_BUDGET) is None
+            else:
+                found_none += 1
+                assert brute_is_stable(g, rule, cs, ORACLE_BUDGET) is None
+        assert found_stable > 0 and found_none > 0, lane  # both branches exercised
 
 
 @criterion(7, "LBG duality, slackness, core theorem, proof inequalities")

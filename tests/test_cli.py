@@ -98,8 +98,8 @@ def test_empty_set_arbval_on_every_lane(files, capsys):
 def test_overcommitted_structure_is_exit_2(files, capsys):
     over = files["dir"] / "over.json"
     over.write_text(json.dumps({"structure": [[2, 1], [1, 0]]}))
-    for lane in (("oracle",), ("tree",), ("tw", "--experimental")):
-        code, _, err = run(capsys, lane[0], "is-stable", *lane[1:], "--game", files["game"],
+    for lane in ("oracle", "tree", "tw"):
+        code, _, err = run(capsys, lane, "is-stable", "--game", files["game"],
                            "--outcome", str(over), "--arb", "refined")
         assert code == 2 and "endowments" in err, lane
 
@@ -185,8 +185,7 @@ def test_local_rule_check_is_the_librarys(files, capsys):
     2 with the library's refusal, on every lane."""
     o = ("--game", files["game"], "--outcome", files["outcome"], "--arb", "sensitive")
     for argv in (("tree", "checkcore"), ("tw", "checkcore"), ("tw", "arbval", "--set", "0"),
-                 ("oracle", "is-stable"), ("tree", "is-stable"),
-                 ("tw", "is-stable", "--experimental")):
+                 ("oracle", "is-stable"), ("tree", "is-stable"), ("tw", "is-stable")):
         code, _, err = run(capsys, *argv, *o)
         assert code == 2 and "needs a local rule, not 'sensitive'" in err, argv
 
@@ -234,14 +233,18 @@ def test_set_cover_decide(tmp_path, capsys):
     assert doc["decision"] == "yes"
 
 
-def test_tw_is_stable_requires_flag(files, capsys):
-    code, _, err = run(capsys, "tw", "is-stable", "--game", files["game"],
-                       "--outcome", files["outcome"], "--arb", "conservative")
-    assert code == 2 and "experimental" in err
-    code, _, _ = run(capsys, "tw", "is-stable", "--game", files["game"],
-                     "--outcome", files["outcome"], "--arb", "conservative",
-                     "--experimental")
-    assert code == 0
+def test_tw_is_stable_answers_without_a_switch(files, capsys):
+    """``tw is-stable`` needs no extra flag: on the forest G1 it prints the
+    tree lane's document under its own command name, for every local rule."""
+    for arb in ("conservative", "refined", "optimistic", "optimistic-clamped"):
+        argv = ("is-stable", "--game", files["game"], "--outcome", files["outcome"],
+                "--arb", arb, "--format", "machine")
+        code, out, _ = run(capsys, "tw", *argv)
+        tree_code, tree_out, _ = run(capsys, "tree", *argv)
+        doc, tree_doc = json.loads(out), json.loads(tree_out)
+        assert code == tree_code == 0 and doc.pop("command") == "tw is-stable", arb
+        tree_doc.pop("command")
+        assert doc == tree_doc and doc["decision"] == "yes", arb
 
 
 def test_emitted_witness_reloads(files, capsys, tmp_path, g1):
@@ -348,7 +351,7 @@ def test_tw_commands_build_their_own_decomposition(tmp_path, capsys):
         commands = (("optval", "--all"),
                     ("arbval", *with_o, "--set", ",".join(map(str, agents))),
                     ("checkcore", *with_o),
-                    ("is-stable", *with_o, "--experimental"))
+                    ("is-stable", *with_o))
         for command in commands:
             argv = ("tw", *command, "--game", str(game), "--format", "machine")
             code, out, _ = run(capsys, *argv)
@@ -409,7 +412,7 @@ LEAF_OPTIONS = {
     "tw optval": "--game --coalition --all --threshold --decomp",
     "tw arbval": "--game --outcome --set --arb --threshold --decomp",
     "tw checkcore": "--game --outcome --arb --decomp",
-    "tw is-stable": "--game --outcome --arb --out --decomp --experimental",
+    "tw is-stable": "--game --outcome --arb --out --decomp",
     "lbg solve": "--instance --cross-check",
     "lbg core": "--instance",
     "lbg verify": "--instance --grid",

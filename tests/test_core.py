@@ -168,6 +168,14 @@ def test_validate_outcome_examples(g1, o1):
     assert any("no-side-payments" in p for p in report)
 
 
+def test_validate_outcome_reports_a_short_payoff_vector(g1):
+    """A payoff vector shorter than n is one violation in the report, not an
+    ``IndexError`` from the individual-rationality totals."""
+    short = Outcome(structure=((1, 1),), imputation=((Fraction(2),),))
+    for mode in ("full-endowment", "unit"):
+        assert validate_outcome(short, g1, ir_mode=mode) == ["payoff vector 0: length 1 != n=2"]
+
+
 def test_validate_outcome_ir_modes(g1):
     # agent 0 underpaid: gets 2 total but can make 3 alone with both units
     o = Outcome(

@@ -1,0 +1,215 @@
+"""The oracle, tree and treewidth lanes against each other, and the rules'
+order on each lane, on Hypothesis-drawn pairwise games.
+
+Every test draws from ``conftest.shaped_cases``: a game on one of
+``conftest.SHAPES`` (three forests; a triangle, a 4-cycle with and without a
+chord and two disjoint triangles, of treewidth 2; K4, of treewidth 3) with a
+random maximal structure, which often repeats a coalition.  The tree lane
+runs on the forests.  Examples are a fixed sequence (``derandomize=True``),
+and each test asserts that its examples reach the cases it is there for.
+"""
+
+from __future__ import annotations
+
+import collections
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import ocf.stability
+from ocf.arbitration import (
+    CONSERVATIVE,
+    OPTIMISTIC,
+    OPTIMISTIC_CLAMPED,
+    REFINED,
+    deviation_total,
+)
+from ocf.core import Outcome, structure_value, structure_weight, validate_outcome
+from ocf.oracle import (
+    brute_arbval,
+    brute_checkcore,
+    brute_is_stable,
+    brute_max_excess,
+    superadditive_cover,
+)
+from ocf.tree import (
+    arbval_local,
+    arbval_tree,
+    checkcore_tree,
+    is_stable_tree,
+    max_excess_tree,
+    optval_tree,
+)
+from ocf.treewidth import (
+    arbval_tw,
+    checkcore_tw,
+    heuristic_decomposition,
+    is_stable_tw,
+    max_excess_tw,
+    optval_tw,
+)
+from conftest import CYCLIC, SHAPES, random_split, shaped_cases
+
+RULES = (CONSERVATIVE, REFINED, OPTIMISTIC, OPTIMISTIC_CLAMPED)
+# (less generous, more generous): the second pays a deviation at least what
+# the first does, coalition by coalition
+GENEROSITY = (
+    (CONSERVATIVE, REFINED),
+    (REFINED, OPTIMISTIC_CLAMPED),
+    (CONSERVATIVE, OPTIMISTIC_CLAMPED),
+    (OPTIMISTIC, OPTIMISTIC_CLAMPED),
+)
+
+
+def fuzz(examples: int):
+    return settings(max_examples=examples, derandomize=True, database=None, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def _lanes(g):
+    """(name, ArbVal, max excess, CheckCore, Is-Stable) of each lane that
+    takes the game: the oracle without a budget, the treewidth lane, and
+    the tree lane on a forest."""
+    lanes = [
+        ("oracle",
+         lambda rule, o, S: brute_arbval(g, rule, o, S, None)[0],
+         lambda rule, o: brute_max_excess(g, rule, o, None)[0],
+         lambda rule, o: brute_checkcore(g, rule, o, None),
+         lambda rule, cs: brute_is_stable(g, rule, cs, None)),
+        ("tw",
+         lambda rule, o, S: arbval_tw(g, rule, o, S),
+         lambda rule, o: max_excess_tw(g, rule, o)[0],
+         lambda rule, o: checkcore_tw(g, rule, o),
+         lambda rule, cs: is_stable_tw(g, rule, cs)),
+    ]
+    if g.interaction.is_forest():
+        lanes.append(
+            ("tree",
+             lambda rule, o, S: arbval_tree(g, rule, o, S),
+             lambda rule, o: max_excess_tree(g, rule, o)[0],
+             lambda rule, o: checkcore_tree(g, rule, o),
+             lambda rule, cs: is_stable_tree(g, rule, cs)))
+    return lanes
+
+
+def test_is_stable_tw_matches_the_oracle(monkeypatch):
+    """``is_stable_tw`` and ``brute_is_stable`` give the same stable/none
+    answer on games of treewidth 2 and 3 under every local rule, and each
+    imputation either finds is valid and passes ``checkcore_tw`` and
+    ``brute_checkcore``.  The examples reach both answers at both widths, a
+    structure that repeats a coalition, and a separated set that
+    ``split_violation`` splits into two or more components."""
+    pieces = collections.Counter()
+    split = ocf.stability.split_violation
+
+    def counted_split(*args):
+        parts = split(*args)
+        pieces[len(parts)] += 1
+        return parts
+
+    monkeypatch.setattr(ocf.stability, "split_violation", counted_split)
+    seen = collections.Counter()
+
+    @fuzz(200)
+    @given(case=shaped_cases(CYCLIC), rule=st.sampled_from(RULES))
+    def check(case, rule):
+        g, cs = case
+        tw = is_stable_tw(g, rule, cs)
+        oracle = brute_is_stable(g, rule, cs, None)
+        assert (tw is None) == (oracle is None)
+        seen[heuristic_decomposition(g.interaction).width, tw is None] += 1
+        seen["repeat"] += len(set(cs)) < len(cs)
+        for imp in (tw, oracle):
+            if imp is not None:
+                o = Outcome(structure=cs, imputation=imp)
+                assert validate_outcome(o, g) == []
+                assert checkcore_tw(g, rule, o) is None
+                assert brute_checkcore(g, rule, o, None) is None
+
+    check()
+    assert all(seen[width, none] for width in (2, 3) for none in (False, True)), seen
+    assert seen["repeat"] and max(pieces) >= 2, (seen, pieces)
+
+
+def test_lanes_agree_on_optval_arbval_checkcore():
+    """On every shape, the oracle, the treewidth lane, the tree lane (on
+    forests) and the local withdrawal DP give the same OptVal, ArbVal,
+    CheckCore answer and maximum excess, and every witness re-checks through
+    ``structure_value`` or ``deviation_total``.  The outcome is a random
+    split of the structure's values, or a stable imputation of it when one
+    exists, so both CheckCore answers are reached."""
+    seen = collections.Counter()
+
+    @fuzz(80)
+    @given(case=shaped_cases(tuple(SHAPES)), rule=st.sampled_from(RULES),
+           stable=st.booleans(), rng=st.randoms(use_true_random=True))
+    def check(case, rule, stable, rng):
+        g, cs = case
+        forest = g.interaction.is_forest()
+        c = tuple(rng.randint(0, w) for w in g.weights)
+        value, _ = superadditive_cover(g, c, None)
+        for v, witness in [optval_tw(g, None, c)] + ([optval_tree(g, c)] if forest else []):
+            assert v == value == structure_value(g, witness)
+            assert structure_weight(witness, g.n) == c
+
+        imp = is_stable_tw(g, rule, cs) if stable else None
+        o = Outcome(structure=cs, imputation=imp) if imp else random_split(rng, g, cs)
+        S = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
+        best, (dev, post) = brute_arbval(g, rule, o, S, None)
+        assert deviation_total(g, o, S, dev, rule, post) == best
+        arbvals = [arbval_tw] + ([arbval_local] if len(S) <= 4 else []) + ([arbval_tree] if forest else [])
+        for arbval in arbvals:
+            v, dev, post = arbval(g, rule, o, S, with_witness=True)
+            assert v == best == deviation_total(g, o, S, dev, rule, post), arbval.__name__
+
+        worst = brute_checkcore(g, rule, o, None)
+        excess, _ = brute_max_excess(g, rule, o, None)
+        checks = [(checkcore_tw, max_excess_tw)] + ([(checkcore_tree, max_excess_tree)] if forest else [])
+        for checkcore, max_excess in checks:
+            assert max_excess(g, rule, o)[0] == excess
+            found = checkcore(g, rule, o)
+            assert (found is None) == (worst is None) == (excess <= 0)
+            if found is not None:
+                gained = deviation_total(g, o, found.agents, found.deviation, rule, found.post)
+                assert gained - o.payoff_to_set(found.agents) == found.excess == excess
+        seen[forest, worst is None] += 1
+
+    check()
+    assert all(seen[forest, core] for forest in (False, True) for core in (False, True)), seen
+
+
+def test_rules_are_ordered_on_every_lane():
+    """On every lane, ArbVal and the maximum excess never decrease from the
+    conservative to the refined to the clamped optimistic rule, nor from the
+    unclamped to the clamped optimistic rule; and an imputation that
+    Is-Stable finds under a rule passes CheckCore under every less generous
+    one.  Each ArbVal relation is strict somewhere in the examples."""
+    strict = collections.Counter()
+    stable = collections.Counter()
+
+    @fuzz(60)
+    @given(case=shaped_cases(tuple(SHAPES)), rng=st.randoms(use_true_random=True))
+    def check(case, rng):
+        g, cs = case
+        o = random_split(rng, g, cs)
+        sets = {frozenset(rng.sample(range(g.n), rng.randint(1, g.n))) for _ in range(3)}
+        for name, arbval, max_excess, checkcore, is_stable in _lanes(g):
+            excesses = {rule: max_excess(rule, o) for rule in RULES}
+            for lo, hi in GENEROSITY:
+                assert excesses[lo] <= excesses[hi], (name, lo, hi)
+            for S in sets:
+                values = {rule: arbval(rule, o, S) for rule in RULES}
+                for lo, hi in GENEROSITY:
+                    assert values[lo] <= values[hi], (name, S, lo, hi)
+                    strict[lo, hi] += values[lo] < values[hi]
+            for hi in (REFINED, OPTIMISTIC_CLAMPED):
+                imp = is_stable(hi, cs)
+                if imp is not None:
+                    stable[hi] += 1
+                    found = Outcome(structure=cs, imputation=imp)
+                    for lo in (lo for lo, more in GENEROSITY if more is hi):
+                        assert checkcore(lo, found) is None, (name, lo, hi)
+
+    check()
+    assert all(strict[pair] for pair in GENEROSITY), strict
+    assert stable[REFINED] and stable[OPTIMISTIC_CLAMPED], stable

@@ -121,6 +121,23 @@ def test_best_deviation_refuses_unknown_tasks_and_agents():
             list(iter_lbg_deviations(inst, out, frozenset({i}), F(1)))
 
 
+def test_short_outcome_is_refused_by_every_entry():
+    """An outcome whose levels and payoffs are shorter than the task list is
+    refused with the same message by the verifier, the deviation evaluator
+    and the deviation enumerator, not with an ``IndexError``."""
+    inst = make_lbg_instance(2, [F(1), F(1)], [({0, 1}, F(2))])
+    out = lbg_core_outcome(inst)
+    short = LbgOutcome(instance=inst, levels=out.levels[:-1], payoffs=out.payoffs[:-1])
+    S = frozenset({0, 1})
+    message = "invalid outcome: levels/payoffs length mismatch"
+    with pytest.raises(ContractViolation, match=message):
+        lbg_verify_core(inst, short)
+    with pytest.raises(ContractViolation, match=message):
+        lbg_best_deviation(inst, short, S, frozenset({0}), {})
+    with pytest.raises(ContractViolation, match=message):
+        list(iter_lbg_deviations(inst, short, S, F(1)))
+
+
 def test_verify_core_examples(l1):
     out = lbg_core_outcome(l1)
     assert lbg_verify_core(l1, out, F(1)) is None
