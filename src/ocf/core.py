@@ -251,7 +251,8 @@ class CharacteristicFunction:
     @cached_property
     def _entry_of(self) -> dict[Coalition, tuple[tuple[int, ...], tuple[int, ...]]]:
         """The (support, contribution) key of every stored vector.  ``value``
-        reads the value itself from ``entries``, so it sees later edits."""
+        and ``core.structure_value`` read the value itself from ``entries``,
+        so they see later edits of a stored value."""
         return {c: key for key, c in self.vectors.items()}
 
 
@@ -339,6 +340,16 @@ class GameDef:
             out.append((atoms, *single_cover(atoms, weight)))
         return out
 
+    @cached_property
+    def _agent_sets(self) -> list[frozenset[int]]:
+        """Every set of agents, at the index of its bitmask.  The oracle's
+        max-excess scan reads its deviating sets here, so the set its
+        answer names is the game's own, as its witness's vectors are."""
+        sets = [frozenset()]
+        for i in range(self.n):
+            sets += [s | {i} for s in sets]
+        return sets
+
     def solo_value(self, i: int, w: int) -> Fraction:
         """v*_i(w): the best agent ``i`` makes alone with ``w`` units."""
         return Fraction(self._solo_covers[i][1][w], self.charfun.scale)
@@ -387,7 +398,31 @@ def _pad_fillers(g: GameDef, atoms: list[Coalition], target: Coalition) -> Coali
 
 
 def structure_value(g: GameDef, cs: CoalitionStructure) -> Fraction:
-    return sum((g.charfun.value(c) for c in cs), start=ZERO)
+    """Sum of ``charfun.value`` over the structure's coalitions, repeats
+    counted.  Unlisted coalitions are worth 0 and add nothing, nor is the
+    first nonzero value added to 0; a coalition of the wrong length raises
+    ``ContractViolation``, as in ``value``."""
+    cf = g.charfun
+    entry_of, entries = cf._entry_of, cf.entries
+    total = ZERO
+    for c in cs:
+        key = entry_of.get(c)
+        if key is not None:
+            v = entries[key[0]][key[1]]
+            total = total + v if total else v
+        elif len(c) != g.n:
+            raise ContractViolation(f"coalition has length {len(c)}, expected {g.n}")
+    return total
+
+
+def _subset_sums(values: Sequence[Fraction]) -> list[Fraction]:
+    """Entry ``mask`` is the sum of ``values[i]`` over the bits i of mask.
+    Each entry is the one without its highest bit plus that bit's value, so
+    one add per set, and none for a zero value."""
+    sums = [ZERO]
+    for v in values:
+        sums += [s + v for s in sums] if v else list(sums)
+    return sums
 
 
 def reduce_structure(cs: CoalitionStructure, agents: Iterable[int]) -> CoalitionStructure:

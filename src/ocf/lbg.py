@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator
 
-from .core import ZERO, BudgetExceededError, ContractViolation, _require_agents
+from .core import ZERO, BudgetExceededError, ContractViolation, _require_agents, _subset_sums
 from .lp import LinearProgram, solve_lp
 
 ONE = Fraction(1)
@@ -382,17 +382,27 @@ def iter_lbg_deviations(
             yield abandon, z
 
 
+def _unused_weights(out: LbgOutcome) -> list[Fraction]:
+    """``out.unused(i)`` of every agent, in agent order."""
+    return [out.unused(i) for i in range(out.instance.n)]
+
+
 def _screen_terms(
-    inst: LbgInstance, out: LbgOutcome, deviators: frozenset[int]
+    inst: LbgInstance,
+    out: LbgOutcome,
+    deviators: frozenset[int],
+    unused: list[Fraction] | None = None,
 ) -> tuple[list[int], list[int], dict[int, Fraction], dict[int, Fraction]]:
     """What S's screen LP reads: the mixed and inside tasks of
     ``_task_split``, each deviator's base (its unused weight plus the levels
     of the executed tasks inside S it is in) and each mixed task's share of
-    its payoffs paid to S."""
+    its payoffs paid to S.  ``unused`` is ``_unused_weights(out)``, read
+    here when not given."""
+    if unused is None:
+        unused = _unused_weights(out)
     forced, mixed, inside = _task_split(inst, out, deviators)
     base = {
-        i: out.unused(i)
-        + sum((out.levels[j] for j in forced if i in inst.tasks[j].agents), start=ZERO)
+        i: sum((out.levels[j] for j in forced if i in inst.tasks[j].agents), start=unused[i])
         for i in deviators
     }
     share = {
@@ -434,7 +444,11 @@ def _screen_value(
 
 
 def _dual_bound(
-    inst: LbgInstance, out: LbgOutcome, deviators: frozenset[int], prices: tuple[Fraction, ...]
+    inst: LbgInstance,
+    out: LbgOutcome,
+    deviators: frozenset[int],
+    prices: tuple[Fraction, ...],
+    unused: list[Fraction] | None = None,
 ) -> Fraction:
     """Objective of one dual-feasible point of ``_screen_value``'s LP for S,
     so an upper bound on its value (weak duality).
@@ -444,8 +458,9 @@ def _dual_bound(
     columns of the tasks inside S.  Each mixed task t's gain row takes
     multiplier 1, which covers its gain column, and its level row takes
     max(0, prices(S ∩ t) - share/level), which covers its f column.
+    ``unused`` is passed on to ``_screen_terms``.
     """
-    mixed, _, base, share = _screen_terms(inst, out, deviators)
+    mixed, _, base, share = _screen_terms(inst, out, deviators, unused)
     bound = sum((prices[i] * base[i] for i in deviators), start=ZERO)
     for j in mixed:
         lvl = out.levels[j]
@@ -469,14 +484,18 @@ def lbg_verify_core(
     are grid-enumerated.  Returns the first strictly profitable deviation
     found, or None.  For dual-priced outcomes the dual point always clears
     (that is the §-theorem this function tests), so no screen LP is solved.
+    Each agent's payoff and unused weight are read once per call: what
+    every S earns comes from one table of subset sums.
     """
     _require_lbg_outcome(out)
     grid = _require_grid(grid)
     prices = lbg_optimal(inst).duals
+    unused = _unused_weights(out)
+    earned = _subset_sums([out.payoff_to_agent(i) for i in range(inst.n)])
     for mask in range(1, 1 << inst.n):
         S = frozenset(i for i in range(inst.n) if mask >> i & 1)
-        p_s = out.payoff_to_set(S)
-        if _dual_bound(inst, out, S, prices) <= p_s or _screen_value(inst, out, S) <= p_s:
+        p_s = earned[mask]
+        if _dual_bound(inst, out, S, prices, unused) <= p_s or _screen_value(inst, out, S) <= p_s:
             continue
         for abandon, z in iter_lbg_deviations(inst, out, S, grid, max_profiles_per_set):
             record = lbg_best_deviation(inst, out, S, abandon, z)

@@ -19,10 +19,15 @@ what every deviating set may use in one table over the game's weights
 (clipped to ``budget.max_weight`` for Is-Stable, whose lookups pass the
 cover budget first); a vector zero outside S is reached only by atoms
 inside S, met in the same order as in S's own table, so values and
-witnesses are those of a table per set.  ``count_structures`` is a counting
+witnesses are those of a table per set.  The max-excess scan reads what
+each set is paid from one table of subset sums and builds the witness
+structure of the winning set alone.  ``count_structures`` is a counting
 table over the box below ``c``, and ``enumerate_structures`` hands each
 level the atoms still fitting, filtered from its own list, so the canonical
-yield order is unchanged.
+yield order is unchanged.  It packs each vector into one ``int``, a field
+per agent with a guard bit above it, so ``b <= rest`` is
+``((rest | G) - b) & G == G`` for the guard mask G and ``rest - b`` is one
+subtraction (the SWAR test of Lamport, CACM 18(8), 1975).
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ from .arbitration import (
     withdrawal_options,
 )
 from .core import (
-    ZERO,
     BudgetExceededError,
     Coalition,
     CoalitionStructure,
@@ -51,12 +55,11 @@ from .core import (
     Outcome,
     _pad_fillers,
     _require_agents,
+    _subset_sums,
     mixed_indices,
     require_outcome,
     structure_weight,
     support,
-    vec_leq,
-    vec_sub,
     zero_coalition,
 )
 from .covers import CoverTable
@@ -154,16 +157,32 @@ def enumerate_structures(
                 f"{budget.max_structures} (count is at least {total})"
             )
 
-    def rec(fits: list[Coalition], rem: Coalition, acc: list[Coalition]) -> Iterator[CoalitionStructure]:
-        # fits: the atoms from the last one taken on that fit into rem
+    # each vector packed into one int: a field per agent, wide enough for
+    # c's largest entry, under a guard bit that a subtraction borrows from
+    # exactly when that field goes negative
+    bits = max(c, default=0).bit_length()
+    width = bits + 1
+    guards = sum(1 << (i * width + bits) for i in range(g.n))
+
+    def pack(v: Coalition) -> int:
+        return sum(x << (i * width) for i, x in enumerate(v))
+
+    # a stored or one-agent vector is yielded as the game's own tuple, so
+    # structures kept side by side add no copies
+    own = {v: v for v in (*g.charfun.vectors.values(), *g._solo_vectors.values())}
+    vector = {pack(a): own.get(a, a) for a in _nonzero_atoms_below(c)}
+
+    def rec(fits: list[int], rem: int, acc: list[Coalition]) -> Iterator[CoalitionStructure]:
+        # fits: the packed atoms from the last one taken on that fit into rem
         yield tuple(acc)
         for k, a in enumerate(fits):
-            rest = vec_sub(rem, a)
-            acc.append(a)
-            yield from rec([b for b in fits[k:] if vec_leq(b, rest)], rest, acc)
+            rest = rem - a
+            room = rest | guards
+            acc.append(vector[a])
+            yield from rec([b for b in fits[k:] if (room - b) & guards == guards], rest, acc)
             acc.pop()
 
-    return rec(_nonzero_atoms_below(c), tuple(c), [])
+    return rec(list(vector), pack(c), [])
 
 
 def brute_arbval(
@@ -183,7 +202,8 @@ def brute_arbval(
     require_outcome(g, o)
     caps = tuple(w if i in deviators else 0 for i, w in enumerate(g.weights))
     table = CoverTable(g.charfun.atoms_within(deviators), caps)
-    return _arbval_on(g, arb, o, deviators, budget, table)
+    value, dev, avail = _arbval_on(g, arb, o, deviators, budget, table)
+    return value, (dev, _pad_fillers(g, table.witness_atoms(avail), avail))
 
 
 def _arbval_on(
@@ -193,10 +213,13 @@ def _arbval_on(
     deviators: frozenset[int],
     budget: EnumerationBudget | None,
     table: CoverTable,
-) -> tuple[Fraction, tuple[Deviation, CoalitionStructure]]:
-    """``brute_arbval`` reading the cover of what S may use, which is zero
-    outside ``deviators``, from ``table``.  What S may use before any
-    withdrawal is derived once; each profile adds its withdrawals to it."""
+) -> tuple[Fraction, Deviation, Coalition]:
+    """``brute_arbval``'s value and deviation, with what S may use after it,
+    reading the cover of what S may use, which is zero outside
+    ``deviators``, from ``table``; the caller builds the post-deviation
+    witness from the last.  What S may use before any withdrawal is derived
+    once; each profile adds its withdrawals to it, and only nonzero payments
+    are added to its cover value."""
     mixed = mixed_indices(o.structure, deviators)
     base = deviation_available(g, o.structure, deviators, Deviation())
     options = {j: withdrawal_options(g, o.structure[j], deviators) for j in mixed}
@@ -209,21 +232,15 @@ def _arbval_on(
         )
 
     best: Fraction | None = None
-    best_dev: Deviation | None = None
-    best_avail: Coalition | None = None
     for combo in product(*[options[j] for j in mixed]):
         dev = Deviation(withdrawals={j: w for j, w in zip(mixed, combo) if any(w)})
         avail = structure_weight((base, *combo), g.n)
-        new_value = table.value(avail)
-        payments = arb.deviation_payoffs(g, o, deviators, dev)
-        total = new_value + sum(payments.values(), start=ZERO)
+        payments = arb.deviation_payoffs(g, o, deviators, dev).values()
+        total = sum((p for p in payments if p), start=table.value(avail))
         if best is None or total > best:
-            best = total
-            best_dev = dev
-            best_avail = avail
-    assert best is not None and best_dev is not None and best_avail is not None
-    post = _pad_fillers(g, table.witness_atoms(best_avail), best_avail)
-    return best, (best_dev, post)
+            best, best_dev, best_avail = total, dev, avail
+    assert best is not None
+    return best, best_dev, best_avail
 
 
 def iter_subsets(n: int) -> Iterator[frozenset[int]]:
@@ -237,7 +254,10 @@ def _max_excess_scan(
 ) -> CoreViolation:
     """The nonempty subset of maximum excess, the first in bitmask order on
     ties, with the deviation and post-deviation structure that earn it.  The
-    outcome passes ``core.require_outcome`` once per call, not per subset."""
+    outcome passes ``core.require_outcome`` once per call, not per subset;
+    the subsets are the game's own (``GameDef._agent_sets``), what each is
+    paid is read from one table of subset sums, and only the winning
+    subset's witness structure is built."""
     require_outcome(g, o)
     if budget is not None and g.n > budget.max_agents:
         raise BudgetExceededError(
@@ -247,15 +267,18 @@ def _max_excess_scan(
     # same relative order, so one table over all agents answers every S
     # exactly as S's own table would, picks included
     table = CoverTable(g.charfun.atoms(), g.weights)
-    paid = [o.payoff_to_agent(i) for i in range(g.n)]
-    best: CoreViolation | None = None
-    for S in iter_subsets(g.n):
-        value, (dev, post) = _arbval_on(g, arb, o, S, budget, table)
-        excess = value - sum((paid[i] for i in S), start=ZERO)
-        if best is None or excess > best.excess:
-            best = CoreViolation(agents=S, excess=excess, deviation=dev, post=post)
+    paid = _subset_sums([o.payoff_to_agent(i) for i in range(g.n)])
+    best: tuple[Fraction, frozenset[int], Deviation, Coalition] | None = None
+    for mask in range(1, 1 << g.n):
+        S = g._agent_sets[mask]
+        value, dev, avail = _arbval_on(g, arb, o, S, budget, table)
+        excess = value - paid[mask]
+        if best is None or excess > best[0]:
+            best = (excess, S, dev, avail)
     assert best is not None
-    return best
+    excess, S, dev, avail = best
+    post = _pad_fillers(g, table.witness_atoms(avail), avail)
+    return CoreViolation(agents=S, excess=excess, deviation=dev, post=post)
 
 
 def brute_checkcore(

@@ -299,6 +299,11 @@ def cutting_plane(
     components add up to the set's, and the set's own cut is the sum of
     theirs.  There are finitely many (set, deviation, branch) cuts, so the
     loop ends; exhausting ``max_rounds`` raises ``BudgetExceededError``.
+    A separated set none of whose components has positive excess, or whose
+    cuts the candidate meets, every one, would be found again each round;
+    either raises ``RuntimeError``.  The second means the rule's
+    ``coalition_payoff``, which the lane's scan reads, and its
+    ``payment_terms``, which the cut reads, disagree.
     """
     system = StabilitySystem(g, rule, cs, shared=True)
     for _ in range(max_rounds):
@@ -315,11 +320,24 @@ def cutting_plane(
                 f"no component of the separated set {sorted(found.agents)} has positive excess,"
                 f" though the set's is {found.excess}"
             )
-        for part in violated:
-            system.add_cut(*_stability_cut(
+        cuts = [
+            _stability_cut(
                 g, cs, part.agents, part.deviation, structure_value(g, part.post), rule, candidate,
                 system.var_of,
-            ))
+            )
+            for part in violated
+        ]
+        # each cut's own form at the candidate: one that meets every cut
+        # would be found again next round
+        x = {v: candidate[j][i] for (j, i), v in system.var_of.items()}
+        if all(sum((a * x[v] for v, a in coeffs.items()), start=ZERO) >= const for coeffs, const in cuts):
+            raise RuntimeError(
+                f"no cut from the separated set {sorted(found.agents)} cuts off the candidate,"
+                f" though the set's excess is {found.excess}: the rule's coalition_payoff"
+                " and payment_terms disagree"
+            )
+        for cut in cuts:
+            system.add_cut(*cut)
     raise BudgetExceededError(
         f"cutting-plane loop did not finish within max_rounds={max_rounds}"
     )

@@ -12,6 +12,7 @@ and each test asserts that its examples reach the cases it is there for.
 from __future__ import annotations
 
 import collections
+from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,7 @@ from ocf.arbitration import (
     REFINED,
     deviation_total,
 )
-from ocf.core import Outcome, structure_value, structure_weight, validate_outcome
+from ocf.core import GameDef, Outcome, make_charfun, structure_value, structure_weight, validate_outcome
 from ocf.oracle import (
     brute_arbval,
     brute_checkcore,
@@ -213,3 +214,57 @@ def test_rules_are_ordered_on_every_lane():
     check()
     assert all(strict[pair] for pair in GENEROSITY), strict
     assert stable[REFINED] and stable[OPTIMISTIC_CLAMPED], stable
+
+
+def _scaled(g, q):
+    """The game with every stored value times ``q``."""
+    rows = [(sup, contrib, v * q) for sup, table in g.charfun.entries.items() for contrib, v in table.items()]
+    return GameDef(n=g.n, weights=g.weights, charfun=make_charfun(g.n, g.charfun.k, rows),
+                   interaction=g.interaction)
+
+
+def test_scaling_every_value_scales_every_answer():
+    """Times a positive rational q, every value of a game and every payoff of
+    an outcome scale OptVal, ArbVal and the maximum excess by q on every
+    lane (and ArbVal on the local withdrawal DP), and leave Is-Stable's
+    stable/none answer as it was.  The lanes' tables hold ints at the lcm of
+    the denominators they read, and q moves those denominators.  The
+    examples reach both Is-Stable answers on every lane, a positive and a
+    zero maximum excess, and a q that is not an integer."""
+    seen = collections.Counter()
+
+    @fuzz(50)
+    @given(case=shaped_cases(tuple(SHAPES)), rule=st.sampled_from(RULES),
+           q=st.builds(Fraction, st.integers(1, 12), st.integers(1, 12)),
+           rng=st.randoms(use_true_random=True))
+    def check(case, rule, q, rng):
+        g, cs = case
+        gq = _scaled(g, q)
+        forest = g.interaction.is_forest()
+        c = tuple(rng.randint(0, w) for w in g.weights)
+        optvals = [lambda h: superadditive_cover(h, c, None)[0], lambda h: optval_tw(h, None, c)[0]]
+        if forest:
+            optvals.append(lambda h: optval_tree(h, c)[0])
+        for optval in optvals:
+            assert optval(gq) == q * optval(g)
+
+        o = random_split(rng, g, cs)
+        oq = Outcome(structure=cs, imputation=tuple(tuple(q * x for x in row) for row in o.imputation))
+        S = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
+        if len(S) <= 4:
+            assert arbval_local(gq, rule, oq, S) == q * arbval_local(g, rule, o, S)
+        for (name, arbval, max_excess, _, is_stable), (_, arbval_q, max_excess_q, _, is_stable_q) in zip(
+            _lanes(g), _lanes(gq)
+        ):
+            assert arbval_q(rule, oq, S) == q * arbval(rule, o, S), name
+            excess = max_excess(rule, o)
+            assert max_excess_q(rule, oq) == q * excess, name
+            none = is_stable(rule, cs) is None
+            assert (is_stable_q(rule, cs) is None) == none, name
+            seen[name, none] += 1
+            seen["excess > 0" if excess > 0 else "excess 0"] += 1
+        seen["q not an integer"] += q.denominator > 1
+
+    check()
+    assert all(seen[name, none] for name in ("oracle", "tw", "tree") for none in (False, True)), seen
+    assert seen["excess > 0"] and seen["excess 0"] and seen["q not an integer"], seen

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ocf.arbitration import CONSERVATIVE, OPTIMISTIC, OPTIMISTIC_CLAMPED, REFINED, SENSITIVE
 from ocf.core import (
+    ContractViolation,
     GameDef,
     Outcome,
     make_charfun,
@@ -16,6 +17,7 @@ from ocf.core import (
     validate_outcome,
 )
 from ocf.oracle import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     EnumerationBudget,
     brute_arbval,
@@ -121,6 +123,75 @@ def test_cover_table_scales_fractions():
             assert isinstance(table.value(c), Fraction) and table.value(c) == best
             assert structure_value(g, tuple(table.witness_atoms(c))) == best
             assert superadditive_cover(g, c, None)[0] == best
+
+
+def _reference_structures(c):
+    """The enumeration on plain tuples: each level takes the atoms from the
+    last one taken on that still fit, in lexicographic order."""
+    atoms = [v for v in product(*[range(w + 1) for w in c]) if any(v)]
+
+    def rec(fits, rem, acc):
+        yield tuple(acc)
+        for k, a in enumerate(fits):
+            rest = tuple(r - x for r, x in zip(rem, a))
+            acc.append(a)
+            yield from rec([b for b in fits[k:] if all(x <= r for x, r in zip(b, rest))], rest, acc)
+            acc.pop()
+
+    return rec(atoms, tuple(c), [])
+
+
+def test_packed_enumeration_matches_the_tuple_reference():
+    """``enumerate_structures`` packs each vector into one int; it yields
+    the tuple reference's sequence: on seeded games up to the default
+    budget's weight of 4 (three bits a field plus the guard), on weights
+    5 to 9 without a budget (three and four bits), on all-zero caps and on
+    one agent.  Stored and one-agent vectors come out as the game's own
+    tuples."""
+    cases = []
+    rng = random.Random(41)
+    while len(cases) < 24:
+        g = (random_tree_game if len(cases) % 2 else random_graph_game)(rng, nmax=3, wmax=4)
+        c = tuple(rng.randint(0, w) for w in g.weights)
+        if 4 in c and count_structures(g, c, cap=5000) <= 5000:
+            cases.append((g, c, DEFAULT_BUDGET))
+    for c in [(9,), (9, 1), (8, 2), (7, 1, 1), (5, 2, 1), (6, 2)]:
+        cases.append((GameDef(n=len(c), weights=c, charfun=make_charfun(len(c), 2, [])), c, None))
+    for n in (1, 3):
+        g = GameDef(n=n, weights=(2,) * n, charfun=make_charfun(n, 1, []))
+        cases.append((g, (0,) * n, DEFAULT_BUDGET))
+    one = GameDef(n=1, weights=(4,), charfun=make_charfun(1, 1, [((0,), (3,), Fraction(2))]))
+    cases += [(one, (4,), DEFAULT_BUDGET), (one, (1,), DEFAULT_BUDGET)]
+    for g, c, budget in cases:
+        got = list(enumerate_structures(g, c, budget))
+        assert got == list(_reference_structures(c)), c
+        assert len(got) == count_structures(g, c)
+        own = {v: id(v) for v in (*g.charfun.vectors.values(), *g._solo_vectors.values())}
+        assert all(id(a) == own[a] for cs in got for a in cs if a in own)
+    assert list(enumerate_structures(one, (0,))) == [()]
+
+
+def test_structure_value_reads_the_stored_entries(g1):
+    """``structure_value`` is the sum of ``value`` over the coalitions:
+    repeats count each time, unlisted coalitions add 0, a coalition of the
+    wrong length is refused, and an edited stored value is read as
+    ``value`` reads it."""
+    assert structure_value(g1, ()) == 0
+    assert structure_value(g1, ((1, 1), (1, 1), (1, 0))) == 2 * g1.charfun.value((1, 1)) + g1.charfun.value((1, 0))
+    assert structure_value(g1, ((0, 0), (2, 1))) == 0 == g1.charfun.value((2, 1))
+    for bad in [((1, 1), (1, 0, 0)), ((1,),)]:
+        with pytest.raises(ContractViolation, match="length"):
+            structure_value(g1, bad)
+    for rng, g in _seeded_games(43, 20, nmax=4):
+        cs = random_outcome(rng, g).structure
+        cs += tuple(rng.choice(cs) for _ in range(len(cs) // 2)) if cs else ()
+        assert structure_value(g, cs) == sum((g.charfun.value(c) for c in cs), Fraction(0))
+    cf = make_charfun(2, 2, [((0,), (1,), Fraction(1)), ((0, 1), (1, 1), Fraction(4))])
+    g = GameDef(n=2, weights=(2, 1), charfun=cf)
+    cs = ((1, 1), (1, 0), (1, 0))
+    assert structure_value(g, cs) == 6
+    cf.entries[(0,)][(1,)] = Fraction(5, 2)
+    assert structure_value(g, cs) == 9 == sum(cf.value(c) for c in cs)
 
 
 def test_enumerate_budget_guard(g1):
@@ -287,3 +358,15 @@ def test_witnesses_share_the_games_vectors():
             witnesses.append(found.post)
         for cs in witnesses:
             assert all(id(c) in shared for c in cs), cs
+
+
+def test_max_excess_names_the_games_own_sets():
+    """The set that ``brute_max_excess`` and ``brute_checkcore`` name is one
+    of the game's own frozensets, the one at its bitmask, so answers kept
+    side by side share it."""
+    for rng, g in _seeded_games(31, 10, nmax=4):
+        o = random_outcome(rng, g)
+        _, S = brute_max_excess(g, REFINED, o)
+        assert S is g._agent_sets[sum(1 << i for i in S)]
+        found = brute_checkcore(g, REFINED, o)
+        assert found is None or found.agents is S

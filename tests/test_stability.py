@@ -18,10 +18,12 @@ from ocf.arbitration import (
     REFINED,
     CoreViolation,
     Deviation,
+    RefinedRule,
     deviation_total,
     split_violation,
 )
 from ocf.core import (
+    BudgetExceededError,
     ContractViolation,
     GameDef,
     InteractionGraph,
@@ -375,6 +377,30 @@ def test_cutting_plane_refuses_a_violation_no_component_carries():
     bogus = CoreViolation(frozenset({0}), F(1), Deviation(), ())
     with pytest.raises(RuntimeError, match="no component"):
         cutting_plane(g, CONSERVATIVE, ((1, 1), (1, 0)), lambda o: bogus, 10)
+
+
+class _GenerousRefined(RefinedRule):
+    """Refined in its ``payment_terms``, but its ``coalition_payoff`` pays
+    S its recorded share after a withdrawal too, so the scan sees more
+    excess than any cut charges for."""
+
+    def coalition_payoff(self, cf, c, d, xc, deviators):
+        return sum((xc[i] for i in deviators), start=F(0))
+
+
+def test_cutting_plane_refuses_cuts_its_candidate_meets():
+    """When the scan and the cut disagree, a round's cuts can all hold at
+    the candidate, and adding them would find the same set again until
+    ``max_rounds`` (or memory) ran out; the loop raises ``RuntimeError``
+    naming the set instead, on both lanes.  The refined rule itself still
+    gets the oracle's answer on the same structure within those rounds."""
+    g = _g1()
+    cs = ((1, 1), (1, 0))
+    for solve in (is_stable_tree, is_stable_tw):
+        with pytest.raises(RuntimeError, match=r"separated set \[1\] cuts off the candidate") as info:
+            solve(g, _GenerousRefined(), cs, max_rounds=10)
+        assert not isinstance(info.value, BudgetExceededError)
+        assert (solve(g, REFINED, cs, max_rounds=10) is None) == (brute_is_stable(g, REFINED, cs) is None)
 
 
 def _c9_cycle(n: int, w: int) -> GameDef:
