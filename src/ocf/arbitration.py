@@ -22,7 +22,13 @@ depends only on that coalition's own withdrawal, its payoff vector, S and the
 game.  Only local rules are accepted by the tree and treewidth solvers.  Each
 local rule also states its payment through ``payment_terms``, as affine forms
 in the coalition's payoff entries whose maximum is the payment; the stability
-LP of :mod:`ocf.stability` reads its rows from them.
+LP of :mod:`ocf.stability` reads its rows from them.  Each also lists the
+withdrawals that bind in those rows (``withdrawal_menu``), so the oracle's
+full system knows no rule by name.
+
+``deviation_payoffs`` pays S from the "mixed" coalitions alone, those it
+shares with outsiders (``core.mixed_indices``); its docstring says why no
+other coalition pays.
 
 What a deviating set may use is one identity (``deviation_available``).  S
 keeps the coalitions it owns and its unused weight, and adds what it
@@ -104,6 +110,11 @@ def withdrawal_options(g: GameDef, c: Coalition, deviators: frozenset[int]) -> l
             w[i] = u
         out.append(tuple(w))
     return out
+
+
+def _full_withdrawal(c: Coalition, deviators: frozenset[int]) -> Coalition:
+    """Everything S puts into ``c``: the last of ``withdrawal_options``."""
+    return tuple(x if i in deviators else 0 for i, x in enumerate(c))
 
 
 @dataclass(frozen=True)
@@ -190,7 +201,6 @@ def validate_deviation(o: Outcome, deviators: frozenset[int], dev: Deviation, n:
 
 class ArbitrationRule:
     name: str = "abstract"
-    is_local: bool = False
 
     def deviation_payoffs(
         self,
@@ -199,14 +209,16 @@ class ArbitrationRule:
         deviators: frozenset[int],
         dev: Deviation,
     ) -> dict[int, Fraction]:
-        """Payment to S from every coalition outside CS|_S, keyed by index."""
+        """Payment to S from each coalition it shares with outsiders, keyed by
+        index (``core.mixed_indices``).  No other coalition pays S: an outcome
+        past ``core.require_outcome`` pays no one outside a coalition's
+        support and hands out exactly its value, so a coalition with no
+        member in S pays S nothing under every rule."""
         raise NotImplementedError
 
 
 class LocalArbitrationRule(ArbitrationRule):
     """Rule whose per-coalition payment sees only that coalition's withdrawal."""
-
-    is_local = True
 
     def coalition_payoff(
         self,
@@ -230,13 +242,21 @@ class LocalArbitrationRule(ArbitrationRule):
         support(c), ``coalition_payoff`` is the largest form's value."""
         raise NotImplementedError
 
+    def withdrawal_menu(
+        self, g: GameDef, c: Coalition, deviators: frozenset[int]
+    ) -> list[Coalition]:
+        """The withdrawals from the mixed coalition ``c`` that bind in this
+        rule's stability rows: each withdrawal left off frees no more, and
+        is paid no more, than one listed.  The default lists every
+        withdrawal, which is exact for any local rule."""
+        return withdrawal_options(g, c, deviators)
+
     def deviation_payoffs(self, game, outcome, deviators, dev):
         n = game.n
         cs, imp = outcome.structure, outcome.imputation
         return {
             j: self.coalition_payoff(game.charfun, cs[j], dev.withdrawal(j, n), imp[j], deviators)
-            for j, sup in enumerate(outcome.supports)
-            if not sup <= deviators
+            for j in mixed_indices(cs, deviators)
         }
 
 
@@ -248,6 +268,10 @@ class ConservativeRule(LocalArbitrationRule):
 
     def payment_terms(self, cf, c, d, deviators):
         return (({}, ZERO),)
+
+    def withdrawal_menu(self, g, c, deviators):
+        # the payment never moves, so freeing the most binds
+        return [_full_withdrawal(c, deviators)]
 
 
 class RefinedRule(LocalArbitrationRule):
@@ -262,6 +286,10 @@ class RefinedRule(LocalArbitrationRule):
         if any(d):
             return (({}, ZERO),)
         return (({i: 1 for i in support(c) & deviators}, ZERO),)
+
+    def withdrawal_menu(self, g, c, deviators):
+        # the payment tells only zero from nonzero withdrawal
+        return [zero_coalition(g.n), _full_withdrawal(c, deviators)]
 
 
 class OptimisticRule(LocalArbitrationRule):
@@ -291,17 +319,14 @@ class OptimisticRule(LocalArbitrationRule):
 
 class SensitiveRule(ArbitrationRule):
     name = "sensitive"
-    is_local = False
 
     def deviation_payoffs(self, game, outcome, deviators, dev):
         require_outcome(game, outcome)
         touched = {j for j, d in dev.withdrawals.items() if any(d)}
         hurt = set().union(*(outcome.supports[j] for j in touched)) - deviators
         out: dict[int, Fraction] = {}
-        for j, sup in enumerate(outcome.supports):
-            if sup <= deviators:
-                continue
-            if j in touched or (sup & hurt):
+        for j in mixed_indices(outcome.structure, deviators):
+            if j in touched or (outcome.supports[j] & hurt):
                 out[j] = ZERO
             else:
                 out[j] = sum((outcome.imputation[j][i] for i in deviators), start=ZERO)
@@ -346,6 +371,8 @@ def local_payoff(
     require_local(rule)
     if len(xc) != len(c):
         raise ContractViolation("payoff vector and coalition differ in length")
+    if len(d) != len(c):
+        raise ContractViolation("withdrawal and coalition differ in length")
     if not vec_leq(d, c):
         raise ContractViolation("withdrawal exceeds the coalition")
     if not support(d) <= deviators:

@@ -167,7 +167,6 @@ class SetCoverArbitration(ArbitrationRule):
     """
 
     name = "set-cover-gadget"
-    is_local = False
 
     def __init__(self, elements: frozenset[int], subsets: tuple[frozenset[int], ...]):
         self.elements = elements

@@ -5,8 +5,8 @@ structures, deviations and agent subsets, guarded by an explicit budget so a
 mistyped instance aborts with a count instead of running unbounded.  The
 pseudo-polynomial solvers in :mod:`ocf.tree` and :mod:`ocf.treewidth` are
 tested against these.  ``brute_is_stable`` writes the whole stability
-system of :mod:`ocf.stability`: one row per deviating set, withdrawal
-profile and choice of the rule's payment terms.
+system of :mod:`ocf.stability` for any local rule: one row per deviating
+set, profile of the rule's withdrawal menus and choice of its payment terms.
 
 What a deviating set S may use after a withdrawal profile is the identity
 of :mod:`ocf.arbitration`: for i in S, its weight minus what it leaves in
@@ -42,6 +42,7 @@ from .arbitration import (
     ArbitrationRule,
     CoreViolation,
     Deviation,
+    LocalArbitrationRule,
     deviation_available,
     withdrawal_options,
 )
@@ -60,7 +61,6 @@ from .core import (
     require_outcome,
     structure_weight,
     support,
-    zero_coalition,
 )
 from .covers import CoverTable
 from .stability import StabilitySystem, stability_row
@@ -307,42 +307,9 @@ def brute_max_excess(
     return best.excess, best.agents
 
 
-def _stability_deviations(
-    g: GameDef,
-    cs: CoalitionStructure,
-    mixed: list[int],
-    deviators: frozenset[int],
-    rule: ArbitrationRule,
-) -> Iterator[dict[int, Coalition]]:
-    """Withdrawal profiles from the ``mixed`` coalitions whose constraints
-    jointly pin A* for the rule.
-
-    Conservative payments never depend on the withdrawal, so only the full
-    withdrawal (maximal freed resources) binds.  Refined payments only
-    distinguish zero from nonzero withdrawal, so {keep all, withdraw all} per
-    coalition suffices.  Optimistic needs every withdrawal level.
-    """
-    n = g.n
-    per: list[list[Coalition]] = []
-    for j in mixed:
-        c = cs[j]
-        full = tuple(c[i] if i in deviators else 0 for i in range(n))
-        if rule.name == "conservative":
-            per.append([full])
-        elif rule.name == "refined":
-            opts = [zero_coalition(n)]
-            if any(full):
-                opts.append(full)
-            per.append(opts)
-        else:
-            per.append(withdrawal_options(g, c, deviators))
-    for combo in product(*per):
-        yield {j: w for j, w in zip(mixed, combo) if any(w)}
-
-
 def brute_is_stable(
     g: GameDef,
-    rule: ArbitrationRule,
+    rule: LocalArbitrationRule,
     cs: CoalitionStructure,
     budget: EnumerationBudget | None = DEFAULT_BUDGET,
 ) -> Imputation | None:
@@ -351,12 +318,13 @@ def brute_is_stable(
     Adds one linear stability constraint per (subset, withdrawal profile)
     pair to the structure's ``StabilitySystem`` (efficiency presolved,
     individual rationality seeded, as in the cutting-plane loop), then
-    solves it once.  Supported rules: conservative, refined,
-    optimistic (either clamping).  Under the clamped optimistic rule each
-    pair takes one row per zero/linear branch of every mixed coalition, so
-    the stability rows are counted before they are built: the budget allows
-    2^n subsets with 2^(max_agents - 2) rows each on average, 16 at the
-    default.
+    solves it once.  Supported rules: any local rule.  The withdrawal
+    profiles are the product of the rule's ``withdrawal_menu`` over the
+    coalitions S shares with outsiders.  A rule with several payment terms,
+    such as the clamped optimistic one, takes one row per choice of term from
+    every mixed coalition, so the stability rows are counted before they are
+    built: the budget allows 2^n subsets with 2^(max_agents - 2) rows each on
+    average, 16 at the default.
     """
     system = StabilitySystem(g, rule, cs)
     if budget is not None and g.n > budget.max_agents:
@@ -379,16 +347,16 @@ def brute_is_stable(
 
     max_rows = None if budget is None else 1 << (n + budget.max_agents - 2)
     rows = 0
-    zero = zero_coalition(n)
     for S in iter_subsets(n):
         base = deviation_available(g, cs, S, Deviation())
         mixed = mixed_indices(cs, S)
-        for withdrawals in _stability_deviations(g, cs, mixed, S, rule):
-            const = cover_value(structure_weight((base, *withdrawals.values()), n))
+        menus = [rule.withdrawal_menu(g, cs[j], S) for j in mixed]
+        for withdrawals in product(*menus):
+            const = cover_value(structure_weight((base, *withdrawals), n))
             # one row per choice of payment term from every mixed coalition
             terms = [
-                rule.payment_terms(g.charfun, cs[j], withdrawals.get(j, zero), S)
-                for j in mixed
+                rule.payment_terms(g.charfun, cs[j], d, S)
+                for j, d in zip(mixed, withdrawals)
             ]
             rows += math.prod(len(t) for t in terms)
             if max_rows is not None and rows > max_rows:

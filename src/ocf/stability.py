@@ -6,8 +6,7 @@ A payoff division that makes a fixed structure stable is a point of one LP
 ``>=`` row per deviating set and deviation, saying that the set's payoff
 covers its post-deviation structure's value plus what the coalitions it
 shares with outsiders pay it.  Those payments come from each local rule's
-``payment_terms``, so no row here switches on the rule.  ``stability_lp``
-writes that LP as stated; the tests compare the solvers' system with it.
+``payment_terms``, so no row here switches on the rule.
 
 Every solver holds it as a ``StabilitySystem`` instead:
 
@@ -35,8 +34,9 @@ lane's max-excess scan finds violated:
   structure no coalition meets two components, so each component's cut is
   a row of the full system, and together they imply the set's own cut.
 
-Rows are written over the full variables of ``stability_lp`` and mapped
-into the presolved ones as they are added.
+Rows are written over the full variables, one per (coalition index,
+contributor) as in the LP above, and mapped into the presolved ones as they
+are added.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from .core import (
     structure_value,
     support,
 )
-from .lp import ONE, DualSimplex, LinearProgram
+from .lp import ONE, DualSimplex
 
 VarIndex = dict[tuple[int, int], int]
 
@@ -78,31 +78,10 @@ def _variables(cs: CoalitionStructure) -> VarIndex:
     return var_of
 
 
-def stability_lp(
-    g: GameDef, rule: LocalArbitrationRule, cs: CoalitionStructure
-) -> tuple[LinearProgram, VarIndex]:
-    """The stability LP skeleton as stated, before any presolve.
-
-    One non-negative variable per (coalition index, contributor) and one
-    efficiency equality per coalition.  Supported rules: the local ones,
-    whose payments are linear per branch; the others have no linear
-    stability constraints.  ``StabilitySystem`` holds the same LP presolved.
-    """
-    require_local(rule)
-    var_of = _variables(cs)
-    lp = LinearProgram(n_vars=len(var_of), objective=[ZERO] * len(var_of))
-    for j, c in enumerate(cs):
-        sup = sorted(support(c))
-        if not sup:
-            continue
-        lp.add_row({var_of[(j, i)]: Fraction(1) for i in sup}, "=", g.charfun.value(c))
-    return lp, var_of
-
-
 def read_imputation(
     cs: CoalitionStructure, var_of: VarIndex, x: tuple[Fraction, ...], n: int
 ) -> Imputation:
-    """The imputation held by an LP point of ``stability_lp``'s variables,
+    """The imputation held by an LP point of the full variables,
     holding one tuple object per distinct payoff row (repeated coalitions
     are often paid alike), so answers kept by a caller hold no copies."""
     shared: dict[tuple[Fraction, ...], tuple[Fraction, ...]] = {}
@@ -159,7 +138,7 @@ class StabilitySystem:
     """The stability LP of one structure, presolved and seeded with
     individual rationality, to which ``>=`` rows are added one at a time.
 
-    Each full variable of ``stability_lp`` is an affine form (constant,
+    Each full variable (``_variables``) is an affine form (constant,
     {reduced variable: coefficient}) in the reduced variables of a
     :class:`ocf.lp.DualSimplex`: a singleton coalition's variable is the
     constant v(c); in a larger coalition every contributor but the last

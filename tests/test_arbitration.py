@@ -10,6 +10,7 @@ from ocf.arbitration import (
     REFINED,
     SENSITIVE,
     Deviation,
+    LocalArbitrationRule,
     UnsupportedRuleError,
     deviation_total,
     local_payoff,
@@ -17,7 +18,13 @@ from ocf.arbitration import (
     sensitive_payoffs,
 )
 from ocf.core import ContractViolation, GameDef, Outcome, make_charfun
-from conftest import random_k3_game, random_k_outcome, random_outcome, random_tree_game
+from conftest import (
+    random_graph_game,
+    random_k3_game,
+    random_k_outcome,
+    random_outcome,
+    random_tree_game,
+)
 
 
 def test_rule_from_name():
@@ -47,6 +54,18 @@ def test_local_payoff_preconditions(g1):
         local_payoff(REFINED, (1, 1), (0, 1), (Fraction(2), Fraction(2)), frozenset({0}), g1.charfun)
     with pytest.raises(ContractViolation, match="differ in length"):
         local_payoff(REFINED, (1, 1), (0, 0), (Fraction(2),), frozenset({1}), g1.charfun)
+
+
+def test_local_payoff_refuses_a_withdrawal_of_the_wrong_length():
+    """A withdrawal shorter or longer than its coalition is refused under
+    every local rule, before the rule reads it (refined used to pay 2 for a
+    one-entry withdrawal, and optimistic failed inside ``cf.value``)."""
+    g, _ = _example_one_game()
+    xc = (Fraction(2), Fraction(2), Fraction(0))
+    for rule in LOCAL_RULES:
+        for d in ((0,), (0, 0, 0, 0)):
+            with pytest.raises(ContractViolation, match="withdrawal and coalition differ in length"):
+                local_payoff(rule, (1, 1, 0), d, xc, frozenset({0}), g.charfun)
 
 
 def _example_one_game():
@@ -299,3 +318,102 @@ def test_available_is_own_plus_unused_plus_withdrawn():
         )
         dev = Deviation(withdrawals=withdrawals)
         assert deviation_available(g, o.structure, S, dev) == want
+
+
+def _mixed_cases(seed: int, trials: int):
+    """(game, coalition, deviating set) for every coalition each seeded set
+    shares with outsiders, on tree and graph games."""
+    from ocf.core import mixed_indices
+
+    rng = random.Random(seed)
+    for k in range(trials):
+        g = (random_tree_game if k % 2 else random_graph_game)(rng, nmax=4)
+        o = random_outcome(rng, g)
+        S = frozenset(rng.sample(range(g.n), rng.randint(1, g.n - 1)))
+        for j in mixed_indices(o.structure, S):
+            yield g, o.structure[j], S
+
+
+def test_withdrawal_menus_are_options_with_the_full_withdrawal():
+    """Every local rule's menu on a mixed coalition lists withdrawals S may
+    make, each once, and among them the one of everything S puts in."""
+    from ocf.arbitration import withdrawal_options
+
+    cases = 0
+    for g, c, S in _mixed_cases(23, 200):
+        options = withdrawal_options(g, c, S)
+        full = tuple(x if i in S else 0 for i, x in enumerate(c))
+        for rule in LOCAL_RULES:
+            menu = rule.withdrawal_menu(g, c, S)
+            assert set(menu) <= set(options) and len(set(menu)) == len(menu)
+            assert full in menu
+        cases += 1
+    assert cases >= 50
+
+
+class _PlainRefined(LocalArbitrationRule):
+    """Refined payments under a name the oracle has never seen, with the
+    default withdrawal menu."""
+
+    name = "plain-refined"
+
+    def coalition_payoff(self, cf, c, d, xc, deviators):
+        if any(d):
+            return Fraction(0)
+        return sum((xc[i] for i in deviators), start=Fraction(0))
+
+    def payment_terms(self, cf, c, d, deviators):
+        if any(d):
+            return (({}, Fraction(0)),)
+        return (({i: 1 for i, w in enumerate(c) if w and i in deviators}, Fraction(0)),)
+
+
+def test_a_new_local_rule_runs_in_the_oracle_unchanged():
+    """A local rule the oracle does not know by name gets the stability
+    answers of the refined rule, whose payments it copies, from every
+    withdrawal instead of the refined rule's two."""
+    from ocf.oracle import brute_is_stable, superadditive_cover
+    from conftest import random_structure
+
+    rng = random.Random(29)
+    rule = _PlainRefined()
+    answers = {True: 0, False: 0}
+    for k in range(60):
+        g = (random_tree_game if k % 2 else random_graph_game)(rng, nmax=4)
+        cs = random_structure(rng, g) if k % 3 else superadditive_cover(g, g.weights, None)[1]
+        ours = brute_is_stable(g, rule, cs)
+        assert ours == brute_is_stable(g, REFINED, cs), (k, cs)
+        answers[ours is None] += 1
+    assert min(answers.values()) >= 5, answers
+
+
+def test_deviation_payoffs_pay_from_the_mixed_coalitions():
+    """Every rule keys its payments by the coalitions S shares with
+    outsiders, and a local rule's total is what paying every coalition S
+    does not own gives: on a gated outcome the others pay S nothing."""
+    from ocf.core import mixed_indices
+
+    rng = random.Random(31)
+    for k in range(120):
+        g = (random_tree_game if k % 2 else random_graph_game)(rng, nmax=4)
+        o = random_outcome(rng, g)
+        S = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
+        mixed = mixed_indices(o.structure, S)
+        dev = Deviation(
+            withdrawals={
+                j: tuple(rng.randint(0, w) if i in S else 0 for i, w in enumerate(o.structure[j]))
+                for j in mixed
+            }
+        )
+        for rule in (*LOCAL_RULES, SENSITIVE):
+            assert list(rule.deviation_payoffs(g, o, S, dev)) == mixed
+        for rule in LOCAL_RULES:
+            every = sum(
+                (
+                    rule.coalition_payoff(g.charfun, c, dev.withdrawal(j, g.n), o.imputation[j], S)
+                    for j, (c, sup) in enumerate(zip(o.structure, o.supports))
+                    if not sup <= S
+                ),
+                start=Fraction(0),
+            )
+            assert sum(rule.deviation_payoffs(g, o, S, dev).values(), start=Fraction(0)) == every

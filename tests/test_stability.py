@@ -32,9 +32,9 @@ from ocf.core import (
     structure_value,
     validate_outcome,
 )
-from ocf.lp import DualSimplex, pivot, solve_lp
+from ocf.lp import DualSimplex, LinearProgram, pivot, solve_lp
 from ocf.oracle import EnumerationBudget, brute_checkcore, brute_is_stable
-from ocf.stability import StabilitySystem, cutting_plane, ir_rows, stability_lp
+from ocf.stability import StabilitySystem, _variables, cutting_plane, ir_rows
 from ocf.tree import checkcore_tree, is_stable_tree, optval_tree
 from ocf.treewidth import checkcore_tw, heuristic_decomposition, is_stable_tw, optval_tw
 from conftest import (
@@ -179,6 +179,19 @@ def test_presolve_idle_agent_with_solo_value():
         assert solve(g, CONSERVATIVE, ((1, 0),)) == ((F(1), F(0)),)
 
 
+def stability_lp(g: GameDef, cs) -> tuple[LinearProgram, dict[tuple[int, int], int]]:
+    """The stability LP skeleton as stated, before any presolve: one
+    non-negative variable per (coalition index, contributor), in
+    ``StabilitySystem``'s order, and one efficiency equality per coalition."""
+    var_of = _variables(cs)
+    lp = LinearProgram(n_vars=len(var_of), objective=[F(0)] * len(var_of))
+    for j, c in enumerate(cs):
+        sup = [i for i, w in enumerate(c) if w]
+        if sup:
+            lp.add_row({var_of[(j, i)]: F(1) for i in sup}, "=", g.charfun.value(c))
+    return lp, var_of
+
+
 def test_presolve_matches_the_full_lp():
     """The presolved system answers as the unpresolved ``stability_lp`` with
     the same individual-rationality rows and cuts does, and its imputation
@@ -188,7 +201,7 @@ def test_presolve_matches_the_full_lp():
     for trial in range(200):
         g = random_tree_game(rng, nmax=4)
         cs = random_structure(rng, g) if trial % 2 else optval_tree(g, g.weights)[1]
-        lp, var_of = stability_lp(g, CONSERVATIVE, cs)
+        lp, var_of = stability_lp(g, cs)
         system = StabilitySystem(g, CONSERVATIVE, cs)
         rows = ir_rows(g, cs, var_of)
         for _ in range(rng.randint(0, 4)):

@@ -203,7 +203,6 @@ def test_every_local_lane_rejects_sensitive(g1, o1):
         lambda: checkcore_tw(g1, SENSITIVE, o1, td),
         lambda: max_excess_tw(g1, SENSITIVE, o1, td),
         lambda: is_stable_tw(g1, SENSITIVE, cs, td),
-        lambda: stability_module.stability_lp(g1, SENSITIVE, cs),
         lambda: stability_module.StabilitySystem(g1, SENSITIVE, cs),
     ):
         with pytest.raises(UnsupportedRuleError, match="needs a local rule"):

@@ -114,14 +114,43 @@ def test_heuristic_examples():
     assert t.width == 0 and len(t.bags) == 1
 
 
+def _cycle_edges(n: int) -> list[tuple[int, int]]:
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+def _grid_edges(rows: int, cols: int) -> list[tuple[int, int]]:
+    right = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    down = [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return right + down
+
+
 def test_heuristic_always_valid():
+    """Min-fill builds its decomposition without checking it, so this checks
+    it: random graphs on up to 14 vertices, disconnected ones among them,
+    and the shapes the benchmark runs min-fill on (cycles, cycles with two
+    crossing chords, 2 x k and 3 x k grids)."""
     rng = random.Random(71)
-    for _ in range(30):
-        n = rng.randint(1, 7)
-        edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.4]
+    graphs = []
+    for _ in range(80):
+        n = rng.randint(1, 14)
+        p = rng.choice((0.1, 0.25, 0.4, 0.7))
+        graphs.append((n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]))
+    for n in (3, 5, 12, 14, 18, 30):
+        graphs.append((n, _cycle_edges(n)))
+        graphs.append((n, _cycle_edges(n) + [(0, n // 2), (n // 4, (3 * n) // 4)]))
+    for k in (1, 2, 4, 6, 10):
+        graphs.append((2 * k, _grid_edges(2, k)))
+        graphs.append((3 * k, _grid_edges(3, k)))
+    # a cycle, a grid and two isolated vertices side by side
+    graphs.append((13, _cycle_edges(5) + [(5 + a, 5 + b) for a, b in _grid_edges(2, 3)]))
+    graphs.append((14, []))
+    connected = set()
+    for n, edges in graphs:
         graph = InteractionGraph.from_pairs(n, edges)
         t = heuristic_decomposition(graph)
-        assert validate_decomposition(graph, t) == []
+        assert validate_decomposition(graph, t) == [], (n, edges)
+        connected.add(len(graph.components()) == 1)
+    assert connected == {True, False}
 
 
 def test_forest_decomposition_valid():
