@@ -152,11 +152,14 @@ def lbg_optimal(inst: LbgInstance, cross_check: bool = False) -> LbgSolution:
 
 @dataclass(frozen=True)
 class LbgOutcome:
-    """One coalition per task (uniform contribution = level) plus payoffs."""
+    """One coalition per task (uniform contribution = level) plus payoffs;
+    ``prices``, when set, are dual prices of ``lbg_optimal`` that
+    ``lbg_verify_core`` screens with instead of solving it again."""
 
     instance: LbgInstance
     levels: tuple[Fraction, ...]
     payoffs: tuple[dict[int, Fraction], ...]
+    prices: tuple[Fraction, ...] | None = None
 
     def payoff_to_agent(self, i: int) -> Fraction:
         return sum((x.get(i, ZERO) for x in self.payoffs), start=ZERO)
@@ -229,7 +232,7 @@ def lbg_core_outcome(inst: LbgInstance, sol: LbgSolution | None = None) -> LbgOu
         slack = inst.weights[i] - used
         if slack > 0:
             levels[inst.singleton_index(i)] += slack
-    out = LbgOutcome(instance=inst, levels=tuple(levels), payoffs=tuple(payoffs))
+    out = LbgOutcome(instance=inst, levels=tuple(levels), payoffs=tuple(payoffs), prices=sol.duals)
     problems = validate_lbg_outcome(out)
     if problems:
         raise AssertionError(f"constructed outcome invalid: {problems}")
@@ -477,19 +480,30 @@ def lbg_verify_core(
 ) -> LbgDeviation | None:
     """Search for a deviation whose total payoff beats what S earns now.
 
-    Every nonempty S is first screened by weak duality: the dual prices of
-    one ``lbg_optimal`` give a dual-feasible point of S's screen LP
+    Every nonempty S is first screened by weak duality: dual prices of
+    ``lbg_optimal`` give a dual-feasible point of S's screen LP
     (``_dual_bound``), and only when its objective exceeds what S earns is
-    the exact screen LP solved.  Only sets the LP bound cannot clear either
-    are grid-enumerated.  Returns the first strictly profitable deviation
-    found, or None.  For dual-priced outcomes the dual point always clears
-    (that is the §-theorem this function tests), so no screen LP is solved.
-    Each agent's payoff and unused weight are read once per call: what
+    the exact screen LP solved.  The prices are the outcome's own when it
+    carries them, else those of one ``lbg_optimal`` solve; either way they
+    must be dual feasible (weak duality holds at any such point), and prices
+    that are not are refused with ``ContractViolation`` naming the task.
+    Only sets the LP bound cannot clear either are grid-enumerated.
+    Returns the first strictly profitable deviation found, or None.  For
+    dual-priced outcomes the dual point always clears (that is the
+    §-theorem this function tests), so no screen LP is solved, and with
+    the outcome's own prices no LP at all.  Each agent's payoff and unused weight are read once per call: what
     every S earns comes from one table of subset sums.
     """
     _require_lbg_outcome(out)
     grid = _require_grid(grid)
-    prices = lbg_optimal(inst).duals
+    prices = out.prices
+    if prices is None:
+        prices = lbg_optimal(inst).duals
+    elif len(prices) != inst.n or any(p < 0 for p in prices):
+        raise ContractViolation("outcome prices must be n non-negative rationals")
+    for j, t in enumerate(inst.tasks):
+        if sum((prices[i] for i in t.agents), start=ZERO) < t.pi:
+            raise ContractViolation(f"outcome prices do not cover task {j}'s price {t.pi}")
     unused = _unused_weights(out)
     earned = _subset_sums([out.payoff_to_agent(i) for i in range(inst.n)])
     for mask in range(1, 1 << inst.n):

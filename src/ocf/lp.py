@@ -1,7 +1,15 @@
-"""Exact rational linear programming.
+"""Exact rational linear programming on integer rows.
 
-One dense tableau over :class:`fractions.Fraction` serves both LPs, and one
-Gauss-Jordan ``pivot`` changes it:
+One dense tableau serves both LPs, and one ``pivot`` changes it.  Each row
+is a list of ``int``s, a positive multiple of the rational row it stands
+for, kept primitive (the gcd of its entries is 1): its basic column holds
+that multiple, the row's scale, where the rational row holds 1.  A positive
+scale changes no sign and cancels in every ratio ``rhs / a``, so each rule
+below picks what it would pick on the rational tableau, and no ``Fraction``
+arithmetic runs inside: ``add_row`` lifts its input to integers once, and a
+vertex or a dual is divided back into ``Fraction`` once, where it is read
+(integer rows over a common denominator, as in QSopt_ex by Applegate, Cook,
+Dash and Espinoza 2007).
 
 * ``DualSimplex`` - feasibility of ``{x >= 0 : rows}`` kept across added
   rows.  Each row gets its own slack, so there is no artificial column; the
@@ -20,12 +28,11 @@ Gauss-Jordan ``pivot`` changes it:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import ZERO, ContractViolation
-
-ONE = Fraction(1)
 
 Row = tuple[list[Fraction], str, Fraction]
 
@@ -43,25 +50,32 @@ class LinearProgram:
         self.rows.append((dense, sense, Fraction(rhs)))
 
 
-def pivot(tab: list[list[Fraction]], basis: list[int], leave: int, enter: int) -> list[Fraction]:
-    """Gauss-Jordan pivot on (leave, enter): column ``enter`` becomes a unit
-    column with its 1 in row ``leave``, whose basic variable it becomes.
-    Every entry of a row takes part, the right-hand side included, wherever
-    it sits.  Returns the scaled pivot row."""
+def _eliminate(row: list[int], base: list[int], b: int) -> list[int]:
+    """base[b] * row - row[b] * base: zero in column b, and a positive
+    multiple of what the rational row minus its multiple of base would be."""
+    f, p = row[b], base[b]
+    return [p * a - f * c for a, c in zip(row, base)]
+
+
+def _primitive(row: list[int]) -> list[int]:
+    g = math.gcd(*row)
+    return row if g == 1 else [a // g for a in row]
+
+
+def pivot(tab: list[list[int]], basis: list[int], leave: int, enter: int) -> list[int]:
+    """Pivot on (leave, enter): column ``enter`` becomes basic in row
+    ``leave`` and zero in every other row.  The leaving row is negated if
+    its entry there is negative, so that entry becomes the row's positive
+    scale p; every other row with an entry f there becomes p * other -
+    f * row (``_eliminate``) divided by the gcd of its entries.  Every entry
+    of a row takes part, the right-hand side included, wherever it sits.
+    Returns the pivot row."""
     row = tab[leave]
-    piv = row[enter]
-    if piv != 1:
-        inv = ONE / piv
-        for j, a in enumerate(row):
-            if a:
-                row[j] = a * inv
-    nonzero = [(j, a) for j, a in enumerate(row) if a]
+    if row[enter] < 0:
+        row = tab[leave] = [-a for a in row]
     for i, other in enumerate(tab):
-        if i != leave:
-            f = other[enter]
-            if f:
-                for j, a in nonzero:
-                    other[j] -= f * a
+        if other[enter] and i != leave:
+            tab[i] = _primitive(_eliminate(other, row, enter))
     basis[leave] = enter
     return row
 
@@ -81,10 +95,12 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     feasible by its dual pivots.  Phase 2 runs primal pivots on the
     objective from that basis under Bland's rule: the lowest column with a
     positive reduced cost enters, and among the min-ratio rows the one whose
-    basic variable has the lowest column leaves.  Tableau row k's dual is
-    minus the reduced cost of its slack; a ``>=`` row reports it negated
-    and an ``=`` row its ``<=`` half's minus its ``>=`` half's, so that
-    A^T y >= c and y.b is the optimum."""
+    basic variable has the lowest column leaves.  The reduced costs are an
+    ``int`` row over a positive scale, and ratios are compared by
+    cross-multiplying.  Tableau row k's dual is minus the reduced cost of
+    its slack; a ``>=`` row reports it negated and an ``=`` row its ``<=``
+    half's minus its ``>=`` half's, so that A^T y >= c and y.b is the
+    optimum."""
     n = lp.n_vars
     if len(lp.objective) != n:
         raise ContractViolation("objective length must equal n_vars")
@@ -92,50 +108,59 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     for coeffs, sense, rhs in lp.rows:
         if len(coeffs) != n:
             raise ContractViolation("row width must equal n_vars")
-        system.add_row({j: Fraction(a) for j, a in enumerate(coeffs) if a}, sense, rhs)
+        system.add_row({j: a for j, a in enumerate(coeffs) if a}, sense, rhs)
     if system.solve() is None:
         return LpSolution(status="infeasible")
 
     tab, basis = system.tab, system.basis
     width = len(tab[0]) if tab else 1 + n
-    red = [ZERO] + [Fraction(c) for c in lp.objective] + [ZERO] * (width - 1 - n)
+    # reduced costs: red[j] / scale, with scale > 0
+    scale = math.lcm(*(c.denominator for c in lp.objective))
+    red = [0] * width
+    for j, c in enumerate(lp.objective):
+        red[1 + j] = c.numerator * (scale // c.denominator)
+
+    def price_out(row: list[int], b: int) -> None:
+        nonlocal red, scale
+        if red[b]:
+            red, scale = _eliminate(red, row, b), scale * row[b]
+            g = math.gcd(scale, *red)
+            red, scale = [a // g for a in red], scale // g
+
     for row, b in zip(tab, basis):
-        f = red[b]
-        if f:
-            for j, a in enumerate(row):
-                if a:
-                    red[j] -= f * a
+        price_out(row, b)
     while True:
         enter = next((j for j in range(1, width) if red[j] > 0), 0)
         if not enter:
             break
-        leave, best = -1, ZERO
+        leave = -1
         for i, row in enumerate(tab):
             a = row[enter]
-            if a > 0:
-                ratio = row[0] / a
-                if leave < 0 or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    leave, best = i, ratio
+            if a <= 0:
+                continue
+            if leave >= 0:
+                # row[0] / a against the best ratio so far, cross-multiplied
+                d = row[0] * tab[leave][enter] - tab[leave][0] * a
+                if d > 0 or (d == 0 and basis[i] > basis[leave]):
+                    continue
+            leave = i
         if leave < 0:
             return LpSolution(status="unbounded")
-        f = red[enter]
-        for j, a in enumerate(pivot(tab, basis, leave, enter)):
-            if a:
-                red[j] -= f * a
+        price_out(pivot(tab, basis, leave, enter), enter)
 
     x = system.point()
     value = sum((c * v for c, v in zip(lp.objective, x)), start=ZERO)
     duals = []
     slack = 1 + n
     for _, sense, _ in lp.rows:
-        y = ZERO
+        y = 0
         if sense != ">=":
             y -= red[slack]
             slack += 1
         if sense != "<=":
             y += red[slack]
             slack += 1
-        duals.append(y)
+        duals.append(Fraction(y, scale))
     return LpSolution(status="optimal", x=x, objective_value=value, duals=tuple(duals))
 
 
@@ -146,9 +171,10 @@ class DualSimplex:
     Tableau rows hold the right-hand side at column 0, then the ``n_vars``
     variables, then one slack per row; row k starts with its slack basic.
     A ``<=`` row a.x <= b is kept as a.x + s = b, a ``>=`` row as
-    -a.x + s = -b, and an ``=`` row as both.  ``add_row`` reduces a new row
-    against the current basis and appends it with its slack basic, so the
-    last basis stays; ``solve`` then pivots until every right-hand side is
+    -a.x + s = -b, and an ``=`` row as both, each times the lcm of its
+    entries' denominators.  ``add_row`` reduces a new row against the
+    current basis and appends it with its slack basic, so the last basis
+    stays; ``solve`` then pivots until every right-hand side is
     non-negative.  Bland-type rule: the leaving row is the infeasible row
     whose basic variable has the lowest column, the entering column the
     lowest one with a negative entry in that row.  Every column ties in the
@@ -162,37 +188,35 @@ class DualSimplex:
 
     def __init__(self, n_vars: int):
         self.n_vars = n_vars
-        self.tab: list[list[Fraction]] = []
+        self.tab: list[list[int]] = []
         self.basis: list[int] = []
         self.infeasible = False
 
-    def add_row(self, coeffs: dict[int, Fraction], sense: str, rhs: Fraction) -> None:
+    def add_row(self, coeffs: dict[int, int | Fraction], sense: str, rhs: int | Fraction) -> None:
         if sense not in ("<=", ">=", "="):
             raise ContractViolation(f"unknown sense {sense!r}")
         if any(not 0 <= j < self.n_vars for j in coeffs):
             raise ContractViolation("row refers to a variable outside n_vars")
         if sense != ">=":
-            self._append(coeffs, Fraction(rhs), ONE)
+            self._append(coeffs, rhs, 1)
         if sense != "<=":
-            self._append(coeffs, Fraction(rhs), -ONE)
+            self._append(coeffs, rhs, -1)
 
-    def _append(self, coeffs: dict[int, Fraction], rhs: Fraction, sign: Fraction) -> None:
+    def _append(self, coeffs: dict[int, int | Fraction], rhs: int | Fraction, sign: int) -> None:
         width = 1 + self.n_vars + len(self.tab)
-        row = [ZERO] * (width + 1)
-        row[0] = sign * rhs
+        scale = math.lcm(rhs.denominator, *(a.denominator for a in coeffs.values()))
+        row = [0] * (width + 1)
+        row[0] = sign * rhs.numerator * (scale // rhs.denominator)
         for j, a in coeffs.items():
-            row[1 + j] = sign * a
-        row[width] = ONE
+            row[1 + j] = sign * a.numerator * (scale // a.denominator)
+        row[width] = scale
+        for base in self.tab:
+            base.append(0)
         # zero the new row in every basic column
         for base, b in zip(self.tab, self.basis):
-            f = row[b]
-            if f:
-                for j, a in enumerate(base):
-                    if a:
-                        row[j] -= f * a
-        for base in self.tab:
-            base.append(ZERO)
-        self.tab.append(row)
+            if row[b]:
+                row = _eliminate(row, base, b)
+        self.tab.append(_primitive(row))
         self.basis.append(width)
 
     def solve(self) -> tuple[Fraction, ...] | None:
@@ -215,9 +239,9 @@ class DualSimplex:
 
     def point(self) -> tuple[Fraction, ...]:
         """The current basis's vertex: each basic variable at its row's
-        right-hand side, every other variable at 0."""
+        right-hand side over its scale, every other variable at 0."""
         x = [ZERO] * self.n_vars
         for row, b in zip(self.tab, self.basis):
             if b <= self.n_vars:
-                x[b - 1] = row[0]
+                x[b - 1] = Fraction(row[0], row[b])
         return tuple(x)

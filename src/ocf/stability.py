@@ -37,10 +37,23 @@ lane's max-excess scan finds violated:
 Rows are written over the full variables, one per (coalition index,
 contributor) as in the LP above, and mapped into the presolved ones as they
 are added.
+
+Arithmetic: every row reaches the tableau as Python ``int``s, which is
+exact.  The affine forms have ``int`` coefficients (1 or -1) and hold their
+constants, coalition values, times the game's ``charfun.scale``; the rows
+``stability_row`` and ``ir_rows`` write have ``int`` coefficients too, since
+every rule's payment terms do.  Their constants (a solo value v*_i, a
+post-deviation structure's value, a payment term's constant) stay
+``Fraction``s, all multiples of ``1 / charfun.scale`` under the built-in
+rules; ``StabilitySystem`` lifts each row to the lcm of that scale and its
+constant's denominator, so a custom rule's constant off that scale stays
+exact.  :mod:`ocf.lp` runs on those rows and divides its vertex back into
+``Fraction``, and ``solve`` reads each full variable back from it.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -65,7 +78,8 @@ from .core import (
     structure_value,
     support,
 )
-from .lp import ONE, DualSimplex
+from .covers import _scaled
+from .lp import DualSimplex
 
 VarIndex = dict[tuple[int, int], int]
 
@@ -99,23 +113,23 @@ def stability_row(
     var_of: VarIndex,
     deviators: frozenset[int],
     picks: Iterable[tuple[int, PaymentTerm]],
-) -> tuple[dict[int, Fraction], Fraction]:
-    """p_S(x) minus the picked payment terms, as LP coefficients, and the sum
-    of those terms' constants.  ``picks`` pairs coalition indices with one
-    payment term each."""
-    row = {v: Fraction(1) for (j, i), v in var_of.items() if i in deviators}
+) -> tuple[dict[int, int], Fraction]:
+    """p_S(x) minus the picked payment terms, as ``int`` LP coefficients,
+    and the sum of those terms' constants.  ``picks`` pairs coalition
+    indices with one payment term each."""
+    row = {v: 1 for (j, i), v in var_of.items() if i in deviators}
     const = ZERO
     for j, (coeffs, c0) in picks:
         for i, a in coeffs.items():
             v = var_of[(j, i)]
-            row[v] = row.get(v, ZERO) - a
+            row[v] = row.get(v, 0) - a
         const += c0
     return row, const
 
 
 def ir_rows(
     g: GameDef, cs: CoalitionStructure, var_of: VarIndex
-) -> list[tuple[dict[int, Fraction], Fraction]]:
+) -> list[tuple[dict[int, int], Fraction]]:
     """Individual rationality as ``>=`` rows (coefficients, constant): each
     agent's payoffs add up to at least v*_i, the best it makes alone with its
     whole weight.  Agents whose v*_i is 0 get no row; x >= 0 implies it.
@@ -129,7 +143,7 @@ def ir_rows(
     for i, w in enumerate(g.weights):
         solo = g.solo_value(i, w)
         if solo > 0:
-            coeffs = {v: ONE for (j, k), v in var_of.items() if k == i}
+            coeffs = {v: 1 for (j, k), v in var_of.items() if k == i}
             rows.append((coeffs, solo))
     return rows
 
@@ -143,13 +157,14 @@ class StabilitySystem:
     :class:`ocf.lp.DualSimplex`: a singleton coalition's variable is the
     constant v(c); in a larger coalition every contributor but the last
     keeps a reduced variable and the last one's is v(c) minus theirs, which
-    must stay non-negative - one ``<=`` row.  With ``shared``, which only
-    ``cutting_plane`` sets, every repeat of a coalition vector takes the
-    first copy's forms, so copies are paid alike and add no variable and no
-    row.  A coalition with v(c) < 0 makes the system infeasible.  ``cuts``
-    counts the rows added by ``add_cut``.  A structure that breaks
-    ``core.structure_violations``, one over the endowments say, is refused
-    with ``ContractViolation``, on every lane.
+    must stay non-negative - one ``<=`` row.  Coefficients are ``int``s and
+    constants are held times ``scale``, the game's ``charfun.scale``.  With
+    ``shared``, which only ``cutting_plane`` sets, every repeat of a
+    coalition vector takes the first copy's forms, so copies are paid alike
+    and add no variable and no row.  A coalition with v(c) < 0 makes the
+    system infeasible.  ``cuts`` counts the rows added by ``add_cut``.  A
+    structure that breaks ``core.structure_violations``, one over the
+    endowments say, is refused with ``ContractViolation``, on every lane.
     """
 
     def __init__(
@@ -165,9 +180,10 @@ class StabilitySystem:
         self.cs = cs
         self.n = g.n
         self.var_of = _variables(cs)
+        self.scale = g.charfun.scale
         self.cuts = 0
         self._infeasible = False
-        self._forms: list[tuple[Fraction, dict[int, Fraction]]] = []
+        self._forms: list[tuple[int, dict[int, int]]] = []
         first: dict[Coalition, int] = {}
         bounds = []
         reduced = 0
@@ -182,29 +198,33 @@ class StabilitySystem:
             first[c] = len(self._forms)
             value = g.charfun.value(c)
             self._infeasible = self._infeasible or value < 0
+            c0 = _scaled(value, self.scale)
             ks = range(reduced, reduced + len(sup) - 1)
             reduced += len(ks)
-            self._forms.extend((ZERO, {k: ONE}) for k in ks)
-            self._forms.append((value, {k: -ONE for k in ks}))
+            self._forms.extend((0, {k: 1}) for k in ks)
+            self._forms.append((c0, {k: -1 for k in ks}))
             if ks:
-                bounds.append(({k: ONE for k in ks}, value))
+                bounds.append(({k: self.scale for k in ks}, c0))
         self._lp = DualSimplex(reduced)
-        for coeffs, value in bounds:
-            self._lp.add_row(coeffs, "<=", value)
+        for coeffs, c0 in bounds:
+            self._lp.add_row(coeffs, "<=", c0)
         for coeffs, const in ir_rows(g, cs, self.var_of):
             self._add(coeffs, const)
 
-    def _add(self, coeffs: dict[int, Fraction], const: Fraction) -> None:
-        row: dict[int, Fraction] = {}
-        rhs = const
+    def _add(self, coeffs: dict[int, int], const: Fraction) -> None:
+        # the row times lcm(scale, const's denominator), in ints
+        scale = math.lcm(self.scale, const.denominator)
+        row: dict[int, int] = {}
+        fixed = 0
         for v, a in coeffs.items():
             c0, form = self._forms[v]
-            rhs -= a * c0
+            fixed += a * c0
             for k, b in form.items():
-                row[k] = row.get(k, ZERO) + a * b
-        self._lp.add_row(row, ">=", rhs)
+                row[k] = row.get(k, 0) + a * b
+        rhs = _scaled(const, scale) - fixed * (scale // self.scale)
+        self._lp.add_row({k: a * scale for k, a in row.items()}, ">=", rhs)
 
-    def add_cut(self, coeffs: dict[int, Fraction], const: Fraction) -> None:
+    def add_cut(self, coeffs: dict[int, int], const: Fraction) -> None:
         """Add the row sum of coeffs[v] * x_v >= const over the full variables."""
         self.cuts += 1
         self._add(coeffs, const)
@@ -218,7 +238,7 @@ class StabilitySystem:
         values: dict[Fraction, Fraction] = {ZERO: ZERO}
         x = []
         for c0, form in self._forms:
-            v = sum((b * y[k] for k, b in form.items()), start=c0)
+            v = sum((b * y[k] for k, b in form.items()), start=Fraction(c0, self.scale))
             x.append(values.setdefault(v, v))
         return read_imputation(self.cs, self.var_of, tuple(x), self.n)
 

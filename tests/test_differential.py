@@ -25,7 +25,15 @@ from ocf.arbitration import (
     REFINED,
     deviation_total,
 )
-from ocf.core import GameDef, Outcome, make_charfun, structure_value, structure_weight, validate_outcome
+from ocf.core import (
+    GameDef,
+    InteractionGraph,
+    Outcome,
+    make_charfun,
+    structure_value,
+    structure_weight,
+    validate_outcome,
+)
 from ocf.oracle import (
     brute_arbval,
     brute_checkcore,
@@ -268,3 +276,39 @@ def test_scaling_every_value_scales_every_answer():
     check()
     assert all(seen[name, none] for name in ("oracle", "tw", "tree") for none in (False, True)), seen
     assert seen["excess > 0"] and seen["excess 0"] and seen["q not an integer"], seen
+
+
+def _with_isolated_agent(g, cs):
+    """The game with one more agent, of weight 1, in no stored coalition and
+    no edge, and the structure with that agent's zero-valued solo coalition."""
+    n = g.n
+    rows = [(sup, contrib, v) for sup, table in g.charfun.entries.items() for contrib, v in table.items()]
+    edges = [tuple(e) for e in g.interaction.edges]
+    g1 = GameDef(n=n + 1, weights=g.weights + (1,), charfun=make_charfun(n + 1, g.charfun.k, rows),
+                 interaction=InteractionGraph.from_pairs(n + 1, edges))
+    return g1, tuple(c + (0,) for c in cs) + ((0,) * n + (1,),)
+
+
+def test_an_isolated_agent_changes_no_is_stable_answer():
+    """An agent that nothing values, alone in its own coalition, leaves every
+    lane's Is-Stable answer (stable or none) as it was, and every imputation
+    found with it is a valid outcome that pays its coalition nothing.  The
+    examples reach both answers on every lane."""
+    seen = collections.Counter()
+
+    @fuzz(40)
+    @given(case=shaped_cases(tuple(SHAPES)), rule=st.sampled_from(RULES))
+    def check(case, rule):
+        g, cs = case
+        g1, cs1 = _with_isolated_agent(g, cs)
+        for (name, *_, is_stable), (_, *_, is_stable_1) in zip(_lanes(g), _lanes(g1), strict=True):
+            none = is_stable(rule, cs) is None
+            imp = is_stable_1(rule, cs1)
+            assert (imp is None) == none, name
+            if imp is not None:
+                assert validate_outcome(Outcome(structure=cs1, imputation=imp), g1) == [], name
+                assert not any(imp[-1]), name
+            seen[name, none] += 1
+
+    check()
+    assert all(seen[name, none] for name in ("oracle", "tw", "tree") for none in (False, True)), seen

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import islice
@@ -253,6 +254,49 @@ def test_dual_bound_covers_the_screen_lp(monkeypatch):
             assert screened == [] and violation is None
         fallbacks += len(screened)
     assert fallbacks >= 10
+
+
+def test_verify_core_screens_with_the_outcomes_prices(monkeypatch):
+    """A dual-priced outcome carries its solve's prices, so verifying it
+    after ``lbg_optimal`` and ``lbg_core_outcome`` solves no LP at all; an
+    outcome without prices solves ``lbg_optimal`` for them."""
+    calls = []
+    exact = ocf.lbg.solve_lp
+
+    def counted(lp):
+        calls.append(lp)
+        return exact(lp)
+
+    rng = random.Random(223)
+    chains = []
+    for _ in range(20):
+        inst = random_lbg_instance(rng)
+        sol = lbg_optimal(inst, cross_check=True)
+        chains.append((inst, lbg_core_outcome(inst, sol), sol))
+    monkeypatch.setattr(ocf.lbg, "solve_lp", counted)
+    for inst, out, sol in chains:
+        assert out.prices == sol.duals
+        assert lbg_verify_core(inst, out, F(1, 2)) is None
+        assert calls == []
+        bare = dataclasses.replace(out, prices=None)
+        assert lbg_verify_core(inst, bare, F(1, 2)) is None
+        assert len(calls) == 1
+        calls.clear()
+
+
+def test_verify_core_refuses_prices_that_are_not_dual_feasible(l1):
+    """Carried prices that leave a task's price uncovered, or that go
+    negative, would make the weak-duality screen unsound."""
+    out = lbg_core_outcome(l1)
+    j, task = next((j, t) for j, t in enumerate(l1.tasks) if t.pi > 0)
+    short = list(out.prices)
+    for i in task.agents:
+        short[i] = F(0)
+    with pytest.raises(ContractViolation, match=f"task {j}"):
+        lbg_verify_core(l1, dataclasses.replace(out, prices=tuple(short)))
+    negative = (F(-1),) + out.prices[1:]
+    with pytest.raises(ContractViolation, match="non-negative"):
+        lbg_verify_core(l1, dataclasses.replace(out, prices=negative))
 
 
 def test_theorem_reproduction_sample():

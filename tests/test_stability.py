@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+import ocf.stability as stability_module
 from ocf.arbitration import (
     CONSERVATIVE,
     OPTIMISTIC,
@@ -111,7 +112,9 @@ def test_dual_simplex_bland_rule_prevents_cycling():
     tab, basis = trap.tab, trap.basis
     start = sorted(basis)
     for _ in range(6):
-        leave = min((i for i, r in enumerate(tab) if r[0] < 0), key=lambda i: (tab[i][0], basis[i]))
+        leave = min(
+            (i for i, r in enumerate(tab) if r[0] < 0), key=lambda i: (F(tab[i][0], tab[i][basis[i]]), basis[i])
+        )
         enter = next(j for j in range(1, len(tab[leave])) if tab[leave][j] < 0)
         pivot(tab, basis, leave, enter)
     assert sorted(basis) == start
@@ -201,28 +204,92 @@ def test_presolve_matches_the_full_lp():
     for trial in range(200):
         g = random_tree_game(rng, nmax=4)
         cs = random_structure(rng, g) if trial % 2 else optval_tree(g, g.weights)[1]
-        lp, var_of = stability_lp(g, cs)
-        system = StabilitySystem(g, CONSERVATIVE, cs)
-        rows = ir_rows(g, cs, var_of)
+        var_of = _variables(cs)
+        cuts = []
         for _ in range(rng.randint(0, 4)):
             coeffs = {v: F(rng.randint(-2, 2)) for v in var_of.values() if rng.random() < 0.5}
-            const = F(rng.randint(-8, 4))
-            system.add_cut(coeffs, const)
-            rows.append((coeffs, const))
-        for coeffs, const in rows:
-            lp.add_row(coeffs, ">=", const)
-        status = solve_lp(lp).status
-        outcomes[status] += 1
-        imp = system.solve()
-        assert (imp is None) == (status == "infeasible")
-        if imp is not None:
-            x = [F(0)] * lp.n_vars
-            for (j, i), v in var_of.items():
-                x[v] = imp[j][i]
-            for dense, sense, rhs in lp.rows:
-                assert row_holds(x, dict(enumerate(dense)), sense, rhs)
-            assert min(x, default=F(0)) >= 0
+            cuts.append((coeffs, F(rng.randint(-8, 4))))
+        outcomes[_presolve_agrees(g, cs, cuts)] += 1
     assert min(outcomes.values()) >= 40, outcomes
+
+
+def _presolve_agrees(g: GameDef, cs, cuts) -> str:
+    """Solve the presolved system and ``stability_lp`` with the same
+    individual-rationality rows and ``cuts``; assert that they agree and
+    that the imputation satisfies every row of the LP exactly.  Returns the
+    LP's status."""
+    lp, var_of = stability_lp(g, cs)
+    system = StabilitySystem(g, CONSERVATIVE, cs)
+    rows = ir_rows(g, cs, var_of)
+    for coeffs, const in cuts:
+        system.add_cut(coeffs, const)
+        rows.append((coeffs, const))
+    for coeffs, const in rows:
+        lp.add_row(coeffs, ">=", const)
+    status = solve_lp(lp).status
+    imp = system.solve()
+    assert (imp is None) == (status == "infeasible")
+    if imp is not None:
+        x = [F(0)] * lp.n_vars
+        for (j, i), v in var_of.items():
+            x[v] = imp[j][i]
+        for dense, sense, rhs in lp.rows:
+            assert row_holds(x, dict(enumerate(dense)), sense, rhs)
+        assert min(x, default=F(0)) >= 0
+    return status
+
+
+def test_presolve_keeps_off_scale_constants_exact():
+    """On games whose values are not integers, a cut with ``int``
+    coefficients whose constant is no multiple of ``1 / charfun.scale`` (as
+    a custom rule's payment constant may be) is lifted to the lcm of both
+    scales: the system still answers as the unpresolved LP does."""
+    rng = random.Random(229)
+    outcomes = {"optimal": 0, "infeasible": 0}
+    for trial in range(120):
+        g = _divided(random_tree_game(rng, nmax=4), rng.choice((2, 3)))
+        cs = random_structure(rng, g) if trial % 2 else optval_tree(g, g.weights)[1]
+        var_of = _variables(cs)
+        cuts = []
+        for _ in range(rng.randint(1, 4)):
+            coeffs = {v: rng.randint(-2, 2) for v in var_of.values() if rng.random() < 0.5}
+            cuts.append((coeffs, F(rng.randint(-16, 8), rng.choice((5, 7)))))
+        outcomes[_presolve_agrees(g, cs, cuts)] += 1
+    assert min(outcomes.values()) >= 25, outcomes
+
+
+def _divided(g: GameDef, d: int) -> GameDef:
+    """The game with every stored value divided by ``d``."""
+    rows = [(s, c, v / d) for s, table in g.charfun.entries.items() for c, v in table.items()]
+    cf = make_charfun(g.n, g.charfun.k, rows)
+    return GameDef(n=g.n, weights=g.weights, charfun=cf, interaction=g.interaction)
+
+
+def test_stability_rows_reach_the_tableau_as_ints(monkeypatch):
+    """Every row the stability system hands its tableau, bound, individual
+    rationality or cut, on either lane and under every rule, has ``int``
+    coefficients and right-hand side, also when the game's values are not
+    integers; only the imputation read back is ``Fraction``."""
+    rows = []
+
+    class Recorded(DualSimplex):
+        def add_row(self, coeffs, sense, rhs):
+            rows.append((coeffs, rhs))
+            super().add_row(coeffs, sense, rhs)
+
+    monkeypatch.setattr(stability_module, "DualSimplex", Recorded)
+    rng = random.Random(227)
+    answers = {"stable": 0, "none": 0}
+    for trial in range(60):
+        g = _divided(random_tree_game(rng, nmax=4), rng.choice((1, 2, 3, 6)))
+        cs = random_structure(rng, g) if trial % 2 else optval_tree(g, g.weights)[1]
+        rule = RULES[trial % 4]
+        for imp in (is_stable_tree(g, rule, cs), brute_is_stable(g, rule, cs)):
+            answers["none" if imp is None else "stable"] += 1
+            assert imp is None or all(type(x) is F for row in imp for x in row)
+    assert rows and min(answers.values()) >= 20, answers
+    for coeffs, rhs in rows:
+        assert type(rhs) is int and all(type(a) is int for a in coeffs.values())
 
 
 def _refined_path(n: int, w: int) -> GameDef:
