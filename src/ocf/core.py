@@ -313,6 +313,16 @@ class GameDef:
     def w_max(self) -> int:
         return max(self.weights)
 
+    def _shared(self, part):
+        """``part``, or the equal part of an earlier answer on this game: a
+        caller that keeps many answers holds one object per distinct agent
+        set or witness structure, as coalitions share the game's vectors.
+        At most 4096 parts are held; the memo starts afresh when it is full."""
+        memo = self.__dict__.setdefault("_parts", {})
+        if len(memo) >= 4096:
+            memo.clear()
+        return memo.setdefault(part, part)
+
     @cached_property
     def _solo_vectors(self) -> dict[tuple[int, int], Coalition]:
         """The vector of ``w`` units of agent ``i`` alone, keyed ``(i, w)``,
@@ -387,14 +397,15 @@ def _pad_fillers(g: GameDef, atoms: list[Coalition], target: Coalition) -> Coali
 
     Witness atoms are the game's own vectors and the fillers come from
     ``GameDef._solo_vectors``, so every structure shares its tuples with the
-    game."""
+    game, and an equal structure returned before is returned again
+    (``GameDef._shared``)."""
     used = structure_weight(tuple(atoms), g.n)
     out = list(atoms)
     for i in range(g.n):
         gap = target[i] - used[i]
         if gap > 0:
             out.append(g._solo_vectors[(i, gap)])
-    return tuple(out)
+    return g._shared(tuple(out))
 
 
 def structure_value(g: GameDef, cs: CoalitionStructure) -> Fraction:

@@ -1,46 +1,53 @@
 """The (max,+) kernel behind every dynamic-programming table, and cover tables.
 
 Every pseudo-polynomial solver here takes a best value over resource vectors
-and adds the values of parts.  Two primitives do that work; both take tables
-keyed by resource tuples, in which ``None`` marks an unreachable state, and
-work on any ordered additive values (every solver passes scaled ``int``s;
-the tests pass ``Fraction``s too):
+and adds the values of parts.  One sweep, ``merge``, does that work: each
+move ``(shift, region, value, label)`` raises every state ``r`` of its
+region to ``prev[r - shift] + value`` where that is higher, on tables keyed
+by resource tuples in which ``None`` marks an unreachable state, over any
+ordered additive values (every solver passes scaled ``int``s; the tests pass
+``Fraction``s too).  The bag engine of :mod:`ocf.treewidth` calls it
+directly; the rest call it through:
 
 * ``closure`` - the unbounded atom knapsack
-  ``best(r) = max(base(r), max over atoms a <= r of value(a) + best(r - a))``;
-  ``unwind`` walks its picks back into one optimal multiset.  Used by
-  ``CoverTable``, ``single_cover`` and the atom layers of the bag engine in
-  :mod:`ocf.treewidth`; ``single_cover`` only by :mod:`ocf.core`, once per
-  agent and game, and every solver reads that table.
+  ``best(r) = max(base(r), max over atoms a <= r of value(a) + best(r - a))``,
+  a ``merge`` of one move per atom into its own table; ``unwind`` walks its
+  picks back into one optimal multiset.  Used by ``CoverTable`` and
+  ``single_cover``; ``single_cover`` only by :mod:`ocf.core`, once per agent
+  and game, and every solver reads that table.
 * ``convolve`` - the bounded (max,+) convolution of a box table with a table
-  over some of its axes; ``chain`` runs it layer by layer, and ``unchain``
-  walks a chain's picks back into one choice per layer.  Chains build the
-  bag engine's keep rows and the withdrawal DP of ``arbval_local`` in
-  :mod:`ocf.tree`; the engine's child merges are single layers, read back
-  by ``unchain`` too.  ``line_chain`` is ``chain`` on one axis, over plain
-  lists indexed by units, with ``convolve``'s rules, and ``line_unchain``
-  reads it back: the feeder tables ``KeepTable`` (``AlphaTable`` is one
-  over several edges) and ``VBarTable`` in :mod:`ocf.treewidth` run on it.
+  over some of its axes, a ``merge`` of one move per entry; ``chain`` runs it
+  layer by layer for the withdrawal DP of ``arbval_local`` in :mod:`ocf.tree`,
+  and ``unchain`` walks a chain's picks back into one choice per layer.
+  ``line_chain`` is ``chain`` on one axis, over plain lists indexed by units,
+  with ``convolve``'s rules, and ``line_unchain`` reads it back: the feeder
+  tables ``KeepTable`` (``AlphaTable`` is one over several edges) and
+  ``VBarTable`` in :mod:`ocf.treewidth` run on it.
 
-Both sweep the box below some caps once per atom or entry: every state
-``r`` that the shift (the atom, or the entry placed on its axes) fits into,
-beside ``r - shift``.  A ``Box`` holds one canonical tuple per state and
-keeps each sweep it is asked for as two tuples of those states, so a table
-keyed by ``Box.keys`` answers every lookup of a repeated sweep by identity,
-with no fresh tuple built.  Each object that builds tables owns its boxes
-and drops them when it is done: the bag engine keeps one per distinct caps
-of its sets D, and every ``chain`` (``arbval_local``) one for its layers.
-A lone ``closure`` or ``convolve`` may take plain caps instead
-(``CoverTable``, ``single_cover``); it sweeps each shift once, on fresh
-tuples.  A merge whose other operand is the zero vector alone is ``prev``
-plus a constant and sweeps nothing.
+A move sweeps a region of the box below some caps: the values each axis of
+``r`` may take, none below the shift.  By default that is every state the
+shift fits into; the bag engine asks for less.  Its boxes give each agent an
+out state, 0, below its member levels, so a move may pin an axis to out, take
+levels from the shift (or one more) up, pin one level, or keep out and the
+cap alone (the states a bag's projection reads).  A ``Box`` holds one
+canonical tuple per state and keeps each sweep it is asked for, per shift
+and region, as two tuples of those states, so a table keyed by ``Box.keys``
+answers every lookup of a repeated sweep by identity, with no fresh tuple
+built.  Each object that builds tables owns its boxes and drops them when it
+is done: the bag engine keeps one per distinct caps of its bags, and every
+``chain`` (``arbval_local``) one for its layers.  A lone ``closure`` or
+``convolve`` may take plain caps instead (``CoverTable``, ``single_cover``);
+it sweeps each shift once, on fresh tuples.
 
 ``_frontier`` keeps the entries of a table that no entry at smaller or equal
 resources matches in value (the dominance rule of knapsack DPs).  Against a
-table that is non-decreasing in resources, as every table the bag engine
-merges into is, only those entries can win a ``convolve`` or be worth an
-atom in ``closure``, so the engine reduces each operand it merges in (keep
-rows, pair atoms, finished child tables) to them once, when it builds it.
+table that is non-decreasing in resources, only those entries can win a
+``convolve`` or be worth an atom in ``closure``.  Its out-state rule serves
+the bag engine, whose tables are non-decreasing only in the member levels
+of a fixed out pattern: an out state is no lower neighbour of a member
+level, so an entry is dominated only by one with the same axes out.  The
+engine reduces each operand it merges in (keep rows, pair atoms, finished
+child tables) to its frontier once, when it builds it.
 
 The cover of a resource vector is the best total value of a coalition
 multiset using at most those resources.  Because unlisted coalitions are worth
@@ -67,44 +74,44 @@ from typing import Iterable
 Coalition = tuple[int, ...]
 
 
-_NO_PAIRS: tuple[tuple, tuple] = ((), ())
-
-
-def _pairs(caps: tuple[int, ...], shift: tuple[int, ...]) -> tuple[Iterable, Iterable]:
-    """The states ``r >= shift`` below ``caps`` and ``r - shift`` beside
-    them, as two fresh iterators in product order; both empty when the shift
-    exceeds the caps."""
-    if any(s > c for s, c in zip(shift, caps)):
-        return _NO_PAIRS
-    hi = product(*[range(s, c + 1) for s, c in zip(shift, caps)])
-    lo = product(*[range(c - s + 1) for s, c in zip(shift, caps)])
-    return hi, lo
+def _pairs(
+    caps: tuple[int, ...], shift: tuple[int, ...], region: tuple | None = None
+) -> tuple[Iterable, Iterable]:
+    """The states ``r`` of ``region`` and ``r - shift`` beside them, as two
+    fresh iterators in product order.  ``region`` gives each axis the values
+    ``r`` may take, none below the shift; by default every state ``r >= shift``
+    below ``caps``, and nothing once the shift passes the caps."""
+    if region is None:
+        region = [range(s, c + 1) for s, c in zip(shift, caps)]
+    return product(*region), product(*[[x - s for x in axis] for axis, s in zip(region, shift)])
 
 
 class Box:
     """The states below ``caps``, one canonical tuple each, and a memo of
     the sweeps over them.
 
-    ``keys`` holds every state in product order.  ``pairs(shift)`` is
+    ``keys`` holds every state in product order.  ``pairs(shift, region)`` is
     ``_pairs`` mapped onto those canonical tuples, kept for the next sweep
-    with the same shift.  A table keyed by ``keys`` hands its own key objects
-    to every lookup of such a sweep, so each lookup ends at an identity test
-    instead of comparing tuples.  A box belongs to the object that builds
-    tables on it and is dropped with it; nothing is cached at module level.
+    with the same shift and region.  A table keyed by ``keys`` hands its own
+    key objects to every lookup of such a sweep, so each lookup ends at an
+    identity test instead of comparing tuples.  A box belongs to the object
+    that builds tables on it and is dropped with it; nothing is cached at
+    module level.
     """
 
     def __init__(self, caps: Iterable[int]):
         self.caps = tuple(caps)
         self.keys = tuple(product(*[range(c + 1) for c in self.caps]))
         self._canon = dict(zip(self.keys, self.keys))
-        self._pairs: dict[tuple[int, ...], tuple[tuple, tuple]] = {}
+        self._pairs: dict[tuple, tuple[tuple, tuple]] = {}
 
-    def pairs(self, shift: tuple[int, ...]) -> tuple[tuple, tuple]:
-        got = self._pairs.get(shift)
+    def pairs(self, shift: tuple[int, ...], region: tuple | None = None) -> tuple[tuple, tuple]:
+        got = self._pairs.get((shift, region))
         if got is None:
             canon = self._canon.__getitem__
-            got = tuple(tuple(map(canon, side)) for side in _pairs(self.caps, shift))
-            self._pairs[shift] = got
+            hi, lo = _pairs(self.caps, shift, region)
+            hi = tuple(map(canon, hi))
+            got = self._pairs[(shift, region)] = (hi, tuple(map(canon, lo)) if any(shift) else hi)
         return got
 
 
@@ -119,6 +126,30 @@ def _sweeper(box: Box | tuple[int, ...]):
     return caps, partial(_pairs, caps)
 
 
+def merge(sweep, prev: dict, moves: Iterable[tuple], out: dict, picks: dict) -> None:
+    """The kernel's one (max,+) sweep, in place.
+
+    Each move is ``(shift, region, value, label)``.  Over the states ``r``
+    that ``sweep(shift, region)`` pairs with ``r - shift`` (``Box.pairs``, or
+    ``_pairs`` on plain caps), ``out[r]`` rises to ``prev[r - shift] + value``
+    where that is higher, and ``picks[r]`` becomes the move's label; None in
+    ``prev`` or ``out`` is unreachable.  Moves run in order and a tie keeps
+    the earlier label.  ``prev`` may be ``out`` itself: sweeps run in product
+    order, so a state reads its lower neighbour already raised by the same
+    move (the unbounded knapsack of ``closure``).
+    """
+    for shift, region, v, label in moves:
+        for r, rest in zip(*sweep(shift, region)):
+            prior = prev[rest]
+            if prior is None:
+                continue
+            cand = prior + v
+            cur = out[r]
+            if cur is None or cand > cur:
+                out[r] = cand
+                picks[r] = label
+
+
 def closure(box: Box | tuple[int, ...], atoms: list[tuple[tuple[int, ...], object]], base: dict):
     """Unbounded atom knapsack over ``box``: a ``Box``, or its caps.
 
@@ -130,26 +161,16 @@ def closure(box: Box | tuple[int, ...], atoms: list[tuple[tuple[int, ...], objec
     _, sweep = _sweeper(box)
     best = dict(base)
     picks: dict = dict.fromkeys(best)
-    for idx, (a, v) in enumerate(atoms):
-        # r runs over the states a fits into, rest = r - a alongside it; both
-        # in product order, so best(rest) already counts this atom
-        for r, rest in zip(*sweep(a)):
-            prior = best[rest]
-            if prior is None:
-                continue
-            cand = prior + v
-            cur = best[r]
-            if cur is None or cand > cur:
-                best[r] = cand
-                picks[r] = idx
+    merge(sweep, best, [(a, None, v, idx) for idx, (a, v) in enumerate(atoms)], best, picks)
     return best, picks
 
 
 def unwind(atoms: list, picks: dict, r: tuple[int, ...]) -> tuple[list[int], tuple[int, ...]]:
     """Walk ``closure``'s picks back from ``r``: the atom indices of one
-    optimal multiset and the state left to the base."""
+    optimal multiset and the state left to the base.  A state missing from
+    ``picks`` (a ``merge`` of atom moves, labelled by index) counts as None."""
     out = []
-    while (pick := picks[r]) is not None:
+    while (pick := picks.get(r)) is not None:
         out.append(pick)
         r = tuple(y - x for x, y in zip(atoms[pick][0], r))
     return out, r
@@ -171,31 +192,15 @@ def convolve(box: Box | tuple[int, ...], prev: dict, axes: Iterable[int], other:
     the first non-dominated ``z`` that achieves ``out[r]``.  Only values are
     kept: a witness read from the picks may change.
     """
-    if len(other) == 1:
-        ((z, v),) = other.items()
-        if v is not None and not any(z):
-            # the zero vector alone: prev plus a constant, nothing to sweep
-            out = dict(prev) if v == 0 else {r: p if p is None else p + v for r, p in prev.items()}
-            return out, {r: p if p is None else z for r, p in prev.items()}
     caps, sweep = _sweeper(box)
     axes = tuple(axes)
-    out: dict = dict.fromkeys(prev)
-    picks: dict = dict.fromkeys(prev)
+    moves = []
     for z, v in other.items():
-        if v is None:
-            continue
-        shift = [0] * len(caps)
-        for p, zz in zip(axes, z):
-            shift[p] = zz
-        for r, rest in zip(*sweep(tuple(shift))):
-            prior = prev[rest]
-            if prior is None:
-                continue
-            cand = prior + v
-            cur = out[r]
-            if cur is None or cand > cur:
-                out[r] = cand
-                picks[r] = z
+        at = dict(zip(axes, z))  # the shift: z on its axes, 0 elsewhere
+        if v is not None:
+            moves.append((tuple(at.get(p, 0) for p in range(len(caps))), None, v, z))
+    out, picks = dict.fromkeys(prev), dict.fromkeys(prev)
+    merge(sweep, prev, moves, out, picks)
     return out, picks
 
 
@@ -267,7 +272,7 @@ def line_unchain(trail: list[list], r: int) -> tuple[list[int], int]:
     return picks, r
 
 
-def _frontier(table: dict) -> dict:
+def _frontier(table: dict, out: bool = False) -> dict:
     """The entries of ``table`` that no other entry dominates, in key order.
 
     ``z`` is dominated when some ``z' <= z``, ``z' != z``, is worth at least
@@ -276,12 +281,26 @@ def _frontier(table: dict) -> dict:
     best value at or below each lower grid neighbour of ``z`` is known before
     ``z`` reads it; grid points missing from ``table`` count as None.  ``z``
     is kept when its value is strictly above the best of those neighbours.
+
+    With ``out``, coordinate 0 of every axis is an out state below the member
+    levels 1, 2, ...: it is no lower neighbour of a member level, so ``z'``
+    dominates ``z`` only with the same axes out, and a table that is
+    non-decreasing within each out pattern keeps every value it merges.
     """
+    if len(next(iter(table), ())) == 1:  # one axis: a running max over the member levels
+        found, top = {}, None
+        for z in sorted(table):
+            v = table[z]
+            if v is not None and ((out and not z[0]) or top is None or v > top):
+                found[z] = v
+                top = top if out and not z[0] else v
+        return found
     grid = [sorted(set(axis)) for axis in zip(*table)]
-    lows = [axis[0] for axis in grid]
+    # the lowest coordinate of each axis that has no lower neighbour among members
+    lows = [axis[1] if out and axis[0] == 0 and len(axis) > 1 else axis[0] for axis in grid]
     strides = [math.prod(map(len, grid[k + 1 :])) for k in range(len(grid))]
     best: list = []  # per grid point in product order: best value at or below it
-    out = {}
+    found = {}
     for z in product(*grid):
         below = None
         for x, low, s in zip(z, lows, strides):
@@ -291,9 +310,9 @@ def _frontier(table: dict) -> dict:
                     below = b
         v = table.get(z)
         if v is not None and (below is None or v > below):
-            out[z] = below = v
+            found[z] = below = v
         best.append(below)
-    return out
+    return found
 
 
 def _denominator(*groups: Iterable[Fraction | None]) -> int:

@@ -10,9 +10,10 @@ the decomposition, which validates a caller's once and otherwise builds
 ``forest_decomposition`` on a forest and min-fill on any other graph.  The
 tree lane of :mod:`ocf.tree` is these entries on a forest.
 
-One engine, ``_BagEngine``, answers OptVal, ArbVal and CheckCore.  CheckCore
-adds one choice per bag, which of its agents deviate; OptVal and ArbVal fix
-the set to every vertex.  One walk back through the engine's tables reads
+One engine, ``_BagEngine``, answers OptVal, ArbVal and CheckCore, with one
+table per bag.  CheckCore gives each bag agent an out state beside its
+member levels, so the table holds every choice of deviators in the bag;
+OptVal and ArbVal fix the set to every vertex.  One walk back through the engine's tables reads
 off a witness: the members, the pair atoms picked, each member's solo
 level, and the units each member keeps with each non-member neighbour.
 One max-excess scan, ``_max_excess_bags``, turns that walk into the worst
@@ -47,9 +48,9 @@ denominators, taken once the rule has paid, since a rule may pay any
 rational; a value-bar table works at the lcm of its two tables' scales.
 Each engine call takes its rows with their scales and lifts every row and
 atom to the lcm D of those scales and the game's, one integer multiply per
-entry, then runs the (max,+) kernel of :mod:`ocf.covers` (``closure`` for
-the atoms priced at a bag, ``chain`` for keep rows, ``convolve`` for child
-merges, and ``unwind`` and ``unchain`` to read them back).  Values are
+entry, then runs the (max,+) kernel of :mod:`ocf.covers` (``merge`` for
+the keep rows, the atoms priced at a bag and the child merges, each over a
+region of the bag's box, and ``unwind`` to read the atoms back).  Values are
 divided back into ``Fraction`` at the API: ``KeepTable.value`` and the
 engine's ``value``.
 """
@@ -91,12 +92,9 @@ from .covers import (
     _frontier,
     _lift,
     _scaled,
-    chain,
-    closure,
-    convolve,
     line_chain,
     line_unchain,
-    unchain,
+    merge,
     unwind,
 )
 from .stability import cutting_plane
@@ -473,17 +471,37 @@ class _Walk:
 
 
 class _BagEngine:
-    """Bag DP behind OptVal, ArbVal and CheckCore.
+    """Bag DP behind OptVal, ArbVal and CheckCore: one table per bag.
 
-    A bag's tables are keyed by separator mask, then flag, then separator
-    quota q: which parent-separator agents are members of the set, whether
-    some member is homed at-or-below (so the empty set never answers
-    CheckCore), and how much of each member's resources flows into the
-    subtree.  Per choice of members D inside a bag, one box layer over D's
-    resources starts from the solo rows of the members homed there, convolves
-    in the keep rows of edges from a member to a non-member, closes over the
-    pair atoms of edges inside D, and merges each child's table on the
-    separator axes.
+    A bag's table has one axis per bag agent.  Under CheckCore
+    (``every_subset``) each axis starts with an out state, 0, before the
+    member levels 0..cap at 1..cap+1, so one table holds every choice of
+    members; the bag keeps two such tables, T for the sets with some member
+    homed at or below the bag (so the empty set never answers CheckCore) and
+    F for the rest.  OptVal and ArbVal fix the set to every vertex: their
+    axes have no out state, and T alone is kept.  A member's level is how
+    much of its resources flows into the bag's subtree.
+
+    Per bag, one table over the bag's ``covers.Box`` starts as the product of
+    per-axis rows (out is 0, a member level is the agent's solo row if it is
+    homed here, else 0) and goes through ``covers.merge`` moves, each swept
+    over a region of the box: the keep rows of each edge homed here, on the
+    states where one end is a member and the other out (every other state is
+    copied); one closure over the edges' pair atoms, on the states where
+    both ends are members and stay so; then it splits into T and F by
+    whether some agent homed here is in, and merges each child.  A child's
+    tables are keyed by member-or-out states of its separator: an entry with
+    an agent out pins that axis to out, and one at quota q takes q from the
+    agent's level.  With the child's T and F, and C_T or C_F their pointwise
+    max, T becomes max(T with C_T or C_F, F with C_T) and F becomes F with
+    C_F; a merge whose operand reaches no state is skipped.  Ties go to the
+    smaller set: F's merge runs before T's, and where C_T and C_F tie the
+    child's F is read.  The bag's last merge fills only the states its
+    projection reads: the agents homed here are forgotten above, each at
+    out or at its whole cap, and the projection takes the best of those
+    states (out first) for each state of the parent separator.  Bags with
+    the same box caps and separator axes share those regions and the
+    projection's plan (``_frame``).
 
     ``solo`` maps each vertex to its solo row, the value of each resource
     level up to its cap, and ``keeps`` maps (member, non-member) edges to
@@ -491,27 +509,23 @@ class _BagEngine:
     comes as ``int``s with the scale it holds them at.  The engine lifts
     every row, and the game's pair atoms, to ``self.scale``, the lcm of
     those scales and the game's, and its tables hold values at that scale.
-    With ``every_subset`` each subset of a bag's agents is tried as D
-    (CheckCore); otherwise D is the whole bag and the set is every vertex
-    (OptVal, ArbVal).
 
-    Every table a box layer merges into is non-decreasing in resources: the
-    solo rows are covers (less a payoff under CheckCore, convolved with an
-    alpha row under ArbVal) or zeros, and a convolution or closure of such a
-    table stays so.  Each operand merged in is therefore kept as its
-    ``_frontier``, built once: the keep rows at set-up, each edge's pair
-    atoms per game (``CharacteristicFunction._pair_frontiers``), and a bag's
-    finished tables in ``self.final``, which CheckCore merges once per subset
-    of the parent bag.  Values are those of the full operands; a walk reads
-    its witness through the first non-dominated entry that reaches a value.
+    Every table is non-decreasing in each member level with the out pattern
+    fixed: the solo rows are covers (less a payoff under CheckCore, convolved
+    with an alpha row under ArbVal) or zeros, and a merge of such a table
+    stays so.  Each operand merged in is therefore kept as its ``_frontier``
+    under the out-state rule, built once: the keep rows at set-up, each
+    edge's pair atoms per game (``CharacteristicFunction._pair_frontiers``),
+    and a bag's projected tables in ``self.final``.  Values are those of the
+    full operands; a walk reads its witness through the first non-dominated
+    entry that reaches a value.
 
-    The engine keeps one ``covers.Box`` per distinct caps of its sets D
-    while it builds its tables, and drops them once every bag is done.
-    Each D's first table is keyed by its box's canonical states, and every
-    later table of D copies those keys, so the kernel's memoised sweeps
-    look each state up by identity.  With the set fixed (``_whole_bag``) a
-    bag has one table per child and no competing sources, so it keeps no
-    flags or per-state winners beyond the one source each.
+    Every move records its label where it wins a state: the keep or atom,
+    or the child entry with the parent and child tables it joined; each
+    projection records the state that won it.  ``walk`` reads them back from
+    the root's T.  The engine keeps one ``covers.Box`` per distinct caps of
+    its bags, and its memo of region sweeps, while it builds its tables, and
+    drops them once every bag is done.
     """
 
     def __init__(
@@ -527,177 +541,177 @@ class _BagEngine:
         self.caps = caps
         graph = g.interaction
         assert graph is not None
-        self.children, post, self.agents, self.sep, home_v, self.edges_at = _layout(
+        self.children, post, self.agents, self.sep, _, self.edges_at = _layout(
             t, set(solo), graph.simple_edges()
         )
-        self.homed = {X: [i for i in ax if home_v.get(i) == X] for X, ax in self.agents.items()}
         cf = g.charfun
         scales = [s for _, s in solo.values()] + [s for _, s in keeps.values()]
         self.scale = d = math.lcm(cf.scale, *scales)
-        self._solo = {i: _lift(row, d // s) for i, (row, s) in solo.items()}
+        self.out = o = int(every_subset)  # the out state's share of each axis
+        # per agent: its axis row where it is homed, and where it is not
+        self._rows = {i: [0] * o + _lift(row, d // s) for i, (row, s) in solo.items()}
+        self._zeros = [[0] * (c + 1 + o) for c in caps]
         # a keep row whose frontier is nothing kept for nothing leaves every
         # state as it is; a row with no coalition to keep in is one
-        self._keeps = {}
-        for e, (row, s) in keeps.items():
-            front = _frontier({(y,): v for y, v in enumerate(row)})
-            if front != {(0,): 0}:
-                self._keeps[e] = {z: v * (d // s) for z, v in front.items()}
+        fronts = {e: (_frontier({(y,): v for y, v in enumerate(row)}), d // s)
+                  for e, (row, s) in keeps.items()}
+        self._keeps = {e: {z: v * m for z, v in f.items()} for e, (f, m) in fronts.items() if f != {(0,): 0}}
         m = d // cf.scale
         edges = [e for es in self.edges_at.values() for e in es]
         self._pairs = {e: [(c, v * m) for c, v in cf._pair_frontiers.get(e, ())] for e in edges}
-        # per agent: its resource levels, and the solo row of a bag it is not homed at
-        self._span = [range(c + 1) for c in caps]
-        self._zeros = [[0] * (c + 1) for c in caps]
-        self.every_subset = every_subset
-        self.final: dict[int, dict] = {}
-        self.bp: dict[int, dict] = {}
-        boxes: dict[Coalition, Box] = {}  # one per distinct caps of a set D
+        self._pins: dict = {}
+        self.final: dict[int, tuple] = {}
+        self.bp: dict[int, tuple] = {}
+        frames: dict = {}  # per distinct box caps and separator axes (``_frame``)
         for X in post:
-            self._bag(X, boxes)
+            self._bag(X, frames)
 
-    def _bag(self, X: int, boxes: dict[Coalition, Box]) -> None:
-        if not self.every_subset:
-            self._whole_bag(X, boxes)
-            return
-        ax = self.agents[X]
-        sep_x = self.sep[X]
-        homed = self.homed[X]
-        kids = [(self.sep[Y], self.final[Y]) for Y in self.children[X]]
-        final: dict = {}
-        bp: dict = {}
-        for bits in range(1 << len(ax)):
-            D = tuple(i for k, i in enumerate(ax) if bits >> k & 1)
-            box, pos, cur, walk_back = self._layer(X, D, boxes)
-            # child merges, one table per flag; per child and flag, the
-            # (f_prev, f_child, trail) sources and the states a later one won
-            layer = {any(i in pos for i in homed): cur}
-            child_bp: list[dict] = []
-            for sep_y, by in kids:
-                mask_y = tuple(i in pos for i in sep_y)
-                axes = [pos[i] for i in sep_y if i in pos]
-                merged: dict = {}
-                steps: dict = {}
-                for f_prev, prev in layer.items():
-                    for f_child, child in by.get(mask_y, {}).items():
-                        out, picks = convolve(box, prev, axes, child)
-                        source = (f_prev, f_child, [(axes, picks)])
-                        _keep_best(merged, steps, f_prev or f_child, out, source)
-                layer = merged
-                child_bp.append(steps)
-            rec = (*walk_back, child_bp)
-            mask = tuple(i in pos for i in sep_x)
-            tables = final.setdefault(mask, {})
-            steps = bp.setdefault(mask, {})
-            for flag, top in layer.items():
-                _keep_best(tables, steps, flag, self._project(X, D, top), rec)
-        self.final[X] = {
-            mask: {flag: _frontier(table) for flag, table in by_flag.items()}
-            for mask, by_flag in final.items()
-        }
-        self.bp[X] = bp
+    def _place(self, base: tuple, ks: Iterable[int], zs: Iterable[int]) -> tuple[tuple, tuple]:
+        """The shift and region of a move that puts axis ``ks[j]`` at state
+        ``zs[j]``, within the per-axis values ``base``: an out state pins the
+        axis to out; a member state takes its level from the agent's, whose
+        level must reach it.  Each axis's answer is kept per engine."""
+        o = self.out
+        shift, region = [0] * len(base), list(base)
+        for k, z in zip(ks, zs):
+            got = self._pins.get((base[k], z))
+            if got is None:
+                member = z or not o
+                values = tuple(x for x in base[k] if (x >= z if member else x == 0))
+                got = self._pins[(base[k], z)] = (z - o if member else 0, values)
+            shift[k], region[k] = got
+        return tuple(shift), tuple(region)
 
-    def _whole_bag(self, X: int, boxes: dict[Coalition, Box]) -> None:
-        """``_bag`` with the set fixed to every vertex: D is the whole bag,
-        each child has one table, under the full mask, and no two sources
-        ever compete for a state, so every table sits under the flag True
-        that ``value`` and ``walk`` read."""
-        D = self.agents[X]
-        box, pos, cur, walk_back = self._layer(X, D, boxes)
-        child_bp: list[dict] = []
-        for Y in self.children[X]:
-            sep_y = self.sep[Y]
-            axes = [pos[i] for i in sep_y]
-            cur, picks = convolve(box, cur, axes, self.final[Y][(True,) * len(sep_y)][True])
-            child_bp.append({True: ([(True, True, [(axes, picks)])], {})})
-        mask = (True,) * len(self.sep[X])
-        self.final[X] = {mask: {True: _frontier(self._project(X, D, cur))}}
-        self.bp[X] = {mask: {True: ([(*walk_back, child_bp)], {})}}
+    def _moves(self, base: tuple, ks: list[int], table: dict, flag: bool, from_F) -> list[tuple]:
+        """One move per entry ``z`` of a child table, within ``base``: the
+        label holds the shift, ``z``, the flag of the table merged into, and
+        the child's flag (False for the ``z`` in ``from_F``)."""
+        moves = []
+        for z, v in table.items():
+            shift, region = self._place(base, ks, z)
+            if all(region):
+                moves.append((shift, region, v, (shift, z, flag, z not in from_F)))
+        return moves
 
-    def _layer(self, X: int, D: tuple[int, ...], boxes: dict[Coalition, Box]):
-        """Set D's box table at bag X before the child merges: the solo rows
-        of the members homed at X, their keep rows with non-members, and the
-        pair atoms inside D.  Returns D's box, its axis per member, the
-        table, and what a walk reads it back through."""
-        homed = self.homed[X]
-        edges = self.edges_at[X]
-        pos = dict(zip(D, range(len(D))))
-        caps = tuple(self.caps[i] for i in D)
-        box = boxes.get(caps)
-        if box is None:
-            box = boxes[caps] = Box(caps)
-        rows = product(*[self._solo[i] if i in homed else self._zeros[i] for i in D])
-        cur = dict(zip(box.keys, map(sum, rows)))
-        # (member, non-member) edges with a keep row
-        cut = [(a, b) if a in pos else (b, a) for a, b in edges if (a in pos) != (b in pos)]
-        keep_edges = [e for e in cut if e in self._keeps]
-        cur, keep_trail = chain(box, cur, [((pos[e[0]],), self._keeps[e]) for e in keep_edges])
-        pairs = [p for a, b in edges if a in pos and b in pos for p in self._pairs[(a, b)]]
-        atoms = [(tuple(c[i] for i in D), v) for c, v in pairs]
-        cur, atom_bp = closure(box, atoms, cur)
-        return box, pos, cur, (D, pos, keep_edges, keep_trail, pairs, atoms, atom_bp)
+    def _frame(self, caps: Coalition, sk: tuple[int, ...], frames: dict) -> tuple:
+        """What every bag with these box caps and parent-separator axes
+        ``sk`` shares, built once per engine: the box (one per distinct
+        caps), each axis's values (all; where the projection reads it; where
+        F holds it), and the projection's plan per flag, the states it reads
+        grouped by their separator state.  The other axes are homed at the
+        bag and forgotten above, each at out or at its whole cap, and held
+        out in F."""
+        got = frames.get((caps, sk))
+        if got is None:
+            box = frames.get(caps) or frames.setdefault(caps, Box(caps))
+            full = tuple(range(c + 1) for c in caps)
+            # a forgotten axis at out (where there is one) or at its cap
+            ends = tuple(v if k in sk else (0, c)[1 - self.out :] for k, (v, c) in enumerate(zip(full, caps)))
+            outs = tuple(v if k in sk else (0,) for k, v in enumerate(full))
+            plans: dict = {True: {}, False: {}}
+            for flag, base in ((True, ends), (False, outs))[: 1 + self.out]:
+                for r in product(*base):
+                    plans[flag].setdefault(tuple([r[k] for k in sk]), []).append(r)
+            got = frames[(caps, sk)] = (box, full, ends, outs, plans)
+        return got
 
-    def _project(self, X: int, D: tuple[int, ...], top: dict) -> dict:
-        """``top`` on the parent separator: members there get quota q, the
-        rest own their whole caps; both products run in q's order."""
-        sep_x = self.sep[X]
-        span, caps = self._span, self.caps
-        qs = product(*[span[i] for i in D if i in sep_x])
-        avail = product(*[span[i] if i in sep_x else (caps[i],) for i in D])
-        return {q: top[r] for q, r in zip(qs, avail)}
+    def _bag(self, X: int, frames: dict) -> None:
+        o = self.out
+        ax, sep_x = self.agents[X], self.sep[X]
+        pos = {i: k for k, i in enumerate(ax)}
+        sk = tuple(pos[i] for i in sep_x)
+        box, full, ends, outs, plans = self._frame(tuple(self.caps[i] + o for i in ax), sk, frames)
+        pairs = box.pairs
+        values = [0]  # the product of the axis rows, summed, in box order
+        for i in ax:
+            values = [v + x for v in values for x in (self._zeros[i] if i in sep_x else self._rows[i])]
+        cur = dict(zip(box.keys, values))
+        keep_bp = []
+        for a, b in self.edges_at[X] if self._keeps else ():
+            for u, w in ((a, b), (b, a)):
+                if (u, w) in self._keeps:  # the states with u in and w out keep afresh
+                    ks = (pos[u], pos[w])
+                    nxt, picks = dict(cur), {}
+                    nxt.update(dict.fromkeys(pairs(*self._place(full, ks, (1, 0)))[0]))
+                    moves = [
+                        (m := self._place(full, ks, (y + o, 0))) + (v, (m[0], (u, w), y))
+                        for (y,), v in self._keeps[(u, w)].items()
+                    ]
+                    merge(pairs, cur, moves, nxt, picks)
+                    cur = nxt
+                    keep_bp.append(picks)
+        atoms, moves = [], []
+        for a, b in self.edges_at[X]:
+            for c, v in self._pairs[(a, b)]:
+                shift, region = self._place(full, (pos[a], pos[b]), (c[a] + o, c[b] + o))
+                moves.append((shift, region, v, len(atoms)))
+                atoms.append((shift, c))
+        atom_bp: dict = {}
+        merge(pairs, cur, moves, cur, atom_bp)
+        T, F = (None, cur) if o else (cur, None)
+        if o and outs != full:  # T: the states with an agent homed here in
+            T = dict(cur)
+            T.update(dict.fromkeys(r for rs in plans[False].values() for r in rs))
+        merge_bp = []
+        kids = self.children[X]
+        for Y in kids:
+            ks = [pos[i] for i in self.sep[Y]]
+            CT, CF, CTF, from_F = self.final.pop(Y)
+            base = ends if Y == kids[-1] else full
+            picks: dict = {True: {}, False: {}}
+            nT = dict.fromkeys(box.keys)
+            nF = dict.fromkeys(box.keys) if F is not None else None
+            if F is not None:
+                merge(pairs, F, self._moves(outs, ks, CT, False, ()), nT, picks[True])
+                merge(pairs, F, self._moves(outs, ks, CF, False, CF), nF, picks[False])
+            merge(pairs, T, self._moves(base, ks, CTF, True, from_F) if T else [], nT, picks[True])
+            T = nT if picks[True] else None
+            F = nF if picks[False] else None
+            merge_bp.append(picks)
+        pT, pF, won = {}, {}, {True: {}, False: {}}
+        for flag, table, at in ((True, T, pT), (False, F, pF)):
+            by = won[flag]
+            for q, rs in plans[flag].items() if table is not None else ():
+                for r in rs:
+                    v = table[r]
+                    if v is not None and (q not in at or v > at[q]):
+                        at[q], by[q] = v, r
+        from_F = {q for q, v in pF.items() if q not in pT or v >= pT[q]}
+        CT = _frontier(pT, o)
+        CTF = _frontier({**pT, **{q: pF[q] for q in from_F}}, o) if from_F else CT
+        self.final[X] = (CT, _frontier(pF, o) if pF else {}, CTF, from_F)
+        self.bp[X] = (won, merge_bp, atoms, atom_bp, keep_bp)
 
     def value(self) -> Fraction | None:
         """Best value over sets with a member; None if no state reached."""
-        v = self.final[self.t.root].get((), {}).get(True, {}).get(())
+        v = self.final[self.t.root][0].get(())
         return None if v is None else Fraction(v, self.scale)
 
     def walk(self) -> _Walk:
         """Read one optimal state back from the root, bag by bag."""
+        o = self.out
         out = _Walk(set(), [], {}, {})
-        stack = [(self.t.root, (), True, ())]
+        stack = [(self.t.root, True, ())]
         while stack:
-            X, mask, flag, q = stack.pop()
-            sources, won = self.bp[X][mask][flag]
-            D, pos, keep_edges, keep_trail, pairs, atoms, atom_bp, child_bp = sources[won.get(q, 0)]
-            sep_x = self.sep[X]
-            quota = iter(q)  # the separator members' quotas, in D's order
-            state = tuple(next(quota) if i in sep_x else self.caps[i] for i in D)
-            # replay the child merges backwards to find each child's state
-            for Y, steps in zip(reversed(self.children[X]), reversed(child_bp)):
-                merges, won_at = steps[flag]
-                f_prev, f_child, trail = merges[won_at.get(state, 0)]
-                (z,), state = unchain(trail, state)
-                stack.append((Y, tuple(i in pos for i in self.sep[Y]), f_child, z))
-                flag = f_prev
-            picked, state = unwind(atoms, atom_bp, state)
-            out.atoms.extend(pairs[k][0] for k in picked)
-            ys, state = unchain(keep_trail, state)
-            for e, (y,) in zip(keep_edges, ys):
-                out.keeps[e] = y
-            for i in self.homed[X]:
-                if i in pos:
+            X, flag, q = stack.pop()
+            won, merge_bp, atoms, atom_bp, keep_bp = self.bp[X]
+            r = won[flag][q]
+            # undo the child merges, last first, to find each child's state
+            for Y, picks in zip(reversed(self.children[X]), reversed(merge_bp)):
+                shift, z, flag, child_flag = picks[flag][r]
+                r = tuple(x - s for x, s in zip(r, shift))
+                stack.append((Y, child_flag, z))
+            picked, r = unwind(atoms, atom_bp, r)
+            out.atoms.extend(atoms[k][1] for k in picked)
+            for picks in reversed(keep_bp):
+                if r in picks:
+                    shift, e, out.keeps[e] = picks[r]
+                    r = tuple(x - s for x, s in zip(r, shift))
+            for k, i in enumerate(self.agents[X]):
+                if i not in self.sep[X] and r[k] >= o:
                     out.members.add(i)
-                    out.solo[i] = state[pos[i]]
+                    out.solo[i] = r[k] - o
         return out
-
-
-def _keep_best(tables: dict, steps: dict, key, table: dict, source) -> None:
-    """Pointwise max of ``table`` into ``tables[key]``; ``steps[key]`` holds
-    the sources and, per state, the index of a later source that won it."""
-    best = tables.get(key)
-    if best is None:
-        tables[key] = table
-        steps[key] = ([source], {})
-        return
-    sources, won = steps[key]
-    idx = len(sources)
-    wins = False
-    for r, v in table.items():
-        if v is not None and (best[r] is None or v > best[r]):
-            best[r] = v
-            won[r] = idx
-            wins = True
-    if wins:
-        sources.append(source)
 
 
 def _decomposition(
@@ -790,7 +804,7 @@ def arbval_tw(
         atoms.extend(vbars[i].witness(w))
         kept.update(vbars[i].kept(w))
     dev = _deviation_from_keeps(g, o, kept, deviators)
-    return value, dev, tuple(atoms)
+    return value, dev, g._shared(tuple(atoms))
 
 
 def _max_excess_bags(
@@ -828,9 +842,9 @@ def _max_excess_bags(
     kept: dict[int, int] = {}
     for e, y in walk.keeps.items():
         kept.update(keeps[e].keeps(y))
-    members = frozenset(walk.members)
+    members = g._shared(frozenset(walk.members))
     dev = _deviation_from_keeps(g, o, kept, members)
-    return CoreViolation(agents=members, excess=excess, deviation=dev, post=tuple(post))
+    return CoreViolation(agents=members, excess=excess, deviation=dev, post=g._shared(tuple(post)))
 
 
 def checkcore_tw(

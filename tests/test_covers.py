@@ -15,6 +15,7 @@ from ocf.covers import (
     convolve,
     line_chain,
     line_unchain,
+    merge,
     single_cover,
     unchain,
     unwind,
@@ -346,3 +347,127 @@ def test_line_chain_is_chain_on_one_axis():
             assert rest + sum(picks) == r and len(picks) == len(layers)
             assert start[rest] + sum(row[z] for row, z in zip(layers, picks)) == v
     assert lone >= 20
+
+
+def _random_region(rng, caps, shift):
+    """Per axis, the values ``r`` may take at ``shift``, as the bag engine
+    asks for them on a box whose coordinate 0 is an out state: every level
+    (out included) where the shift is 0, the levels from the shift up
+    (floored), one pinned value, or out and the cap; each at least the
+    shift, and sometimes empty."""
+    region = []
+    for s, c in zip(shift, caps):
+        kind = rng.choice(("all", "floored", "pinned", "ends"))
+        if kind == "all" and s == 0:
+            axis = range(c + 1)
+        elif kind in ("all", "floored"):
+            axis = range(s + rng.randint(0, 1), c + 1)
+        elif kind == "pinned":
+            axis = (rng.randint(s, c),) if s <= c else ()
+        else:
+            axis = tuple(sorted({x for x in (0, c) if x >= s}))
+        region.append(axis)
+    return tuple(region)
+
+
+def test_box_pairs_sweep_a_region_like_brute_force():
+    """``pairs(shift, region)`` is every ``(r, r - shift)`` with each
+    coordinate of ``r`` among its axis's region values, in product order:
+    regions that pin an axis, floor it at the shift or above, keep out and
+    the cap, or leave it whole.  Both sides are the box's own key objects,
+    a repeated request returns the kept answer, and a zero shift pairs
+    each state with itself."""
+    rng = random.Random(29)
+    for trial in range(300):
+        caps = tuple(rng.randint(0, 4) for _ in range(rng.randint(0, 3)))
+        box = Box(caps)
+        ids = {id(k) for k in box.keys}
+        shift = tuple(rng.randint(0, c) if rng.random() < 0.6 else 0 for c in caps)
+        region = _random_region(rng, caps, shift)
+        want = [
+            (r, _sub(r, shift))
+            for r in _box(caps)
+            if all(x in axis for x, axis in zip(r, region))
+        ]
+        hi, lo = got = box.pairs(shift, region)
+        assert list(zip(hi, lo)) == want
+        assert all(id(r) in ids for r in hi + lo)
+        assert box.pairs(shift, region) is got
+        if not any(shift):
+            assert hi == lo
+
+
+def test_merge_raises_each_state_to_its_best_move():
+    """``merge`` over regions: every state of a move's region rises to the
+    best of ``prev`` at ``r - shift`` plus the move's value, the first best
+    move's label is picked, and a state no move raises keeps ``out``'s value
+    and no pick.  ``prev`` may be ``out`` itself, as in ``closure``."""
+    rng = random.Random(31)
+    for trial in range(200):
+        caps = tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 3)))
+        box = Box(caps)
+        prev = _random_table(rng, box.keys, NUMBERS["int"], 0.25)
+        start = _random_table(rng, box.keys, NUMBERS["int"], 0.6)
+        moves = []
+        for label in range(rng.randint(0, 5)):
+            shift = tuple(rng.randint(0, c) for c in caps)
+            moves.append((shift, _random_region(rng, caps, shift), rng.randint(-3, 6) % 4, label))
+        out, picks = dict(start), {}
+        merge(box.pairs, prev, moves, out, picks)
+        for r in box.keys:
+            best, first = start[r], None
+            for shift, region, v, label in moves:
+                if all(x in axis for x, axis in zip(r, region)):
+                    p = prev[_sub(r, shift)]
+                    if p is not None and (best is None or p + v > best):
+                        best, first = p + v, label
+            assert out[r] == best and picks.get(r) == first
+        # in place: the unbounded knapsack of closure
+        atoms = [(a, v) for a, _, v, _ in moves if any(a)]
+        base = dict(prev)
+        merge(box.pairs, base, [(a, None, v, k) for k, (a, v) in enumerate(atoms)], base, {})
+        assert base == closure(caps, atoms, prev)[0]
+
+
+def _below_with_outs(y, z):
+    """``y <= z`` with the same axes out: coordinate 0 is out, and no
+    member level is below or above it."""
+    return all((a == 0) == (b == 0) and a <= b for a, b in zip(y, z))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_frontier_out_state_rule_is_dominance_within_an_out_pattern(data):
+    """With ``out``, an entry is dominated only by another at smaller or
+    equal member levels with the same axes out (brute force over all pairs),
+    on one axis and on several, with sparse keys.  A table non-decreasing
+    in member levels within each out pattern then gets every ``merge``
+    value from the frontier."""
+    n = data.draw(st.integers(1, 3))
+    keys = data.draw(st.sets(st.tuples(*[st.integers(0, 4)] * n), max_size=20))
+    table = {z: data.draw(VALUES) for z in sorted(keys)}
+    front = _frontier(table, out=True)
+    assert list(front) == sorted(front)
+    for z, v in table.items():
+        dominated = v is None or any(
+            w is not None and w >= v and y != z and _below_with_outs(y, z) for y, w in table.items()
+        )
+        assert (z in front) == (not dominated), (z, table)
+        if z in front:
+            assert front[z] == v
+    # merged into a prev that rises with member levels within each out pattern
+    caps = (4,) * n
+    box = Box(caps)
+    prev = {r: sum(r) + 10 * sum(x == 0 for x in r) for r in box.keys}
+    def moves(t):
+        out = []
+        for z, v in t.items():
+            if v is not None:
+                shift = tuple(max(x - 1, 0) for x in z)
+                region = tuple((0,) if x == 0 else range(x, 5) for x in z)
+                out.append((shift, region, v, z))
+        return out
+    full, pruned = dict.fromkeys(box.keys), dict.fromkeys(box.keys)
+    merge(box.pairs, prev, moves(table), full, {})
+    merge(box.pairs, prev, moves(front), pruned, {})
+    assert full == pruned

@@ -312,3 +312,126 @@ def test_an_isolated_agent_changes_no_is_stable_answer():
 
     check()
     assert all(seen[name, none] for name in ("oracle", "tw", "tree") for none in (False, True)), seen
+
+
+def test_an_isolated_agent_changes_no_value():
+    """The same isolated agent leaves OptVal (with its unit in the resources
+    or not), ArbVal (of a set with it or without it) and the maximum excess
+    as they were on every lane (ArbVal on the local withdrawal DP too), and
+    so CheckCore's answer; every witness found with it re-checks on the
+    larger game.  The examples reach both CheckCore answers on every lane."""
+    seen = collections.Counter()
+
+    @fuzz(40)
+    @given(case=shaped_cases(tuple(SHAPES)), rule=st.sampled_from(RULES),
+           rng=st.randoms(use_true_random=True))
+    def check(case, rule, rng):
+        g, cs = case
+        g1, cs1 = _with_isolated_agent(g, cs)
+        o = random_split(rng, g, cs)
+        o1 = Outcome(structure=cs1, imputation=tuple(x + (0,) for x in o.imputation) + ((0,) * (g.n + 1),))
+        c = tuple(rng.randint(0, w) for w in g.weights)
+        value, _ = superadditive_cover(g, c, None)
+        optvals = [lambda h, c: optval_tw(h, None, c)] + ([optval_tree] if g.interaction.is_forest() else [])
+        for optval in optvals:
+            for c1 in (c + (0,), c + (1,)):
+                v, witness = optval(g1, c1)
+                assert v == value == structure_value(g1, witness) and structure_weight(witness, g1.n) == c1
+        S = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
+        arbvals = [arbval_tw] + ([arbval_tree] if g.interaction.is_forest() else [])
+        for S1 in (S, S | {g.n}):
+            for arbval in arbvals + ([arbval_local] if len(S1) <= 4 else []):
+                v, dev, post = arbval(g1, rule, o1, S1, with_witness=True)
+                assert v == arbval_tw(g, rule, o, S) == deviation_total(g1, o1, S1, dev, rule, post)
+        for (name, arbval, max_excess, checkcore, _), (_, arbval_1, max_excess_1, checkcore_1, _) in zip(
+            _lanes(g), _lanes(g1), strict=True
+        ):
+            assert arbval_1(rule, o1, S) == arbval(rule, o, S), name
+            excess = max_excess(rule, o)
+            assert max_excess_1(rule, o1) == excess, name
+            found = checkcore_1(rule, o1)
+            assert (found is None) == (checkcore(rule, o) is None) == (excess <= 0), name
+            if found is not None:
+                gained = deviation_total(g1, o1, found.agents, found.deviation, rule, found.post)
+                assert gained - o1.payoff_to_set(found.agents) == found.excess == excess, name
+            seen[name, found is None] += 1
+
+    check()
+    assert all(seen[name, core] for name in ("oracle", "tw", "tree") for core in (False, True)), seen
+
+
+def _relabelled(g, perm):
+    """The game with agent ``i`` renamed ``perm[i]``: its weight, its entries
+    and its edges go along."""
+    rows = []
+    for sup, table in g.charfun.entries.items():
+        for contrib, v in table.items():
+            moved = sorted(zip((perm[i] for i in sup), contrib))
+            rows.append(([i for i, _ in moved], [w for _, w in moved], v))
+    weights = [0] * g.n
+    for i, w in enumerate(g.weights):
+        weights[perm[i]] = w
+    edges = [(perm[a], perm[b]) for a, b in g.interaction.edges]
+    return GameDef(n=g.n, weights=tuple(weights), charfun=make_charfun(g.n, g.charfun.k, rows),
+                   interaction=InteractionGraph.from_pairs(g.n, edges))
+
+
+def _moved(vector, perm):
+    """A per-agent vector with entry ``i`` moved to ``perm[i]``."""
+    out = [None] * len(vector)
+    for i, x in enumerate(vector):
+        out[perm[i]] = x
+    return tuple(out)
+
+
+def test_relabelling_the_agents_permutes_every_answer():
+    """Renaming the agents by a permutation, in the game, the outcome, the
+    structure, the resources and the deviating set, leaves OptVal, ArbVal,
+    the maximum excess and Is-Stable's stable/none answer as they were on
+    every lane, and the renamed worst set of the original game has that
+    maximum excess in the renamed one.  The bag lanes lay their bags out in
+    agent order, so the renamed game runs them through other layouts.  The
+    examples reach a positive maximum excess and both Is-Stable answers on
+    every lane, and a permutation that moves every agent."""
+    seen = collections.Counter()
+
+    @fuzz(60)
+    @given(case=shaped_cases(tuple(SHAPES)), rule=st.sampled_from(RULES),
+           rng=st.randoms(use_true_random=True))
+    def check(case, rule, rng):
+        g, cs = case
+        perm = rng.sample(range(g.n), g.n)
+        gp = _relabelled(g, perm)
+        csp = tuple(_moved(c, perm) for c in cs)
+        o = random_split(rng, g, cs)
+        op = Outcome(structure=csp, imputation=tuple(_moved(x, perm) for x in o.imputation))
+        c = tuple(rng.randint(0, w) for w in g.weights)
+        S = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
+        Sp = frozenset(perm[i] for i in S)
+        optvals = [lambda h, c: superadditive_cover(h, c, None)[0], lambda h, c: optval_tw(h, None, c)[0]]
+        if g.interaction.is_forest():
+            optvals.append(lambda h, c: optval_tree(h, c)[0])
+        for optval in optvals:
+            assert optval(gp, _moved(c, perm)) == optval(g, c)
+        worst_sets = {
+            "oracle": lambda h, o: brute_max_excess(h, rule, o, None),
+            "tw": lambda h, o: max_excess_tw(h, rule, o),
+            "tree": lambda h, o: max_excess_tree(h, rule, o),
+        }
+        for (name, arbval, _, _, is_stable), (_, arbval_p, _, _, is_stable_p) in zip(
+            _lanes(g), _lanes(gp), strict=True
+        ):
+            assert arbval_p(rule, op, Sp) == arbval(rule, o, S), name
+            excess, worst = worst_sets[name](g, o)
+            assert worst_sets[name](gp, op)[0] == excess, name
+            moved = frozenset(perm[i] for i in worst)
+            assert arbval_p(rule, op, moved) - op.payoff_to_set(moved) == excess, name
+            none = is_stable(rule, cs) is None
+            assert (is_stable_p(rule, csp) is None) == none, name
+            seen[name, none] += 1
+            seen["excess > 0"] += excess > 0
+        seen["every agent moves"] += all(perm[i] != i for i in range(g.n))
+
+    check()
+    assert all(seen[name, none] for name in ("oracle", "tw", "tree") for none in (False, True)), seen
+    assert seen["excess > 0"] and seen["every agent moves"], seen

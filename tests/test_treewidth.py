@@ -602,11 +602,13 @@ def test_boxes_die_with_the_solver_call(monkeypatch):
     assert made and all(ref() is None for ref in made)
 
 
-def _non_decreasing(table: dict) -> bool:
-    """Every axis of a box table is non-decreasing, None lowest."""
+def _non_decreasing(table: dict, out: int) -> bool:
+    """Every member level of a box table is non-decreasing, None lowest,
+    with the out pattern fixed: with ``out`` 1 coordinate 0 of each axis is
+    an out state, which is no lower neighbour of the member levels."""
     for r, v in table.items():
         for k, x in enumerate(r):
-            below = table[r[:k] + (x - 1,) + r[k + 1 :]] if x else None
+            below = table[r[:k] + (x - 1,) + r[k + 1 :]] if x > out else None
             if below is not None and (v is None or v < below):
                 return False
     return True
@@ -614,26 +616,24 @@ def _non_decreasing(table: dict) -> bool:
 
 def test_bag_engine_merges_into_monotone_tables(monkeypatch):
     """The bag engine keeps only the non-dominated entries of each merge's
-    other operand, which keeps every value only while the table merged into
-    is non-decreasing in resources.  Every ``prev`` that ``_BagEngine._bag``
-    hands to ``convolve`` or ``closure`` is, under OptVal, ArbVal, CheckCore
-    and Is-Stable on tree, cycle and clique games, and the witnesses
-    re-check."""
+    other operand, under the out-state rule, which keeps every value only
+    while the table merged into is non-decreasing in each member level
+    within each out pattern.  Every ``prev`` that ``_BagEngine._bag`` hands
+    to ``merge`` is, under OptVal, ArbVal, CheckCore and Is-Stable on tree,
+    cycle and clique games, and the witnesses re-check."""
     import ocf.treewidth as tw
 
-    engine = {f.__code__ for f in (tw._BagEngine._bag, tw._BagEngine._whole_bag, tw._BagEngine._layer)}
-    seen = {"convolve": [], "closure": []}
+    seen = {0: [], 1: []}  # per engine mode: with no out state, and with one
+    kernel = tw.merge
 
-    def watched(kernel, at):  # ``prev`` is convolve's 2nd argument, closure's 3rd
-        def call(*args):
-            if sys._getframe(1).f_code in engine:
-                seen[kernel.__name__].append(_non_decreasing(args[at]))
-            return kernel(*args)
+    def watched(sweep, prev, moves, out, picks):
+        frame = sys._getframe(1)
+        if frame.f_code is tw._BagEngine._bag.__code__:
+            o = frame.f_locals["o"]
+            seen[o].append(_non_decreasing(prev, o))
+        return kernel(sweep, prev, moves, out, picks)
 
-        return call
-
-    monkeypatch.setattr(tw, "convolve", watched(tw.convolve, 1))
-    monkeypatch.setattr(tw, "closure", watched(tw.closure, 2))
+    monkeypatch.setattr(tw, "merge", watched)
     rng = random.Random(103)
     for trial in range(16):
         g = (random_graph_game if trial % 2 else random_tree_game)(rng, nmax=5)
