@@ -12,13 +12,16 @@ tree lane of :mod:`ocf.tree` is these entries on a forest.
 
 One engine, ``_BagEngine``, answers OptVal, ArbVal and CheckCore, with one
 table per bag.  CheckCore gives each bag agent an out state beside its
-member levels, so the table holds every choice of deviators in the bag;
-OptVal and ArbVal fix the set to every vertex.  One walk back through the engine's tables reads
-off a witness: the members, the pair atoms picked, each member's solo
-level, and the units each member keeps with each non-member neighbour.
-One max-excess scan, ``_max_excess_bags``, turns that walk into the worst
-set's deviation and post-deviation structure, as ``oracle._max_excess_scan``
-does on the oracle; CheckCore, max-excess and the cutting-plane loop of
+member levels, so the table holds every choice of deviators in the bag, the
+empty set included; OptVal and ArbVal fix the set to every vertex.  One
+walk back through the engine's tables reads off a witness: the members, the
+pair atoms picked, each member's solo level, and the units each member
+keeps with each non-member neighbour.  One max-excess scan,
+``_max_excess_bags``, turns that walk into the worst set's deviation and
+post-deviation structure, as ``oracle._max_excess_scan`` does on the
+oracle.  The empty set never beats the grand coalition N: an outcome is
+efficient, so N keeping its structure has excess 0, and N answers where
+the walk ends at the empty set.  CheckCore, max-excess and the cutting-plane loop of
 Is-Stable (``cutting_plane`` in :mod:`ocf.stability`) all read it, so the
 loop reads its cuts without solving ArbVal again.
 
@@ -476,11 +479,9 @@ class _BagEngine:
     A bag's table has one axis per bag agent.  Under CheckCore
     (``every_subset``) each axis starts with an out state, 0, before the
     member levels 0..cap at 1..cap+1, so one table holds every choice of
-    members; the bag keeps two such tables, T for the sets with some member
-    homed at or below the bag (so the empty set never answers CheckCore) and
-    F for the rest.  OptVal and ArbVal fix the set to every vertex: their
-    axes have no out state, and T alone is kept.  A member's level is how
-    much of its resources flows into the bag's subtree.
+    members, the empty set (worth 0) among them.  OptVal and ArbVal fix the
+    set to every vertex: their axes have no out state.  A member's level is
+    how much of its resources flows into the bag's subtree.
 
     Per bag, one table over the bag's ``covers.Box`` starts as the product of
     per-axis rows (out is 0, a member level is the agent's solo row if it is
@@ -488,20 +489,18 @@ class _BagEngine:
     over a region of the box: the keep rows of each edge homed here, on the
     states where one end is a member and the other out (every other state is
     copied); one closure over the edges' pair atoms, on the states where
-    both ends are members and stay so; then it splits into T and F by
-    whether some agent homed here is in, and merges each child.  A child's
-    tables are keyed by member-or-out states of its separator: an entry with
-    an agent out pins that axis to out, and one at quota q takes q from the
-    agent's level.  With the child's T and F, and C_T or C_F their pointwise
-    max, T becomes max(T with C_T or C_F, F with C_T) and F becomes F with
-    C_F; a merge whose operand reaches no state is skipped.  Ties go to the
-    smaller set: F's merge runs before T's, and where C_T and C_F tie the
-    child's F is read.  The bag's last merge fills only the states its
-    projection reads: the agents homed here are forgotten above, each at
-    out or at its whole cap, and the projection takes the best of those
-    states (out first) for each state of the parent separator.  Bags with
-    the same box caps and separator axes share those regions and the
-    projection's plan (``_frame``).
+    both ends are members and stay so; then one merge per child into a fresh
+    table.  A child's table is keyed by member-or-out states of its
+    separator: an entry with an agent out pins that axis to out, and one at
+    quota q takes q from the agent's level.  The bag's last merge fills only
+    the states its projection reads: the agents homed here are forgotten
+    above, each at out or at its whole cap, and the projection takes the
+    best of those states for each state of the parent separator.  Each child
+    merge and projection keeps the first best child entry or state in
+    product order, where an axis's out state comes before its member levels.
+    Bags with the same box
+    caps and separator axes share those regions and the projection's plan
+    (``_frame``).
 
     ``solo`` maps each vertex to its solo row, the value of each resource
     level up to its cap, and ``keeps`` maps (member, non-member) edges to
@@ -516,16 +515,16 @@ class _BagEngine:
     stays so.  Each operand merged in is therefore kept as its ``_frontier``
     under the out-state rule, built once: the keep rows at set-up, each
     edge's pair atoms per game (``CharacteristicFunction._pair_frontiers``),
-    and a bag's projected tables in ``self.final``.  Values are those of the
+    and a bag's projected table in ``self.final``.  Values are those of the
     full operands; a walk reads its witness through the first non-dominated
     entry that reaches a value.
 
     Every move records its label where it wins a state: the keep or atom,
-    or the child entry with the parent and child tables it joined; each
-    projection records the state that won it.  ``walk`` reads them back from
-    the root's T.  The engine keeps one ``covers.Box`` per distinct caps of
-    its bags, and its memo of region sweeps, while it builds its tables, and
-    drops them once every bag is done.
+    or the child entry with its shift; each projection records the state
+    that won it.  ``walk`` reads them back from the root's table.  The
+    engine keeps one ``covers.Box`` per distinct caps of its bags, and its
+    memo of region sweeps, while it builds its tables, and drops them once
+    every bag is done.
     """
 
     def __init__(
@@ -582,37 +581,32 @@ class _BagEngine:
             shift[k], region[k] = got
         return tuple(shift), tuple(region)
 
-    def _moves(self, base: tuple, ks: list[int], table: dict, flag: bool, from_F) -> list[tuple]:
-        """One move per entry ``z`` of a child table, within ``base``: the
-        label holds the shift, ``z``, the flag of the table merged into, and
-        the child's flag (False for the ``z`` in ``from_F``)."""
+    def _moves(self, base: tuple, ks: list[int], table: dict) -> list[tuple]:
+        """One move per entry ``z`` of a child table, within ``base``, with
+        the label (shift, ``z``)."""
         moves = []
         for z, v in table.items():
             shift, region = self._place(base, ks, z)
             if all(region):
-                moves.append((shift, region, v, (shift, z, flag, z not in from_F)))
+                moves.append((shift, region, v, (shift, z)))
         return moves
 
     def _frame(self, caps: Coalition, sk: tuple[int, ...], frames: dict) -> tuple:
         """What every bag with these box caps and parent-separator axes
         ``sk`` shares, built once per engine: the box (one per distinct
-        caps), each axis's values (all; where the projection reads it; where
-        F holds it), and the projection's plan per flag, the states it reads
-        grouped by their separator state.  The other axes are homed at the
-        bag and forgotten above, each at out or at its whole cap, and held
-        out in F."""
+        caps), each axis's values (all, and where the projection reads it),
+        and the projection's plan, the states it reads grouped by their
+        separator state.  The other axes are homed at the bag and forgotten
+        above, each at out (where there is one) or at its whole cap."""
         got = frames.get((caps, sk))
         if got is None:
             box = frames.get(caps) or frames.setdefault(caps, Box(caps))
             full = tuple(range(c + 1) for c in caps)
-            # a forgotten axis at out (where there is one) or at its cap
             ends = tuple(v if k in sk else (0, c)[1 - self.out :] for k, (v, c) in enumerate(zip(full, caps)))
-            outs = tuple(v if k in sk else (0,) for k, v in enumerate(full))
-            plans: dict = {True: {}, False: {}}
-            for flag, base in ((True, ends), (False, outs))[: 1 + self.out]:
-                for r in product(*base):
-                    plans[flag].setdefault(tuple([r[k] for k in sk]), []).append(r)
-            got = frames[(caps, sk)] = (box, full, ends, outs, plans)
+            plan: dict = {}
+            for r in product(*ends):
+                plan.setdefault(tuple([r[k] for k in sk]), []).append(r)
+            got = frames[(caps, sk)] = (box, full, ends, plan)
         return got
 
     def _bag(self, X: int, frames: dict) -> None:
@@ -620,7 +614,7 @@ class _BagEngine:
         ax, sep_x = self.agents[X], self.sep[X]
         pos = {i: k for k, i in enumerate(ax)}
         sk = tuple(pos[i] for i in sep_x)
-        box, full, ends, outs, plans = self._frame(tuple(self.caps[i] + o for i in ax), sk, frames)
+        box, full, ends, plan = self._frame(tuple(self.caps[i] + o for i in ax), sk, frames)
         pairs = box.pairs
         values = [0]  # the product of the axis rows, summed, in box order
         for i in ax:
@@ -648,59 +642,43 @@ class _BagEngine:
                 atoms.append((shift, c))
         atom_bp: dict = {}
         merge(pairs, cur, moves, cur, atom_bp)
-        T, F = (None, cur) if o else (cur, None)
-        if o and outs != full:  # T: the states with an agent homed here in
-            T = dict(cur)
-            T.update(dict.fromkeys(r for rs in plans[False].values() for r in rs))
         merge_bp = []
         kids = self.children[X]
         for Y in kids:
             ks = [pos[i] for i in self.sep[Y]]
-            CT, CF, CTF, from_F = self.final.pop(Y)
-            base = ends if Y == kids[-1] else full
-            picks: dict = {True: {}, False: {}}
-            nT = dict.fromkeys(box.keys)
-            nF = dict.fromkeys(box.keys) if F is not None else None
-            if F is not None:
-                merge(pairs, F, self._moves(outs, ks, CT, False, ()), nT, picks[True])
-                merge(pairs, F, self._moves(outs, ks, CF, False, CF), nF, picks[False])
-            merge(pairs, T, self._moves(base, ks, CTF, True, from_F) if T else [], nT, picks[True])
-            T = nT if picks[True] else None
-            F = nF if picks[False] else None
+            nxt, picks = dict.fromkeys(box.keys), {}
+            merge(pairs, cur, self._moves(ends if Y == kids[-1] else full, ks, self.final.pop(Y)), nxt, picks)
+            cur = nxt
             merge_bp.append(picks)
-        pT, pF, won = {}, {}, {True: {}, False: {}}
-        for flag, table, at in ((True, T, pT), (False, F, pF)):
-            by = won[flag]
-            for q, rs in plans[flag].items() if table is not None else ():
-                for r in rs:
-                    v = table[r]
-                    if v is not None and (q not in at or v > at[q]):
-                        at[q], by[q] = v, r
-        from_F = {q for q, v in pF.items() if q not in pT or v >= pT[q]}
-        CT = _frontier(pT, o)
-        CTF = _frontier({**pT, **{q: pF[q] for q in from_F}}, o) if from_F else CT
-        self.final[X] = (CT, _frontier(pF, o) if pF else {}, CTF, from_F)
+        at, won = {}, {}
+        for q, rs in plan.items():
+            for r in rs:
+                v = cur[r]
+                if v is not None and (q not in at or v > at[q]):
+                    at[q], won[q] = v, r
+        self.final[X] = _frontier(at, o)
         self.bp[X] = (won, merge_bp, atoms, atom_bp, keep_bp)
 
     def value(self) -> Fraction | None:
-        """Best value over sets with a member; None if no state reached."""
-        v = self.final[self.t.root][0].get(())
+        """Best value over every set the tables hold (under CheckCore the
+        empty set too, worth 0); None if no state is reached."""
+        v = self.final[self.t.root].get(())
         return None if v is None else Fraction(v, self.scale)
 
     def walk(self) -> _Walk:
         """Read one optimal state back from the root, bag by bag."""
         o = self.out
         out = _Walk(set(), [], {}, {})
-        stack = [(self.t.root, True, ())]
+        stack = [(self.t.root, ())]
         while stack:
-            X, flag, q = stack.pop()
+            X, q = stack.pop()
             won, merge_bp, atoms, atom_bp, keep_bp = self.bp[X]
-            r = won[flag][q]
+            r = won[q]
             # undo the child merges, last first, to find each child's state
             for Y, picks in zip(reversed(self.children[X]), reversed(merge_bp)):
-                shift, z, flag, child_flag = picks[flag][r]
+                shift, z = picks[r]
                 r = tuple(x - s for x, s in zip(r, shift))
-                stack.append((Y, child_flag, z))
+                stack.append((Y, z))
             picked, r = unwind(atoms, atom_bp, r)
             out.atoms.extend(atoms[k][1] for k in picked)
             for picks in reversed(keep_bp):
@@ -814,8 +792,10 @@ def _max_excess_bags(
     post-deviation structure that earn it, from the every-subset engine over
     excesses: solo rows are solo covers less payoffs, and keep rows are the
     ``KeepTable``s, both ways, of the edges outcome coalitions span (no other
-    edge has units to keep).  Checks nothing: the public entries check their
-    inputs once, and Is-Stable's candidates are valid outcomes by construction."""
+    edge has units to keep).  Where the walk ends at the empty set the max
+    is 0, and N, keeping the structure, earns it.  Checks nothing: the
+    public entries check their inputs once, and Is-Stable's candidates are
+    valid outcomes by construction."""
     payoff = [ZERO] * g.n
     for x, sup in zip(o.imputation, o.supports):
         for i in sup:
@@ -833,9 +813,10 @@ def _max_excess_bags(
         g, t, g.weights, solo, {e: (k.row, k.scale) for e, k in keeps.items()}, every_subset=True
     )
     excess = engine.value()
-    if excess is None:  # pragma: no cover - nonempty subsets always exist
-        raise RuntimeError("bag DP produced no nonempty subset")
     walk = engine.walk()
+    if not walk.members:
+        return CoreViolation(agents=g._shared(frozenset(range(g.n))), excess=excess,
+                             deviation=Deviation(), post=o.structure)
     post = walk.atoms
     for i, w in walk.solo.items():
         post.extend(SingleTable(g, i, w).witness(w))

@@ -226,16 +226,21 @@ def _term_value(term, xc):
 
 def test_payment_terms_max_is_coalition_payoff():
     """The largest of a local rule's payment terms, at the coalition's payoff
-    vector, is the payment, for every withdrawal from every mixed coalition."""
+    vector, is the payment, for every withdrawal from every mixed coalition.
+    So is the largest of the rule's affine forms as the stability reference
+    writes them from the definitions (``_payment_forms``), which shares no
+    code with the rule objects."""
     from itertools import product
 
     from ocf.core import mixed_indices, support
+    from test_stability_reference import _payment_forms, _value_table
 
     rng = random.Random(5)
     cases = 0
     for _ in range(120):
         g = random_tree_game(rng, nmax=4)
         o = random_outcome(rng, g)
+        table = _value_table(g)
         S = frozenset(rng.sample(range(g.n), rng.randint(1, g.n - 1)))
         for j in mixed_indices(o.structure, S):
             c, xc = o.structure[j], o.imputation[j]
@@ -245,9 +250,12 @@ def test_payment_terms_max_is_coalition_payoff():
                 for i, w in zip(coords, amounts):
                     d[i] = w
                 for rule in LOCAL_RULES:
+                    paid = rule.coalition_payoff(g.charfun, c, tuple(d), xc, S)
                     terms = rule.payment_terms(g.charfun, c, tuple(d), S)
-                    best = max(_term_value(t, xc) for t in terms)
-                    assert best == rule.coalition_payoff(g.charfun, c, tuple(d), xc, S)
+                    assert max(_term_value(t, xc) for t in terms) == paid
+                    forms = _payment_forms(rule.name, table, c, tuple(d), S, j)
+                    assert max(const + sum(a * xc[i] for (_, i), a in form.items())
+                               for form, const in forms) == paid
                     cases += 1
     assert cases >= 200
 

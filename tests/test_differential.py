@@ -423,7 +423,8 @@ def test_relabelling_the_agents_permutes_every_answer():
         ):
             assert arbval_p(rule, op, Sp) == arbval(rule, o, S), name
             excess, worst = worst_sets[name](g, o)
-            assert worst_sets[name](gp, op)[0] == excess, name
+            excess_p, worst_p = worst_sets[name](gp, op)
+            assert excess_p == excess and worst and worst_p, name
             moved = frozenset(perm[i] for i in worst)
             assert arbval_p(rule, op, moved) - op.payoff_to_set(moved) == excess, name
             none = is_stable(rule, cs) is None

@@ -420,23 +420,34 @@ def _core_cases():
 
 def test_checkcore_agreement_random():
     """Max excess matches the oracle on trees and on multi-component forests,
-    and the reported set achieves it."""
-    components = []
+    and the reported set, never empty, achieves it.  Each game is checked
+    again at a core imputation of its optimal structure, where the max is
+    exactly 0: the grand coalition N keeping its structure earns what it is
+    paid, so its excess is never negative, under every rule."""
+    components, zero = [], 0
     for trial, (g, o) in enumerate(_core_cases()):
         rule = RULES[trial % 4]
-        bv, _ = brute_max_excess(g, rule, o)
-        tv, ts = max_excess_tree(g, rule, o)
-        assert tv == bv
-        assert brute_arbval(g, rule, o, ts)[0] - o.payoff_to_set(ts) == tv
-        cc = checkcore_tree(g, rule, o)
-        assert (cc is None) == (brute_checkcore(g, rule, o) is None)
-        if cc is not None:
-            assert cc.deviation is not None and cc.post is not None
-            total = deviation_total(g, o, cc.agents, cc.deviation, rule, cc.post)
-            assert total - o.payoff_to_set(cc.agents) == cc.excess == tv
+        N = frozenset(range(g.n))
+        for any_rule in RULES:
+            assert brute_arbval(g, any_rule, o, N)[0] - o.payoff_to_set(N) >= 0
+        cs = optval_tree(g, g.weights)[1]
+        imp = is_stable_tw(g, rule, cs)
+        for oo in [o] + ([] if imp is None else [Outcome(structure=cs, imputation=imp)]):
+            bv, _ = brute_max_excess(g, rule, oo)
+            tv, ts = max_excess_tree(g, rule, oo)
+            assert tv == bv and ts
+            assert brute_arbval(g, rule, oo, ts)[0] - oo.payoff_to_set(ts) == tv
+            cc = checkcore_tree(g, rule, oo)
+            assert (cc is None) == (brute_checkcore(g, rule, oo) is None)
+            if cc is not None:
+                assert cc.agents and cc.deviation is not None and cc.post is not None
+                total = deviation_total(g, oo, cc.agents, cc.deviation, rule, cc.post)
+                assert total - oo.payoff_to_set(cc.agents) == cc.excess == tv
+            zero += tv == 0
         components.append(len(g.interaction.components()))
     assert sum(c > 1 for c in components) >= 40
     assert max(components) >= 3
+    assert zero >= 100
 
 
 def test_dp_tables_typed_sentinel():
@@ -466,6 +477,26 @@ def test_is_stable_examples(g1):
     assert validate_outcome(o, g1) == []
     assert brute_checkcore(g1, CONSERVATIVE, o) is None
     assert is_stable_tree(g1, CONSERVATIVE, ((2, 0),)) is None
+
+
+def test_answers_keep_their_entry_types_when_equal():
+    """A stable imputation can equal a witness structure (here ((1,),) and
+    ((Fraction(1),),)); whichever lane answers first on a game, structures
+    keep int entries and imputations Fraction ones."""
+    cs = ((1,),)
+    stable = [
+        lambda g: is_stable_tree(g, CONSERVATIVE, cs),
+        lambda g: is_stable_tw(g, CONSERVATIVE, cs),
+        lambda g: brute_is_stable(g, CONSERVATIVE, cs),
+    ]
+    optimal = [lambda g: optval_tree(g, (1,))[1], lambda g: optval_tw(g, None, (1,))[1]]
+    calls = [(f, Fraction) for f in stable] + [(f, int) for f in optimal]
+    for order in (calls, calls[::-1]):
+        g = GameDef(n=1, weights=(1,), charfun=make_charfun(1, 1, [((0,), (1,), Fraction(1))]),
+                    interaction=InteractionGraph.from_pairs(1, []))
+        for f, kind in order:
+            answer = f(g)
+            assert answer == cs and type(answer[0][0]) is kind
 
 
 def test_is_stable_single_agent():

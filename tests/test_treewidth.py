@@ -275,25 +275,41 @@ def test_checkcore_single_agent():
 
 
 def test_checkcore_agreement_random():
+    """Max excess matches the oracle on graphs with cycles, and the reported
+    set, never empty, achieves it.  Each game is checked again at a core
+    imputation of its optimal structure, where the max is exactly 0: the
+    grand coalition N keeping its structure earns what it is paid, so its
+    excess is never negative, under every rule."""
     rng = random.Random(89)
+    zero = 0
     for trial in range(40):
         g = random_graph_game(rng, nmax=4)
         o = random_outcome(rng, g)
         rule = RULES[trial % 4]
+        N = frozenset(range(g.n))
+        for any_rule in RULES:
+            assert brute_arbval(g, any_rule, o, N)[0] - o.payoff_to_set(N) >= 0
         td = heuristic_decomposition(g.interaction)
-        mv, _ = max_excess_tw(g, rule, o, td)
-        bv, _ = brute_max_excess(g, rule, o)
-        assert mv == bv
-        assert max_excess_tw(g, rule, o)[0] == mv
-        cc = checkcore_tw(g, rule, o, td)
-        assert (cc is None) == (brute_checkcore(g, rule, o) is None)
-        auto = checkcore_tw(g, rule, o)
-        assert (auto is None) == (cc is None)
-        assert auto is None or auto.excess == cc.excess
-        if cc is not None:
-            assert cc.deviation is not None and cc.post is not None
-            total = deviation_total(g, o, cc.agents, cc.deviation, rule, cc.post)
-            assert total - o.payoff_to_set(cc.agents) == cc.excess == mv
+        cs = optval_tw(g, td, g.weights)[1]
+        imp = is_stable_tw(g, rule, cs, td)
+        for oo in [o] + ([] if imp is None else [Outcome(structure=cs, imputation=imp)]):
+            mv, ms = max_excess_tw(g, rule, oo, td)
+            bv, _ = brute_max_excess(g, rule, oo)
+            assert mv == bv and ms
+            assert brute_arbval(g, rule, oo, ms)[0] - oo.payoff_to_set(ms) == mv
+            auto_v, auto_s = max_excess_tw(g, rule, oo)
+            assert auto_v == mv and auto_s
+            cc = checkcore_tw(g, rule, oo, td)
+            assert (cc is None) == (brute_checkcore(g, rule, oo) is None)
+            auto = checkcore_tw(g, rule, oo)
+            assert (auto is None) == (cc is None)
+            assert auto is None or auto.excess == cc.excess
+            if cc is not None:
+                assert cc.agents and cc.deviation is not None and cc.post is not None
+                total = deviation_total(g, oo, cc.agents, cc.deviation, rule, cc.post)
+                assert total - oo.payoff_to_set(cc.agents) == cc.excess == mv
+            zero += mv == 0
+    assert zero >= 35
 
 
 def test_checkcore_matches_tree_on_forests():
