@@ -15,14 +15,15 @@ directly; the rest call it through:
   picks back into one optimal multiset.  Used by ``CoverTable`` and
   ``single_cover``; ``single_cover`` only by :mod:`ocf.core`, once per agent
   and game, and every solver reads that table.
-* ``convolve`` - the bounded (max,+) convolution of a box table with a table
-  over some of its axes, a ``merge`` of one move per entry; ``chain`` runs it
-  layer by layer for the withdrawal DP of ``arbval_local`` in :mod:`ocf.tree`,
-  and ``unchain`` walks a chain's picks back into one choice per layer.
-  ``line_chain`` is ``chain`` on one axis, over plain lists indexed by units,
-  with ``convolve``'s rules, and ``line_unchain`` reads it back: the feeder
-  tables ``KeepTable`` (``AlphaTable`` is one over several edges) and
-  ``VBarTable`` in :mod:`ocf.treewidth` run on it.
+* ``chain`` - the bounded (max,+) convolution of a box table with each of
+  several layers in turn, a layer mapping shifts to values: per layer, a
+  ``merge`` of one move per entry into a fresh table.  It runs the
+  withdrawal DP of ``arbval_local`` in :mod:`ocf.tree`, and ``unchain``
+  walks its picks back into one shift per layer.  ``line_chain`` is
+  ``chain`` on one axis, over plain lists indexed by units, and
+  ``line_unchain`` reads it back: the feeder tables ``KeepTable``
+  (``AlphaTable`` is one over several edges) and ``VBarTable`` in
+  :mod:`ocf.treewidth` run on it.
 
 A move sweeps a region of the box below some caps: the values each axis of
 ``r`` may take, none below the shift.  By default that is every state the
@@ -35,14 +36,14 @@ and region, as two tuples of those states, so a table keyed by ``Box.keys``
 answers every lookup of a repeated sweep by identity, with no fresh tuple
 built.  Each object that builds tables owns its boxes and drops them when it
 is done: the bag engine keeps one per distinct caps of its bags, and every
-``chain`` (``arbval_local``) one for its layers.  A lone ``closure`` or
-``convolve`` may take plain caps instead (``CoverTable``, ``single_cover``);
-it sweeps each shift once, on fresh tuples.
+``chain`` (``arbval_local``) is handed one for its layers.  ``closure``
+takes plain caps (``CoverTable``, ``single_cover``): a lone closure sweeps
+each shift once, so it sweeps ``_pairs`` on fresh tuples.
 
 ``_frontier`` keeps the entries of a table that no entry at smaller or equal
 resources matches in value (the dominance rule of knapsack DPs).  Against a
 table that is non-decreasing in resources, only those entries can win a
-``convolve`` or be worth an atom in ``closure``.  Its out-state rule serves
+``chain`` layer or be worth an atom in ``closure``.  Its out-state rule serves
 the bag engine, whose tables are non-decreasing only in the member levels
 of a fixed out pattern: an out state is no lower neighbour of a member
 level, so an entry is dominated only by one with the same axes out.  The
@@ -115,17 +116,6 @@ class Box:
         return got
 
 
-def _sweeper(box: Box | tuple[int, ...]):
-    """The caps and the sweep of ``box``: ``box.pairs`` for a ``Box``, and
-    ``_pairs`` afresh for plain caps.  A lone kernel call sweeps each shift
-    once, and mapping fresh tuples onto canonical ones costs more than one
-    sweep's lookups save."""
-    if isinstance(box, Box):
-        return box.caps, box.pairs
-    caps = tuple(box)
-    return caps, partial(_pairs, caps)
-
-
 def merge(sweep, prev: dict, moves: Iterable[tuple], out: dict, picks: dict) -> None:
     """The kernel's one (max,+) sweep, in place.
 
@@ -150,18 +140,18 @@ def merge(sweep, prev: dict, moves: Iterable[tuple], out: dict, picks: dict) -> 
                 picks[r] = label
 
 
-def closure(box: Box | tuple[int, ...], atoms: list[tuple[tuple[int, ...], object]], base: dict):
-    """Unbounded atom knapsack over ``box``: a ``Box``, or its caps.
+def closure(caps: tuple[int, ...], atoms: list[tuple[tuple[int, ...], object]], base: dict):
+    """Unbounded atom knapsack over the box below ``caps``.
 
     ``atoms`` are nonzero (vector, value) pairs; atoms exceeding the caps are
     unusable.  Returns ``(best, picks)``: ``picks[r]`` is the index of the
     last atom of one optimal multiset for ``r``, or None when ``best[r]`` is
     ``base[r]``.  Walking ``r -> r - atoms[picks[r]]`` rebuilds ``best[r]``.
     """
-    _, sweep = _sweeper(box)
     best = dict(base)
     picks: dict = dict.fromkeys(best)
-    merge(sweep, best, [(a, None, v, idx) for idx, (a, v) in enumerate(atoms)], best, picks)
+    moves = [(a, None, v, idx) for idx, (a, v) in enumerate(atoms)]
+    merge(partial(_pairs, caps), best, moves, best, picks)
     return best, picks
 
 
@@ -176,44 +166,31 @@ def unwind(atoms: list, picks: dict, r: tuple[int, ...]) -> tuple[list[int], tup
     return out, r
 
 
-def convolve(box: Box | tuple[int, ...], prev: dict, axes: Iterable[int], other: dict):
-    """Bounded (max,+) convolution over ``box``: a ``Box``, or its caps.
+def chain(box: Box, table: dict, layers: Iterable[dict]):
+    """Bounded (max,+) convolution of ``table`` with each layer in turn,
+    over ``box``.
 
-    ``out(r) = max over z <= r[axes] of prev(r - z on axes) + other(z)``,
-    where ``other`` is keyed by tuples over ``axes``; its entries beyond the
-    caps never fit.  Returns ``(out, picks)``: ``picks[r]`` is the first ``z``
-    in ``other``'s order that achieves ``out[r]``, None when nothing does.
-    Both are keyed like ``prev``, which holds every state of the box in
-    product order.
+    Each layer maps shifts, vectors over the whole box, to values: one
+    ``merge`` of a move per entry into a fresh table, so ``out(r)`` is the
+    max over shifts ``z <= r`` of ``table(r - z) + layer(z)``.  None entries
+    are skipped, shifts beyond the caps never fit, and the first best shift
+    in the layer's order wins.  Returns the last table and a trail of each
+    layer's picks, keyed by ``box.keys``, with None where nothing reaches
+    the state.
 
-    When ``prev`` is non-decreasing on every axis (None lowest), an entry
-    ``z`` of ``other`` never beats one at some ``z' <= z`` worth at least as
-    much, so ``_frontier(other)`` gives the same ``out``; its picks are then
-    the first non-dominated ``z`` that achieves ``out[r]``.  Only values are
-    kept: a witness read from the picks may change.
+    When ``table`` is non-decreasing on every axis (None lowest), a shift
+    ``z`` never beats one at some ``z' <= z`` worth at least as much, so
+    ``_frontier(layer)`` gives the same values; its picks are then the
+    first non-dominated shift that achieves each.  Only values are kept: a
+    witness read from the picks may change.
     """
-    caps, sweep = _sweeper(box)
-    axes = tuple(axes)
-    moves = []
-    for z, v in other.items():
-        at = dict(zip(axes, z))  # the shift: z on its axes, 0 elsewhere
-        if v is not None:
-            moves.append((tuple(at.get(p, 0) for p in range(len(caps))), None, v, z))
-    out, picks = dict.fromkeys(prev), dict.fromkeys(prev)
-    merge(sweep, prev, moves, out, picks)
-    return out, picks
-
-
-def chain(box: Box | tuple[int, ...], table: dict, layers: Iterable[tuple[Iterable[int], dict]]):
-    """``convolve`` ``table`` with each ``(axes, other)`` of ``layers`` in turn,
-    all over one ``Box`` (made here from plain caps): the last table, and a
-    trail of each layer's axes and picks."""
-    if not isinstance(box, Box):
-        box = Box(box)
     trail = []
-    for axes, other in layers:
-        table, picks = convolve(box, table, axes, other)
-        trail.append((axes, picks))
+    for layer in layers:
+        moves = [(z, None, v, z) for z, v in layer.items() if v is not None]
+        out, picks = dict.fromkeys(box.keys), dict.fromkeys(box.keys)
+        merge(box.pairs, table, moves, out, picks)
+        table = out
+        trail.append(picks)
     return table, trail
 
 
@@ -221,13 +198,10 @@ def unchain(trail: list, r: tuple[int, ...]) -> tuple[list, tuple[int, ...]]:
     """Walk ``chain``'s trail back from a reachable state ``r``: each layer's
     pick, in layer order, and the state left to the first table."""
     picks = []
-    for axes, at in reversed(trail):
+    for at in reversed(trail):
         z = at[r]
         picks.append(z)
-        rest = list(r)
-        for p, zz in zip(axes, z):
-            rest[p] -= zz
-        r = tuple(rest)
+        r = tuple(x - s for x, s in zip(r, z))
     picks.reverse()
     return picks, r
 
@@ -235,17 +209,18 @@ def unchain(trail: list, r: tuple[int, ...]) -> tuple[list, tuple[int, ...]]:
 def line_chain(table: list, layers: Iterable[list]) -> tuple[list, list[list]]:
     """``chain`` on one axis, over plain lists indexed by units: ``table``
     holds every state up to its cap, ``len(table) - 1``, and each layer is
-    the row ``other`` of one ``convolve``, indexed by ``z``.  Same rules:
-    None is unreachable, entries beyond the cap never fit, the first best
+    a row indexed by the shift ``z``; ``out[r]`` is the max over
+    ``z <= r`` of ``table[r - z] + row[z]``.  ``chain``'s rules: None is
+    unreachable in both, entries beyond the cap never fit, the first best
     ``z`` wins, and a row whose only entry is at ``z = 0`` adds a constant.
     Returns the last table and a trail of each layer's picks, a list per
     layer with None where nothing reaches the state."""
     top = len(table)
     trail = []
-    for other in layers:
+    for row in layers:
         out: list = [None] * top
         picks: list = [None] * top
-        for z, v in enumerate(other[:top]):
+        for z, v in enumerate(row[:top]):
             if v is None:
                 continue
             for r, prior in enumerate(table[: top - z], z):

@@ -491,8 +491,9 @@ def lbg_verify_core(
     Returns the first strictly profitable deviation found, or None.  For
     dual-priced outcomes the dual point always clears (that is the
     §-theorem this function tests), so no screen LP is solved, and with
-    the outcome's own prices no LP at all.  Each agent's payoff and unused weight are read once per call: what
-    every S earns comes from one table of subset sums.
+    the outcome's own prices no LP at all.  Each agent's payoff and unused
+    weight are read once per call: what every S earns comes from one table
+    of subset sums.
     """
     _require_lbg_outcome(out)
     grid = _require_grid(grid)

@@ -62,7 +62,7 @@ from .core import (
     structure_weight,
     support,
 )
-from .covers import CoverTable
+from .covers import CoverTable, _pairs
 from .stability import StabilitySystem, stability_row
 
 
@@ -123,16 +123,15 @@ def count_structures(
 
     The (+) analogue of ``covers.closure`` over the box below ``c``: with
     ``ways`` one everywhere (the empty multiset), adding each atom ``a`` in
-    turn by ``ways[r] += ways[r - a]`` in lexicographic order leaves
-    ``ways[r]`` the number of multisets of the atoms so far with sum <= r.
+    turn by ``ways[r] += ways[r - a]`` over ``covers._pairs``' sweep, in
+    lexicographic order, leaves ``ways[r]`` the number of multisets of the
+    atoms so far with sum <= r.
     """
     g.check_coalition(c)
     limit = None if cap is None else cap + 1
     ways = dict.fromkeys(product(*[range(w + 1) for w in c]), 1)
     for a in _nonzero_atoms_below(c):
-        hi = product(*[range(x, w + 1) for x, w in zip(a, c)])
-        lo = product(*[range(w - x + 1) for x, w in zip(a, c)])
-        for r, rest in zip(hi, lo):
+        for r, rest in zip(*_pairs(tuple(c), a)):
             total = ways[r] + ways[rest]
             ways[r] = total if limit is None or total < limit else limit
     return ways[tuple(c)]

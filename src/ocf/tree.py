@@ -106,13 +106,13 @@ def arbval_local(
     ``deviation_available`` gives it before any withdrawal (its own
     coalitions and unused weight) plus the total t it withdraws from the
     coalitions it shares with outsiders, each of which pays S for its own
-    withdrawal.  A DP over those coalitions, one (max,+) convolution each,
-    finds the best payment for every t in the box below S's share of them;
-    the answer is the best cover of base + t plus that payment.  The DP and
-    that last scan run on ``int``s, at the lcm of the cover's scale and the
-    payments' denominators.  The box has up to (W+1)^|S| states, so the set
-    size is capped.  The outcome passes
-    ``core.require_outcome``, as on every lane.
+    withdrawal.  A ``covers.chain`` over those coalitions, one layer each,
+    keyed by each withdrawal's shift over S, finds the best payment for
+    every t in the box below S's share of them; the answer is the best
+    cover of base + t plus that payment.  The DP and that last scan run on
+    ``int``s, at the lcm of the cover's scale and the payments'
+    denominators.  The box has up to (W+1)^|S| states, so the set size is
+    capped.  The outcome passes ``core.require_outcome``, as on every lane.
     """
     require_local(rule)
     _require_agents(g.n, deviators)
@@ -134,14 +134,13 @@ def arbval_local(
     for j in mixed:
         c = o.structure[j]
         x = o.imputation[j]
-        wcoords = [i for i in coords if c[i] > 0]
-        by_z = {tuple(w[i] for i in wcoords): w for w in withdrawal_options(g, c, deviators)}
+        by_z = {tuple(w[i] for i in coords): w for w in withdrawal_options(g, c, deviators)}
         pays = {z: rule.coalition_payoff(g.charfun, c, w, x, deviators) for z, w in by_z.items()}
         options.append(by_z)
-        layers.append(([coords.index(i) for i in wcoords], pays))
+        layers.append(pays)
     # one int scale for the cover and the payments, read once the rule has paid
-    d = math.lcm(cover.scale, _denominator(*(pays.values() for _, pays in layers)))
-    layers = [(axes, {z: _scaled(v, d) for z, v in pays.items()}) for axes, pays in layers]
+    d = math.lcm(cover.scale, _denominator(*(pays.values() for pays in layers)))
+    layers = [{z: _scaled(v, d) for z, v in pays.items()} for pays in layers]
     # A[t] = best payment to S, times d, when it withdraws t in all
     box = Box(shared)
     A = dict.fromkeys(box.keys)

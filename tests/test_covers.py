@@ -12,7 +12,6 @@ from ocf.covers import (
     _frontier,
     chain,
     closure,
-    convolve,
     line_chain,
     line_unchain,
     merge,
@@ -106,7 +105,28 @@ def test_closure_with_no_atoms_is_base():
     assert set(picks.values()) == {None}
 
 
-def test_convolve_matches_brute_force():
+def _layer_keys(caps, axes):
+    """Shifts over the whole box that are 0 off ``axes`` and reach one past
+    the caps on them, so some never fit."""
+    return _box([c + 1 if p in axes else 0 for p, c in enumerate(caps)])
+
+
+def _convolve_brute(caps, prev, layer):
+    """One layer by brute force: for each state, the best ``prev(r - z) +
+    layer(z)`` over the shifts that fit, and the first shift that reaches it."""
+    out, picks = {}, {}
+    for r in _box(caps):
+        best, first = None, None
+        for z, v in layer.items():
+            if v is None or not _fits(z, r) or prev[_sub(r, z)] is None:
+                continue
+            if best is None or prev[_sub(r, z)] + v > best:
+                best, first = prev[_sub(r, z)] + v, z
+        out[r], picks[r] = best, first
+    return out, picks
+
+
+def test_chain_of_one_layer_matches_brute_force():
     rng = random.Random(11)
     for trial in range(240):
         number = NUMBERS["int" if trial % 2 else "fraction"]
@@ -114,39 +134,24 @@ def test_convolve_matches_brute_force():
         axes = sorted(rng.sample(range(len(caps)), rng.randint(0, len(caps))))
         none_share = 0.3 if trial % 3 else 0.0
         prev = _random_table(rng, _box(caps), number, none_share)
-        # other's domain reaches one past the caps, so some z never fit
-        other = _random_table(rng, _box([caps[p] + 1 for p in axes]), number, none_share)
+        layer = _random_table(rng, _layer_keys(caps, axes), number, none_share)
         if trial % 5 == 0:
             # the zero vector alone: an identity merge, or a constant added
-            other = {(0,) * len(axes): 0 if trial % 10 else number(rng)}
-        out, picks = convolve(caps, prev, axes, other)
+            layer = {(0,) * len(caps): 0 if trial % 10 else number(rng)}
+        out, (picks,) = chain(Box(caps), prev, [layer])
         assert list(out) == _box(caps) and list(picks) == _box(caps)
-        for r in _box(caps):
-            best, first = None, None
-            for z, v in other.items():
-                shift = [0] * len(caps)
-                for p, zz in zip(axes, z):
-                    shift[p] = zz
-                if v is None or not _fits(shift, r):
-                    continue
-                rest = _sub(r, shift)
-                if prev[rest] is None:
-                    continue
-                if best is None or prev[rest] + v > best:
-                    best, first = prev[rest] + v, z
-            assert out[r] == best and picks[r] == first
-            if first is not None:
-                rest = list(r)
-                for p, zz in zip(axes, first):
-                    rest[p] -= zz
-                assert prev[tuple(rest)] + other[first] == out[r]
+        assert (out, picks) == _convolve_brute(caps, prev, layer)
+        for r, z in picks.items():
+            if z is not None:
+                assert prev[_sub(r, z)] + layer[z] == out[r]
 
 
-def test_convolve_over_an_empty_box_axis():
-    # caps of zero leave one state; every z but the zero vector overflows
-    out, picks = convolve((0, 2), {(0, 0): 1, (0, 1): 2, (0, 2): None}, [0], {(0,): 3, (1,): 100})
+def test_chain_over_an_empty_box_axis():
+    # caps of zero leave one state; every shift off that axis's 0 overflows
+    prev = {(0, 0): 1, (0, 1): 2, (0, 2): None}
+    out, (picks,) = chain(Box((0, 2)), prev, [{(0, 0): 3, (1, 0): 100}])
     assert out == {(0, 0): 4, (0, 1): 5, (0, 2): None}
-    assert picks == {(0, 0): (0,), (0, 1): (0,), (0, 2): None}
+    assert picks == {(0, 0): (0, 0), (0, 1): (0, 0), (0, 2): None}
 
 
 SOLO_ATOMS = st.lists(
@@ -186,36 +191,33 @@ def _prefix_max(table):
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_frontier_keeps_convolve_values_on_monotone_prev(data):
+def test_frontier_keeps_chain_values_on_monotone_prev(data):
     """On a ``prev`` that is non-decreasing on every axis, the non-dominated
-    entries of ``other`` give every value ``other`` gives, and each pick is
+    entries of a layer give every value the layer gives, and each pick is
     one of them that reaches the value.  The bag engine's merges rely on it."""
     caps = tuple(data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
     axes = sorted(data.draw(st.sets(st.integers(0, len(caps) - 1))))
     prev = _prefix_max({r: data.draw(VALUES) for r in _box(caps)})
-    # other's domain reaches one past the caps, so some z never fit
-    other = {z: data.draw(VALUES) for z in _box([caps[p] + 1 for p in axes])}
-    front = _frontier(other)
+    layer = {z: data.draw(VALUES) for z in _layer_keys(caps, axes)}
+    front = _frontier(layer)
     assert list(front) == sorted(front)
-    for z, v in other.items():
+    for z, v in layer.items():
         dominated = v is None or any(
-            w is not None and w >= v and y != z and _fits(y, z) for y, w in other.items()
+            w is not None and w >= v and y != z and _fits(y, z) for y, w in layer.items()
         )
         assert (z in front) == (not dominated)
         if z in front:
             assert front[z] == v
-    out, _ = convolve(caps, prev, axes, other)
-    pruned, picks = convolve(caps, prev, axes, front)
+    box = Box(caps)
+    out, _ = chain(box, prev, [layer])
+    pruned, (picks,) = chain(box, prev, [front])
     assert pruned == out
     for r, z in picks.items():
         if z is None:
             assert out[r] is None
             continue
         assert z in front
-        rest = list(r)
-        for p, zz in zip(axes, z):
-            rest[p] -= zz
-        assert prev[tuple(rest)] + front[z] == out[r]
+        assert prev[_sub(r, z)] + front[z] == out[r]
 
 
 def test_frontier_of_a_sparse_table():
@@ -227,35 +229,29 @@ def test_frontier_of_a_sparse_table():
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_chain_is_convolve_layer_by_layer_and_unchain_reads_it_back(data):
-    """``chain`` is ``convolve`` applied layer after layer, and ``unchain``
-    splits every reachable state into a state of the first table plus one
-    pick per layer whose values add up to the chained value."""
+def test_chain_convolves_layer_by_layer_and_unchain_reads_it_back(data):
+    """``chain`` is one convolution per layer, in turn (brute force), and
+    ``unchain`` splits every reachable state into a state of the first
+    table plus one pick per layer whose values add up to the chained value."""
     caps = tuple(data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
     base = {r: data.draw(VALUES) for r in _box(caps)}
     layers = []
     for _ in range(data.draw(st.integers(0, 4))):
         axes = sorted(data.draw(st.sets(st.integers(0, len(caps) - 1))))
-        # the layer's domain reaches one past the caps, so some z never fit
-        other = {z: data.draw(VALUES) for z in _box([caps[p] + 1 for p in axes])}
-        layers.append((axes, other))
-    out, trail = chain(caps, base, layers)
+        layers.append({z: data.draw(VALUES) for z in _layer_keys(caps, axes)})
+    out, trail = chain(Box(caps), base, layers)
     table, steps = base, []
-    for axes, other in layers:
-        table, picks = convolve(caps, table, axes, other)
-        steps.append((axes, picks))
+    for layer in layers:
+        table, picks = _convolve_brute(caps, table, layer)
+        steps.append(picks)
     assert out == table and trail == steps
     for r, v in out.items():
         if v is None:
             continue
         picks, rest = unchain(trail, r)
         assert len(picks) == len(layers) and _fits(rest, caps)
-        total = list(rest)
-        for (axes, _), z in zip(layers, picks):
-            for p, zz in zip(axes, z):
-                total[p] += zz
-        assert tuple(total) == r
-        assert base[rest] + sum(other[z] for (_, other), z in zip(layers, picks)) == v
+        assert tuple(map(sum, zip(rest, *picks))) == r
+        assert base[rest] + sum(layer[z] for layer, z in zip(layers, picks)) == v
 
 
 def test_box_pairs_are_the_shifted_states_in_product_order():
@@ -276,8 +272,8 @@ def test_box_pairs_are_the_shifted_states_in_product_order():
 
 def test_kernel_reads_equal_keys_like_canonical_ones():
     """A table keyed by tuples equal to the box's keys, but other objects,
-    gives the same ``(out, picks)`` as one keyed by the keys themselves,
-    through ``convolve``, ``closure`` and ``chain``."""
+    gives the same answer as one keyed by the keys themselves, through
+    ``closure`` on plain caps and ``chain`` on a ``Box``."""
     rng = random.Random(23)
     for trial in range(60):
         caps = tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 3)))
@@ -287,13 +283,12 @@ def test_kernel_reads_equal_keys_like_canonical_ones():
         fresh = {tuple(list(r)): v for r, v in canonical.items()}
         assert all(a is not b for a, b in zip(fresh, canonical) if a)
         axes = sorted(rng.sample(range(len(caps)), rng.randint(0, len(caps))))
-        other = {z: rng.randint(-3, 9) for z in _box([caps[p] + 1 for p in axes])}
+        layer = {z: rng.randint(-3, 9) for z in _layer_keys(caps, axes)}
         atoms = [(a, rng.randint(1, 9)) for a in _box(caps) if any(a)][: rng.randint(0, 4)]
-        assert convolve(box, fresh, axes, other) == convolve(box, canonical, axes, other)
-        assert convolve(caps, fresh, axes, other) == convolve(box, canonical, axes, other)
-        assert closure(box, atoms, fresh) == closure(caps, atoms, canonical)
-        layers = [(axes, other), (axes, {z: v - 1 for z, v in other.items()})]
-        assert chain(box, fresh, layers) == chain(caps, canonical, layers)
+        assert closure(caps, atoms, fresh) == closure(caps, atoms, canonical)
+        assert chain(box, fresh, [layer]) == chain(box, canonical, [layer])
+        layers = [layer, {z: v - 1 for z, v in layer.items()}]
+        assert chain(box, fresh, layers) == chain(box, canonical, layers)
 
 
 def test_kernel_on_a_box_with_no_axes():
@@ -301,11 +296,11 @@ def test_kernel_on_a_box_with_no_axes():
     call over it works on that state alone."""
     box = Box(())
     assert box.keys == ((),) and box.pairs(()) == (((),), ((),))
-    assert convolve(box, {(): 3}, [], {(): 2}) == ({(): 5}, {(): ()})
-    assert convolve((), {(): None}, [], {(): 2}) == ({(): None}, {(): None})
-    assert convolve(box, {(): 1}, [], {(): None}) == ({(): None}, {(): None})
-    assert closure(box, [], {(): 1}) == ({(): 1}, {(): None})
-    table, trail = chain(box, {(): 0}, [([], {(): 1}), ([], {(): 2})])
+    assert chain(box, {(): 3}, [{(): 2}]) == ({(): 5}, [{(): ()}])
+    assert chain(box, {(): None}, [{(): 2}]) == ({(): None}, [{(): None}])
+    assert chain(box, {(): 1}, [{(): None}]) == ({(): None}, [{(): None}])
+    assert closure((), [], {(): 1}) == ({(): 1}, {(): None})
+    table, trail = chain(box, {(): 0}, [{(): 1}, {(): 2}])
     assert table == {(): 3} and unchain(trail, ()) == ([(), ()], ())
 
 
@@ -336,10 +331,10 @@ def test_line_chain_is_chain_on_one_axis():
         want, want_trail = chain(
             box,
             dict(zip(box.keys, start)),
-            [((0,), {(z,): v for z, v in enumerate(row)}) for row in layers],
+            [{(z,): v for z, v in enumerate(row)} for row in layers],
         )
         assert table == list(want.values())
-        assert trail == [[None if z is None else z[0] for z in picks.values()] for _, picks in want_trail]
+        assert trail == [[None if z is None else z[0] for z in picks.values()] for picks in want_trail]
         for r, v in enumerate(table):
             if v is None:
                 continue
