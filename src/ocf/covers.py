@@ -3,8 +3,8 @@
 Every pseudo-polynomial solver here takes a best value over resource vectors
 and adds the values of parts.  One sweep, ``merge``, does that work: each
 move ``(shift, region, value, label)`` raises every state ``r`` of its
-region to ``prev[r - shift] + value`` where that is higher, on tables keyed
-by resource tuples in which ``None`` marks an unreachable state, over any
+region to ``prev[r - shift] + value`` where that is higher, on tables over
+resource vectors in which ``None`` marks an unreachable state, over any
 ordered additive values (every solver passes scaled ``int``s; the tests pass
 ``Fraction``s too).  The bag engine of :mod:`ocf.treewidth` calls it
 directly; the rest call it through:
@@ -30,15 +30,17 @@ A move sweeps a region of the box below some caps: the values each axis of
 shift fits into; the bag engine asks for less.  Its boxes give each agent an
 out state, 0, below its member levels, so a move may pin an axis to out, take
 levels from the shift (or one more) up, pin one level, or keep out and the
-cap alone (the states a bag's projection reads).  A ``Box`` holds one
-canonical tuple per state and keeps each sweep it is asked for, per shift
-and region, as two tuples of those states, so a table keyed by ``Box.keys``
-answers every lookup of a repeated sweep by identity, with no fresh tuple
-built.  Each object that builds tables owns its boxes and drops them when it
-is done: the bag engine keeps one per distinct caps of its bags, and every
-``chain`` (``arbval_local``) is handed one for its layers.  ``closure``
-takes plain caps (``CoverTable``, ``single_cover``): a lone closure sweeps
-each shift once, so it sweeps ``_pairs`` on fresh tuples.
+cap alone (the states a bag's projection reads).  A table on a ``Box`` is
+a plain list in product order, indexed by each state's position (the sum
+of its coordinates times the box's strides); the box keeps each sweep it
+is asked for, per shift and region, as two tuples of positions, so a
+repeated sweep reads and writes by ``int`` index and hashes no state, and
+``Box.keys`` decodes a position back into its state.  Each object that
+builds tables owns its boxes and drops them when it is done: the bag
+engine keeps one per distinct caps of its bags, and every ``chain``
+(``arbval_local``) is handed one for its layers.  ``closure`` takes plain
+caps (``CoverTable``, ``single_cover``) and dicts keyed by states: a lone
+closure sweeps each shift once, so it sweeps ``_pairs`` on fresh tuples.
 
 ``_frontier`` keeps the entries of a table that no entry at smaller or equal
 resources matches in value (the dominance rule of knapsack DPs).  Against a
@@ -70,6 +72,7 @@ import math
 from fractions import Fraction
 from functools import partial
 from itertools import product
+from operator import mul
 from typing import Iterable
 
 Coalition = tuple[int, ...]
@@ -88,45 +91,55 @@ def _pairs(
 
 
 class Box:
-    """The states below ``caps``, one canonical tuple each, and a memo of
-    the sweeps over them.
+    """The states below ``caps`` in product order, and a memo of the sweeps
+    over them, as positions into a table over the box.
 
-    ``keys`` holds every state in product order.  ``pairs(shift, region)`` is
-    ``_pairs`` mapped onto those canonical tuples, kept for the next sweep
-    with the same shift and region.  A table keyed by ``keys`` hands its own
-    key objects to every lookup of such a sweep, so each lookup ends at an
-    identity test instead of comparing tuples.  A box belongs to the object
-    that builds tables on it and is dropped with it; nothing is cached at
-    module level.
+    ``keys`` holds every state in product order, and ``strides`` the step
+    each axis takes in that order, so the state at position ``p`` is
+    ``keys[p]`` and ``p`` is the sum of ``x * stride`` over its axes.
+    ``pairs(shift, region)`` is ``_pairs`` as two tuples of positions, those
+    of the states ``r`` and of ``r - shift``, kept for the next sweep with
+    the same shift and region.  A table on the box is a list in product
+    order, so a sweep reads and writes it by ``int`` index and hashes no
+    state.  A box belongs to the object that builds tables on it and is
+    dropped with it; nothing is cached at module level.
     """
 
     def __init__(self, caps: Iterable[int]):
         self.caps = tuple(caps)
         self.keys = tuple(product(*[range(c + 1) for c in self.caps]))
-        self._canon = dict(zip(self.keys, self.keys))
+        self.strides = tuple(math.prod(c + 1 for c in self.caps[k + 1 :]) for k in range(len(self.caps)))
         self._pairs: dict[tuple, tuple[tuple, tuple]] = {}
+
+    def offset(self, shift: Iterable[int]) -> int:
+        """How far ``shift`` moves a state's position."""
+        return sum(map(mul, shift, self.strides))
 
     def pairs(self, shift: tuple[int, ...], region: tuple | None = None) -> tuple[tuple, tuple]:
         got = self._pairs.get((shift, region))
         if got is None:
-            canon = self._canon.__getitem__
-            hi, lo = _pairs(self.caps, shift, region)
-            hi = tuple(map(canon, hi))
-            got = self._pairs[(shift, region)] = (hi, tuple(map(canon, lo)) if any(shift) else hi)
+            axes = [range(s, c + 1) for s, c in zip(shift, self.caps)] if region is None else region
+            hi = [0]
+            for axis, stride in zip(axes, self.strides):
+                hi = [p + x * stride for p in hi for x in axis]
+            hi, off = tuple(hi), self.offset(shift)
+            got = self._pairs[(shift, region)] = (hi, tuple([p - off for p in hi]) if off else hi)
         return got
 
 
-def merge(sweep, prev: dict, moves: Iterable[tuple], out: dict, picks: dict) -> None:
+def merge(sweep, prev, moves: Iterable[tuple], out, picks) -> None:
     """The kernel's one (max,+) sweep, in place.
 
     Each move is ``(shift, region, value, label)``.  Over the states ``r``
-    that ``sweep(shift, region)`` pairs with ``r - shift`` (``Box.pairs``, or
-    ``_pairs`` on plain caps), ``out[r]`` rises to ``prev[r - shift] + value``
-    where that is higher, and ``picks[r]`` becomes the move's label; None in
-    ``prev`` or ``out`` is unreachable.  Moves run in order and a tie keeps
-    the earlier label.  ``prev`` may be ``out`` itself: sweeps run in product
-    order, so a state reads its lower neighbour already raised by the same
-    move (the unbounded knapsack of ``closure``).
+    that ``sweep(shift, region)`` pairs with ``r - shift``, ``out[r]`` rises
+    to ``prev[r - shift] + value`` where that is higher, and ``picks[r]``
+    becomes the move's label; None in ``prev`` or ``out`` is unreachable.
+    The tables are lists indexed by the positions ``Box.pairs`` sweeps, or
+    dicts keyed by the tuples ``_pairs`` sweeps on plain caps.  Moves run in
+    order and a tie keeps the earlier label.  ``prev`` may be ``out``
+    itself: sweeps run in product order, so a state reads its lower
+    neighbour already raised by the same move (the unbounded knapsack of
+    ``closure``).
     """
     for shift, region, v, label in moves:
         for r, rest in zip(*sweep(shift, region)):
@@ -157,26 +170,25 @@ def closure(caps: tuple[int, ...], atoms: list[tuple[tuple[int, ...], object]], 
 
 def unwind(atoms: list, picks: dict, r: tuple[int, ...]) -> tuple[list[int], tuple[int, ...]]:
     """Walk ``closure``'s picks back from ``r``: the atom indices of one
-    optimal multiset and the state left to the base.  A state missing from
-    ``picks`` (a ``merge`` of atom moves, labelled by index) counts as None."""
+    optimal multiset and the state left to the base."""
     out = []
-    while (pick := picks.get(r)) is not None:
+    while (pick := picks[r]) is not None:
         out.append(pick)
         r = tuple(y - x for x, y in zip(atoms[pick][0], r))
     return out, r
 
 
-def chain(box: Box, table: dict, layers: Iterable[dict]):
-    """Bounded (max,+) convolution of ``table`` with each layer in turn,
-    over ``box``.
+def chain(box: Box, table: list, layers: Iterable[dict]):
+    """Bounded (max,+) convolution of ``table``, a list over ``box``, with
+    each layer in turn.
 
     Each layer maps shifts, vectors over the whole box, to values: one
     ``merge`` of a move per entry into a fresh table, so ``out(r)`` is the
     max over shifts ``z <= r`` of ``table(r - z) + layer(z)``.  None entries
     are skipped, shifts beyond the caps never fit, and the first best shift
     in the layer's order wins.  Returns the last table and a trail of each
-    layer's picks, keyed by ``box.keys``, with None where nothing reaches
-    the state.
+    layer's picks, lists over ``box`` like the tables, with None where
+    nothing reaches the state.
 
     When ``table`` is non-decreasing on every axis (None lowest), a shift
     ``z`` never beats one at some ``z' <= z`` worth at least as much, so
@@ -187,21 +199,22 @@ def chain(box: Box, table: dict, layers: Iterable[dict]):
     trail = []
     for layer in layers:
         moves = [(z, None, v, z) for z, v in layer.items() if v is not None]
-        out, picks = dict.fromkeys(box.keys), dict.fromkeys(box.keys)
+        out, picks = [None] * len(box.keys), [None] * len(box.keys)
         merge(box.pairs, table, moves, out, picks)
         table = out
         trail.append(picks)
     return table, trail
 
 
-def unchain(trail: list, r: tuple[int, ...]) -> tuple[list, tuple[int, ...]]:
-    """Walk ``chain``'s trail back from a reachable state ``r``: each layer's
-    pick, in layer order, and the state left to the first table."""
+def unchain(box: Box, trail: list, r: int) -> tuple[list, int]:
+    """Walk ``chain``'s trail back from the position ``r`` of a reachable
+    state: each layer's pick, in layer order, and the position left to the
+    first table."""
     picks = []
     for at in reversed(trail):
         z = at[r]
         picks.append(z)
-        r = tuple(x - s for x, s in zip(r, z))
+        r -= box.offset(z)
     picks.reverse()
     return picks, r
 

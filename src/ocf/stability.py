@@ -97,16 +97,18 @@ def read_imputation(
 ) -> Imputation:
     """The imputation held by an LP point of the full variables,
     holding one tuple object per distinct payoff row (repeated coalitions
-    are often paid alike), so answers kept by a caller hold no copies."""
-    shared: dict[tuple[Fraction, ...], tuple[Fraction, ...]] = {}
-    imputation = []
-    for j, c in enumerate(cs):
-        row = [ZERO] * n
-        for i in support(c):
-            row[i] = x[var_of[(j, i)]]
-        t = tuple(row)
-        imputation.append(shared.setdefault(t, t))
-    return tuple(imputation)
+    are often paid alike), so answers kept by a caller hold no copies.
+    A row is keyed by its nonzero (agent, value) pairs, read off ``var_of``
+    in its (coalition, agent) order, so equal rows get equal keys and no
+    dense row is hashed."""
+    rows = [[ZERO] * n for _ in cs]
+    keys: list[list[tuple[int, Fraction]]] = [[] for _ in cs]
+    for (j, i), v in var_of.items():
+        if x[v]:
+            rows[j][i] = x[v]
+            keys[j].append((i, x[v]))
+    shared: dict[tuple, tuple[Fraction, ...]] = {}
+    return tuple(shared.setdefault(tuple(key), tuple(row)) for key, row in zip(keys, rows))
 
 
 def stability_row(
@@ -234,12 +236,13 @@ class StabilitySystem:
         y = None if self._infeasible else self._lp.solve()
         if y is None:
             return None
-        # one object per distinct value, as read_imputation shares rows
-        values: dict[Fraction, Fraction] = {ZERO: ZERO}
+        # one object per distinct nonzero value, as read_imputation keys
+        # rows by their nonzero entries alone
+        values: dict[Fraction, Fraction] = {}
         x = []
         for c0, form in self._forms:
             v = sum((b * y[k] for k, b in form.items()), start=Fraction(c0, self.scale))
-            x.append(values.setdefault(v, v))
+            x.append(values.setdefault(v, v) if v else ZERO)
         return read_imputation(self.cs, self.var_of, tuple(x), self.n)
 
 

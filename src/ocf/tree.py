@@ -143,25 +143,24 @@ def arbval_local(
     layers = [{z: _scaled(v, d) for z, v in pays.items()} for pays in layers]
     # A[t] = best payment to S, times d, when it withdraws t in all
     box = Box(shared)
-    A = dict.fromkeys(box.keys)
-    A[(0,) * len(coords)] = 0
+    A = [0] + [None] * (len(box.keys) - 1)
     A, trail = chain(box, A, layers)
 
     m = d // cover.scale
     value_at = cover.value_at
     best = None
-    for t, paid in A.items():
+    for at, (t, paid) in enumerate(zip(box.keys, A)):
         have = list(base)
         for i, u in zip(coords, t):
             have[i] += u
         cand = value_at[tuple(have)] * m + paid
         if best is None or cand > best:
-            best, best_t, best_have = cand, t, have
+            best, best_at, best_have = cand, at, have
     assert best is not None
     best = Fraction(best, d)
     if not with_witness:
         return best
-    picks, _ = unchain(trail, best_t)
+    picks, _ = unchain(box, trail, best_at)
     withdrawals = {j: by_z[z] for j, by_z, z in zip(mixed, options, picks) if any(z)}
     return best, Deviation(withdrawals=withdrawals), tuple(cover.witness_atoms(best_have))
 

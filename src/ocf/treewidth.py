@@ -53,9 +53,8 @@ Each engine call takes its rows with their scales and lifts every row and
 atom to the lcm D of those scales and the game's, one integer multiply per
 entry, then runs the (max,+) kernel of :mod:`ocf.covers` (``merge`` for
 the keep rows, the atoms priced at a bag and the child merges, each over a
-region of the bag's box, and ``unwind`` to read the atoms back).  Values are
-divided back into ``Fraction`` at the API: ``KeepTable.value`` and the
-engine's ``value``.
+region of the bag's box).  Values are divided back into ``Fraction`` at the
+API: ``KeepTable.value`` and the engine's ``value``.
 """
 
 from __future__ import annotations
@@ -483,9 +482,10 @@ class _BagEngine:
     set to every vertex: their axes have no out state.  A member's level is
     how much of its resources flows into the bag's subtree.
 
-    Per bag, one table over the bag's ``covers.Box`` starts as the product of
-    per-axis rows (out is 0, a member level is the agent's solo row if it is
-    homed here, else 0) and goes through ``covers.merge`` moves, each swept
+    Per bag, one table over the bag's ``covers.Box``, a list indexed by
+    each state's position in the box, starts as the product of per-axis
+    rows (out is 0, a member level is the agent's solo row if it is homed
+    here, else 0) and goes through ``covers.merge`` moves, each swept
     over a region of the box: the keep rows of each edge homed here, on the
     states where one end is a member and the other out (every other state is
     copied); one closure over the edges' pair atoms, on the states where
@@ -519,12 +519,15 @@ class _BagEngine:
     full operands; a walk reads its witness through the first non-dominated
     entry that reaches a value.
 
-    Every move records its label where it wins a state: the keep or atom,
-    or the child entry with its shift; each projection records the state
-    that won it.  ``walk`` reads them back from the root's table.  The
-    engine keeps one ``covers.Box`` per distinct caps of its bags, and its
-    memo of region sweeps, while it builds its tables, and drops them once
-    every bag is done.
+    Every move records its label where it wins a state, keyed by position:
+    the keep or atom, or the child entry, each with its shift's offset (how
+    far the shift moves a position); each projection records the position
+    that won it.  ``walk`` reads them back from the root's table, taking
+    each offset off the position, and decodes a bag's last position into its
+    levels through ``Box.keys``.  The engine keeps one ``covers.Box`` per
+    distinct caps of its bags, and its memo of region sweeps, while it
+    builds its tables, and drops them once every bag is done; the walk
+    keeps each bag's ``keys`` with its labels.
     """
 
     def __init__(
@@ -565,13 +568,14 @@ class _BagEngine:
         for X in post:
             self._bag(X, frames)
 
-    def _place(self, base: tuple, ks: Iterable[int], zs: Iterable[int]) -> tuple[tuple, tuple]:
-        """The shift and region of a move that puts axis ``ks[j]`` at state
-        ``zs[j]``, within the per-axis values ``base``: an out state pins the
-        axis to out; a member state takes its level from the agent's, whose
-        level must reach it.  Each axis's answer is kept per engine."""
+    def _place(self, box: Box, base: tuple, ks: Iterable[int], zs: Iterable[int]) -> tuple[tuple, tuple, int]:
+        """The shift, region and offset of a move that puts axis ``ks[j]``
+        at state ``zs[j]``, within the per-axis values ``base`` of ``box``:
+        an out state pins the axis to out; a member state takes its level
+        from the agent's, whose level must reach it.  Each axis's answer is
+        kept per engine."""
         o = self.out
-        shift, region = [0] * len(base), list(base)
+        shift, region, offset = [0] * len(base), list(base), 0
         for k, z in zip(ks, zs):
             got = self._pins.get((base[k], z))
             if got is None:
@@ -579,25 +583,27 @@ class _BagEngine:
                 values = tuple(x for x in base[k] if (x >= z if member else x == 0))
                 got = self._pins[(base[k], z)] = (z - o if member else 0, values)
             shift[k], region[k] = got
-        return tuple(shift), tuple(region)
+            offset += got[0] * box.strides[k]
+        return tuple(shift), tuple(region), offset
 
-    def _moves(self, base: tuple, ks: list[int], table: dict) -> list[tuple]:
+    def _moves(self, box: Box, base: tuple, ks: list[int], table: dict) -> list[tuple]:
         """One move per entry ``z`` of a child table, within ``base``, with
-        the label (shift, ``z``)."""
+        the label (offset, ``z``)."""
         moves = []
         for z, v in table.items():
-            shift, region = self._place(base, ks, z)
+            shift, region, offset = self._place(box, base, ks, z)
             if all(region):
-                moves.append((shift, region, v, (shift, z)))
+                moves.append((shift, region, v, (offset, z)))
         return moves
 
     def _frame(self, caps: Coalition, sk: tuple[int, ...], frames: dict) -> tuple:
         """What every bag with these box caps and parent-separator axes
         ``sk`` shares, built once per engine: the box (one per distinct
         caps), each axis's values (all, and where the projection reads it),
-        and the projection's plan, the states it reads grouped by their
-        separator state.  The other axes are homed at the bag and forgotten
-        above, each at out (where there is one) or at its whole cap."""
+        and the projection's plan, the positions of the states it reads
+        grouped by their separator state.  The other axes are homed at the
+        bag and forgotten above, each at out (where there is one) or at its
+        whole cap."""
         got = frames.get((caps, sk))
         if got is None:
             box = frames.get(caps) or frames.setdefault(caps, Box(caps))
@@ -605,7 +611,7 @@ class _BagEngine:
             ends = tuple(v if k in sk else (0, c)[1 - self.out :] for k, (v, c) in enumerate(zip(full, caps)))
             plan: dict = {}
             for r in product(*ends):
-                plan.setdefault(tuple([r[k] for k in sk]), []).append(r)
+                plan.setdefault(tuple([r[k] for k in sk]), []).append(box.offset(r))
             got = frames[(caps, sk)] = (box, full, ends, plan)
         return got
 
@@ -616,38 +622,38 @@ class _BagEngine:
         sk = tuple(pos[i] for i in sep_x)
         box, full, ends, plan = self._frame(tuple(self.caps[i] + o for i in ax), sk, frames)
         pairs = box.pairs
-        values = [0]  # the product of the axis rows, summed, in box order
+        cur = [0]  # the product of the axis rows, summed, in box order
         for i in ax:
-            values = [v + x for v in values for x in (self._zeros[i] if i in sep_x else self._rows[i])]
-        cur = dict(zip(box.keys, values))
+            cur = [v + x for v in cur for x in (self._zeros[i] if i in sep_x else self._rows[i])]
         keep_bp = []
         for a, b in self.edges_at[X] if self._keeps else ():
             for u, w in ((a, b), (b, a)):
                 if (u, w) in self._keeps:  # the states with u in and w out keep afresh
                     ks = (pos[u], pos[w])
-                    nxt, picks = dict(cur), {}
-                    nxt.update(dict.fromkeys(pairs(*self._place(full, ks, (1, 0)))[0]))
-                    moves = [
-                        (m := self._place(full, ks, (y + o, 0))) + (v, (m[0], (u, w), y))
-                        for (y,), v in self._keeps[(u, w)].items()
-                    ]
+                    nxt, picks = cur[:], {}
+                    for r in pairs(*self._place(box, full, ks, (1, 0))[:2])[0]:
+                        nxt[r] = None
+                    moves = []
+                    for (y,), v in self._keeps[(u, w)].items():
+                        shift, region, offset = self._place(box, full, ks, (y + o, 0))
+                        moves.append((shift, region, v, (offset, (u, w), y)))
                     merge(pairs, cur, moves, nxt, picks)
                     cur = nxt
                     keep_bp.append(picks)
         atoms, moves = [], []
         for a, b in self.edges_at[X]:
             for c, v in self._pairs[(a, b)]:
-                shift, region = self._place(full, (pos[a], pos[b]), (c[a] + o, c[b] + o))
+                shift, region, offset = self._place(box, full, (pos[a], pos[b]), (c[a] + o, c[b] + o))
                 moves.append((shift, region, v, len(atoms)))
-                atoms.append((shift, c))
+                atoms.append((offset, c))
         atom_bp: dict = {}
         merge(pairs, cur, moves, cur, atom_bp)
         merge_bp = []
         kids = self.children[X]
         for Y in kids:
             ks = [pos[i] for i in self.sep[Y]]
-            nxt, picks = dict.fromkeys(box.keys), {}
-            merge(pairs, cur, self._moves(ends if Y == kids[-1] else full, ks, self.final.pop(Y)), nxt, picks)
+            nxt, picks = [None] * len(cur), {}
+            merge(pairs, cur, self._moves(box, ends if Y == kids[-1] else full, ks, self.final.pop(Y)), nxt, picks)
             cur = nxt
             merge_bp.append(picks)
         at, won = {}, {}
@@ -657,7 +663,7 @@ class _BagEngine:
                 if v is not None and (q not in at or v > at[q]):
                     at[q], won[q] = v, r
         self.final[X] = _frontier(at, o)
-        self.bp[X] = (won, merge_bp, atoms, atom_bp, keep_bp)
+        self.bp[X] = (box.keys, won, merge_bp, atoms, atom_bp, keep_bp)
 
     def value(self) -> Fraction | None:
         """Best value over every set the tables hold (under CheckCore the
@@ -672,19 +678,21 @@ class _BagEngine:
         stack = [(self.t.root, ())]
         while stack:
             X, q = stack.pop()
-            won, merge_bp, atoms, atom_bp, keep_bp = self.bp[X]
+            keys, won, merge_bp, atoms, atom_bp, keep_bp = self.bp[X]
             r = won[q]
             # undo the child merges, last first, to find each child's state
             for Y, picks in zip(reversed(self.children[X]), reversed(merge_bp)):
-                shift, z = picks[r]
-                r = tuple(x - s for x, s in zip(r, shift))
+                offset, z = picks[r]
+                r -= offset
                 stack.append((Y, z))
-            picked, r = unwind(atoms, atom_bp, r)
-            out.atoms.extend(atoms[k][1] for k in picked)
+            while (k := atom_bp.get(r)) is not None:
+                r -= atoms[k][0]
+                out.atoms.append(atoms[k][1])
             for picks in reversed(keep_bp):
                 if r in picks:
-                    shift, e, out.keeps[e] = picks[r]
-                    r = tuple(x - s for x, s in zip(r, shift))
+                    offset, e, out.keeps[e] = picks[r]
+                    r -= offset
+            r = keys[r]
             for k, i in enumerate(self.agents[X]):
                 if i not in self.sep[X] and r[k] >= o:
                     out.members.add(i)

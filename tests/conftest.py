@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -335,3 +336,16 @@ def feasible_vertex(n: int, rows: list[LinearRow]) -> list[Fraction] | None:
                 if min(x) >= 0 and all(row_holds(x, *row) for row in rows):
                     return x
     return None
+
+
+# Hypothesis' pytest plugin imports this module to report a failing @given
+# test.  Its import can raise a third-party DeprecationWarning, which
+# ``filterwarnings = ["error"]`` would turn into an internal error that ends
+# the session; importing it here first, with that warning ignored, keeps
+# every later failure reported and every other warning an error.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass

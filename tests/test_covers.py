@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ocf.covers import (
     Box,
     _frontier,
+    _pairs,
     chain,
     closure,
     line_chain,
@@ -40,6 +41,17 @@ def _fits(a, r):
 
 def _random_table(rng, keys, number, none_share):
     return {k: None if rng.random() < none_share else number(rng) for k in keys}
+
+
+def _listed(box, table):
+    """A table keyed by states, as the list over ``box`` the kernel sweeps."""
+    return [table[r] for r in box.keys]
+
+
+def _keyed(box, values):
+    """A list over ``box`` keyed back by the states of its positions."""
+    assert len(values) == len(box.keys)
+    return dict(zip(box.keys, values))
 
 
 def _closure_brute(caps, atoms, base):
@@ -138,8 +150,9 @@ def test_chain_of_one_layer_matches_brute_force():
         if trial % 5 == 0:
             # the zero vector alone: an identity merge, or a constant added
             layer = {(0,) * len(caps): 0 if trial % 10 else number(rng)}
-        out, (picks,) = chain(Box(caps), prev, [layer])
-        assert list(out) == _box(caps) and list(picks) == _box(caps)
+        box = Box(caps)
+        out, (picks,) = chain(box, _listed(box, prev), [layer])
+        out, picks = _keyed(box, out), _keyed(box, picks)
         assert (out, picks) == _convolve_brute(caps, prev, layer)
         for r, z in picks.items():
             if z is not None:
@@ -148,10 +161,9 @@ def test_chain_of_one_layer_matches_brute_force():
 
 def test_chain_over_an_empty_box_axis():
     # caps of zero leave one state; every shift off that axis's 0 overflows
-    prev = {(0, 0): 1, (0, 1): 2, (0, 2): None}
-    out, (picks,) = chain(Box((0, 2)), prev, [{(0, 0): 3, (1, 0): 100}])
-    assert out == {(0, 0): 4, (0, 1): 5, (0, 2): None}
-    assert picks == {(0, 0): (0, 0), (0, 1): (0, 0), (0, 2): None}
+    out, (picks,) = chain(Box((0, 2)), [1, 2, None], [{(0, 0): 3, (1, 0): 100}])
+    assert out == [4, 5, None]
+    assert picks == [(0, 0), (0, 0), None]
 
 
 SOLO_ATOMS = st.lists(
@@ -209,10 +221,11 @@ def test_frontier_keeps_chain_values_on_monotone_prev(data):
         if z in front:
             assert front[z] == v
     box = Box(caps)
-    out, _ = chain(box, prev, [layer])
-    pruned, (picks,) = chain(box, prev, [front])
+    out, _ = chain(box, _listed(box, prev), [layer])
+    pruned, (picks,) = chain(box, _listed(box, prev), [front])
     assert pruned == out
-    for r, z in picks.items():
+    out = _keyed(box, out)
+    for r, z in zip(box.keys, picks):
         if z is None:
             assert out[r] is None
             continue
@@ -239,69 +252,104 @@ def test_chain_convolves_layer_by_layer_and_unchain_reads_it_back(data):
     for _ in range(data.draw(st.integers(0, 4))):
         axes = sorted(data.draw(st.sets(st.integers(0, len(caps) - 1))))
         layers.append({z: data.draw(VALUES) for z in _layer_keys(caps, axes)})
-    out, trail = chain(Box(caps), base, layers)
+    box = Box(caps)
+    out, trail = chain(box, _listed(box, base), layers)
     table, steps = base, []
     for layer in layers:
         table, picks = _convolve_brute(caps, table, layer)
         steps.append(picks)
-    assert out == table and trail == steps
-    for r, v in out.items():
+    assert _keyed(box, out) == table and [_keyed(box, picks) for picks in trail] == steps
+    for at, (r, v) in enumerate(zip(box.keys, out)):
         if v is None:
             continue
-        picks, rest = unchain(trail, r)
+        picks, rest = unchain(box, trail, at)
+        rest = box.keys[rest]
         assert len(picks) == len(layers) and _fits(rest, caps)
         assert tuple(map(sum, zip(rest, *picks))) == r
         assert base[rest] + sum(layer[z] for layer, z in zip(layers, picks)) == v
 
 
 def test_box_pairs_are_the_shifted_states_in_product_order():
-    """``pairs(shift)`` is every ``(r, r - shift)`` with ``r`` in the box, in
-    product order, and nothing once the shift passes the caps.  Both sides
-    are the box's own key objects, and asking again returns the kept answer."""
-    for caps in [(), (0,), (3,), (2, 0, 1), (1, 3), (2, 2, 2)]:
+    """``pairs(shift)`` is the positions of every ``(r, r - shift)`` with
+    ``r`` in the box, in product order, and nothing once the shift passes
+    the caps: ``_pairs`` on plain caps, read through ``keys``.  A state's
+    position is its offset, and asking again returns the kept answer."""
+    rng = random.Random(17)
+    shapes = [(), (0,), (3,), (2, 0, 1), (1, 3), (2, 2, 2)]
+    shapes += [tuple(rng.randint(0, 4) for _ in range(rng.randint(0, 4))) for _ in range(20)]
+    for caps in shapes:
         box = Box(caps)
         assert box.keys == tuple(_box(caps))
-        ids = {id(k) for k in box.keys}
-        for shift in _box([c + 1 for c in caps]):
+        assert [box.offset(r) for r in box.keys] == list(range(len(box.keys)))
+        shifts = _box([c + 1 for c in caps])
+        for shift in shifts if len(shifts) <= 64 else rng.sample(shifts, 64):
             want = [(r, _sub(r, shift)) for r in _box(caps) if _fits(shift, r)]
             hi, lo = got = box.pairs(shift)
-            assert list(zip(hi, lo)) == want
-            assert all(id(r) in ids for r in hi + lo)
+            assert list(zip(*_pairs(caps, shift))) == want
+            assert [(box.keys[p], box.keys[q]) for p, q in zip(hi, lo)] == want
             assert box.pairs(shift) is got
 
 
-def test_kernel_reads_equal_keys_like_canonical_ones():
-    """A table keyed by tuples equal to the box's keys, but other objects,
-    gives the same answer as one keyed by the keys themselves, through
-    ``closure`` on plain caps and ``chain`` on a ``Box``."""
+def _chain_by_dicts(caps, table, layers):
+    """``chain`` as plain loops on dicts keyed by states: per layer, each
+    entry in the layer's order raises every state it fits below to the
+    table's value at the state less the entry, where that is higher."""
+    trail = []
+    for layer in layers:
+        out, picks = dict.fromkeys(_box(caps)), dict.fromkeys(_box(caps))
+        for z, v in layer.items():
+            if v is None:
+                continue
+            for r in _box(caps):
+                if _fits(z, r) and table[_sub(r, z)] is not None:
+                    cand = table[_sub(r, z)] + v
+                    if out[r] is None or cand > out[r]:
+                        out[r], picks[r] = cand, z
+        table = out
+        trail.append(picks)
+    return table, trail
+
+
+def test_chain_over_positions_matches_a_dict_loop():
+    """``chain`` on lists over a ``Box`` gives the values and picks of
+    plain loops on tuple-keyed dicts, on ``int`` and ``Fraction`` tables
+    with None entries, shifts past the caps and few distinct values, so
+    that many states tie; ``unchain`` walks back to the same states."""
     rng = random.Random(23)
-    for trial in range(60):
+    for trial in range(120):
+        number = NUMBERS["int" if trial % 2 else "fraction"]
         caps = tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 3)))
         box = Box(caps)
-        values = [rng.choice((None, rng.randint(-4, 9))) for _ in box.keys]
-        canonical = dict(zip(box.keys, values))
-        fresh = {tuple(list(r)): v for r, v in canonical.items()}
-        assert all(a is not b for a, b in zip(fresh, canonical) if a)
-        axes = sorted(rng.sample(range(len(caps)), rng.randint(0, len(caps))))
-        layer = {z: rng.randint(-3, 9) for z in _layer_keys(caps, axes)}
-        atoms = [(a, rng.randint(1, 9)) for a in _box(caps) if any(a)][: rng.randint(0, 4)]
-        assert closure(caps, atoms, fresh) == closure(caps, atoms, canonical)
-        assert chain(box, fresh, [layer]) == chain(box, canonical, [layer])
-        layers = [layer, {z: v - 1 for z, v in layer.items()}]
-        assert chain(box, fresh, layers) == chain(box, canonical, layers)
+        base = _random_table(rng, _box(caps), lambda rng: number(rng) % 3, 0.3)
+        layers = []
+        for _ in range(rng.randint(1, 3)):
+            axes = sorted(rng.sample(range(len(caps)), rng.randint(0, len(caps))))
+            layers.append(_random_table(rng, _layer_keys(caps, axes), lambda rng: number(rng) % 3, 0.2))
+        out, trail = chain(box, _listed(box, base), layers)
+        want, want_trail = _chain_by_dicts(caps, base, layers)
+        assert _keyed(box, out) == want
+        assert [_keyed(box, picks) for picks in trail] == want_trail
+        for at, r in enumerate(box.keys):
+            if out[at] is None:
+                continue
+            state, picks = r, []
+            for steps in reversed(want_trail):
+                picks.insert(0, steps[state])
+                state = _sub(state, steps[state])
+            assert unchain(box, trail, at) == (picks, box.offset(state))
 
 
 def test_kernel_on_a_box_with_no_axes():
     """The box with no axes holds one state, the empty tuple; every kernel
     call over it works on that state alone."""
     box = Box(())
-    assert box.keys == ((),) and box.pairs(()) == (((),), ((),))
-    assert chain(box, {(): 3}, [{(): 2}]) == ({(): 5}, [{(): ()}])
-    assert chain(box, {(): None}, [{(): 2}]) == ({(): None}, [{(): None}])
-    assert chain(box, {(): 1}, [{(): None}]) == ({(): None}, [{(): None}])
+    assert box.keys == ((),) and box.strides == () and box.pairs(()) == ((0,), (0,))
+    assert chain(box, [3], [{(): 2}]) == ([5], [[()]])
+    assert chain(box, [None], [{(): 2}]) == ([None], [[None]])
+    assert chain(box, [1], [{(): None}]) == ([None], [[None]])
     assert closure((), [], {(): 1}) == ({(): 1}, {(): None})
-    table, trail = chain(box, {(): 0}, [{(): 1}, {(): 2}])
-    assert table == {(): 3} and unchain(trail, ()) == ([(), ()], ())
+    table, trail = chain(box, [0], [{(): 1}, {(): 2}])
+    assert table == [3] and unchain(box, trail, 0) == ([(), ()], 0)
 
 
 def test_line_chain_is_chain_on_one_axis():
@@ -328,13 +376,9 @@ def test_line_chain_is_chain_on_one_axis():
                 layers.append([value(0.25) for _ in range(rng.randint(1, cap + 3))])
         table, trail = line_chain(start, layers)
         box = Box((cap,))
-        want, want_trail = chain(
-            box,
-            dict(zip(box.keys, start)),
-            [{(z,): v for z, v in enumerate(row)} for row in layers],
-        )
-        assert table == list(want.values())
-        assert trail == [[None if z is None else z[0] for z in picks.values()] for picks in want_trail]
+        want, want_trail = chain(box, start, [{(z,): v for z, v in enumerate(row)} for row in layers])
+        assert table == want
+        assert trail == [[None if z is None else z[0] for z in picks] for picks in want_trail]
         for r, v in enumerate(table):
             if v is None:
                 continue
@@ -369,14 +413,13 @@ def test_box_pairs_sweep_a_region_like_brute_force():
     """``pairs(shift, region)`` is every ``(r, r - shift)`` with each
     coordinate of ``r`` among its axis's region values, in product order:
     regions that pin an axis, floor it at the shift or above, keep out and
-    the cap, or leave it whole.  Both sides are the box's own key objects,
-    a repeated request returns the kept answer, and a zero shift pairs
-    each state with itself."""
+    the cap, or leave it whole.  Both sides are positions, ``_pairs`` read
+    through ``keys``, a repeated request returns the kept answer, and a
+    zero shift pairs each state with itself."""
     rng = random.Random(29)
     for trial in range(300):
         caps = tuple(rng.randint(0, 4) for _ in range(rng.randint(0, 3)))
         box = Box(caps)
-        ids = {id(k) for k in box.keys}
         shift = tuple(rng.randint(0, c) if rng.random() < 0.6 else 0 for c in caps)
         region = _random_region(rng, caps, shift)
         want = [
@@ -385,8 +428,8 @@ def test_box_pairs_sweep_a_region_like_brute_force():
             if all(x in axis for x, axis in zip(r, region))
         ]
         hi, lo = got = box.pairs(shift, region)
-        assert list(zip(hi, lo)) == want
-        assert all(id(r) in ids for r in hi + lo)
+        assert list(zip(*_pairs(caps, shift, region))) == want
+        assert [(box.keys[p], box.keys[q]) for p, q in zip(hi, lo)] == want
         assert box.pairs(shift, region) is got
         if not any(shift):
             assert hi == lo
@@ -407,21 +450,21 @@ def test_merge_raises_each_state_to_its_best_move():
         for label in range(rng.randint(0, 5)):
             shift = tuple(rng.randint(0, c) for c in caps)
             moves.append((shift, _random_region(rng, caps, shift), rng.randint(-3, 6) % 4, label))
-        out, picks = dict(start), {}
-        merge(box.pairs, prev, moves, out, picks)
-        for r in box.keys:
+        out, picks = _listed(box, start), {}
+        merge(box.pairs, _listed(box, prev), moves, out, picks)
+        for at, r in enumerate(box.keys):
             best, first = start[r], None
             for shift, region, v, label in moves:
                 if all(x in axis for x, axis in zip(r, region)):
                     p = prev[_sub(r, shift)]
                     if p is not None and (best is None or p + v > best):
                         best, first = p + v, label
-            assert out[r] == best and picks.get(r) == first
+            assert out[at] == best and picks.get(at) == first
         # in place: the unbounded knapsack of closure
         atoms = [(a, v) for a, _, v, _ in moves if any(a)]
-        base = dict(prev)
+        base = _listed(box, prev)
         merge(box.pairs, base, [(a, None, v, k) for k, (a, v) in enumerate(atoms)], base, {})
-        assert base == closure(caps, atoms, prev)[0]
+        assert _keyed(box, base) == closure(caps, atoms, prev)[0]
 
 
 def _below_with_outs(y, z):
@@ -453,7 +496,7 @@ def test_frontier_out_state_rule_is_dominance_within_an_out_pattern(data):
     # merged into a prev that rises with member levels within each out pattern
     caps = (4,) * n
     box = Box(caps)
-    prev = {r: sum(r) + 10 * sum(x == 0 for x in r) for r in box.keys}
+    prev = [sum(r) + 10 * sum(x == 0 for x in r) for r in box.keys]
     def moves(t):
         out = []
         for z, v in t.items():
@@ -462,7 +505,7 @@ def test_frontier_out_state_rule_is_dominance_within_an_out_pattern(data):
                 region = tuple((0,) if x == 0 else range(x, 5) for x in z)
                 out.append((shift, region, v, z))
         return out
-    full, pruned = dict.fromkeys(box.keys), dict.fromkeys(box.keys)
+    full, pruned = [None] * len(box.keys), [None] * len(box.keys)
     merge(box.pairs, prev, moves(table), full, {})
     merge(box.pairs, prev, moves(front), pruned, {})
     assert full == pruned

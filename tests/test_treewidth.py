@@ -618,10 +618,13 @@ def test_boxes_die_with_the_solver_call(monkeypatch):
     assert made and all(ref() is None for ref in made)
 
 
-def _non_decreasing(table: dict, out: int) -> bool:
-    """Every member level of a box table is non-decreasing, None lowest,
-    with the out pattern fixed: with ``out`` 1 coordinate 0 of each axis is
-    an out state, which is no lower neighbour of the member levels."""
+def _non_decreasing(box, values: list, out: int) -> bool:
+    """Every member level of a table over ``box``, a list in product order,
+    is non-decreasing, None lowest, with the out pattern fixed: with ``out``
+    1 coordinate 0 of each axis is an out state, which is no lower neighbour
+    of the member levels."""
+    assert len(values) == len(box.keys)
+    table = dict(zip(box.keys, values))
     for r, v in table.items():
         for k, x in enumerate(r):
             below = table[r[:k] + (x - 1,) + r[k + 1 :]] if x > out else None
@@ -646,7 +649,7 @@ def test_bag_engine_merges_into_monotone_tables(monkeypatch):
         frame = sys._getframe(1)
         if frame.f_code is tw._BagEngine._bag.__code__:
             o = frame.f_locals["o"]
-            seen[o].append(_non_decreasing(prev, o))
+            seen[o].append(_non_decreasing(sweep.__self__, prev, o))
         return kernel(sweep, prev, moves, out, picks)
 
     monkeypatch.setattr(tw, "merge", watched)
